@@ -42,7 +42,6 @@ from .lagrangian import (
     augmented,
     augmented_gradient,
     dual_value,
-    lagrangian,
     penalty,
 )
 from .lp import LpProblem, LpSolution, enumerate_vertices_oracle, solve_lp

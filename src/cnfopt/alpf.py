@@ -23,10 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import NORM0_THRESHOLD, Point, evaluate, gradient
+from .expr import NORM0_THRESHOLD, Point, evaluate
 from .inner import InnerConfig, minimize
-from .lagrangian import augmented_objective, _aug_value
-from .model import midpoint_convexity_violations
+from .lagrangian import (
+    Multipliers,
+    PenaltyParams,
+    augmented,
+    augmented_gradient,
+    augmented_objective,
+    lagrangian_convexity_violations,
+)
 
 logger = logging.getLogger("cnfopt")
 
@@ -141,12 +147,7 @@ def infeasibility(gv, hv):
 
 
 def _lagrangian_sampled_convex(prob, u, v, pairs, seed):
-    def L(vec):
-        return _aug_value(prob, Point.from_flat(vec, prob.n, prob.m), u, v, 0.0)
-
-    return (
-        midpoint_convexity_violations(L, prob.n + prob.m, prob.box, pairs, seed) == 0
-    )
+    return lagrangian_convexity_violations(prob, u, v, pairs, seed) == 0
 
 
 # an outer loop gives up after this many consecutive inner solves that ran
@@ -425,7 +426,7 @@ def solve_decomposed(prob, partition, cfg=None):
         gv, hv = prob.constraint_values(p)
         g_val = prob.objective(p)
         e = infeasibility(gv, hv)
-        a_val = _aug_value(prob, p, u_used, v_used, rho_eff)
+        a_val = augmented(prob, p, Multipliers(u_used, v_used), PenaltyParams(rho_eff))
         records.append(
             AlpfRecord(k, rho_eff, p.x.copy(), p.y.copy(), u_used, v_used,
                        a_val, g_val, e, abs(a_val - g_val), cycle_status)
@@ -455,18 +456,13 @@ def normalized_kkt_residual(prob, trace):
     final iterate's shifted multipliers; small values mean the loop ended
     at an (approximately) stationary multiplier configuration."""
     rec = trace.final
-    p = rec.point
-    gv, hv = prob.constraint_values(p)
-    u_bar = rec.u + 2.0 * rec.rho * np.maximum(gv, 0.0) if prob.s else rec.u
-    v_next = rec.v + 2.0 * rec.rho * hv if prob.r else rec.v
-    gamma = 1.0 + (u_bar.sum() if prob.s else 0.0) + (np.abs(v_next).sum() if prob.r else 0.0)
-    grad = gradient(prob.g, p)
-    for w, e in zip(u_bar, prob.ineqs):
-        if w != 0.0:
-            grad = grad + w * gradient(e, p)
-    for w, e in zip(v_next, prob.eqs):
-        if w != 0.0:
-            grad = grad + w * gradient(e, p)
+    gv, hv = prob.constraint_values(rec.point)
+    u_bar = rec.u + 2.0 * rec.rho * np.maximum(gv, 0.0)
+    v_next = rec.v + 2.0 * rec.rho * hv
+    gamma = 1.0 + u_bar.sum() + np.abs(v_next).sum()
+    # the augmented gradient at the record's (u, v, rho) is exactly
+    # grad g + sum u_bar_i grad g_i + sum v_next_j grad h_j
+    grad = augmented_gradient(prob, rec.point, Multipliers(rec.u, rec.v), PenaltyParams(rec.rho))
     return float(np.linalg.norm(grad)) / gamma
 
 

@@ -123,12 +123,12 @@ def sqrt_(e):
     return Expr("sqrt", children=(wrap(e),))
 
 
-def sum_(terms):
-    return Expr("sum", children=tuple(wrap(t) for t in terms))
+def sum_(args):
+    return Expr("sum", children=tuple(wrap(t) for t in args))
 
 
-def max_(terms):
-    return Expr("max", children=tuple(wrap(t) for t in terms))
+def max_(args):
+    return Expr("max", children=tuple(wrap(t) for t in args))
 
 
 def norm0_(block):
@@ -167,12 +167,6 @@ class Point:
             raise ValueError(f"expected flat vector of length {n + m}, got {vec.shape}")
         return cls(vec[:n].copy(), vec[n:].copy())
 
-    def replace_flat(self, indices, values):
-        """New point with the flat coordinates at ``indices`` overwritten."""
-        vec = self.flat()
-        vec[indices] = values
-        return Point.from_flat(vec, self.n, self.m)
-
 
 def _where(e):
     if e.pos is not None:
@@ -186,25 +180,6 @@ def evaluate(e, p):
     arithmetic overflow yields +/-inf so that line searches can probe
     large trial steps."""
     return compiled_value(e)(p.x, p.y)
-
-
-def _pow(base, expo, e):
-    if expo == int(expo):
-        k = int(expo)
-        if base == 0.0 and k < 0:
-            raise DomainError(f"zero raised to negative power {_where(e)}")
-        try:
-            return base**k
-        except OverflowError:
-            return math.inf if (base > 0 or k % 2 == 0) else -math.inf
-    if base < 0.0:
-        raise DomainError(
-            f"fractional power {expo!r} of negative base {base!r} {_where(e)}"
-        )
-    try:
-        return base**expo
-    except OverflowError:
-        return math.inf
 
 
 def smooth_violations(e):
@@ -347,8 +322,11 @@ class _Emitter:
         self.consts[name] = value
         return name
 
-    def build(self, fname, result_expr):
-        src = [f"def {fname}(x, y):"] + self.lines + [f"    return {result_expr}"]
+    def build(self, head, result_expr):
+        """Compile ``def <head>:`` over the emitted lines, returning
+        ``result_expr``; ``head`` is the name and parameter list."""
+        fname = head.partition("(")[0]
+        src = [f"def {head}:"] + self.lines + [f"    return {result_expr}"]
         namespace = dict(_RUNTIME)
         namespace.update(self.consts)
         code = compile("\n".join(src), f"<cnfopt:{fname}>", "exec")
@@ -372,8 +350,6 @@ def _emit_value(e, em):
     args = [_emit_value(c, em) for c in e.children]
     if k == "add":
         return em.temp(f"{args[0]} + {args[1]}")
-    if k == "sub":
-        return em.temp(f"{args[0]} - {args[1]}")
     if k == "mul":
         return em.temp(f"{args[0]} * {args[1]}")
     if k == "neg":
@@ -427,19 +403,6 @@ def _emit_grad(e, em, n, pos):
             for slot, frag in d.items():
                 grad[slot] = frag if slot not in grad else f"{grad[slot]} + {frag}"
         return (val, {s: em.temp(f) if "+" in f else f for s, f in grad.items()})
-    if k == "sub":
-        (va, da), (vb, db) = parts
-        val = em.temp(f"{va} - {vb}")
-        grad = {}
-        for slot in da.keys() | db.keys():
-            left, right = da.get(slot), db.get(slot)
-            if right is None:
-                grad[slot] = left
-            elif left is None:
-                grad[slot] = em.temp(f"-({right})")
-            else:
-                grad[slot] = em.temp(f"{left} - {right}")
-        return (val, grad)
     if k == "neg":
         (va, da) = parts[0]
         return (em.temp(f"-{va}"), {s: em.temp(f"-({f})") for s, f in da.items()})
@@ -532,7 +495,7 @@ def compiled_value(e):
     if fn is None:
         em = _Emitter()
         result = _emit_value(e, em)
-        fn = em.build("_val", result)
+        fn = em.build("_val(x, y)", result)
         cache["value"] = fn
     return fn
 
@@ -552,7 +515,7 @@ def compiled_gradient(e, n, pos, width):
         slots = np.array(sorted(grad), dtype=int)
         partials = ", ".join(grad[s] for s in slots)
         result = f"({val}, ({partials}{',' if len(slots) == 1 else ''}))"
-        fn = em.build("_grad", result)
+        fn = em.build("_grad(x, y)", result)
         hit = (fn, slots)
         cache[key] = hit
     return hit
@@ -719,14 +682,12 @@ def _const_value(e):
     if e.kind == "neg":
         v = _const_value(e.children[0])
         return None if v is None else -v
-    if e.kind in ("add", "sub", "mul", "div", "pow"):
+    if e.kind in ("add", "mul", "div", "pow"):
         vals = [_const_value(c) for c in e.children]
         if any(v is None for v in vals):
             return None
         if e.kind == "add":
             return vals[0] + vals[1]
-        if e.kind == "sub":
-            return vals[0] - vals[1]
         if e.kind == "mul":
             return vals[0] * vals[1]
         if e.kind == "div":
@@ -791,14 +752,6 @@ def _pp(e):
                 body = f"({body})"
             parts.append(body if i == 0 else f" + {body}")
         return ("".join(parts), _PREC_ADD)
-    if k == "sub":
-        left, lp = _pp(e.children[0])
-        right, rp = _pp(e.children[1])
-        if lp < _PREC_ADD:
-            left = f"({left})"
-        if rp < _PREC_ADD + 1:
-            right = f"({right})"
-        return (f"{left} - {right}", _PREC_ADD)
     if k in ("mul", "div"):
         op = "*" if k == "mul" else "/"
         left, lp = _pp(e.children[0])

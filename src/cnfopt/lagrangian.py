@@ -9,6 +9,16 @@ inf_(x,y) L evaluated by the inner solver.
 The squared hinge max(g_i,0)^2 is continuously differentiable with
 derivative 2*max(g_i,0)*grad g_i, so no subgradient handling is needed
 anywhere.
+
+All of these evaluate one kernel: A and its gradient, compiled once per
+(problem, column subset, constraint subset) by the expression compiler
+and cached on the problem, with the multipliers and rho as arguments, so
+L (rho = 0), F (zero multipliers) and every outer iteration share one
+compile.  The kernel is straight-line code in pieces, the objective and
+then at most 16 constraints each, which bounds compile-time memory.  Each
+piece adds its constraints' terms to the running value and their weighted
+partials to one gradient list in constraint order, skipping a weight of
+exactly 0, so the result equals a term-by-term sum bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Point, compiled_gradient, compiled_value, evaluate, value_and_gradient
+from .expr import Point, _cache_of, _emit_grad, _emit_value, _Emitter
+# only the benchmark's tracer uses these here: it patches both names on this module
+from .expr import compiled_gradient, compiled_value  # noqa: F401
 from .inner import InnerConfig, InnerResult, minimize
 from .model import midpoint_convexity_violations
 
@@ -66,25 +78,121 @@ def _check_mult(prob, mult):
         )
 
 
+# a kernel piece holds at most this many constraints, and the objective
+# has a piece of its own: one straight-line function over everything would
+# make compile-time memory grow with the problem size
+_PIECE = 16
+
+
+class _Kernel:
+    """A and its partials for one problem over one column subset and one
+    constraint subset, laid out as the module docstring says.  ``mu``
+    lists the multipliers of the selected inequalities, then of the
+    selected equalities.  Value and gradient pieces each compile on first
+    use, so value-only callers never pay for gradient code."""
+
+    def __init__(self, prob, cols, ineq_idx, eq_idx):
+        # no reference to prob itself: the kernel is cached on the problem,
+        # and a cycle would keep both alive until a full garbage collection
+        self._n, self._g = prob.n, prob.g
+        self._pos = None if cols is None else {f: i for i, f in enumerate(cols)}
+        self._width = prob.n + prob.m if cols is None else len(cols)
+        self._cons = [(prob.ineqs[i], False) for i in ineq_idx]
+        self._cons += [(prob.eqs[j], True) for j in eq_idx]
+        self._value_pieces = None
+        self._grad_pieces = None
+
+    def value(self, vec, mu, rho):
+        """A at the flat point ``vec`` (x block, then y block)."""
+        if self._value_pieces is None:
+            self._value_pieces = self._compile(False)
+        x, y = self._blocks(vec)
+        a = 0.0
+        for piece in self._value_pieces:
+            a = piece(x, y, mu, rho, a)
+        return float(a)
+
+    def value_and_grad(self, vec, mu, rho):
+        """(A, partials as a list over the kernel's columns) at ``vec``."""
+        if self._grad_pieces is None:
+            self._grad_pieces = self._compile(True)
+        x, y = self._blocks(vec)
+        a = 0.0
+        acc = [0.0] * self._width
+        for piece in self._grad_pieces:
+            a = piece(x, y, mu, rho, a, acc)
+        return float(a), acc
+
+    def _blocks(self, vec):
+        # plain lists keep the compiled straight-line code on the float
+        # fast path instead of numpy scalar arithmetic
+        return vec[:self._n].tolist(), vec[self._n:].tolist()
+
+    def _compile(self, with_grad):
+        n, pos = self._n, self._pos
+
+        def emit(e, em):
+            if with_grad:
+                return _emit_grad(e, em, n, pos)
+            return _emit_value(e, em), {}
+
+        head = "_agrad(x, y, mu, rho, a, acc)" if with_grad else "_aval(x, y, mu, rho, a)"
+        em = _Emitter()
+        val, grad = emit(self._g, em)
+        em.lines.append(f"    a = {val}")
+        em.lines.extend(f"    acc[{s}] = {grad[s]}" for s in sorted(grad))
+        pieces = [em.build(head, "a")]
+        for lo in range(0, len(self._cons), _PIECE):
+            em = _Emitter()
+            for k in range(lo, min(lo + _PIECE, len(self._cons))):
+                e, is_eq = self._cons[k]
+                c, grad = emit(e, em)
+                p = c
+                if not is_eq:
+                    p = "p"
+                    em.lines.append(f"    p = {c} if {c} > 0.0 else 0.0")
+                em.lines.append(f"    a += mu[{k}] * {c} + rho * {p} * {p}")
+                if grad:
+                    # a zero weight adds nothing, so an overflowing partial
+                    # cannot turn the sum into nan
+                    em.lines.append(f"    w = mu[{k}] + 2.0 * rho * {p}")
+                    em.lines.append("    if w != 0.0:")
+                    em.lines.extend(f"        acc[{s}] += w * ({grad[s]})" for s in sorted(grad))
+            pieces.append(em.build(head, "a"))
+        return pieces
+
+
+def _kernel(prob, cols=None, ineq_idx=None, eq_idx=None):
+    """The kernel of ``prob`` over the flat columns ``cols`` (all when None)
+    and the given constraint subsets (all when None), cached on the problem
+    like compiled expressions are cached on their nodes."""
+    ineq_idx = tuple(range(prob.s) if ineq_idx is None else ineq_idx)
+    eq_idx = tuple(range(prob.r) if eq_idx is None else eq_idx)
+    key = ("augmented", cols, ineq_idx, eq_idx)
+    cache = _cache_of(prob)
+    kernel = cache.get(key)
+    if kernel is None:
+        kernel = cache[key] = _Kernel(prob, cols, ineq_idx, eq_idx)
+    return kernel
+
+
+def _mu(u, v):
+    return np.asarray(u, dtype=float).tolist() + np.asarray(v, dtype=float).tolist()
+
+
 def lagrangian(prob, p, mult):
     """g(p) + sum_i u_i g_i(p) + sum_j v_j h_j(p); the same formula for
     both multiplier sign modes."""
     _check_mult(prob, mult)
-    gv, hv = prob.constraint_values(p)
-    return float(prob.objective(p) + mult.u @ gv + mult.v @ hv)
+    prob.check_point(p)
+    return _kernel(prob).value(p.flat(), _mu(mult.u, mult.v), 0.0)
 
 
 def augmented(prob, p, mult, pen):
     """Lagrangian plus rho-weighted squared violations."""
     _check_mult(prob, mult)
-    gv, hv = prob.constraint_values(p)
-    gplus = np.maximum(gv, 0.0)
-    return float(
-        prob.objective(p)
-        + mult.u @ gv
-        + mult.v @ hv
-        + pen.rho * (gplus @ gplus + hv @ hv)
-    )
+    prob.check_point(p)
+    return _kernel(prob).value(p.flat(), _mu(mult.u, mult.v), pen.rho)
 
 
 def penalty(prob, p, pen):
@@ -97,43 +205,20 @@ def augmented_gradient(prob, p, mult, pen):
     + sum_j (v_j + 2 rho h_j) grad h_j, ordered x block then y block."""
     _check_mult(prob, mult)
     prob.check_point(p)
-    return _aug_value_grad(prob, p, mult.u, mult.v, pen.rho, None)[1]
+    return np.array(_kernel(prob).value_and_grad(p.flat(), _mu(mult.u, mult.v), pen.rho)[1])
 
 
-def _aug_value_grad(prob, p, u, v, rho, pos, ineq_idx=None, eq_idx=None):
-    """One pass of values and gradients of the augmented Lagrangian,
-    restricted to the constraint subsets and flat coordinates given."""
-    val, grad = value_and_gradient(prob.g, p, pos)
-    ineq_idx = range(prob.s) if ineq_idx is None else ineq_idx
-    eq_idx = range(prob.r) if eq_idx is None else eq_idx
-    for slot, i in enumerate(ineq_idx):
-        gi, ggrad = value_and_gradient(prob.ineqs[i], p, pos)
-        gplus = gi if gi > 0.0 else 0.0
-        val += u[slot] * gi + rho * gplus * gplus
-        w = u[slot] + 2.0 * rho * gplus
-        if w != 0.0:
-            grad += w * ggrad
-    for slot, j in enumerate(eq_idx):
-        hj, hgrad = value_and_gradient(prob.eqs[j], p, pos)
-        val += v[slot] * hj + rho * hj * hj
-        w = v[slot] + 2.0 * rho * hj
-        if w != 0.0:
-            grad += w * hgrad
-    return float(val), grad
-
-
-def _aug_value(prob, p, u, v, rho, ineq_idx=None, eq_idx=None):
-    val = evaluate(prob.g, p)
-    ineq_idx = range(prob.s) if ineq_idx is None else ineq_idx
-    eq_idx = range(prob.r) if eq_idx is None else eq_idx
-    for slot, i in enumerate(ineq_idx):
-        gi = evaluate(prob.ineqs[i], p)
-        gplus = gi if gi > 0.0 else 0.0
-        val += u[slot] * gi + rho * gplus * gplus
-    for slot, j in enumerate(eq_idx):
-        hj = evaluate(prob.eqs[j], p)
-        val += v[slot] * hj + rho * hj * hj
-    return float(val)
+def lagrangian_convexity_violations(prob, u, v, pairs, seed):
+    """Sampled midpoint-convexity violations of L(., u, v) over the
+    problem box (see ``midpoint_convexity_violations``)."""
+    kernel, mu = _kernel(prob), _mu(u, v)
+    return midpoint_convexity_violations(
+        lambda vec: kernel.value(vec, mu, 0.0),
+        prob.n + prob.m,
+        prob.box,
+        pairs,
+        seed,
+    )
 
 
 def augmented_objective(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_idx=None):
@@ -142,77 +227,31 @@ def augmented_objective(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_
     with the remaining coordinates frozen at ``base``.
 
     ``ineq_idx``/``eq_idx`` select a constraint subset with the given
-    multiplier slices; rho = 0 yields the plain Lagrangian.  Every
-    expression is compiled once up front; the closures run straight-line
-    code plus sparse gradient scatter-adds.
+    multiplier slices; rho = 0 yields the plain Lagrangian.  Both closures
+    run the problem's kernel for this column and constraint subset, which
+    is compiled once and serves every multiplier and penalty value.
     """
     n, m = prob.n, prob.m
-    if wrt is None:
-        wrt_idx = np.arange(n + m)
-        pos = None
-        width = n + m
-    else:
-        wrt_idx = np.asarray(list(wrt), dtype=int)
-        pos = {int(f): i for i, f in enumerate(wrt_idx)}
-        width = len(wrt_idx)
+    cols = None if wrt is None else tuple(int(f) for f in wrt)
+    wrt_idx = np.arange(n + m) if cols is None else np.array(cols, dtype=int)
+    kernel = _kernel(prob, cols, ineq_idx, eq_idx)
     base_vec = (base.flat() if base is not None else np.zeros(n + m)).copy()
+    mu = _mu(u, v)
 
-    g_value = compiled_value(prob.g)
-    g_grad, g_slots = compiled_gradient(prob.g, n, pos, width)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    terms = []  # (value_fn, grad_fn, slot list, multiplier, is_equality)
-    for slot, i in enumerate(range(prob.s) if ineq_idx is None else ineq_idx):
-        e = prob.ineqs[i]
-        gfn, slots = compiled_gradient(e, n, pos, width)
-        terms.append((compiled_value(e), gfn, slots.tolist(), u[slot], False))
-    for slot, j in enumerate(range(prob.r) if eq_idx is None else eq_idx):
-        e = prob.eqs[j]
-        gfn, slots = compiled_gradient(e, n, pos, width)
-        terms.append((compiled_value(e), gfn, slots.tolist(), v[slot], True))
+    def flat(z):
+        vec = base_vec.copy()
+        vec[wrt_idx] = z
+        return vec
 
     def to_point(z):
-        vec = base_vec.copy()
-        vec[wrt_idx] = z
-        return Point.from_flat(vec, n, m)
+        return Point.from_flat(flat(z), n, m)
 
     def fun(z):
-        vec = base_vec.copy()
-        vec[wrt_idx] = z
-        # plain lists keep the compiled straight-line code on the float
-        # fast path instead of numpy scalar arithmetic
-        xa, ya = vec[:n].tolist(), vec[n:].tolist()
-        val, partials = g_grad(xa, ya)
-        grad = np.zeros(width)
-        if g_slots.size:
-            grad[g_slots] = partials
-        for _, gfn, slots, mult, is_eq in terms:
-            cv, cparts = gfn(xa, ya)
-            if is_eq:
-                val += mult * cv + rho * cv * cv
-                w = mult + 2.0 * rho * cv
-            else:
-                cplus = cv if cv > 0.0 else 0.0
-                val += mult * cv + rho * cplus * cplus
-                w = mult + 2.0 * rho * cplus
-            if w != 0.0:
-                for idx, dp in zip(slots, cparts):
-                    grad[idx] += w * dp
-        return float(val), grad
+        val, acc = kernel.value_and_grad(flat(z), mu, rho)
+        return val, np.array(acc)
 
     def value_fn(z):
-        vec = base_vec.copy()
-        vec[wrt_idx] = z
-        xa, ya = vec[:n].tolist(), vec[n:].tolist()
-        val = g_value(xa, ya)
-        for vfn, _, _, mult, is_eq in terms:
-            cv = vfn(xa, ya)
-            if is_eq:
-                val += mult * cv + rho * cv * cv
-            else:
-                cplus = cv if cv > 0.0 else 0.0
-                val += mult * cv + rho * cplus * cplus
-        return float(val)
+        return kernel.value(flat(z), mu, rho)
 
     return fun, value_fn, to_point
 
@@ -245,14 +284,7 @@ def dual_value(prob, mult, inner_cfg=None, start=None, convexity_pairs=100, seed
     fun, value_fn, to_point = augmented_objective(prob, mult.u, mult.v, 0.0, base=start)
     res = minimize(fun, start.flat(), cfg, value_fn=value_fn)
 
-    violations = midpoint_convexity_violations(
-        lambda vec: _aug_value(prob, Point.from_flat(vec, prob.n, prob.m), mult.u, mult.v, 0.0),
-        prob.n + prob.m,
-        prob.box,
-        convexity_pairs,
-        seed,
-    )
-    local = violations > 0
+    local = lagrangian_convexity_violations(prob, mult.u, mult.v, convexity_pairs, seed) > 0
     if res.status == "diverged":
         return DualValue("unbounded_below", None, local, res)
     if res.status == "converged":

@@ -1,7 +1,10 @@
+import types
+
 import numpy as np
 import pytest
 
-from cnfopt.expr import Point, const, evaluate, x_
+from cnfopt.alpf import BlockPartition
+from cnfopt.expr import Point, const, evaluate, gradient, x_
 from cnfopt.inner import InnerConfig
 from cnfopt.lagrangian import (
     V_FREE,
@@ -11,12 +14,13 @@ from cnfopt.lagrangian import (
     PenaltyParams,
     augmented,
     augmented_gradient,
+    augmented_objective,
     dual_value,
     lagrangian,
     penalty,
 )
 from cnfopt.model import CnfProblem, check_feasible
-from cnfopt.problems import build, default_entries
+from cnfopt.problems import build, catalog_ids, default_entries
 
 
 @pytest.fixture(scope="module")
@@ -252,3 +256,75 @@ class TestDualValue:
                 x = rng.uniform(prob.box[0], prob.box[1], prob.n)
                 p = prob.lift(x)
                 assert prob.objective(p) >= res.value - 1e-6, entry.id
+
+
+def test_import_binds_the_module():
+    import cnfopt.lagrangian as L
+
+    assert isinstance(L, types.ModuleType)
+    assert callable(L.lagrangian)
+
+
+def term_by_term(prob, p, u, v, rho, ineq_idx, eq_idx):
+    """Oracle: A and its full gradient summed one expression at a time from
+    ``evaluate``/``gradient``."""
+    val = evaluate(prob.g, p)
+    grad = gradient(prob.g, p)
+    terms = [(u[k], prob.ineqs[i], False) for k, i in enumerate(ineq_idx)]
+    terms += [(v[k], prob.eqs[j], True) for k, j in enumerate(eq_idx)]
+    for mult, e, is_eq in terms:
+        c = evaluate(e, p)
+        cp = c if is_eq else max(c, 0.0)
+        val += mult * c + rho * cp * cp
+        grad = grad + (mult + 2.0 * rho * cp) * gradient(e, p)
+    return val, grad
+
+
+def with_zeros(values):
+    values = np.array(values, dtype=float)
+    values[::3] = 0.0
+    return values
+
+
+# every catalog entry at its defaults, ex8 n=10 (40 constraints, so the
+# kernel splits into pieces) and ex9 n=30 in six blocks
+KERNEL_CASES = [pytest.param(eid, {}, None, id=eid) for eid in catalog_ids()]
+KERNEL_CASES += [
+    pytest.param("ex8", {"n": 10}, None, id="ex8-n10"),
+    pytest.param("ex9", {"n": 30, "lam": 1.0}, 6, id="ex9-n30-dec6"),
+]
+
+
+class TestKernelOracle:
+    """The compiled kernel behind the ``augmented_objective`` closures
+    against a term-by-term sum, on the whole problem or per block."""
+
+    @pytest.mark.parametrize("rho", [0.0, 37.0, 1e5])
+    @pytest.mark.parametrize("eid,params,blocks", KERNEL_CASES)
+    def test_matches_term_by_term_sum(self, eid, params, blocks, rho):
+        prob = build(eid, **params).problem
+        rng = np.random.default_rng(7)
+        lo, hi = prob.box
+        p = Point(rng.uniform(lo, hi, prob.n), rng.uniform(lo, hi, prob.m))
+        u = with_zeros(rng.uniform(0.0, 2.0, prob.s))
+        v = with_zeros(rng.normal(size=prob.r))
+        if blocks is None:
+            parts = [(None, range(prob.s), range(prob.r))]
+        else:
+            partition = BlockPartition.contiguous(prob, blocks)
+            ineq_of, eq_of = partition.assign_constraints(prob)
+            parts = [(partition.flat_indices(prob, j), ineq_of[j], eq_of[j])
+                     for j in range(partition.nblocks)]
+        for wrt, ineq_idx, eq_idx in parts:
+            ineq_idx, eq_idx = list(ineq_idx), list(eq_idx)
+            fun, value_fn, _ = augmented_objective(
+                prob, u[ineq_idx], v[eq_idx], rho, base=p, wrt=wrt,
+                ineq_idx=ineq_idx, eq_idx=eq_idx,
+            )
+            want_val, want_grad = term_by_term(prob, p, u[ineq_idx], v[eq_idx], rho,
+                                               ineq_idx, eq_idx)
+            cols = np.arange(prob.n + prob.m) if wrt is None else wrt
+            got_val, got_grad = fun(p.flat()[cols])
+            assert got_val == pytest.approx(want_val, rel=1e-12)
+            assert value_fn(p.flat()[cols]) == pytest.approx(want_val, rel=1e-12)
+            assert got_grad == pytest.approx(want_grad[cols], rel=1e-12)
