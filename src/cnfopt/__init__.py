@@ -38,13 +38,12 @@ from .inner import InnerConfig, InnerResult, minimize
 from .lagrangian import (
     DualValue,
     Multipliers,
-    PenaltyParams,
     augmented,
     augmented_gradient,
     dual_value,
     penalty,
 )
-from .lp import LpProblem, LpSolution, enumerate_vertices_oracle, solve_lp
+from .lp import LpProblem, LpSolution, solve_lp
 from .model import (
     CnfProblem,
     FeasibilityReport,

@@ -1,18 +1,19 @@
 """Outer multiplier loops over the augmented Lagrangian.
 
-The main loop alternates an unconstrained inner minimization of
-A(., u, v, rho) with the multiplier updates
+One loop serves all three solvers.  Each iteration minimizes
+A(., u, v, rho) without constraints, then applies the multiplier updates
 
     u_i <- u_i + 2 rho max(g_i, 0)   if g_i >= 0, else 0
     v   <- v + 2 rho h
 
-and geometric penalty growth rho <- N rho.  It stops early at an exact
-KKT point when complementarity holds at a feasible iterate and the
-Lagrangian passes a sampled convexity check, or approximately when both
-the value gap |A - g| and the infeasibility e = ||g+|| + ||h|| drop
-below eps.  The penalty variant keeps the multipliers at zero, and the
-decomposition variant cycles Gauss-Seidel style over variable blocks
-with blockwise multipliers and half-weighted penalties.
+and geometric penalty growth rho <- N rho.  ``solve_alpf`` stops early at
+an exact KKT point when complementarity holds at a feasible iterate and
+the Lagrangian passes a sampled convexity check, or approximately when
+both the value gap |A - g| and the infeasibility e = ||g+|| + ||h|| drop
+below eps.  ``solve_penalty`` keeps the multipliers at zero, and
+``solve_decomposed`` splits each minimization Gauss-Seidel style over
+variable blocks, with the penalty weight sigma entering as rho = sigma/2;
+both stop on e < eps.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .expr import NORM0_THRESHOLD, Point, evaluate
 from .inner import InnerConfig, minimize
 from .lagrangian import (
     Multipliers,
-    PenaltyParams,
     augmented,
     augmented_gradient,
     augmented_objective,
@@ -50,10 +50,8 @@ class AlpfConfig:
     max_outer: int = 50
     inner: InnerConfig = field(default_factory=InnerConfig)
     start: Point | None = None
-    warm_start_inner: bool = True
     seed: int = 0
     sigma0: float | None = None  # decomposition penalty start; defaults to 2*rho0
-    convexity_pairs: int = 200
 
     def __post_init__(self):
         if self.eps < 0 or self.rho0 <= 0 or self.growth <= 1:
@@ -140,59 +138,72 @@ def update_multipliers(u, v, gv, hv, rho):
 
 def infeasibility(gv, hv):
     """e = ||max(g, 0)||_2 + ||h||_2 from constraint values."""
-    gplus = np.maximum(gv, 0.0) if gv.size else gv
-    left = float(np.linalg.norm(gplus)) if gv.size else 0.0
-    right = float(np.linalg.norm(hv)) if hv.size else 0.0
-    return left + right
+    return float(np.linalg.norm(np.maximum(gv, 0.0))) + float(np.linalg.norm(hv))
 
 
 def _lagrangian_sampled_convex(prob, u, v, pairs, seed):
     return lagrangian_convexity_violations(prob, u, v, pairs, seed) == 0
 
 
-# an outer loop gives up after this many consecutive inner solves that ran
-# out of iterations; a stall at the numerical floor goes on to the next
-# penalty and leaves the decision to the stopping tests and max_outer
+# an outer loop gives up after this many consecutive iterations whose inner
+# solve ran out of iterations; a stall at the numerical floor goes on to the
+# next penalty and leaves the decision to the stopping tests and max_outer
 _MAX_CAPPED_STREAK = 2
 
-# the status a decomposition cycle reports is its worst block status
+# the inner status an iteration records is its worst block status
 _CYCLE_PRECEDENCE = ("diverged", "max_iters", "stalled", "converged")
 
+# sampled midpoint pairs of the KKT stop's convexity check
+_CONVEXITY_PAIRS = 200
 
-def _capped_streak(streak, inner_status):
-    return streak + 1 if inner_status == "max_iters" else 0
 
-
-def _run_outer_loop(prob, cfg, solver, with_multipliers):
-    """Shared loop for the multiplier and pure-penalty variants."""
-    start = cfg.start if cfg.start is not None else prob.default_start()
-    prob.check_point(start)
-    p = start
-    gv, hv = prob.constraint_values(p)
-    if with_multipliers:
-        u = np.maximum(gv, 0.0)
-        v = np.zeros(prob.r)
+def _outer_loop(prob, cfg, solver, partition=None):
+    """The loop of the module docstring for ``solver`` (alpf, penalty or
+    decomposed).  Each block's inner solve starts at the current iterate
+    with the other blocks frozen; without a partition the one block is
+    every column and every constraint.  The variants differ only in the
+    starting u, the stop test and whether the multipliers move."""
+    cfg = cfg if cfg is not None else AlpfConfig()
+    if partition is None:
+        blocks = [(np.arange(prob.n + prob.m), list(range(prob.s)), list(range(prob.r)))]
+        rho = cfg.rho0
     else:
-        u = np.zeros(prob.s)
-        v = np.zeros(prob.r)
-    rho = cfg.rho0
+        ineq_of, eq_of = partition.assign_constraints(prob)
+        blocks = [(partition.flat_indices(prob, j), ineq_of[j], eq_of[j])
+                  for j in range(partition.nblocks)]
+        blocks = [blk for blk in blocks if blk[0].size]
+        # the decomposition's penalty weight sigma enters A as sigma/2
+        rho = 0.5 * cfg.sigma0 if cfg.sigma0 is not None else cfg.rho0
+
+    p = cfg.start if cfg.start is not None else prob.default_start()
+    prob.check_point(p)
+    u = np.maximum(prob.constraint_values(p)[0], 0.0) if solver == "alpf" else np.zeros(prob.s)
+    v = np.zeros(prob.r)
 
     records = []
     status = STATUS_MAX_OUTER
     capped_streak = 0
     for k in range(1, cfg.max_outer + 1):
-        fun, value_fn, _ = augmented_objective(prob, u, v, rho, base=p)
-        inner_start = p if cfg.warm_start_inner else start
-        res = minimize(fun, inner_start.flat(), cfg.inner, value_fn=value_fn)
-        p = Point.from_flat(res.point, prob.n, prob.m)
+        inner_status = "converged"
+        for wrt, ineq_idx, eq_idx in blocks:
+            fun, value_fn, to_point = augmented_objective(
+                prob, u[ineq_idx], v[eq_idx], rho,
+                base=p, wrt=wrt, ineq_idx=ineq_idx, eq_idx=eq_idx,
+            )
+            res = minimize(fun, p.flat()[wrt], cfg.inner, value_fn=value_fn)
+            p = to_point(res.point)
+            inner_status = min(inner_status, res.status, key=_CYCLE_PRECEDENCE.index)
+            if inner_status == "diverged":
+                break
 
         gv, hv = prob.constraint_values(p)
         g_val = prob.objective(p)
         e = infeasibility(gv, hv)
-        gap = abs(res.value - g_val)
+        a_val = augmented(prob, p, Multipliers(u, v), rho)
+        gap = abs(a_val - g_val)
         records.append(
             AlpfRecord(k, rho, p.x.copy(), p.y.copy(), u.copy(), v.copy(),
-                       res.value, g_val, e, gap, res.status)
+                       a_val, g_val, e, gap, inner_status)
         )
         if len(records) >= 2 and e > records[-2].e + 1e-6:
             logger.warning(
@@ -200,39 +211,34 @@ def _run_outer_loop(prob, cfg, solver, with_multipliers):
                 solver, prob.name, k, records[-2].e, e,
             )
 
-        if res.status == "diverged":
+        if inner_status == "diverged":
             status = STATUS_INNER_FAILURE
             break
 
         # the stop tests look at the iterate itself, so they run even when
-        # the inner solve gave up at its numerical floor
-        if with_multipliers:
-            comp = float(np.max(np.abs(u * gv))) if prob.s else 0.0
-            feasible = (
-                (float(np.max(gv)) if prob.s else 0.0) <= cfg.eps
-                and (float(np.max(np.abs(hv))) if prob.r else 0.0) <= cfg.eps
-            )
-            if (
-                comp <= cfg.eps
-                and feasible
-                and _lagrangian_sampled_convex(prob, u, v, cfg.convexity_pairs, cfg.seed + k)
-            ):
-                status = STATUS_KKT
-                break
-            if gap < cfg.eps and e < cfg.eps:
-                status = STATUS_APPROX
-                break
-        else:
-            if e < cfg.eps:
-                status = STATUS_APPROX
-                break
+        # an inner solve gave up at its numerical floor
+        if solver == "alpf" and (
+            np.max(np.abs(u * gv), initial=0.0) <= cfg.eps
+            and np.max(gv, initial=0.0) <= cfg.eps
+            and np.max(np.abs(hv), initial=0.0) <= cfg.eps
+            and _lagrangian_sampled_convex(prob, u, v, _CONVEXITY_PAIRS, cfg.seed + k)
+        ):
+            status = STATUS_KKT
+            break
+        if e < cfg.eps and (gap < cfg.eps or solver != "alpf"):
+            status = STATUS_APPROX
+            break
 
-        capped_streak = _capped_streak(capped_streak, res.status)
+        capped_streak = capped_streak + 1 if inner_status == "max_iters" else 0
         if capped_streak >= _MAX_CAPPED_STREAK:
             status = STATUS_INNER_FAILURE
             break
 
-        if with_multipliers:
+        if solver != "penalty":
+            # one update after the cycle equals an update after each block's
+            # solve: every constraint lives inside one block (see
+            # BlockPartition.assign_constraints), so later blocks leave the
+            # constraint values of earlier blocks unchanged
             u, v = update_multipliers(u, v, gv, hv, rho)
         rho *= cfg.growth
 
@@ -241,12 +247,12 @@ def _run_outer_loop(prob, cfg, solver, with_multipliers):
 
 def solve_alpf(prob, cfg=None):
     """Full multiplier loop (inner minimization plus the update rules)."""
-    return _run_outer_loop(prob, cfg if cfg is not None else AlpfConfig(), "alpf", True)
+    return _outer_loop(prob, cfg, "alpf")
 
 
 def solve_penalty(prob, cfg=None):
     """Pure penalty loop: multipliers stay at zero, stop on e < eps."""
-    return _run_outer_loop(prob, cfg if cfg is not None else AlpfConfig(), "penalty", False)
+    return _outer_loop(prob, cfg, "penalty")
 
 
 # ---------------------------------------------------------------------------
@@ -369,82 +375,16 @@ class BlockPartition:
                         )
                     block = bj
             y_blocks[block if block is not None else 0].append(i)
-        return cls(
-            tuple(tuple(int(i) for i in chunk) for chunk in chunks),
-            tuple(tuple(blk) for blk in y_blocks),
-        )
+        return cls(chunks, y_blocks)
 
 
 def solve_decomposed(prob, partition, cfg=None):
     """Gauss-Seidel cycles over the blocks: each block minimizes its own
     augmented objective (full objective, block-local constraints, penalty
-    weight sigma/2) with the other blocks frozen, then updates its own
-    multipliers.  Blocks must be processed sequentially because each one
-    reads the latest values of the others.  Stops when the global
-    infeasibility falls below eps."""
-    cfg = cfg if cfg is not None else AlpfConfig()
-    ineq_of, eq_of = partition.assign_constraints(prob)
-    sigma = cfg.sigma0 if cfg.sigma0 is not None else 2.0 * cfg.rho0
-
-    start = cfg.start if cfg.start is not None else prob.default_start()
-    prob.check_point(start)
-    p = start
-    betas = [np.zeros(len(ineq_of[j])) for j in range(partition.nblocks)]
-    alphas = [np.zeros(len(eq_of[j])) for j in range(partition.nblocks)]
-    wrts = [partition.flat_indices(prob, j) for j in range(partition.nblocks)]
-
-    def gather(parts, buckets, total):
-        out = np.zeros(total)
-        for j, idxs in enumerate(buckets):
-            out[idxs] = parts[j]
-        return out
-
-    records = []
-    status = STATUS_MAX_OUTER
-    capped_streak = 0
-    for k in range(1, cfg.max_outer + 1):
-        rho_eff = 0.5 * sigma
-        u_used = gather(betas, ineq_of, prob.s)
-        v_used = gather(alphas, eq_of, prob.r)
-        cycle_status = "converged"
-        for j in range(partition.nblocks):
-            if wrts[j].size == 0:
-                continue
-            fun, value_fn, to_point = augmented_objective(
-                prob, betas[j], alphas[j], rho_eff,
-                base=p, wrt=wrts[j], ineq_idx=ineq_of[j], eq_idx=eq_of[j],
-            )
-            res = minimize(fun, p.flat()[wrts[j]], cfg.inner, value_fn=value_fn)
-            p = to_point(res.point)
-            cycle_status = min(cycle_status, res.status, key=_CYCLE_PRECEDENCE.index)
-            if cycle_status == "diverged":
-                break
-            gv_j = np.array([evaluate(prob.ineqs[i], p) for i in ineq_of[j]])
-            hv_j = np.array([evaluate(prob.eqs[i], p) for i in eq_of[j]])
-            betas[j], alphas[j] = update_multipliers(betas[j], alphas[j], gv_j, hv_j, rho_eff)
-
-        gv, hv = prob.constraint_values(p)
-        g_val = prob.objective(p)
-        e = infeasibility(gv, hv)
-        a_val = augmented(prob, p, Multipliers(u_used, v_used), PenaltyParams(rho_eff))
-        records.append(
-            AlpfRecord(k, rho_eff, p.x.copy(), p.y.copy(), u_used, v_used,
-                       a_val, g_val, e, abs(a_val - g_val), cycle_status)
-        )
-
-        if cycle_status == "diverged":
-            status = STATUS_INNER_FAILURE
-            break
-        if e < cfg.eps:
-            status = STATUS_APPROX
-            break
-        capped_streak = _capped_streak(capped_streak, cycle_status)
-        if capped_streak >= _MAX_CAPPED_STREAK:
-            status = STATUS_INNER_FAILURE
-            break
-        sigma *= cfg.growth
-
-    return AlpfTrace(problem=prob.name, solver="decomposed", records=records, status=status)
+    weight sigma/2) with the other blocks frozen.  Blocks must be processed
+    sequentially because each one reads the latest values of the others.
+    Stops when the global infeasibility falls below eps."""
+    return _outer_loop(prob, cfg, "decomposed", partition)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +402,7 @@ def normalized_kkt_residual(prob, trace):
     gamma = 1.0 + u_bar.sum() + np.abs(v_next).sum()
     # the augmented gradient at the record's (u, v, rho) is exactly
     # grad g + sum u_bar_i grad g_i + sum v_next_j grad h_j
-    grad = augmented_gradient(prob, rec.point, Multipliers(rec.u, rec.v), PenaltyParams(rec.rho))
+    grad = augmented_gradient(prob, rec.point, Multipliers(rec.u, rec.v), rec.rho)
     return float(np.linalg.norm(grad)) / gamma
 
 

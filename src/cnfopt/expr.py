@@ -618,12 +618,18 @@ class _Parser:
             folded = _const_value(expo)
             if folded is None:
                 raise ParseError("power exponent must be a constant", line, col)
+            if not math.isfinite(folded):
+                raise ParseError(f"power exponent folds to {folded!r}, not a finite number",
+                                 line, col)
             return Expr("pow", value=folded, children=(base,), pos=(line, col))
         return base
 
     def parse_atom(self):
         kind, val, line, col = self.next()
         if kind == "num":
+            # a literal that overflows would compile to the bare name inf
+            if not math.isfinite(float(val)):
+                raise ParseError(f"numeric literal {val} is not a finite number", line, col)
             return Expr("const", value=float(val), pos=(line, col))
         if kind == "name":
             if val in ("x", "y"):

@@ -15,8 +15,19 @@ import numpy as np
 GRADIENT_DESCENT = "gradient_descent"
 NEWTON_FD = "newton_fd"
 
-# line-search trial steps below this are treated as a stall
+# line search: Armijo sufficient-decrease constant, backtracking factor and
+# first trial step; trial steps below _MIN_STEP are treated as a stall
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+INIT_STEP = 1.0
 _MIN_STEP = 1e-20
+
+# an iterate below VALUE_FLOOR or beyond POINT_NORM_CAP in norm has diverged
+VALUE_FLOOR = -1e12
+POINT_NORM_CAP = 1e8
+
+# central-difference step of the Newton method's Hessian
+FD_STEP = 1e-5
 
 # numerical-floor detection over a window of accepted steps: the solve is
 # declared stalled only when the best gradient norm stops improving AND
@@ -33,12 +44,6 @@ class InnerConfig:
     method: str = GRADIENT_DESCENT
     grad_tol: float = 1e-8
     max_iters: int = 10000
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    init_step: float = 1.0
-    value_floor: float = -1e12
-    point_norm_cap: float = 1e8
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if self.method not in (GRADIENT_DESCENT, NEWTON_FD):
@@ -58,8 +63,8 @@ class InnerResult:
       because ``c*t*slope`` is below the rounding of f);
     * ``max_iters``: the ``max_iters`` budget ran out before either of
       the above;
-    * ``diverged``: an iterate fell below value_floor or left the
-      point-norm cap.
+    * ``diverged``: an iterate fell below ``VALUE_FLOOR`` or left the
+      ``POINT_NORM_CAP`` norm ball.
     """
 
     point: np.ndarray
@@ -69,11 +74,11 @@ class InnerResult:
     iterations: int
 
 
-def _newton_direction(fun, z, grad, cfg):
+def _newton_direction(fun, z, grad):
     """Shifted-Newton direction from a finite-difference Hessian; falls
     back to steepest descent if the factorization keeps failing."""
     dim = z.shape[0]
-    h = cfg.fd_step
+    h = FD_STEP
     H = np.empty((dim, dim))
     for i in range(dim):
         zp = z.copy()
@@ -107,11 +112,11 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None):
     line-search trials.  Convergence means the gradient norm dropped below
     grad_tol scaled by max(1, |f(start)|), which keeps the test meaningful
     when penalty weights inflate the objective.  Divergence means an
-    accepted iterate fell below value_floor or left the point-norm cap
-    while still descending.  A solve that reaches its numerical floor
-    first (see ``InnerResult``) returns ``stalled`` at once; ``max_iters``
-    means only that the iteration budget ran out.  ``callback(z, f, step,
-    slope)`` fires after each accepted step.
+    accepted iterate fell below ``VALUE_FLOOR`` or left the
+    ``POINT_NORM_CAP`` ball while still descending.  A solve that reaches
+    its numerical floor first (see ``InnerResult``) returns ``stalled`` at
+    once; ``max_iters`` means only that the iteration budget ran out.
+    ``callback(z, f, step, slope)`` fires after each accepted step.
     """
     cfg = cfg if cfg is not None else InnerConfig()
     value_of = value_fn if value_fn is not None else (lambda z: fun(z)[0])
@@ -119,7 +124,7 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None):
     z = np.asarray(start, dtype=float).copy()
     f, g = fun(z)
     tol = cfg.grad_tol * max(1.0, abs(f))
-    trial = cfg.init_step
+    trial = INIT_STEP
     window_best = np.inf
     prev_window_best = np.inf
     window_count = 0
@@ -129,7 +134,7 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             return InnerResult(z, f, gnorm, "converged", it)
-        if f < cfg.value_floor or np.linalg.norm(z) > cfg.point_norm_cap:
+        if f < VALUE_FLOOR or np.linalg.norm(z) > POINT_NORM_CAP:
             return InnerResult(z, f, gnorm, "diverged", it)
         window_best = min(window_best, gnorm)
         window_count += 1
@@ -144,8 +149,8 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None):
             window_f0 = f
 
         if cfg.method == NEWTON_FD:
-            d = _newton_direction(fun, z, g, cfg)
-            t = cfg.init_step
+            d = _newton_direction(fun, z, g)
+            t = INIT_STEP
         else:
             d = -g
             t = trial
@@ -153,16 +158,16 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None):
         if slope >= 0.0:  # never step along a non-descent direction
             d = -g
             slope = -gnorm * gnorm
-            t = cfg.init_step
+            t = INIT_STEP
 
         accepted = False
         while t >= _MIN_STEP:
             zt = z + t * d
             ft = value_of(zt)
-            if ft <= f + cfg.armijo_c * t * slope:
+            if ft <= f + ARMIJO_C * t * slope:
                 accepted = True
                 break
-            t *= cfg.backtrack
+            t *= BACKTRACK
         if not accepted or ft >= f:
             # rounding prevents any further decrease: either no trial step
             # passed, or the largest one that did left f bit-for-bit equal
@@ -178,6 +183,6 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None):
     gnorm = float(np.linalg.norm(g))
     if gnorm <= tol:
         return InnerResult(z, f, gnorm, "converged", cfg.max_iters)
-    if f < cfg.value_floor or np.linalg.norm(z) > cfg.point_norm_cap:
+    if f < VALUE_FLOOR or np.linalg.norm(z) > POINT_NORM_CAP:
         return InnerResult(z, f, gnorm, "diverged", cfg.max_iters)
     return InnerResult(z, f, gnorm, "max_iters", cfg.max_iters)

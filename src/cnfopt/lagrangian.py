@@ -61,13 +61,9 @@ class Multipliers:
         return cls(np.zeros(prob.s), np.zeros(prob.r), sign_mode)
 
 
-@dataclass(frozen=True)
-class PenaltyParams:
-    rho: float
-
-    def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("penalty parameter must be positive")
+def _check_rho(rho):
+    if not rho > 0:
+        raise ValueError("penalty parameter must be positive")
 
 
 def _check_mult(prob, mult):
@@ -166,6 +162,8 @@ def _kernel(prob, cols=None, ineq_idx=None, eq_idx=None):
     """The kernel of ``prob`` over the flat columns ``cols`` (all when None)
     and the given constraint subsets (all when None), cached on the problem
     like compiled expressions are cached on their nodes."""
+    if cols == tuple(range(prob.n + prob.m)):
+        cols = None  # every column in order is the whole-problem kernel
     ineq_idx = tuple(range(prob.s) if ineq_idx is None else ineq_idx)
     eq_idx = tuple(range(prob.r) if eq_idx is None else eq_idx)
     key = ("augmented", cols, ineq_idx, eq_idx)
@@ -188,24 +186,27 @@ def lagrangian(prob, p, mult):
     return _kernel(prob).value(p.flat(), _mu(mult.u, mult.v), 0.0)
 
 
-def augmented(prob, p, mult, pen):
-    """Lagrangian plus rho-weighted squared violations."""
+def augmented(prob, p, mult, rho):
+    """Lagrangian plus rho-weighted squared violations (rho > 0)."""
+    _check_rho(rho)
     _check_mult(prob, mult)
     prob.check_point(p)
-    return _kernel(prob).value(p.flat(), _mu(mult.u, mult.v), pen.rho)
+    return _kernel(prob).value(p.flat(), _mu(mult.u, mult.v), rho)
 
 
-def penalty(prob, p, pen):
+def penalty(prob, p, rho):
     """Pure penalty value; equals the augmented form at zero multipliers."""
-    return augmented(prob, p, Multipliers.zeros(prob), pen)
+    return augmented(prob, p, Multipliers.zeros(prob), rho)
 
 
-def augmented_gradient(prob, p, mult, pen):
+def augmented_gradient(prob, p, mult, rho):
     """grad g + sum_i (u_i + 2 rho max(g_i,0)) grad g_i
-    + sum_j (v_j + 2 rho h_j) grad h_j, ordered x block then y block."""
+    + sum_j (v_j + 2 rho h_j) grad h_j, ordered x block then y block
+    (rho > 0)."""
+    _check_rho(rho)
     _check_mult(prob, mult)
     prob.check_point(p)
-    return np.array(_kernel(prob).value_and_grad(p.flat(), _mu(mult.u, mult.v), pen.rho)[1])
+    return np.array(_kernel(prob).value_and_grad(p.flat(), _mu(mult.u, mult.v), rho)[1])
 
 
 def lagrangian_convexity_violations(prob, u, v, pairs, seed):
@@ -272,7 +273,11 @@ class DualValue:
         return self.status == "finite"
 
 
-def dual_value(prob, mult, inner_cfg=None, start=None, convexity_pairs=100, seed=0):
+# sampled midpoint pairs of dual_value's convexity check
+_CONVEXITY_PAIRS = 100
+
+
+def dual_value(prob, mult, inner_cfg=None, start=None, seed=0):
     """theta(u, v): minimize the Lagrangian over (x, y) from ``start``
     (problem default when omitted).  A diverging inner solve is reported
     as unbounded_below and a converged one as finite; an inner solve that
@@ -284,7 +289,7 @@ def dual_value(prob, mult, inner_cfg=None, start=None, convexity_pairs=100, seed
     fun, value_fn, to_point = augmented_objective(prob, mult.u, mult.v, 0.0, base=start)
     res = minimize(fun, start.flat(), cfg, value_fn=value_fn)
 
-    local = lagrangian_convexity_violations(prob, mult.u, mult.v, convexity_pairs, seed) > 0
+    local = lagrangian_convexity_violations(prob, mult.u, mult.v, _CONVEXITY_PAIRS, seed) > 0
     if res.status == "diverged":
         return DualValue("unbounded_below", None, local, res)
     if res.status == "converged":

@@ -188,7 +188,8 @@ def validate_exactness(prob, samples=1000, seed=0):
 
 
 def midpoint_convexity_violations(fn, dim, box, pairs, seed, tol=CONVEXITY_TOL):
-    """Count sampled pairs (p, q) with fn((p+q)/2) > (fn(p)+fn(q))/2 + tol.
+    """Count sampled pairs (p, q) with fn((p+q)/2) > (fn(p)+fn(q))/2 + tol;
+    when fn returns a vector, a pair counts once if any component does.
 
     A sampled necessary condition for convexity of fn over the box; cheap
     and catches sign mistakes, but no proof.
@@ -199,8 +200,9 @@ def midpoint_convexity_violations(fn, dim, box, pairs, seed, tol=CONVEXITY_TOL):
     for _ in range(pairs):
         a = rng.uniform(lo, hi, dim)
         b = rng.uniform(lo, hi, dim)
-        mid = fn(0.5 * (a + b))
-        if mid > 0.5 * (fn(a) + fn(b)) + tol:
+        over = fn(0.5 * (a + b)) > 0.5 * (fn(a) + fn(b)) + tol
+        # a float fn's bool skips numpy's any(), which costs as much as fn
+        if over.any() if isinstance(over, np.ndarray) else over:
             bad += 1
     return bad
 
@@ -210,22 +212,15 @@ def sample_convexity(prob, samples=500, seed=0, box=None):
     objective and each constraint); returns the number of violating pairs."""
     if samples <= 0:
         raise ValueError("samples must be positive")
-    box = box if box is not None else prob.box
     components = (prob.g, *prob.ineqs, *prob.eqs)
-    dim = prob.n + prob.m
 
-    rng = np.random.default_rng(seed)
-    lo, hi = box
-    bad = 0
-    for _ in range(samples):
-        a = Point.from_flat(rng.uniform(lo, hi, dim), prob.n, prob.m)
-        b = Point.from_flat(rng.uniform(lo, hi, dim), prob.n, prob.m)
-        mid = Point.from_flat(0.5 * (a.flat() + b.flat()), prob.n, prob.m)
-        for comp in components:
-            if evaluate(comp, mid) > 0.5 * (evaluate(comp, a) + evaluate(comp, b)) + CONVEXITY_TOL:
-                bad += 1
-                break
-    return bad
+    def values(vec):
+        p = Point.from_flat(vec, prob.n, prob.m)
+        return np.array([evaluate(comp, p) for comp in components])
+
+    return midpoint_convexity_violations(
+        values, prob.n + prob.m, box if box is not None else prob.box, samples, seed
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Builtin catalog of lifted test problems.
 
-Each entry packages a lifted form, a lift map, the original objective,
-a default start, and solver parameter overrides.  Dimensioned entries
-(ex3, ex4, ex8, ex9) are generated from their parameters; ex3 draws its
-classification data from a seeded generator so entries are reproducible.
+Each entry packages a lifted form, a lift map, the original objective
+and a default start.  Dimensioned entries (ex3, ex4, ex8, ex9) are
+generated from their parameters; ex3 draws its classification data from
+a seeded generator so entries are reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ class CatalogEntry:
     params: dict
     problem: CnfProblem
     start: Point
-    alpf_overrides: dict = field(default_factory=dict)
-    known: dict | None = None
     norm0_surrogate: Expr | None = None
 
     def lift(self, x):
@@ -79,7 +77,6 @@ def _build_ex1(entry_id, variant):
         params={},
         problem=problem,
         start=Point([1.0, 1.0], [1.0, 1.0, 1.0, 1.0]),
-        known={"solution": "(0, 0)", "optimal_value": 0.0},
     )
 
 
@@ -147,7 +144,6 @@ def build_ex2(b1=(1.0, 0.0), b2=(0.0, 1.0)):
         params={"b1": tuple(map(float, b1)), "b2": tuple(map(float, b2))},
         problem=problem,
         start=Point(np.ones(n), np.ones(4)),
-        known={"note": "lifted objective realizes (|b1.x|-|b2.x|)^2"},
     )
 
 
@@ -288,8 +284,6 @@ def build_ex7():
         params={},
         problem=problem,
         start=Point([2.0, 2.0], [2.0, 2.0, 2.0]),
-        alpf_overrides={"eps": 1e-6, "rho0": 10.0, "growth": 100.0},
-        known={"solution": "(0, 0)", "optimal_value": 0.0},
     )
 
 
@@ -331,8 +325,6 @@ def build_ex8(n=5):
         params={"n": n},
         problem=problem,
         start=Point(ramp[:n], ramp[n:]),
-        alpf_overrides={"eps": 1e-6, "rho0": 10.0, "growth": 100.0},
-        known={"solution": "(±α, ..., ±α) for any α", "optimal_value": 0.0},
     )
 
 
@@ -378,8 +370,6 @@ def build_ex9(n=10, lam=1.0):
         params={"n": n, "lam": lam},
         problem=problem,
         start=problem.default_start(),
-        alpf_overrides={"eps": 1e-6, "rho0": 10.0, "growth": 10.0},
-        known={"note": "sparse approximate solutions; sparsity grows with lam"},
         norm0_surrogate=sum_([y_(i + 1) ** 2 for i in range(n)]),
     )
 

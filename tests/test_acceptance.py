@@ -20,9 +20,10 @@ from cnfopt.certificate import CNP0_EQ, kkt_residual, lp_test_eq, lp_test_ineq
 from cnfopt.expr import Point, gradient, evaluate, value_and_gradient
 from cnfopt.inner import InnerConfig
 from cnfopt.lagrangian import Multipliers, V_NONNEG, dual_value
-from cnfopt.lp import enumerate_vertices_oracle, solve_lp
+from cnfopt.lp import solve_lp
 from cnfopt.model import validate_exactness
 from cnfopt.problems import EXACT_IDS, build, default_entries
+from lp_oracle import enumerate_vertices_oracle
 
 GD = InnerConfig(method="gradient_descent", max_iters=30000)
 

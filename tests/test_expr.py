@@ -223,6 +223,16 @@ class TestParse:
         with pytest.raises(ParseError, match="constant"):
             parse("x[1]^y[1]", n=1, m=1)
 
+    def test_overflowing_literal_is_rejected_at_its_token(self):
+        with pytest.raises(ParseError, match="not a finite number") as err:
+            parse("x[1] +\n 1e400", n=1, m=0)
+        assert (err.value.line, err.value.col) == (2, 2)
+
+    def test_exponent_folding_to_infinity_is_rejected(self):
+        with pytest.raises(ParseError, match="not a finite number") as err:
+            parse("x[1]^(1e200*1e200)", n=1, m=0)
+        assert (err.value.line, err.value.col) == (1, 5)
+
     def test_whitespace_insensitive(self):
         a = parse("2*x[1]  +\n  y[1]", n=1, m=1)
         b = parse("2*x[1]+y[1]", n=1, m=1)

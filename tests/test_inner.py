@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cnfopt.inner import GRADIENT_DESCENT, NEWTON_FD, InnerConfig, minimize
+from cnfopt.inner import ARMIJO_C, GRADIENT_DESCENT, NEWTON_FD, InnerConfig, minimize
 
 
 def quadratic(z):
@@ -51,7 +51,7 @@ class TestMinimize:
         checks = []
 
         def cb(z, f, t, slope):
-            checks.append(f <= values[-1] + cfg.armijo_c * t * slope + 1e-12)
+            checks.append(f <= values[-1] + ARMIJO_C * t * slope + 1e-12)
             values.append(f)
 
         minimize(banana, np.array([-0.7, 1.4]), cfg, callback=cb)

@@ -11,7 +11,6 @@ from cnfopt.lagrangian import (
     V_NONNEG,
     DualValue,
     Multipliers,
-    PenaltyParams,
     augmented,
     augmented_gradient,
     augmented_objective,
@@ -91,7 +90,7 @@ class TestAugmented:
     def test_equals_lagrangian_when_feasible(self, ex7):
         p = ex7.lift([0.7, -1.1])
         mult = Multipliers(np.full(4, 0.3), np.array([0.5, -0.2, 1.0]))
-        pen = PenaltyParams(rho=25.0)
+        pen = 25.0
         assert check_feasible(ex7.problem, p, tol=1e-10).in_feasible_set
         assert augmented(ex7.problem, p, mult, pen) == pytest.approx(
             lagrangian(ex7.problem, p, mult), rel=1e-12
@@ -101,18 +100,18 @@ class TestAugmented:
         p = Point([0, 0], [0, 0, 0, 0])
         mult = Multipliers([1.0], np.zeros(4), V_NONNEG)
         for rho in (0.5, 10.0, 1e6):
-            assert augmented(ex5.problem, p, mult, PenaltyParams(rho)) == 0.0
+            assert augmented(ex5.problem, p, mult, rho) == 0.0
 
     def test_single_violation_contribution(self):
         prob = CnfProblem(name="one", n=1, m=0, g=x_(1), ineqs=(x_(1) - 0.5,))
         p = Point([1.0], [])  # constraint value 0.5
-        got = augmented(prob, p, Multipliers.zeros(prob), PenaltyParams(10.0))
+        got = augmented(prob, p, Multipliers.zeros(prob), 10.0)
         assert got == pytest.approx(1.0 + 10.0 * 0.25)
 
     def test_dominates_lagrangian_strictly_when_infeasible(self, ex7):
         rng = np.random.default_rng(1)
         mult = Multipliers(np.zeros(4), np.zeros(3))
-        pen = PenaltyParams(3.0)
+        pen = 3.0
         for _ in range(20):
             p = Point(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 3))
             a = augmented(ex7.problem, p, mult, pen)
@@ -125,12 +124,13 @@ class TestAugmented:
         rng = np.random.default_rng(2)
         p = Point(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 3))
         mult = Multipliers(rng.uniform(0, 1, 4), rng.normal(size=3))
-        vals = [augmented(ex7.problem, p, mult, PenaltyParams(r)) for r in (0.1, 1, 10, 100)]
+        vals = [augmented(ex7.problem, p, mult, r) for r in (0.1, 1, 10, 100)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_rho_must_be_positive(self):
+        prob = CnfProblem(name="one", n=1, m=0, g=x_(1), ineqs=(x_(1) - 0.5,))
         with pytest.raises(ValueError):
-            PenaltyParams(0.0)
+            augmented(prob, Point([1.0], []), Multipliers.zeros(prob), 0.0)
 
 
 class TestAugmentedGradient:
@@ -141,13 +141,13 @@ class TestAugmentedGradient:
         mult = Multipliers.zeros(ex7.problem)
         # h terms vanish at a lifted point only through their residuals;
         # with u = v = 0 and zero residuals the whole correction drops out
-        got = augmented_gradient(ex7.problem, p, mult, PenaltyParams(10.0))
+        got = augmented_gradient(ex7.problem, p, mult, 10.0)
         assert got == pytest.approx(gradient(ex7.problem.g, p), abs=1e-12)
 
     def test_zero_at_saddle(self, ex5):
         p = Point([0, 0], [0, 0, 0, 0])
         mult = Multipliers([1.0], np.zeros(4), V_NONNEG)
-        got = augmented_gradient(ex5.problem, p, mult, PenaltyParams(10.0))
+        got = augmented_gradient(ex5.problem, p, mult, 10.0)
         assert got == pytest.approx(np.zeros(6), abs=1e-14)
 
     def test_matches_finite_differences(self, ex7):
@@ -155,7 +155,7 @@ class TestAugmentedGradient:
         for _ in range(10):
             p = Point(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 3))
             mult = Multipliers(rng.uniform(0, 1, 4), rng.normal(size=3))
-            pen = PenaltyParams(rng.uniform(0.5, 20))
+            pen = rng.uniform(0.5, 20)
             ad = augmented_gradient(ex7.problem, p, mult, pen)
             fd = fd_augmented_gradient(ex7.problem, p, mult, pen)
             np.testing.assert_allclose(ad, fd, rtol=1e-6, atol=1e-5)
@@ -166,7 +166,7 @@ class TestAugmentedGradient:
         # O(h) accurate there, hence the looser tolerance
         prob = CnfProblem(name="kink", n=1, m=0, g=0.5 * x_(1) ** 2, ineqs=(x_(1),))
         mult = Multipliers([0.7], [])
-        pen = PenaltyParams(10.0)
+        pen = 10.0
         p = Point([0.0], [])
         analytic = augmented_gradient(prob, p, mult, pen)[0]
         h = 1e-6
@@ -186,13 +186,13 @@ class TestAugmentedGradient:
 class TestPenalty:
     def test_feasible_point_gives_objective(self, ex7):
         p = ex7.lift([1.0, -2.0])
-        assert penalty(ex7.problem, p, PenaltyParams(50.0)) == pytest.approx(
+        assert penalty(ex7.problem, p, 50.0) == pytest.approx(
             ex7.problem.objective(p), rel=1e-12
         )
 
     def test_equals_augmented_with_zero_multipliers(self, ex7):
         rng = np.random.default_rng(4)
-        pen = PenaltyParams(7.0)
+        pen = 7.0
         for _ in range(10):
             p = Point(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 3))
             assert penalty(ex7.problem, p, pen) == augmented(
@@ -209,7 +209,7 @@ class TestPenalty:
         gv, hv = entry.problem.constraint_values(p)
         assert sorted(np.abs(hv))[-1] == pytest.approx(0.1)
         assert sum(np.abs(hv) > 1e-12) == 1
-        got = penalty(entry.problem, p, PenaltyParams(10.0))
+        got = penalty(entry.problem, p, 10.0)
         assert got == pytest.approx(entry.problem.objective(p) + 0.1, rel=1e-9)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cnfopt.lp import LpProblem, LpSolution, enumerate_vertices_oracle, solve_lp
+from cnfopt.lp import LpProblem, LpSolution, solve_lp
+from lp_oracle import enumerate_vertices_oracle
 
 
 def check_optimal_certificates(lp, sol, tol=1e-8):

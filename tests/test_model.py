@@ -210,6 +210,12 @@ class TestProblemText:
         with pytest.raises(ProblemFormatError, match="line 4"):
             load_problem(bad)
 
+    def test_non_finite_constants_are_format_errors(self):
+        for line in ("ineq: x[1] + 1e400", "objective: x[1]^(1e200*1e200)"):
+            bad = f'problem "p"\nvar x 1\naux y 0\nobjective: x[1]^2\n{line}\n'
+            with pytest.raises(ProblemFormatError, match="line 5: .*not a finite number"):
+                load_problem(bad)
+
     def test_reference_may_be_nonsmooth_but_objective_not(self):
         bad = 'problem "p"\nvar x 1\naux y 0\nobjective: abs(x[1])\n'
         with pytest.raises(ProblemFormatError):
