@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import NORM0_THRESHOLD, Point, evaluate
+from .expr import NORM0_THRESHOLD, Point, evaluate, walk
 from .inner import InnerConfig, minimize
 from .lagrangian import (
     Multipliers,
@@ -259,13 +259,9 @@ def solve_penalty(prob, cfg=None):
 # block decomposition
 
 
-def _expr_vars(e, out):
-    if e.kind == "var":
-        out.add(("x" if e.block == "x" else "y", e.index))
-    if e.kind == "norm0":
-        raise ValueError("norm0 has no variable incidence in smooth constraints")
-    for c in e.children:
-        _expr_vars(c, out)
+def _expr_vars(e):
+    """The (block, index) pairs of the variables in a tree."""
+    return {(node.block, node.index) for node in walk(e) if node.kind == "var"}
 
 
 @dataclass(frozen=True)
@@ -318,9 +314,7 @@ class BlockPartition:
             ("equality", prob.eqs, eq_of),
         ):
             for idx, e in enumerate(exprs):
-                used = set()
-                _expr_vars(e, used)
-                blocks = {owner[var] for var in used}
+                blocks = {owner[var] for var in _expr_vars(e)}
                 if len(blocks) > 1:
                     raise ValueError(
                         f"{kind} constraint {idx + 1} spans blocks {sorted(blocks)}"
@@ -355,9 +349,7 @@ class BlockPartition:
             parent[find(a)] = find(b)
 
         for e in (*prob.ineqs, *prob.eqs):
-            used = set()
-            _expr_vars(e, used)
-            used = sorted(used)
+            used = sorted(_expr_vars(e))
             for other in used[1:]:
                 union(used[0], other)
 

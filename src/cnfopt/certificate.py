@@ -8,6 +8,10 @@ equality variant pins grad h_j . d = 0, leaves v free, and certifies
 only under a feasible-direction hypothesis that is not machine-checkable
 (the verdict says so).  A nonnegative LP optimum means no first-order
 descent direction; the LP duals are exactly the KKT multipliers.
+
+Every test reads one linearization at the point: the objective gradient,
+the constraint values and the constraint gradients, one forward pass per
+expression.  ``certify`` builds it once, and only inside the matched set.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Point, gradient
+from .expr import Point, gradient, value_and_gradient
 from .lagrangian import Multipliers, lagrangian
 from .lp import LpProblem, solve_lp
 from .model import check_feasible
@@ -65,54 +69,60 @@ class LpTestResult:
     certified: bool
 
 
-def _require_in_lifted_set(prob, p, feas_tol):
-    rep = check_feasible(prob, p, tol=feas_tol)
+@dataclass(frozen=True)
+class _Linearization:
+    """First-order data at a point, read by every test in this module:
+    the objective gradient, the constraint values, and the constraint
+    gradients as the rows of ``jac``, the s inequalities first."""
+
+    grad_g: np.ndarray
+    gv: np.ndarray
+    hv: np.ndarray
+    jac: np.ndarray
+
+
+def _linearize(prob, p, grad_g):
+    """The linearization at p, given the objective gradient there; one
+    forward pass per constraint yields its value and gradient."""
+    exprs = (*prob.ineqs, *prob.eqs)
+    vals = np.zeros(len(exprs))
+    jac = np.zeros((len(exprs), prob.n + prob.m))
+    for k, e in enumerate(exprs):
+        vals[k], jac[k] = value_and_gradient(e, p)
+    return _Linearization(grad_g, vals[:prob.s], vals[prob.s:], jac)
+
+
+def _outside_matched_set(prob, p, rep, feas_tol):
+    """Why p is outside the matched set (infeasible, or with a lifted
+    objective off the reference), or None when it is inside."""
     if not rep.in_feasible_set:
-        raise CertificateError(
+        return (
             f"point is not feasible within {feas_tol:g} "
             f"(worst inequality {rep.max_ineq_violation:.3g}, "
             f"worst equality {rep.max_eq_residual:.3g})"
         )
-    if rep.exactness_gap is not None:
-        scale = max(1.0, abs(prob.objective(p)))
-        if rep.exactness_gap > feas_tol * scale:
-            raise CertificateError(
-                f"lifted objective differs from the reference by "
-                f"{rep.exactness_gap:.3g}; the point is outside the matched set"
-            )
-    return rep
+    gap = rep.exactness_gap
+    if gap is not None and gap > feas_tol * max(1.0, abs(prob.objective(p))):
+        return (
+            f"lifted objective differs from the reference by "
+            f"{gap:.3g}; the point is outside the matched set"
+        )
+    return None
 
 
-def direction_lp(prob, p, variant):
-    """The linearized direction-finding program at p."""
-    c = gradient(prob.g, p)
-    gv, hv = prob.constraint_values(p)
-    rows_g = [gradient(gi, p) for gi in prob.ineqs]
-    rows_h = [gradient(hj, p) for hj in prob.eqs]
-    A_ub = rows_g[:]
-    b_ub = list(-gv)
-    A_eq, b_eq = [], []
+def _direction_lp(lin, variant):
+    """The linearized direction-finding program: the inequality rows
+    g_i + grad g_i . d <= 0, then the equality rows as grad h_j . d <= 0
+    (one-sided variant) or grad h_j . d = 0 (equality variant)."""
+    s, zeros = lin.gv.size, np.zeros(lin.hv.size)
     if variant == CNP_INEQ:
-        A_ub += rows_h
-        b_ub += [0.0] * len(rows_h)
-    elif variant == CNP0_EQ:
-        A_eq = rows_h
-        b_eq = [0.0] * len(rows_h)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return LpProblem(
-        c=c,
-        A_ub=np.array(A_ub) if A_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(A_eq) if A_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-    )
+        return LpProblem(c=lin.grad_g, A_ub=lin.jac, b_ub=np.concatenate([-lin.gv, zeros]))
+    return LpProblem(c=lin.grad_g, A_ub=lin.jac[:s], b_ub=-lin.gv, A_eq=lin.jac[s:], b_eq=zeros)
 
 
-def _lp_test(prob, p, variant, feas_tol, cert_tol):
-    _require_in_lifted_set(prob, p, feas_tol)
-    lp = direction_lp(prob, p, variant)
-    if prob.s + prob.r == 0:
+def _lp_test(lin, variant, cert_tol):
+    lp = _direction_lp(lin, variant)
+    if lin.gv.size + lin.hv.size == 0:
         # no constraints: either stationary or steepest descent wins
         c = lp.c
         if np.linalg.norm(c) <= cert_tol:
@@ -125,26 +135,47 @@ def _lp_test(prob, p, variant, feas_tol, cert_tol):
         raise CertificateError("direction program reported infeasible at a feasible point")
     if sol.status == "unbounded":
         return LpTestResult(variant, "unbounded", None, None, None, None, sol.ray, False)
-    s = prob.s
-    if variant == CNP_INEQ:
-        u = sol.duals_ub[:s]
-        v = sol.duals_ub[s:]
-    else:
-        u = sol.duals_ub[:s]
-        v = sol.duals_eq
+    # the equality rows' duals follow the inequality rows' in either variant
+    s = lin.gv.size
+    u = sol.duals_ub[:s]
+    v = np.concatenate([sol.duals_ub[s:], sol.duals_eq])
     certified = sol.objective >= -cert_tol
     return LpTestResult(variant, "optimal", sol.objective, u, v, sol.d, None, certified)
 
 
+def _matched_lp_test(prob, p, variant, feas_tol, cert_tol):
+    """The direction test at p, which must lie in the matched set."""
+    reason = _outside_matched_set(prob, p, check_feasible(prob, p, tol=feas_tol), feas_tol)
+    if reason is not None:
+        raise CertificateError(reason)
+    return _lp_test(_linearize(prob, p, gradient(prob.g, p)), variant, cert_tol)
+
+
 def lp_test_ineq(prob, p, feas_tol=1e-6, cert_tol=CERT_TOL):
     """One-sided linearization test; certifying multipliers have v >= 0."""
-    return _lp_test(prob, p, CNP_INEQ, feas_tol, cert_tol)
+    return _matched_lp_test(prob, p, CNP_INEQ, feas_tol, cert_tol)
 
 
 def lp_test_eq(prob, p, feas_tol=1e-6, cert_tol=CERT_TOL):
     """Equality-direction test; v is free and the verdict holds under the
     feasible-direction hypothesis, which is not checked here."""
-    return _lp_test(prob, p, CNP0_EQ, feas_tol, cert_tol)
+    return _matched_lp_test(prob, p, CNP0_EQ, feas_tol, cert_tol)
+
+
+def _kkt_residual(lin, u, v, variant):
+    stat = lin.grad_g
+    # row by row, in constraint order, so the sum does not depend on BLAS
+    for w, row in zip(np.concatenate([u, v]), lin.jac):
+        stat = stat + w * row
+    comp = float(np.max(np.abs(u * lin.gv))) if u.size else 0.0
+    sign = float(max(0.0, -u.min())) if u.size else 0.0
+    if variant == CNP_INEQ and v.size:
+        sign = max(sign, float(max(0.0, -v.min())))
+    return KktResidual(
+        stationarity=float(np.linalg.norm(stat)),
+        complementarity=comp,
+        sign_violation=sign,
+    )
 
 
 def kkt_residual(prob, p, u, v, variant=CNP_INEQ):
@@ -154,21 +185,8 @@ def kkt_residual(prob, p, u, v, variant=CNP_INEQ):
     v = np.asarray(v, dtype=float)
     if u.shape != (prob.s,) or v.shape != (prob.r,):
         raise ValueError("multiplier lengths must match the constraint counts")
-    stat = gradient(prob.g, p)
-    for ui, gi in zip(u, prob.ineqs):
-        stat = stat + ui * gradient(gi, p)
-    for vj, hj in zip(v, prob.eqs):
-        stat = stat + vj * gradient(hj, p)
-    gv, _ = prob.constraint_values(p)
-    comp = float(np.max(np.abs(u * gv))) if u.size else 0.0
-    sign = float(max(0.0, -u.min())) if u.size else 0.0
-    if variant == CNP_INEQ and v.size:
-        sign = max(sign, float(max(0.0, -v.min())))
-    return KktResidual(
-        stationarity=float(np.linalg.norm(stat)),
-        complementarity=comp,
-        sign_violation=sign,
-    )
+    prob.check_point(p)
+    return _kkt_residual(_linearize(prob, p, gradient(prob.g, p)), u, v, variant)
 
 
 def grad_zero_test(prob, p, tol=CERT_TOL):
@@ -251,24 +269,17 @@ def certify(prob, p, feas_tol=1e-6, cert_tol=CERT_TOL):
     """
     prob.check_point(p)
     rep = check_feasible(prob, p, tol=feas_tol)
-    grad_norm = float(np.linalg.norm(gradient(prob.g, p)))
-    gap_ok = True
-    if rep.exactness_gap is not None:
-        gap_ok = rep.exactness_gap <= feas_tol * max(1.0, abs(prob.objective(p)))
-    if not (rep.in_feasible_set and gap_ok):
+    grad_g = gradient(prob.g, p)
+    grad_norm = float(np.linalg.norm(grad_g))
+    if _outside_matched_set(prob, p, rep, feas_tol) is not None:
         return Certificate(p, rep, grad_norm, None, None, None, VERDICT_INCONCLUSIVE)
-
     if grad_norm <= cert_tol:
         return Certificate(p, rep, grad_norm, None, None, None, VERDICT_GLOBAL)
 
-    ineq = lp_test_ineq(prob, p, feas_tol, cert_tol)
-    if ineq.certified:
-        res = kkt_residual(prob, p, ineq.u, ineq.v, CNP_INEQ)
-        return Certificate(p, rep, grad_norm, ineq, res, (ineq.u, ineq.v), VERDICT_GLOBAL)
-
-    eq = lp_test_eq(prob, p, feas_tol, cert_tol)
-    if eq.certified:
-        res = kkt_residual(prob, p, eq.u, eq.v, CNP0_EQ)
-        return Certificate(p, rep, grad_norm, eq, res, (eq.u, eq.v), VERDICT_KKT)
-
-    return Certificate(p, rep, grad_norm, eq, None, None, VERDICT_INCONCLUSIVE)
+    lin = _linearize(prob, p, grad_g)
+    for variant, verdict in ((CNP_INEQ, VERDICT_GLOBAL), (CNP0_EQ, VERDICT_KKT)):
+        test = _lp_test(lin, variant, cert_tol)
+        if test.certified:
+            res = _kkt_residual(lin, test.u, test.v, variant)
+            return Certificate(p, rep, grad_norm, test, res, (test.u, test.v), verdict)
+    return Certificate(p, rep, grad_norm, test, None, None, VERDICT_INCONCLUSIVE)

@@ -182,16 +182,24 @@ def evaluate(e, p):
     return compiled_value(e)(p.x, p.y)
 
 
+def walk(e):
+    """Every node of the tree in preorder (a node, then its children left to
+    right), as a list; iterative, so deep trees need no recursion."""
+    nodes = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(reversed(node.children))
+    return nodes
+
+
 def smooth_violations(e):
     """Nodes that put the tree outside the smooth dialect."""
-    bad = []
-    if e.kind in _NONSMOOTH:
-        bad.append(e)
-    if e.kind == "pow" and e.value != int(e.value):
-        bad.append(e)
-    for c in e.children:
-        bad.extend(smooth_violations(c))
-    return bad
+    return [
+        node for node in walk(e)
+        if node.kind in _NONSMOOTH or (node.kind == "pow" and node.value != int(node.value))
+    ]
 
 
 def is_smooth(e):
@@ -207,34 +215,20 @@ def require_smooth(e):
         )
 
 
-def gradient(e, p, wrt=None):
-    """Exact forward-mode gradient, ordered x block then y block (or the
-    ``wrt`` flat indices when given).  The tree must be smooth dialect."""
+def gradient(e, p):
+    """Exact forward-mode gradient, ordered x block then y block.  The tree
+    must be smooth dialect."""
     require_smooth(e)
-    return value_and_gradient(e, p, wrt)[1]
+    return value_and_gradient(e, p)[1]
 
 
-def value_and_gradient(e, p, wrt=None):
-    """One forward pass returning (value, gradient).
-
-    ``wrt`` restricts differentiation to a subset of flat coordinates
-    (x[i] -> i, y[j] -> n + j); it may be a sequence of flat indices or a
-    prebuilt {flat index: output position} dict.  Nonsmooth nodes raise
-    DialectError.
-    """
-    n = p.x.shape[0]
-    if wrt is None:
-        pos = None
-        width = n + p.y.shape[0]
-    elif isinstance(wrt, dict):
-        pos = wrt
-        width = len(wrt)
-    else:
-        pos = {int(f): i for i, f in enumerate(wrt)}
-        width = len(pos)
-    fn, slots = compiled_gradient(e, n, pos, width)
+def value_and_gradient(e, p):
+    """One forward pass returning (value, gradient over all n+m flat
+    coordinates).  Nonsmooth nodes raise DialectError."""
+    n, m = p.x.shape[0], p.y.shape[0]
+    fn, slots = compiled_gradient(e, n, m)
     value, partials = fn(p.x, p.y)
-    grad = np.zeros(width)
+    grad = np.zeros(n + m)
     if slots.size:
         grad[slots] = partials
     return (value, grad)
@@ -257,10 +251,10 @@ def _rt_div(a, b, loc):
 
 
 def _rt_pow(v, expo, loc):
+    if v == 0.0 and expo < 0:
+        raise DomainError(f"zero raised to negative power {loc}")
     if expo == int(expo):
         k = int(expo)
-        if v == 0.0 and k < 0:
-            raise DomainError(f"zero raised to negative power {loc}")
         try:
             return v**k
         except OverflowError:
@@ -298,10 +292,6 @@ _RUNTIME = {
     "abs": abs,
     "max": max,
 }
-
-
-def _pow(base, expo, e):
-    return _rt_pow(base, expo, _where(e))
 
 
 class _Emitter:
@@ -500,18 +490,16 @@ def compiled_value(e):
     return fn
 
 
-def compiled_gradient(e, n, pos, width):
-    """(fn, slots) with fn(x, y) -> (value, partials aligned with slots).
-
-    ``pos`` maps flat coordinate -> output slot (None means the identity
-    over n+m coordinates); slots come back sorted for determinism.
-    """
+def compiled_gradient(e, n, m):
+    """(fn, slots) with fn(x, y) -> (value, partials aligned with slots),
+    the flat coordinates (x[i] -> i, y[j] -> n + j) the tree depends on,
+    sorted for determinism."""
     cache = _cache_of(e)
-    key = ("grad", n, width, None if pos is None else tuple(sorted(pos.items())))
+    key = ("grad", n, m)
     hit = cache.get(key)
     if hit is None:
         em = _Emitter()
-        val, grad = _emit_grad(e, em, n, pos)
+        val, grad = _emit_grad(e, em, n, None)
         slots = np.array(sorted(grad), dtype=int)
         partials = ", ".join(grad[s] for s in slots)
         result = f"({val}, ({partials}{',' if len(slots) == 1 else ''}))"
@@ -615,7 +603,10 @@ class _Parser:
         if self.peek()[1] == "^":
             _, _, line, col = self.next()
             expo = self.parse_unary()
-            folded = _const_value(expo)
+            try:
+                folded = _const_value(expo)
+            except DomainError as err:
+                raise ParseError(f"power exponent is undefined: {err}", line, col) from None
             if folded is None:
                 raise ParseError("power exponent must be a constant", line, col)
             if not math.isfinite(folded):
@@ -682,7 +673,9 @@ class _Parser:
 
 
 def _const_value(e):
-    """Fold a tree of constants to a float, or None if it has variables."""
+    """Fold a tree of constants to a float, or None if it has variables;
+    an undefined operation (0^-1, a fractional power of a negative base,
+    division by zero) raises DomainError."""
     if e.kind == "const":
         return e.value
     if e.kind == "neg":
@@ -697,8 +690,8 @@ def _const_value(e):
         if e.kind == "mul":
             return vals[0] * vals[1]
         if e.kind == "div":
-            return vals[0] / vals[1] if vals[1] != 0 else None
-        return _pow(vals[0], e.value, e)
+            return _rt_div(vals[0], vals[1], _where(e))
+        return _rt_pow(vals[0], e.value, _where(e))
     return None
 
 

@@ -130,12 +130,15 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None):
     window_count = 0
     window_f0 = f
 
-    for it in range(cfg.max_iters):
+    # the last pass only checks the final iterate
+    for it in range(cfg.max_iters + 1):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             return InnerResult(z, f, gnorm, "converged", it)
         if f < VALUE_FLOOR or np.linalg.norm(z) > POINT_NORM_CAP:
             return InnerResult(z, f, gnorm, "diverged", it)
+        if it == cfg.max_iters:
+            return InnerResult(z, f, gnorm, "max_iters", it)
         window_best = min(window_best, gnorm)
         window_count += 1
         if window_count >= _PLATEAU_WINDOW:
@@ -179,10 +182,3 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None):
             trial = min(t * 2.0, 1e16)
         if callback is not None:
             callback(z, f, t, slope)
-
-    gnorm = float(np.linalg.norm(g))
-    if gnorm <= tol:
-        return InnerResult(z, f, gnorm, "converged", cfg.max_iters)
-    if f < VALUE_FLOOR or np.linalg.norm(z) > POINT_NORM_CAP:
-        return InnerResult(z, f, gnorm, "diverged", cfg.max_iters)
-    return InnerResult(z, f, gnorm, "max_iters", cfg.max_iters)

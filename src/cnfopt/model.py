@@ -21,6 +21,7 @@ from .expr import (
     parse,
     pretty,
     require_smooth,
+    walk,
 )
 
 DEFAULT_BOX = (-5.0, 5.0)
@@ -31,14 +32,6 @@ CONVEXITY_TOL = 1e-10
 
 class ProblemFormatError(Exception):
     """Malformed problem text."""
-
-
-def _x_only(e):
-    if e.kind == "var" and e.block == "y":
-        return False
-    if e.kind == "norm0" and e.block == "y":
-        return False
-    return all(_x_only(c) for c in e.children)
 
 
 @dataclass(frozen=True)
@@ -74,22 +67,22 @@ class CnfProblem:
             raise ValueError("box must satisfy lo < hi")
         for e in (self.g, *self.ineqs, *self.eqs):
             require_smooth(e)
-            self._check_indices(e)
+            self._check_indices(walk(e))
         if self.reference_f is not None:
-            self._check_indices(self.reference_f)
-            if not _x_only(self.reference_f):
+            nodes = walk(self.reference_f)
+            self._check_indices(nodes)
+            # only var and norm0 nodes name a block
+            if any(node.block == "y" for node in nodes):
                 raise ValueError("reference objective may only use the x block")
 
-    def _check_indices(self, e):
-        if e.kind == "var":
-            bound = self.n if e.block == "x" else self.m
-            if not 0 <= e.index < bound:
+    def _check_indices(self, nodes):
+        for node in nodes:
+            bound = self.n if node.block == "x" else self.m
+            if node.kind == "var" and not 0 <= node.index < bound:
                 raise ValueError(
-                    f"{e.block}[{e.index + 1}] out of range in '{pretty(e)}' "
+                    f"{node.block}[{node.index + 1}] out of range in '{pretty(node)}' "
                     f"(n={self.n}, m={self.m})"
                 )
-        for c in e.children:
-            self._check_indices(c)
 
     @property
     def s(self):

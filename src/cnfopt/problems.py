@@ -189,11 +189,25 @@ def build_ex3(I=3, n=3, data_seed=0):
 
 
 def _indicator_lift(n):
-    def lift_y(x):
-        ind = (np.abs(x) > NORM0_THRESHOLD).astype(float)
-        return ind, x**2 + (ind - 1.0) ** 2
+    """The binary-indicator lift of ||x||_0 over n coordinates: y_i is the
+    indicator of x_i and y_(n+i) = x_i^2 + (y_i - 1)^2, tied by three
+    equations per coordinate.  Returns (equations, lift map)."""
+    eqs = []
+    for i in range(n):
+        xi, yi, zi = x_(i + 1), y_(i + 1), y_(n + i + 1)
+        eqs.extend(
+            [
+                (xi + yi - 1) ** 2 - zi,
+                xi**2 + (yi - 1) ** 2 - zi,
+                yi**2 - yi,
+            ]
+        )
 
-    return lift_y
+    def lift(x):
+        ind = (np.abs(x) > NORM0_THRESHOLD).astype(float)
+        return np.concatenate([ind, x**2 + (ind - 1.0) ** 2])
+
+    return tuple(eqs), lift
 
 
 def build_ex4(n=3, lam=1.0, b=2.0):
@@ -206,30 +220,15 @@ def build_ex4(n=3, lam=1.0, b=2.0):
     misfit = (sum_([x_(i + 1) for i in range(n)]) - b) ** 2
     g = const(lam) * sum_([y_(i + 1) for i in range(n)]) + misfit
     ineqs = tuple(-y_(i + 1) for i in range(n)) + tuple(y_(i + 1) - 1 for i in range(n))
-    eqs = []
-    for i in range(n):
-        xi, yi, zi = x_(i + 1), y_(i + 1), y_(n + i + 1)
-        eqs.extend(
-            [
-                (xi + yi - 1) ** 2 - zi,
-                xi**2 + (yi - 1) ** 2 - zi,
-                yi**2 - yi,
-            ]
-        )
+    eqs, lift = _indicator_lift(n)
     reference = const(lam) * norm0_("x") + misfit
-    lift_y = _indicator_lift(n)
-
-    def lift(x):
-        ind, z = lift_y(x)
-        return np.concatenate([ind, z])
-
     problem = CnfProblem(
         name=f"ex4[n={n},lam={lam:g},b={b:g}]",
         n=n,
         m=2 * n,
         g=g,
         ineqs=ineqs,
-        eqs=tuple(eqs),
+        eqs=eqs,
         reference_f=reference,
         exact=False,
         lift_map=lift,
@@ -337,30 +336,15 @@ def build_ex9(n=10, lam=1.0):
         raise ValueError("need n >= 1 and lam > 0")
     misfit = (sum_([const(i + 1) * x_(i + 1) for i in range(n)]) - 2 * n) ** 2
     g = misfit + const(lam) * sum_([y_(i + 1) ** 2 for i in range(n)])
-    eqs = []
-    for i in range(n):
-        xi, yi, zi = x_(i + 1), y_(i + 1), y_(n + i + 1)
-        eqs.extend(
-            [
-                (xi + yi - 1) ** 2 - zi,
-                xi**2 + (yi - 1) ** 2 - zi,
-                yi**2 - yi,
-            ]
-        )
+    eqs, lift = _indicator_lift(n)
     reference = misfit + const(lam) * norm0_("x")
-    lift_y = _indicator_lift(n)
-
-    def lift(x):
-        ind, z = lift_y(x)
-        return np.concatenate([ind, z])
-
     problem = CnfProblem(
         name=f"ex9[n={n},lam={lam:g}]",
         n=n,
         m=2 * n,
         g=g,
         ineqs=(),
-        eqs=tuple(eqs),
+        eqs=eqs,
         reference_f=reference,
         exact=False,
         lift_map=lift,

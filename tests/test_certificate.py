@@ -1,8 +1,11 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import cnfopt.certificate as certificate
+import cnfopt.expr as expr
 from cnfopt.certificate import (
     CNP0_EQ,
     CNP_INEQ,
@@ -250,3 +253,111 @@ class TestCertify:
         assert doc["verdict"] == VERDICT_GLOBAL
         assert doc["kkt"]["u"] == pytest.approx([1.0], abs=1e-6)
         assert doc["point"]["x"] == [0.0, 0.0]
+
+
+def _sparse_ex9_point(n):
+    """x with one nonzero x_i = 2n/i, which zeroes the ex9 misfit."""
+    x = np.zeros(n)
+    i = n // 3
+    x[i - 1] = 2.0 * n / i
+    return x
+
+
+def _alternating(n):
+    return np.where(np.arange(n) % 2, -1.0, 1.0)
+
+
+class TestOneLinearizationPerCertificate:
+    """certify builds one feasibility report and takes each expression's
+    gradient once, however many of its tests run."""
+
+    @pytest.mark.parametrize(
+        "entry_id, params, x, verdict",
+        [
+            # the one-sided LP certifies
+            ("ex8", {"n": 10}, 1.3 * _alternating(10), VERDICT_GLOBAL),
+            # both LPs run and neither certifies
+            ("ex8", {"n": 10}, np.linspace(0.5, 2.0, 10) * _alternating(10), VERDICT_INCONCLUSIVE),
+            # the one-sided LP is unbounded, the equality LP certifies
+            ("ex9", {"n": 10, "lam": 1.0}, _sparse_ex9_point(10), VERDICT_KKT),
+        ],
+    )
+    def test_each_gradient_and_the_report_once(self, monkeypatch, entry_id, params, x, verdict):
+        prob = build(entry_id, **params).problem
+        calls, reports = self._count(monkeypatch)
+        cert = certify(prob, prob.lift(x))
+        assert cert.verdict == verdict
+        exprs = (prob.g, *prob.ineqs, *prob.eqs)
+        assert [calls[id(e)] for e in exprs] == [1] * len(exprs)
+        assert sum(calls.values()) == len(exprs)
+        assert len(reports) == 1
+
+    def test_no_constraint_gradient_outside_the_matched_set(self, monkeypatch, ex5):
+        calls, reports = self._count(monkeypatch)
+        cert = certify(ex5.problem, Point([1, 1], [0, 0, 0, 0]))
+        assert cert.verdict == VERDICT_INCONCLUSIVE
+        assert calls == Counter({id(ex5.problem.g): 1})
+        assert len(reports) == 1
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Count compiled-gradient calls per expression and feasibility
+        reports built by certify."""
+        calls = Counter()
+        reports = []
+        compiled, check = expr.compiled_gradient, certificate.check_feasible
+
+        def counting_gradient(e, *args):
+            fn, slots = compiled(e, *args)
+
+            def counted(*xy):
+                calls[id(e)] += 1
+                return fn(*xy)
+
+            return counted, slots
+
+        def counting_check(*args, **kwargs):
+            reports.append(check(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(expr, "compiled_gradient", counting_gradient)
+        monkeypatch.setattr(certificate, "check_feasible", counting_check)
+        return calls, reports
+
+
+class TestDirectionLpOracle:
+    """The simplex against HiGHS on both direction programs at certificate
+    points of dimension 30 to 181, beyond the enumeration oracle's reach."""
+
+    CASES = [
+        ("ex8", {"n": 10}, 1.3 * _alternating(10)),
+        ("ex8", {"n": 10}, np.linspace(0.5, 2.0, 10) * _alternating(10)),
+        ("ex8", {"n": 30}, 0.7 * _alternating(30)),
+        ("ex8", {"n": 30}, np.linspace(0.5, 2.0, 30) * _alternating(30)),
+        ("ex8", {"n": 60}, 1.1 * _alternating(60)),
+        ("ex9", {"n": 30, "lam": 1.0}, _sparse_ex9_point(30)),
+        ("ex9", {"n": 60, "lam": 1.0}, _sparse_ex9_point(60)),
+        ("ex9", {"n": 60, "lam": 1.0}, _sparse_ex9_point(60) + 0.3 * (np.arange(60) == 59)),
+    ]
+
+    @pytest.mark.parametrize("entry_id, params, x", CASES)
+    def test_status_and_objective_match_highs(self, entry_id, params, x):
+        optimize = pytest.importorskip("scipy.optimize")
+        prob = build(entry_id, **params).problem
+        p = prob.lift(x)
+        lin = certificate._linearize(prob, p, gradient(prob.g, p))
+        for variant in (CNP_INEQ, CNP0_EQ):
+            lp = certificate._direction_lp(lin, variant)
+            ours = certificate.solve_lp(lp)
+            ref = optimize.linprog(
+                lp.c,
+                A_ub=lp.A_ub if lp.b_ub.size else None,
+                b_ub=lp.b_ub if lp.b_ub.size else None,
+                A_eq=lp.A_eq if lp.b_eq.size else None,
+                b_eq=lp.b_eq if lp.b_eq.size else None,
+                bounds=(None, None),
+                method="highs",
+            )
+            assert ours.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+            if ours.status == "optimal":
+                assert ours.objective == pytest.approx(ref.fun, abs=1e-9)

@@ -20,6 +20,7 @@ from cnfopt.expr import (
     pretty,
     sum_,
     value_and_gradient,
+    walk,
     x_,
     y_,
 )
@@ -125,12 +126,6 @@ class TestGradient:
         g = gradient(e, Point([0, 0], [0, 0]))
         assert g == pytest.approx([5.0, 0.0, 0.0, 3.0])
 
-    def test_wrt_subset(self):
-        e = x_(1) * y_(1) + x_(2) ** 2
-        p = Point([2, 3], [4])
-        g = gradient(e, p, wrt=[1, 2])  # x[2] and y[1]
-        assert g == pytest.approx([6.0, 2.0])
-
     def test_nonsmooth_rejected(self):
         with pytest.raises(DialectError):
             gradient(abs_(x_(1)), Point([1], []))
@@ -187,6 +182,15 @@ class TestParse:
         assert not is_smooth(e)
         assert evaluate(e, Point([2, 4], [])) == pytest.approx(2.0)
 
+    def test_walk_is_preorder_and_needs_no_recursion(self):
+        e = parse("x[1]*y[1] + abs(x[2])", n=2, m=1)
+        assert [node.kind for node in walk(e)] == ["add", "mul", "var", "var", "abs", "var"]
+        deep = x_(1)
+        for _ in range(5000):  # far beyond the interpreter's recursion limit
+            deep = -deep
+        assert len(walk(deep)) == 5001
+        assert is_smooth(deep)
+
     def test_index_out_of_declared_range(self):
         with pytest.raises(ParseError, match="out of range"):
             parse("x[3]", n=2, m=0)
@@ -231,6 +235,20 @@ class TestParse:
     def test_exponent_folding_to_infinity_is_rejected(self):
         with pytest.raises(ParseError, match="not a finite number") as err:
             parse("x[1]^(1e200*1e200)", n=1, m=0)
+        assert (err.value.line, err.value.col) == (1, 5)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("x[1]^(0^(-1))", "zero raised to negative power"),
+            ("x[1]^((-8)^(0.5))", "fractional power 0.5 of negative base"),
+            ("x[1]^(1/0)", "division by zero"),
+            ("x[1]^(0^(-0.5))", "zero raised to negative power"),
+        ],
+    )
+    def test_undefined_exponent_is_rejected_at_the_caret(self, text, reason):
+        with pytest.raises(ParseError, match=f"power exponent is undefined: {reason}") as err:
+            parse(text, n=1, m=0)
         assert (err.value.line, err.value.col) == (1, 5)
 
     def test_whitespace_insensitive(self):
@@ -364,16 +382,6 @@ class TestCompiledAgainstReference:
         for _ in range(50):
             p = Point(rng.uniform(-2, 2, 2), [])
             assert evaluate(e, p) == pytest.approx(ref_eval(e, p), rel=1e-12)
-
-    def test_wrt_restriction_matches_dense_slice(self):
-        rng = np.random.default_rng(34)
-        for _ in range(40):
-            e = random_smooth_tree(rng, 3, 3, 2)
-            p = Point(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 2))
-            dense = ref_grad(e, p)[1]
-            wrt = [0, 2, 4]  # x1, x3, y2
-            got = gradient(e, p, wrt=wrt)
-            np.testing.assert_allclose(got, dense[wrt], rtol=1e-10, atol=1e-12)
 
     def test_deep_chain_compiles(self):
         e = x_(1)

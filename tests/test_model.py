@@ -216,6 +216,12 @@ class TestProblemText:
             with pytest.raises(ProblemFormatError, match="line 5: .*not a finite number"):
                 load_problem(bad)
 
+    def test_undefined_exponents_are_format_errors(self):
+        for expo in ("(0^(-1))", "((-8)^(0.5))", "(1/0)"):
+            bad = f'problem "p"\nvar x 1\naux y 0\nobjective: x[1]^2\nineq: x[1]^{expo}\n'
+            with pytest.raises(ProblemFormatError, match="line 5: power exponent is undefined"):
+                load_problem(bad)
+
     def test_reference_may_be_nonsmooth_but_objective_not(self):
         bad = 'problem "p"\nvar x 1\naux y 0\nobjective: abs(x[1])\n'
         with pytest.raises(ProblemFormatError):
