@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Point, gradient, value_and_gradient
-from .lagrangian import Multipliers, lagrangian
+from .lagrangian import V_NONNEG, Multipliers, lagrangian
 from .lp import LpProblem, solve_lp
 from .model import check_feasible
 
@@ -207,7 +207,7 @@ def saddle_check(prob, p, mult, samples=500, seed=0, tol=1e-8):
     violations = 0
     for _ in range(samples):
         u_rand = rng.uniform(0.0, u_hi, prob.s)
-        if mult.sign_mode == "v_nonneg":
+        if mult.sign_mode == V_NONNEG:
             v_rand = rng.uniform(0.0, v_hi, prob.r)
         else:
             v_rand = rng.uniform(-v_hi, v_hi, prob.r)

@@ -24,11 +24,10 @@ class SimplexError(Exception):
     """Internal failure (the anti-cycling pivot budget ran out)."""
 
 
-def _as_matrix(a, rows, cols):
+def _as_matrix(a, cols):
     if a is None:
-        return np.zeros((rows if rows is not None else 0, cols))
-    out = np.atleast_2d(np.asarray(a, dtype=float))
-    return out
+        return np.zeros((0, cols))
+    return np.atleast_2d(np.asarray(a, dtype=float))
 
 
 @dataclass
@@ -44,8 +43,8 @@ class LpProblem:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         k = self.c.shape[0]
-        self.A_ub = _as_matrix(self.A_ub, 0, k)
-        self.A_eq = _as_matrix(self.A_eq, 0, k)
+        self.A_ub = _as_matrix(self.A_ub, k)
+        self.A_eq = _as_matrix(self.A_eq, k)
         self.b_ub = np.asarray(self.b_ub if self.b_ub is not None else [], dtype=float)
         self.b_eq = np.asarray(self.b_eq if self.b_eq is not None else [], dtype=float)
         if self.A_ub.shape != (self.b_ub.shape[0], k):
@@ -104,41 +103,39 @@ def _d_from_z(z, k):
 
 def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
+    # only rows with a nonzero in the pivot column change
+    for r in np.flatnonzero(T[:, col]):
+        if r != row:
             T[r] -= T[r, col] * T[row]
     basis[row] = col
 
 
-def _bland_iterate(T, basis, costs, candidate_cols, pivots_used):
+def _bland_iterate(T, basis, costs, pivots_used):
     """Run Bland-rule pivots to optimality; returns ('optimal', pivots) or
-    ('unbounded', entering column index)."""
-    mrows = T.shape[0]
+    ('unbounded', entering column index).  Only the structural columns, the
+    ones left of the artificial block, may enter."""
+    ncols = T.shape[1] - T.shape[0] - 1
     while True:
-        cb = costs[basis]
-        # reduced costs over the candidate columns only
-        entering = -1
-        for j in candidate_cols:
-            if j in basis:
-                continue
-            rj = costs[j] - cb @ T[:, j]
-            if rj < -REDUCED_COST_TOL:
-                entering = j
-                break
-        if entering < 0:
+        # every structural column priced in one product over a slice view;
+        # recomputed each time, since a row updated across pivots drifts by
+        # the rounding of large tableau entries and can cross the tolerance
+        rc = costs[:ncols] - costs[basis] @ T[:, :ncols]
+        rc[basis[basis < ncols]] = 0.0
+        below = np.flatnonzero(rc < -REDUCED_COST_TOL)
+        if not below.size:
             return "optimal", pivots_used
+        entering = int(below[0])
         col = T[:, entering]
         leave_row = -1
         best_ratio = np.inf
-        for r in range(mrows):
-            if col[r] > PIVOT_TOL:
-                ratio = T[r, -1] / col[r]
-                if ratio < best_ratio - PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= PIVOT_TOL
-                    and (leave_row < 0 or basis[r] < basis[leave_row])
-                ):
-                    best_ratio = ratio
-                    leave_row = r
+        for r in np.flatnonzero(col > PIVOT_TOL):
+            ratio = T[r, -1] / col[r]
+            if ratio < best_ratio - PIVOT_TOL or (
+                abs(ratio - best_ratio) <= PIVOT_TOL
+                and (leave_row < 0 or basis[r] < basis[leave_row])
+            ):
+                best_ratio = ratio
+                leave_row = r
         if leave_row < 0:
             return "unbounded", entering
         _pivot(T, basis, leave_row, entering)
@@ -179,12 +176,11 @@ def solve_lp(lp):
     T[:, :ncols] = A
     T[:, ncols : ncols + mrows] = np.eye(mrows)
     T[:, -1] = b
-    basis = [ncols + i for i in range(mrows)]
-    structural = list(range(ncols))
+    basis = np.arange(ncols, ncols + mrows)
 
     phase1_costs = np.zeros(ncols + mrows)
     phase1_costs[ncols:] = 1.0
-    status, pivots = _bland_iterate(T, basis, phase1_costs, structural, 0)
+    status, pivots = _bland_iterate(T, basis, phase1_costs, 0)
     if status != "optimal":
         raise SimplexError("phase 1 cannot be unbounded")
     phase1_value = float(phase1_costs[basis] @ T[:, -1])
@@ -193,28 +189,26 @@ def solve_lp(lp):
         return LpSolution(status="infeasible", phase1_value=phase1_value)
 
     # drive any zero-valued artificials out of the basis where possible
-    for r in range(mrows):
-        if basis[r] >= ncols:
-            for j in structural:
-                if j not in basis and abs(T[r, j]) > PIVOT_TOL:
-                    _pivot(T, basis, r, j)
-                    break
+    nonbasic = np.ones(ncols, dtype=bool)
+    nonbasic[basis[basis < ncols]] = False
+    for r in np.flatnonzero(basis >= ncols):
+        cand = np.flatnonzero(nonbasic & (np.abs(T[r, :ncols]) > PIVOT_TOL))
+        if cand.size:
+            nonbasic[cand[0]] = False
+            _pivot(T, basis, r, cand[0])
 
     phase2_costs = np.concatenate([costs, np.zeros(mrows)])
-    status, info = _bland_iterate(T, basis, phase2_costs, structural, pivots)
+    status, info = _bland_iterate(T, basis, phase2_costs, pivots)
+    structural = basis < ncols
     if status == "unbounded":
         entering = info
         ray_z = np.zeros(ncols)
         ray_z[entering] = 1.0
-        for r in range(mrows):
-            if basis[r] < ncols:
-                ray_z[basis[r]] = -T[r, entering]
+        ray_z[basis[structural]] = -T[structural, entering]
         return LpSolution(status="unbounded", ray=_d_from_z(ray_z, k))
 
     z = np.zeros(ncols)
-    for r in range(mrows):
-        if basis[r] < ncols:
-            z[basis[r]] = T[r, -1]
+    z[basis[structural]] = T[structural, -1]
     d = _d_from_z(z, k)
     objective = float(lp.c @ d)
     # y = c_B B^{-1}, read through the artificial block; undo row flips and

@@ -1,9 +1,23 @@
-"""Brute-force LP oracle for the simplex tests: enumerates every basis of
-the standardized system, so it only reaches a handful of columns."""
+"""Reference LP solvers for the simplex tests.
+
+``enumerate_vertices_oracle`` enumerates every basis of the standardized
+system, so it only reaches a handful of columns.  ``scalar_simplex`` is
+``solve_lp``'s two-phase Bland simplex written one column and one row at a
+time; the two must take the same pivots and return the same numbers.
+"""
 
 import numpy as np
 
-from cnfopt.lp import LpSolution, _d_from_z, _standardize, solve_lp
+from cnfopt.lp import (
+    _MAX_PIVOTS,
+    PIVOT_TOL,
+    REDUCED_COST_TOL,
+    LpSolution,
+    SimplexError,
+    _d_from_z,
+    _standardize,
+    solve_lp,
+)
 
 
 def enumerate_vertices_oracle(lp, size_cap=12):
@@ -79,3 +93,112 @@ def enumerate_vertices_oracle(lp, size_cap=12):
     if not feasible:
         return LpSolution(status="infeasible", phase1_value=np.nan)
     return LpSolution(status="optimal", d=_d_from_z(best_z, k), objective=best_obj)
+
+
+def _scalar_pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            T[r] -= T[r, col] * T[row]
+    basis[row] = col
+
+
+def _scalar_bland_iterate(T, basis, costs, candidate_cols, pivots_used):
+    """Bland's rule with each candidate column priced by its own dot
+    product; returns ('optimal', pivots) or ('unbounded', (column, pivots))."""
+    mrows = T.shape[0]
+    while True:
+        cb = costs[basis]
+        entering = -1
+        for j in candidate_cols:
+            if j in basis:
+                continue
+            rj = costs[j] - cb @ T[:, j]
+            if rj < -REDUCED_COST_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal", pivots_used
+        col = T[:, entering]
+        leave_row = -1
+        best_ratio = np.inf
+        for r in range(mrows):
+            if col[r] > PIVOT_TOL:
+                ratio = T[r, -1] / col[r]
+                if ratio < best_ratio - PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= PIVOT_TOL
+                    and (leave_row < 0 or basis[r] < basis[leave_row])
+                ):
+                    best_ratio = ratio
+                    leave_row = r
+        if leave_row < 0:
+            return "unbounded", (entering, pivots_used)
+        _scalar_pivot(T, basis, leave_row, entering)
+        pivots_used += 1
+        if pivots_used > _MAX_PIVOTS:
+            raise SimplexError("pivot budget exhausted despite Bland's rule")
+
+
+def scalar_simplex(lp):
+    """The reference two-phase simplex; returns (LpSolution, pivots), where
+    pivots counts every pivot, those that drive artificials out included."""
+    k = lp.nvars
+    mu = lp.b_ub.shape[0]
+    mrows = mu + lp.b_eq.shape[0]
+    if mrows == 0:
+        return solve_lp(lp), 0  # the closed-form branch takes no pivots
+
+    A, b, costs, signs = _standardize(lp)
+    ncols = A.shape[1]
+    T = np.zeros((mrows, ncols + mrows + 1))
+    T[:, :ncols] = A
+    T[:, ncols : ncols + mrows] = np.eye(mrows)
+    T[:, -1] = b
+    basis = [ncols + i for i in range(mrows)]
+    structural = list(range(ncols))
+
+    phase1_costs = np.zeros(ncols + mrows)
+    phase1_costs[ncols:] = 1.0
+    status, pivots = _scalar_bland_iterate(T, basis, phase1_costs, structural, 0)
+    if status != "optimal":
+        raise SimplexError("phase 1 cannot be unbounded")
+    phase1_value = float(phase1_costs[basis] @ T[:, -1])
+    if phase1_value > 1e-8 * max(1.0, float(np.abs(b).max())):
+        return LpSolution(status="infeasible", phase1_value=phase1_value), pivots
+
+    for r in range(mrows):
+        if basis[r] >= ncols:
+            for j in structural:
+                if j not in basis and abs(T[r, j]) > PIVOT_TOL:
+                    _scalar_pivot(T, basis, r, j)
+                    pivots += 1
+                    break
+
+    phase2_costs = np.concatenate([costs, np.zeros(mrows)])
+    status, info = _scalar_bland_iterate(T, basis, phase2_costs, structural, pivots)
+    if status == "unbounded":
+        entering, pivots = info
+        ray_z = np.zeros(ncols)
+        ray_z[entering] = 1.0
+        for r in range(mrows):
+            if basis[r] < ncols:
+                ray_z[basis[r]] = -T[r, entering]
+        return LpSolution(status="unbounded", ray=_d_from_z(ray_z, k)), pivots
+
+    z = np.zeros(ncols)
+    for r in range(mrows):
+        if basis[r] < ncols:
+            z[basis[r]] = T[r, -1]
+    d = _d_from_z(z, k)
+    y_orig = -(signs * (phase2_costs[basis] @ T[:, ncols : ncols + mrows]))
+    duals_ub = y_orig[:mu].copy()
+    duals_eq = y_orig[mu:].copy()
+    duals_ub[(duals_ub > -1e-9) & (duals_ub < 0.0)] = 0.0
+    solution = LpSolution(
+        status="optimal",
+        d=d,
+        objective=float(lp.c @ d),
+        duals_ub=duals_ub,
+        duals_eq=duals_eq,
+    )
+    return solution, info

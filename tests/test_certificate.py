@@ -24,6 +24,7 @@ from cnfopt.expr import Point, gradient, x_, y_
 from cnfopt.lagrangian import V_NONNEG, Multipliers
 from cnfopt.model import CnfProblem
 from cnfopt.problems import build
+from lp_oracle import scalar_simplex
 
 ORIGIN6 = Point([0, 0], [0, 0, 0, 0])
 
@@ -326,8 +327,9 @@ class TestOneLinearizationPerCertificate:
 
 
 class TestDirectionLpOracle:
-    """The simplex against HiGHS on both direction programs at certificate
-    points of dimension 30 to 181, beyond the enumeration oracle's reach."""
+    """The simplex against HiGHS on both direction programs, and certify
+    against the scalar reference simplex, at certificate points of dimension
+    30 to 181, beyond the enumeration oracle's reach."""
 
     CASES = [
         ("ex8", {"n": 10}, 1.3 * _alternating(10)),
@@ -361,3 +363,13 @@ class TestDirectionLpOracle:
             assert ours.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
             if ours.status == "optimal":
                 assert ours.objective == pytest.approx(ref.fun, abs=1e-9)
+
+    @pytest.mark.parametrize("entry_id, params, x", CASES)
+    def test_certificate_matches_the_scalar_simplex(self, monkeypatch, entry_id, params, x):
+        # the scalar reference prices one column at a time; the certificate,
+        # multipliers included, must come out byte-identical
+        prob = build(entry_id, **params).problem
+        p = prob.lift(x)
+        fast = certify(prob, p).to_json()
+        monkeypatch.setattr(certificate, "solve_lp", lambda lp: scalar_simplex(lp)[0])
+        assert certify(prob, p).to_json() == fast

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import cnfopt.lp as lp_module
 from cnfopt.lp import LpProblem, LpSolution, solve_lp
-from lp_oracle import enumerate_vertices_oracle
+from lp_oracle import enumerate_vertices_oracle, scalar_simplex
 
 
 def check_optimal_certificates(lp, sol, tol=1e-8):
@@ -211,3 +212,109 @@ class TestAgainstOracle:
             assert got.status == want.status
             if got.status == "optimal":
                 assert got.objective == pytest.approx(want.objective, abs=1e-8)
+
+
+def degenerate_lp(rng):
+    """Random LP with every right-hand side zero, so d = 0 is feasible and
+    most pivots are degenerate: at most 60 standardized columns, inequality
+    rows always, equality rows (sometimes a repeated one) often."""
+    nvars = int(rng.integers(2, 16))
+    rows_ub = int(rng.integers(1, 61 - 2 * nvars))
+    rows_eq = int(rng.integers(0, nvars))
+    c = rng.integers(-3, 4, nvars).astype(float)
+    A_ub = rng.integers(-3, 4, (rows_ub, nvars)).astype(float)
+    A_eq = rng.integers(-3, 4, (rows_eq, nvars)).astype(float) if rows_eq else None
+    if rows_eq > 1 and rng.random() < 0.3:
+        A_eq[-1] = A_eq[0]
+    return LpProblem(
+        c=c,
+        A_ub=A_ub,
+        b_ub=np.zeros(rows_ub),
+        A_eq=A_eq,
+        b_eq=np.zeros(rows_eq) if rows_eq else None,
+    )
+
+
+class TestAgainstScalarSimplex:
+    """solve_lp prices every column with one vector-matrix product; the
+    scalar reference prices one column at a time.  Bland's rule must pick
+    the same pivots, so every number must agree exactly."""
+
+    @staticmethod
+    def _counted_solve(monkeypatch, lp):
+        pivots = [0]
+        pivot = lp_module._pivot
+
+        def counting(*args):
+            pivots[0] += 1
+            return pivot(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(lp_module, "_pivot", counting)
+            return solve_lp(lp), pivots[0]
+
+    def _assert_same(self, monkeypatch, lp):
+        got, got_pivots = self._counted_solve(monkeypatch, lp)
+        want, want_pivots = scalar_simplex(lp)
+        assert got.status == want.status
+        assert got_pivots == want_pivots
+        for field in ("d", "duals_ub", "duals_eq", "ray"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None) == (b is None), field
+            if a is not None:
+                assert np.array_equal(a, b), field
+        assert got.objective == want.objective
+        assert got.phase1_value == want.phase1_value
+        return got.status, got_pivots
+
+    def test_degenerate_zero_rhs_family(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        statuses = {"optimal": 0, "unbounded": 0}
+        most_pivots = 0
+        for _ in range(60):
+            status, pivots = self._assert_same(monkeypatch, degenerate_lp(rng))
+            statuses[status] += 1
+            most_pivots = max(most_pivots, pivots)
+        assert min(statuses.values()) > 0, statuses
+        assert most_pivots >= 20
+
+    def test_small_random_family(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        statuses = {"optimal": 0, "unbounded": 0, "infeasible": 0}
+        for _ in range(200):
+            status, _ = self._assert_same(monkeypatch, random_lp(rng))
+            statuses[status] += 1
+        assert min(statuses.values()) > 0, statuses
+
+    def test_near_singular_direction_lp(self, monkeypatch):
+        # a one-sided direction LP from an ex9 n=4 solve: rows that differ by
+        # 1e-16 to 1e-7 make tableau entries near 1e7, and a reduced-cost row
+        # updated across pivots instead of recomputed drifted below the
+        # tolerance on a column with no positive entry ("phase 1 unbounded")
+        entries = [
+            (0, 0, -1.9999999999999996), (0, 4, -1.9999999999999996), (0, 8, -1.0),
+            (1, 0, 4.869933475711918e-16), (1, 4, -2.0), (1, 8, -1.0),
+            (2, 4, -1.0000000000000002),
+            (3, 1, -1.9999999999999996), (3, 5, -1.9999999999999996), (3, 9, -1.0),
+            (4, 1, 8.863947890411843e-16), (4, 5, -2.0000000000000004), (4, 9, -1.0),
+            (5, 5, -1.0000000000000004),
+            (6, 2, 6.043646581387097), (6, 6, 6.043646581387097), (6, 10, -1.0),
+            (7, 2, 6.043646581373252), (7, 6, 1.3845813384705252e-11), (7, 10, -1.0),
+            (8, 6, 1.0000000000138458),
+            (9, 3, -0.5327347802549132), (9, 7, -0.5327347802549132), (9, 11, -1.0),
+            (10, 3, -0.5327349360348821), (10, 7, 1.5577996892446322e-07), (10, 11, -1.0),
+            (11, 7, 1.000000155779969),
+        ]
+        A_ub = np.zeros((12, 12))
+        for i, j, a in entries:
+            A_ub[i, j] = a
+        c = np.array(
+            [
+                -1.9770851622524788e-11, -3.9541703245049575e-11,
+                -5.931255486757436e-11, -7.908340649009915e-11,
+                -1.2993285641932998e-16, -5.197561163362715e-16,
+                2.000000000013846, 2.000000155779969, 0.0, 0.0, 0.0, 0.0,
+            ]
+        )
+        lp = LpProblem(c=c, A_ub=A_ub, b_ub=np.zeros(12))
+        assert self._assert_same(monkeypatch, lp) == ("unbounded", 19)

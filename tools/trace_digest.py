@@ -1,6 +1,10 @@
-"""Print the status and an output digest of every benchmark job at seed 1.
+"""Print the status and an output digest of every benchmark job at one seed.
 
-    python3 tools/trace_digest.py
+    python3 tools/trace_digest.py [seed]
+
+The seed defaults to ``jobs.DEFAULT_SEED`` (1); give another, such as
+``jobs.HELD_OUT_SEED``, to check inputs that were not looked at while writing
+a change.
 
 Run from anywhere; cnfopt is imported from this checkout's ``src/`` and the
 job lists from ``perfbench/jobs.py``, which is only read.  Each of the jobs
@@ -17,6 +21,7 @@ diffing this script's output before and after it.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import sys
@@ -44,14 +49,17 @@ def _recording(fn, render, outputs):
     return wrapper
 
 
-def main():
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("seed", type=int, nargs="?", default=jobs.DEFAULT_SEED)
+    seed = ap.parse_args(argv).seed
     outputs = []
     # jobs reach the library through module attributes at call time
     for name in ("solve_alpf", "solve_penalty", "solve_decomposed"):
         setattr(alpf, name, _recording(getattr(alpf, name), alpf.trace_to_jsonl, outputs))
     certificate.certify = _recording(certificate.certify, lambda c: c.to_json(), outputs)
     for workload in jobs.WORKLOADS:
-        for job in jobs.make_workload(workload, jobs.DEFAULT_SEED):
+        for job in jobs.make_workload(workload, seed):
             outputs.clear()
             try:
                 status = job.run().status
