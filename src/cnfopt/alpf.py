@@ -29,6 +29,7 @@ from .inner import InnerConfig, minimize
 from .lagrangian import (
     Multipliers,
     augmented,
+    augmented_batch,
     augmented_gradient,
     augmented_objective,
     lagrangian_convexity_violations,
@@ -186,11 +187,11 @@ def _outer_loop(prob, cfg, solver, partition=None):
     for k in range(1, cfg.max_outer + 1):
         inner_status = "converged"
         for wrt, ineq_idx, eq_idx in blocks:
-            fun, value_fn, to_point = augmented_objective(
-                prob, u[ineq_idx], v[eq_idx], rho,
-                base=p, wrt=wrt, ineq_idx=ineq_idx, eq_idx=eq_idx,
-            )
-            res = minimize(fun, p.flat()[wrt], cfg.inner, value_fn=value_fn)
+            args = (prob, u[ineq_idx], v[eq_idx], rho)
+            block = dict(base=p, wrt=wrt, ineq_idx=ineq_idx, eq_idx=eq_idx)
+            fun, value_fn, to_point = augmented_objective(*args, **block)
+            res = minimize(fun, p.flat()[wrt], cfg.inner, value_fn=value_fn,
+                           batch_fun=augmented_batch(*args, **block))
             p = to_point(res.point)
             inner_status = min(inner_status, res.status, key=_CYCLE_PRECEDENCE.index)
             if inner_status == "diverged":

@@ -294,6 +294,52 @@ _RUNTIME = {
 }
 
 
+# The runtime of gradient code run on many points at once: each variable is
+# an array over the points (or one float they all share) and every helper
+# works elementwise with the same IEEE operations as its scalar twin, so each
+# element equals the scalar result bit for bit.  A DomainError at any point
+# raises, as the scalar code would at that point.
+
+
+def _bt_div(a, b, loc):
+    if np.any(b == 0.0):
+        raise DomainError(f"division by zero {loc}")
+    return a / b
+
+
+def _bt_pow(v, expo, loc):
+    # Python's ** on each element: numpy's vectorized pow need not round as libm does
+    if isinstance(v, np.ndarray):
+        return np.array([_rt_pow(t, expo, loc) for t in v.tolist()])
+    return _rt_pow(v, expo, loc)
+
+
+def _bt_sqrt(v, loc):
+    neg = np.less(v, 0.0)
+    if np.any(neg):
+        _rt_sqrt(float(np.asarray(v)[neg][0]), loc)
+    return np.sqrt(v)
+
+
+def _bt_inv_2sqrt(s, loc):
+    if np.any(s == 0.0):
+        _rt_inv_2sqrt(0.0, loc)
+    return 0.5 / s
+
+
+_BATCH_RUNTIME = {
+    "_div": _bt_div,
+    "_pw": _bt_pow,
+    "_sq": _bt_sqrt,
+    "_isq": _bt_inv_2sqrt,
+}
+
+# a right-hand side that only names a value or negates a literal is used as
+# the fragment itself, with no temp to copy it
+_LITERAL = r"\d+(?:\.\d*)?(?:e[+-]\d+)?"
+_NO_TEMP = re.compile(rf"t\d+|[xy]\[\d+\]|-(?:-?{_LITERAL}|\(-?{_LITERAL}\))")
+
+
 class _Emitter:
     def __init__(self):
         self.lines = []
@@ -301,6 +347,8 @@ class _Emitter:
         self.consts = {}
 
     def temp(self, rhs):
+        if _NO_TEMP.fullmatch(rhs):
+            return rhs
         name = f"t{self.counter}"
         self.counter += 1
         self.lines.append(f"    {name} = {rhs}")
@@ -312,16 +360,19 @@ class _Emitter:
         self.consts[name] = value
         return name
 
-    def build(self, head, result_expr):
+    def build(self, head, result_expr, runtime=_RUNTIME):
         """Compile ``def <head>:`` over the emitted lines, returning
-        ``result_expr``; ``head`` is the name and parameter list."""
+        ``result_expr``; ``head`` is the name and parameter list, and
+        ``runtime`` binds the helper names the lines call."""
         fname = head.partition("(")[0]
         src = [f"def {head}:"] + self.lines + [f"    return {result_expr}"]
-        namespace = dict(_RUNTIME)
+        namespace = dict(runtime)
         namespace.update(self.consts)
         code = compile("\n".join(src), f"<cnfopt:{fname}>", "exec")
         exec(code, namespace)
-        return namespace[fname]
+        # popped: a function left in its own globals would form a cycle that
+        # only a full garbage collection frees, holding its code until then
+        return namespace.pop(fname)
 
 
 def _lit(v):

@@ -2,12 +2,14 @@
 
 Two methods over flat coordinate vectors: backtracking gradient descent,
 and a Newton method whose Hessian comes from central differences of the
-gradient with a Levenberg-style diagonal shift.  Both enforce the Armijo
-condition on every accepted step and guard against unbounded descent.
+gradient with a Levenberg-style diagonal shift.  The gradients at all 2*dim
+neighbours of an iterate come from one batched call.  Both enforce the
+Armijo condition on every accepted step and guard against unbounded descent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,22 +76,37 @@ class InnerResult:
     iterations: int
 
 
-def _newton_direction(fun, z, grad):
-    """Shifted-Newton direction from a finite-difference Hessian; falls
-    back to steepest descent if the factorization keeps failing."""
+def _rowwise(fun):
+    """``batch_fun`` for a plain ``fun``: one call per row."""
+
+    def batch_fun(points):
+        out = [fun(z) for z in points]
+        return np.array([f for f, _ in out]), np.array([g for _, g in out])
+
+    return batch_fun
+
+
+def _fd_hessian(batch_fun, z):
+    """Central-difference Hessian at ``z`` from one ``batch_fun`` call over
+    the 2*dim neighbours z +- FD_STEP e_i, symmetrized."""
     dim = z.shape[0]
     h = FD_STEP
-    H = np.empty((dim, dim))
-    for i in range(dim):
-        zp = z.copy()
-        zm = z.copy()
-        zp[i] += h
-        zm[i] -= h
-        H[:, i] = (fun(zp)[1] - fun(zm)[1]) / (2.0 * h)
-    H = 0.5 * (H + H.T)
+    idx = np.arange(dim)
+    points = np.tile(z, (2 * dim, 1))
+    points[idx, idx] += h
+    points[dim + idx, idx] -= h
+    grads = batch_fun(points)[1]
+    # column i is (grad(z + h e_i) - grad(z - h e_i)) / 2h
+    H = ((grads[:dim] - grads[dim:]) / (2.0 * h)).T
+    return 0.5 * (H + H.T)
+
+
+def _newton_direction(H, grad):
+    """Shifted-Newton direction for the Hessian ``H``; falls back to
+    steepest descent if the factorization keeps failing."""
     if not np.isfinite(H).all():
         return -grad
-    eye = np.eye(dim)
+    eye = np.eye(H.shape[0])
     tau = 1e-8
     while tau <= 1e20:
         try:
@@ -105,11 +122,15 @@ def _newton_direction(fun, z, grad):
     return -grad
 
 
-def minimize(fun, start, cfg=None, value_fn=None, callback=None):
+def minimize(fun, start, cfg=None, value_fn=None, callback=None, batch_fun=None):
     """Minimize a smooth function given by ``fun(z) -> (value, gradient)``.
 
     ``value_fn`` optionally provides a cheaper value-only evaluation for
-    line-search trials.  Convergence means the gradient norm dropped below
+    line-search trials, and ``batch_fun(points) -> (values, gradients)``
+    one evaluation of ``fun`` at every row of a 2-D array, equal to it bit
+    for bit; the Newton method builds each finite-difference Hessian from
+    one such call (row by row through ``fun`` when it is omitted).
+    Convergence means the gradient norm dropped below
     grad_tol scaled by max(1, |f(start)|), which keeps the test meaningful
     when penalty weights inflate the objective.  Divergence means an
     accepted iterate fell below ``VALUE_FLOOR`` or left the
@@ -120,6 +141,7 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None):
     """
     cfg = cfg if cfg is not None else InnerConfig()
     value_of = value_fn if value_fn is not None else (lambda z: fun(z)[0])
+    batch_fun = batch_fun if batch_fun is not None else _rowwise(fun)
 
     z = np.asarray(start, dtype=float).copy()
     f, g = fun(z)
@@ -132,10 +154,12 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None):
 
     # the last pass only checks the final iterate
     for it in range(cfg.max_iters + 1):
-        gnorm = float(np.linalg.norm(g))
+        # sqrt of a dot product is what np.linalg.norm computes for a 1-D
+        # float array, without its dispatch cost
+        gnorm = math.sqrt(g.dot(g))
         if gnorm <= tol:
             return InnerResult(z, f, gnorm, "converged", it)
-        if f < VALUE_FLOOR or np.linalg.norm(z) > POINT_NORM_CAP:
+        if f < VALUE_FLOOR or math.sqrt(z.dot(z)) > POINT_NORM_CAP:
             return InnerResult(z, f, gnorm, "diverged", it)
         if it == cfg.max_iters:
             return InnerResult(z, f, gnorm, "max_iters", it)
@@ -152,7 +176,7 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None):
             window_f0 = f
 
         if cfg.method == NEWTON_FD:
-            d = _newton_direction(fun, z, g)
+            d = _newton_direction(_fd_hessian(batch_fun, z), g)
             t = INIT_STEP
         else:
             d = -g

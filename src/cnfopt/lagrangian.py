@@ -18,7 +18,10 @@ compile.  The kernel is straight-line code in pieces, the objective and
 then at most 16 constraints each, which bounds compile-time memory.  Each
 piece adds its constraints' terms to the running value and their weighted
 partials to one gradient list in constraint order, skipping a weight of
-exactly 0, so the result equals a term-by-term sum bit for bit.
+exactly 0, so the result equals a term-by-term sum bit for bit.  A batched
+form of the same gradient code runs on arrays over many points at once,
+with the same operations per point, for the Newton method's
+finite-difference Hessian.
 """
 
 from __future__ import annotations
@@ -27,7 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Point, _cache_of, _emit_grad, _emit_value, _Emitter
+from .expr import (
+    _BATCH_RUNTIME,
+    _RUNTIME,
+    Point,
+    _cache_of,
+    _emit_grad,
+    _emit_value,
+    _Emitter,
+)
 # only the benchmark's tracer uses these here: it patches both names on this module
 from .expr import compiled_gradient, compiled_value  # noqa: F401
 from .inner import InnerConfig, InnerResult, minimize
@@ -74,6 +85,27 @@ def _check_mult(prob, mult):
         )
 
 
+def _nonzero(w):
+    """Where the weights ``w`` of a batch are nonzero: True at every point,
+    False at none, else a mask over the points."""
+    if w.all():
+        return True
+    return w != 0.0 if w.any() else False
+
+
+def _wadd(acc, w, partial, nz):
+    """acc + w * partial at the points where ``nz`` holds, acc elsewhere;
+    never in place, since acc may be an input array."""
+    if nz is True:
+        return acc + w * partial
+    if nz is False:
+        return acc
+    return np.where(nz, acc + w * partial, acc)
+
+
+_KERNEL_BATCH_RUNTIME = {**_BATCH_RUNTIME, "_where": np.where, "_nonzero": _nonzero,
+                         "_wadd": _wadd}
+
 # a kernel piece holds at most this many constraints, and the objective
 # has a piece of its own: one straight-line function over everything would
 # make compile-time memory grow with the problem size
@@ -84,8 +116,9 @@ class _Kernel:
     """A and its partials for one problem over one column subset and one
     constraint subset, laid out as the module docstring says.  ``mu``
     lists the multipliers of the selected inequalities, then of the
-    selected equalities.  Value and gradient pieces each compile on first
-    use, so value-only callers never pay for gradient code."""
+    selected equalities.  Value, gradient and batched gradient pieces each
+    compile on first use, so value-only callers never pay for gradient
+    code and gradient descent never pays for the batched form."""
 
     def __init__(self, prob, cols, ineq_idx, eq_idx):
         # no reference to prob itself: the kernel is cached on the problem,
@@ -97,6 +130,7 @@ class _Kernel:
         self._cons += [(prob.eqs[j], True) for j in eq_idx]
         self._value_pieces = None
         self._grad_pieces = None
+        self._batch_pieces = None
 
     def value(self, vec, mu, rho):
         """A at the flat point ``vec`` (x block, then y block)."""
@@ -119,12 +153,35 @@ class _Kernel:
             a = piece(x, y, mu, rho, a, acc)
         return float(a), acc
 
+    def batch_value_and_grad(self, x, y, mu, rho, size):
+        """(A, partials) at ``size`` points at once, equal to
+        ``value_and_grad`` at each point bit for bit.  ``x`` and ``y`` hold,
+        per coordinate, an array over the points or one float they share.
+        Returns A as an array over the points and the partials as an array
+        of shape (kernel columns, points)."""
+        if self._batch_pieces is None:
+            self._batch_pieces = self._compile(True, batched=True)
+        first, *rest = self._batch_pieces
+        acc = [0.0] * self._width
+        with np.errstate(all="ignore"):  # overflow gives inf, as on floats
+            # a copy: the pieces add to a in place, and the objective may be
+            # a bare variable whose array is an input
+            a = np.full(size, first(x, y, mu, rho, 0.0, acc))
+            for piece in rest:
+                a = piece(x, y, mu, rho, a, acc)
+        grads = np.empty((self._width, size))
+        for s, col in enumerate(acc):
+            grads[s] = col
+        return a, grads
+
     def _blocks(self, vec):
         # plain lists keep the compiled straight-line code on the float
         # fast path instead of numpy scalar arithmetic
         return vec[:self._n].tolist(), vec[self._n:].tolist()
 
-    def _compile(self, with_grad):
+    def _compile(self, with_grad, batched=False):
+        """The kernel's pieces.  The batched form runs the gradient code on
+        arrays over points; only two line templates differ, as noted."""
         n, pos = self._n, self._pos
 
         def emit(e, em):
@@ -133,11 +190,12 @@ class _Kernel:
             return _emit_value(e, em), {}
 
         head = "_agrad(x, y, mu, rho, a, acc)" if with_grad else "_aval(x, y, mu, rho, a)"
+        runtime = _KERNEL_BATCH_RUNTIME if batched else _RUNTIME
         em = _Emitter()
         val, grad = emit(self._g, em)
         em.lines.append(f"    a = {val}")
         em.lines.extend(f"    acc[{s}] = {grad[s]}" for s in sorted(grad))
-        pieces = [em.build(head, "a")]
+        pieces = [em.build(head, "a", runtime)]
         for lo in range(0, len(self._cons), _PIECE):
             em = _Emitter()
             for k in range(lo, min(lo + _PIECE, len(self._cons))):
@@ -146,15 +204,24 @@ class _Kernel:
                 p = c
                 if not is_eq:
                     p = "p"
-                    em.lines.append(f"    p = {c} if {c} > 0.0 else 0.0")
+                    # the hinge: a conditional expression, or a select per point
+                    em.lines.append(f"    p = _where({c} > 0.0, {c}, 0.0)" if batched
+                                    else f"    p = {c} if {c} > 0.0 else 0.0")
                 em.lines.append(f"    a += mu[{k}] * {c} + rho * {p} * {p}")
                 if grad:
                     # a zero weight adds nothing, so an overflowing partial
-                    # cannot turn the sum into nan
+                    # cannot turn the sum into nan; per point when batched,
+                    # with no in-place add, since acc may hold an input array
                     em.lines.append(f"    w = mu[{k}] + 2.0 * rho * {p}")
-                    em.lines.append("    if w != 0.0:")
-                    em.lines.extend(f"        acc[{s}] += w * ({grad[s]})" for s in sorted(grad))
-            pieces.append(em.build(head, "a"))
+                    if batched:
+                        em.lines.append("    nz = _nonzero(w)")
+                        em.lines.extend(f"    acc[{s}] = _wadd(acc[{s}], w, {grad[s]}, nz)"
+                                        for s in sorted(grad))
+                    else:
+                        em.lines.append("    if w != 0.0:")
+                        em.lines.extend(f"        acc[{s}] += w * ({grad[s]})"
+                                        for s in sorted(grad))
+            pieces.append(em.build(head, "a", runtime))
         return pieces
 
 
@@ -222,6 +289,16 @@ def lagrangian_convexity_violations(prob, u, v, pairs, seed):
     )
 
 
+def _subproblem(prob, u, v, base, wrt, ineq_idx, eq_idx):
+    """(kernel, base vector, kernel columns, multipliers) of one inner
+    subproblem, as ``augmented_objective`` documents its arguments."""
+    cols = None if wrt is None else tuple(int(f) for f in wrt)
+    kernel = _kernel(prob, cols, ineq_idx, eq_idx)
+    base_vec = (base.flat() if base is not None else np.zeros(prob.n + prob.m)).copy()
+    wrt_idx = np.arange(prob.n + prob.m) if cols is None else np.array(cols, dtype=int)
+    return kernel, base_vec, wrt_idx, _mu(u, v)
+
+
 def augmented_objective(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_idx=None):
     """Closures for the inner solver: ``fun(z) -> (value, grad)`` and a
     value-only twin, over the flat coordinates ``wrt`` (all by default)
@@ -233,11 +310,7 @@ def augmented_objective(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_
     is compiled once and serves every multiplier and penalty value.
     """
     n, m = prob.n, prob.m
-    cols = None if wrt is None else tuple(int(f) for f in wrt)
-    wrt_idx = np.arange(n + m) if cols is None else np.array(cols, dtype=int)
-    kernel = _kernel(prob, cols, ineq_idx, eq_idx)
-    base_vec = (base.flat() if base is not None else np.zeros(n + m)).copy()
-    mu = _mu(u, v)
+    kernel, base_vec, wrt_idx, mu = _subproblem(prob, u, v, base, wrt, ineq_idx, eq_idx)
 
     def flat(z):
         vec = base_vec.copy()
@@ -255,6 +328,28 @@ def augmented_objective(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_
         return kernel.value(flat(z), mu, rho)
 
     return fun, value_fn, to_point
+
+
+def augmented_batch(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_idx=None):
+    """``batch_fun(points) -> (values, gradients)``: the ``fun`` of
+    ``augmented_objective`` with the same arguments at every row of
+    ``points``, in one run of the kernel's batched form and equal to it bit
+    for bit.  The Newton method takes its finite-difference Hessian from
+    one such call."""
+    kernel, base_vec, wrt_idx, mu = _subproblem(prob, u, v, base, wrt, ineq_idx, eq_idx)
+    n = prob.n
+    # frozen coordinates stay floats shared by every point
+    shared = base_vec.tolist()
+    wrt_idx = wrt_idx.tolist()
+
+    def batch_fun(points):
+        vec = list(shared)
+        for f, col in zip(wrt_idx, np.ascontiguousarray(points.T)):
+            vec[f] = col
+        values, grads = kernel.batch_value_and_grad(vec[:n], vec[n:], mu, rho, points.shape[0])
+        return values, grads.T
+
+    return batch_fun
 
 
 @dataclass
@@ -287,7 +382,8 @@ def dual_value(prob, mult, inner_cfg=None, start=None, seed=0):
     cfg = inner_cfg if inner_cfg is not None else InnerConfig()
     start = start if start is not None else prob.default_start()
     fun, value_fn, to_point = augmented_objective(prob, mult.u, mult.v, 0.0, base=start)
-    res = minimize(fun, start.flat(), cfg, value_fn=value_fn)
+    batch_fun = augmented_batch(prob, mult.u, mult.v, 0.0, base=start)
+    res = minimize(fun, start.flat(), cfg, value_fn=value_fn, batch_fun=batch_fun)
 
     local = lagrangian_convexity_violations(prob, mult.u, mult.v, _CONVEXITY_PAIRS, seed) > 0
     if res.status == "diverged":

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import cnfopt.inner as inner
 from cnfopt.inner import ARMIJO_C, GRADIENT_DESCENT, NEWTON_FD, InnerConfig, minimize
+from fd_oracle import fd_hessian
 
 
 def quadratic(z):
@@ -24,6 +26,10 @@ def rounding_floor(z):
     # the quadratic term sits below the rounding of 1.0 for |z| <= 5, so f
     # cannot decrease although the gradient is far above a tiny grad_tol
     return 1.0 + 1e-18 * float(z @ z), 2e-18 * z
+
+
+def double_well(z):
+    return float(z[0] ** 4 - z[0] ** 2), np.array([4 * z[0] ** 3 - 2 * z[0]])
 
 
 @pytest.mark.parametrize("method", [GRADIENT_DESCENT, NEWTON_FD])
@@ -66,9 +72,6 @@ class TestMinimize:
 
         # starts in a concavity of z^4 - z^2 so the raw Newton model is
         # indefinite and the shift/fallback must still give descent
-        def double_well(z):
-            return float(z[0] ** 4 - z[0] ** 2), np.array([4 * z[0] ** 3 - 2 * z[0]])
-
         res = minimize(double_well, np.array([0.1]), InnerConfig(method=method), callback=cb)
         assert res.status == "converged"
         assert abs(res.point[0]) == pytest.approx(np.sqrt(0.5), abs=1e-5)
@@ -127,3 +130,25 @@ class TestConfig:
         res = minimize(fun, np.array([1.0, 2.0]), InnerConfig(), value_fn=val)
         assert res.status == "converged"
         assert counter["cheap"] > 0
+
+
+@pytest.mark.parametrize("fun,start,grad_tol", [
+    (quadratic, [3.0, -4.0, 0.5], 1e-8),
+    (banana, [0.0, 0.0], 1e-8),
+    (banana, [-0.7, 1.4], 1e-8),
+    (linear_drop, [0.0, 0.0, 0.0], 1e-8),
+    (double_well, [0.1], 1e-8),
+    (rounding_floor, [3.0, -4.0], 1e-30),
+])
+def test_newton_matches_the_per_point_hessian(monkeypatch, fun, start, grad_tol):
+    """Newton on a plain function builds its Hessian row by row through
+    ``fun``; every iterate equals the one the per-point loop gives."""
+    cfg = InnerConfig(method=NEWTON_FD, grad_tol=grad_tol, max_iters=400)
+    seen = {"batch": [], "loop": []}
+    got = minimize(fun, np.array(start), cfg, callback=lambda z, *_: seen["batch"].append(z))
+    monkeypatch.setattr(inner, "_fd_hessian", lambda batch_fun, z: fd_hessian(fun, z))
+    want = minimize(fun, np.array(start), cfg, callback=lambda z, *_: seen["loop"].append(z))
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    for a, b in [(got.point, want.point), (got.value, want.value),
+                 (got.grad_norm, want.grad_norm), *zip(seen["batch"], seen["loop"])]:
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
