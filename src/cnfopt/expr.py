@@ -19,6 +19,10 @@ import numpy as np
 # |t| <= NORM0_THRESHOLD counts as zero when norm0 is evaluated for reporting
 NORM0_THRESHOLD = 1e-6
 
+# the parser rejects parentheses, calls, unary signs and exponents nested
+# deeper than this; its recursion stays well inside Python's default limit
+MAX_NESTING = 100
+
 _NONSMOOTH = ("abs", "max", "norm0")
 
 
@@ -194,12 +198,20 @@ def walk(e):
     return nodes
 
 
+def _nonsmooth(node):
+    return node.kind in _NONSMOOTH or (node.kind == "pow" and node.value != int(node.value))
+
+
+def _dialect_error(node):
+    return DialectError(
+        f"nonsmooth node '{node.kind}' {_where(node)}; "
+        "the smooth dialect forbids abs, max, norm0 and fractional powers"
+    )
+
+
 def smooth_violations(e):
     """Nodes that put the tree outside the smooth dialect."""
-    return [
-        node for node in walk(e)
-        if node.kind in _NONSMOOTH or (node.kind == "pow" and node.value != int(node.value))
-    ]
+    return [node for node in walk(e) if _nonsmooth(node)]
 
 
 def is_smooth(e):
@@ -209,10 +221,7 @@ def is_smooth(e):
 def require_smooth(e):
     bad = smooth_violations(e)
     if bad:
-        raise DialectError(
-            f"nonsmooth node '{bad[0].kind}' {_where(bad[0])}; "
-            "the smooth dialect forbids abs, max, norm0 and fractional powers"
-        )
+        raise _dialect_error(bad[0])
 
 
 def gradient(e, p):
@@ -240,8 +249,13 @@ def value_and_gradient(e, p):
 # Each tree compiles once into straight-line Python (cached on the node):
 # a value function over (x, y) arrays, and a forward-mode function that
 # also returns the partial derivatives over the tree's variable support.
-# Sparse emission keeps the op count at sum over nodes of the per-node
-# active-coordinate count, which is what the solver hot loops pay for.
+# One emitter, _emit, writes both, and the augmented-Lagrangian kernel's
+# pieces too: it carries partials only for the variables given an output
+# slot, so the value form is the forward-mode form over no slots (the value
+# is the zeroth-order part of the sweep), and a derivative factor is
+# emitted only where an operand has partials.  Sparse emission keeps the op
+# count at sum over nodes of the per-node active-coordinate count, which is
+# what the solver hot loops pay for.
 
 
 def _rt_div(a, b, loc):
@@ -334,10 +348,10 @@ _BATCH_RUNTIME = {
     "_isq": _bt_inv_2sqrt,
 }
 
-# a right-hand side that only names a value or negates a literal is used as
-# the fragment itself, with no temp to copy it
+# a right-hand side that only names a value, or is a literal or a negated
+# one, is used as the fragment itself, with no temp to copy it
 _LITERAL = r"\d+(?:\.\d*)?(?:e[+-]\d+)?"
-_NO_TEMP = re.compile(rf"t\d+|[xy]\[\d+\]|-(?:-?{_LITERAL}|\(-?{_LITERAL}\))")
+_NO_TEMP = re.compile(rf"t\d+|[xy]\[\d+\]|-?-?{_LITERAL}|-\(-?{_LITERAL}\)")
 
 
 class _Emitter:
@@ -379,143 +393,112 @@ def _lit(v):
     return repr(float(v))
 
 
-def _emit_value(e, em):
-    """Emit value statements; returns the fragment holding the result."""
-    k = e.kind
-    if k == "const":
-        return _lit(e.value)
-    if k == "var":
-        return f"x[{e.index}]" if e.block == "x" else f"y[{e.index}]"
-    if k == "norm0":
-        return em.temp(f"_n0({e.block})")
-    args = [_emit_value(c, em) for c in e.children]
-    if k == "add":
-        return em.temp(f"{args[0]} + {args[1]}")
-    if k == "mul":
-        return em.temp(f"{args[0]} * {args[1]}")
-    if k == "neg":
-        return em.temp(f"-{args[0]}")
-    if k == "div":
-        return em.temp(f"_div({args[0]}, {args[1]}, {em.bind(_where(e))})")
-    if k == "pow":
-        expo = e.value
-        if expo == int(expo) and 2 <= int(expo) <= 3:
-            base = args[0] if args[0].startswith(("t", "x", "y")) else em.temp(args[0])
-            return em.temp("*".join([base] * int(expo)))
-        if expo == int(expo) and int(expo) == 1:
-            return args[0]
-        if expo == int(expo) and int(expo) == 0:
-            return "1.0"
-        return em.temp(f"_pw({args[0]}, {_lit(expo)}, {em.bind(_where(e))})")
-    if k == "sqrt":
-        return em.temp(f"_sq({args[0]}, {em.bind(_where(e))})")
-    if k == "abs":
-        return em.temp(f"abs({args[0]})")
-    if k == "sum":
-        if not args:
-            return "0.0"
-        return em.temp(" + ".join(args))
-    if k == "max":
-        return em.temp(f"max({', '.join(args)})")
-    raise ExprError(f"unknown node kind {k!r}")
+def _emit(e, em, n, pos):
+    """Emit the statements of the tree's value and of its partials over the
+    output slots ``pos`` maps flat coordinates to (x[i] -> i, y[j] -> n + j;
+    every coordinate is its own slot when ``pos`` is None).  Returns (value
+    fragment, {slot: derivative fragment}).  With ``pos`` empty no partial
+    exists, so this is the value form: the only one that admits nonsmooth
+    nodes.  Iterative, so trees of any depth compile."""
+    need_smooth = pos != {}
+    # a preorder that visits children right to left, reversed, is the
+    # post-order that visits them left to right: each node after its children
+    order = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    done = []  # (value, partials) of the emitted nodes not yet consumed
+    for node in reversed(order):
+        if need_smooth and _nonsmooth(node):
+            raise _dialect_error(node)
+        split = len(done) - len(node.children)
+        parts = done[split:]
+        del done[split:]
+        done.append(_emit_node(node, parts, em, n, pos))
+    return done[0]
 
 
-def _emit_grad(e, em, n, pos):
-    """Emit value and partial-derivative statements; returns
-    (value fragment, {output slot: derivative fragment})."""
+def _emit_node(e, parts, em, n, pos):
+    """Emit one node, given the (value, partials) of its children."""
     k = e.kind
-    if k == "const":
-        return (_lit(e.value), {})
     if k == "var":
         flat = e.index if e.block == "x" else n + e.index
+        slot = flat if pos is None else pos.get(flat)
         frag = f"x[{e.index}]" if e.block == "x" else f"y[{e.index}]"
-        if pos is None:
-            return (frag, {flat: "1.0"})
-        slot = pos.get(flat)
         return (frag, {} if slot is None else {slot: "1.0"})
-    if k in _NONSMOOTH:
-        raise DialectError(f"nonsmooth node '{k}' has no gradient {_where(e)}")
-
-    parts = [_emit_grad(c, em, n, pos) for c in e.children]
+    if k == "const":
+        return (_lit(e.value), {})
     if k == "add" or k == "sum":
         val = em.temp(" + ".join(v for v, _ in parts)) if parts else "0.0"
         grad = {}
         for _, d in parts:
             for slot, frag in d.items():
                 grad[slot] = frag if slot not in grad else f"{grad[slot]} + {frag}"
-        return (val, {s: em.temp(f) if "+" in f else f for s, f in grad.items()})
+        return (val, {s: em.temp(f) for s, f in grad.items()})
     if k == "neg":
         (va, da) = parts[0]
         return (em.temp(f"-{va}"), {s: em.temp(f"-({f})") for s, f in da.items()})
     if k == "mul":
         (va, da), (vb, db) = parts
-        va = va if va.startswith(("t", "x", "y")) else em.temp(va)
-        vb = vb if vb.startswith(("t", "x", "y")) else em.temp(vb)
         val = em.temp(f"{va} * {vb}")
         grad = {}
         for slot in da.keys() | db.keys():
             left, right = da.get(slot), db.get(slot)
             terms = []
             if left is not None:
-                terms.append(f"{vb}" if left == "1.0" else f"({left}) * {vb}")
+                terms.append(vb if left == "1.0" else f"({left}) * {vb}")
             if right is not None:
-                terms.append(f"{va}" if right == "1.0" else f"({right}) * {va}")
+                terms.append(va if right == "1.0" else f"({right}) * {va}")
             grad[slot] = em.temp(" + ".join(terms))
         return (val, grad)
     if k == "div":
         (va, da), (vb, db) = parts
-        va = va if va.startswith(("t", "x", "y")) else em.temp(va)
-        vb = vb if vb.startswith(("t", "x", "y")) else em.temp(vb)
         val = em.temp(f"_div({va}, {vb}, {em.bind(_where(e))})")
-        inv = em.temp(f"1.0 / {vb}")
         grad = {}
-        for slot in da.keys() | db.keys():
-            left, right = da.get(slot), db.get(slot)
-            if right is None:
-                grad[slot] = em.temp(f"({left}) * {inv}")
-            elif left is None:
-                grad[slot] = em.temp(f"-{val} * ({right}) * {inv}")
-            else:
-                grad[slot] = em.temp(f"(({left}) - {val} * ({right})) * {inv}")
+        if da or db:
+            inv = em.temp(f"1.0 / {vb}")
+            for slot in da.keys() | db.keys():
+                left, right = da.get(slot), db.get(slot)
+                if right is None:
+                    grad[slot] = em.temp(f"({left}) * {inv}")
+                elif left is None:
+                    grad[slot] = em.temp(f"-{val} * ({right}) * {inv}")
+                else:
+                    grad[slot] = em.temp(f"(({left}) - {val} * ({right})) * {inv}")
         return (val, grad)
-    if k == "pow":
-        expo = e.value
-        if expo != int(expo):
-            raise DialectError(f"fractional power is not differentiable {_where(e)}")
-        ik = int(expo)
+    if k == "pow" or k == "sqrt":
+        # one operand, and the chain rule through a derivative factor
         (va, da) = parts[0]
-        if ik == 0:
+        expo = e.value
+        if k == "sqrt":
+            loc = em.bind(_where(e))
+            val = em.temp(f"_sq({va}, {loc})")
+            factor = f"_isq({val}, {loc})"
+        elif expo == 0:
             return ("1.0", {})
-        if ik == 1:
+        elif expo == 1:
             return (va, da)
-        va = va if va.startswith(("t", "x", "y")) else em.temp(va)
-        if ik == 2:
-            val = em.temp(f"{va} * {va}")
-            factor = em.temp(f"2.0 * {va}")
-        elif ik == 3:
-            val = em.temp(f"{va} * {va} * {va}")
-            factor = em.temp(f"3.0 * {va} * {va}")
+        elif expo == 2 or expo == 3:
+            val = em.temp("*".join([va] * int(expo)))
+            factor = f"2.0 * {va}" if expo == 2 else f"3.0 * {va} * {va}"
         else:
             loc = em.bind(_where(e))
             val = em.temp(f"_pw({va}, {_lit(expo)}, {loc})")
-            factor = em.temp(f"{_lit(ik)} * _pw({va}, {_lit(ik - 1)}, {loc})")
-        grad = {
-            s: em.temp(factor if f == "1.0" else f"{factor} * ({f})")
-            for s, f in da.items()
-        }
-        return (val, grad)
-    if k == "sqrt":
-        (va, da) = parts[0]
-        loc = em.bind(_where(e))
-        val = em.temp(f"_sq({va}, {loc})")
+            factor = f"{_lit(expo)} * _pw({va}, {_lit(expo - 1)}, {loc})"
         if not da:
-            return (val, {})
-        factor = em.temp(f"_isq({val}, {loc})")
-        grad = {
-            s: em.temp(factor if f == "1.0" else f"{factor} * ({f})")
-            for s, f in da.items()
-        }
-        return (val, grad)
+            return (val, da)
+        factor = em.temp(factor)
+        return (val, {s: em.temp(factor if f == "1.0" else f"{factor} * ({f})")
+                      for s, f in da.items()})
+    # the nonsmooth kinds, which only the value form reaches
+    if k == "abs":
+        return (em.temp(f"abs({parts[0][0]})"), {})
+    if k == "max":
+        return (em.temp(f"max({', '.join(v for v, _ in parts)})"), {})
+    if k == "norm0":
+        return (em.temp(f"_n0({e.block})"), {})
     raise ExprError(f"unknown node kind {k!r}")
 
 
@@ -535,8 +518,7 @@ def compiled_value(e):
     fn = cache.get("value")
     if fn is None:
         em = _Emitter()
-        result = _emit_value(e, em)
-        fn = em.build("_val(x, y)", result)
+        fn = em.build("_val(x, y)", _emit(e, em, 0, {})[0])
         cache["value"] = fn
     return fn
 
@@ -550,7 +532,7 @@ def compiled_gradient(e, n, m):
     hit = cache.get(key)
     if hit is None:
         em = _Emitter()
-        val, grad = _emit_grad(e, em, n, None)
+        val, grad = _emit(e, em, n, None)
         slots = np.array(sorted(grad), dtype=int)
         partials = ", ".join(grad[s] for s in slots)
         result = f"({val}, ({partials}{',' if len(slots) == 1 else ''}))"
@@ -602,6 +584,7 @@ class _Parser:
     def __init__(self, tokens, n, m):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
         self.n = n
         self.m = m
 
@@ -617,10 +600,6 @@ class _Parser:
         kind, val, line, col = self.next()
         if val != text:
             raise ParseError(f"expected {text!r}, found {val or 'end of input'!r}", line, col)
-
-    def fail(self, message):
-        _, val, line, col = self.peek()
-        raise ParseError(message, line, col)
 
     def parse_expr(self):
         node = self.parse_term()
@@ -641,13 +620,23 @@ class _Parser:
         return node
 
     def parse_unary(self):
+        # every nested level (a parenthesis, a call, a unary sign or an
+        # exponent) enters here just after the token that opened it, so the
+        # check bounds the parser's recursion and points at that token
+        if self.depth > MAX_NESTING:
+            _, _, line, col = self.tokens[self.i - 1]
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", line, col)
+        self.depth += 1
         if self.peek()[1] == "-":
             _, _, line, col = self.next()
-            return Expr("neg", children=(self.parse_unary(),), pos=(line, col))
-        if self.peek()[1] == "+":
+            node = Expr("neg", children=(self.parse_unary(),), pos=(line, col))
+        elif self.peek()[1] == "+":
             self.next()
-            return self.parse_unary()
-        return self.parse_power()
+            node = self.parse_unary()
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self):
         base = self.parse_atom()

@@ -30,15 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import (
-    _BATCH_RUNTIME,
-    _RUNTIME,
-    Point,
-    _cache_of,
-    _emit_grad,
-    _emit_value,
-    _Emitter,
-)
+from .expr import _BATCH_RUNTIME, _RUNTIME, Point, _cache_of, _emit, _Emitter
 # only the benchmark's tracer uses these here: it patches both names on this module
 from .expr import compiled_gradient, compiled_value  # noqa: F401
 from .inner import InnerConfig, InnerResult, minimize
@@ -180,19 +172,15 @@ class _Kernel:
         return vec[:self._n].tolist(), vec[self._n:].tolist()
 
     def _compile(self, with_grad, batched=False):
-        """The kernel's pieces.  The batched form runs the gradient code on
-        arrays over points; only two line templates differ, as noted."""
-        n, pos = self._n, self._pos
-
-        def emit(e, em):
-            if with_grad:
-                return _emit_grad(e, em, n, pos)
-            return _emit_value(e, em), {}
-
+        """The kernel's pieces.  The value form is the gradient form over no
+        slots, so it emits no partials.  The batched form runs the gradient
+        code on arrays over points; only two line templates differ, as
+        noted."""
+        n, pos = self._n, (self._pos if with_grad else {})
         head = "_agrad(x, y, mu, rho, a, acc)" if with_grad else "_aval(x, y, mu, rho, a)"
         runtime = _KERNEL_BATCH_RUNTIME if batched else _RUNTIME
         em = _Emitter()
-        val, grad = emit(self._g, em)
+        val, grad = _emit(self._g, em, n, pos)
         em.lines.append(f"    a = {val}")
         em.lines.extend(f"    acc[{s}] = {grad[s]}" for s in sorted(grad))
         pieces = [em.build(head, "a", runtime)]
@@ -200,7 +188,7 @@ class _Kernel:
             em = _Emitter()
             for k in range(lo, min(lo + _PIECE, len(self._cons))):
                 e, is_eq = self._cons[k]
-                c, grad = emit(e, em)
+                c, grad = _emit(e, em, n, pos)
                 p = c
                 if not is_eq:
                     p = "p"

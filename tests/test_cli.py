@@ -212,6 +212,18 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "solve", "--problem", str(path))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "expression",
+        ["(" * 400 + "x[1]" + ")" * 400, "-" * 3000 + "x[1]", "x[1]" + "^2" * 2000],
+        ids=["parentheses", "unary-minus", "powers"],
+    )
+    def test_deeply_nested_problem_file_exit_three(self, capsys, tmp_path, expression):
+        path = tmp_path / "deep.cnf"
+        path.write_text(f'problem "deep"\nvar x 1\naux y 0\nobjective: {expression}\n')
+        code, _, err = run_cli(capsys, "solve", "--problem", str(path))
+        assert code == EXIT_CONFIG
+        assert "nested deeper" in err
+
     def test_start_and_pattern_conflict(self, capsys):
         code, _, err = run_cli(
             capsys,

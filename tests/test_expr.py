@@ -9,7 +9,9 @@ from cnfopt.expr import (
     Expr,
     ParseError,
     Point,
+    MAX_NESTING,
     abs_,
+    compiled_gradient,
     const,
     evaluate,
     gradient,
@@ -134,6 +136,24 @@ class TestGradient:
         with pytest.raises(DialectError):
             gradient(x_(1) ** 1.5, Point([1], []))
 
+    NONSMOOTH = [
+        (abs_(x_(1) - 6), 2.0),
+        (max_([x_(1), 2 * x_(1)]), 8.0),
+        (norm0_("x") + x_(1), 5.0),
+        (x_(1) ** 1.5, 8.0),
+    ]
+
+    @pytest.mark.parametrize("e, want", NONSMOOTH, ids=["abs", "max", "norm0", "fractional-power"])
+    def test_emitter_rejects_nonsmooth_nodes(self, e, want):
+        # no require_smooth in front: the gradient emitter itself refuses,
+        # while the value form of the same tree still evaluates
+        p = Point([4.0], [])
+        with pytest.raises(DialectError):
+            value_and_gradient(e, p)
+        with pytest.raises(DialectError):
+            compiled_gradient(e, 1, 0)
+        assert evaluate(e, p) == want
+
     def test_matches_finite_differences_random(self):
         rng = np.random.default_rng(7)
         exprs = [
@@ -250,6 +270,27 @@ class TestParse:
         with pytest.raises(ParseError, match=f"power exponent is undefined: {reason}") as err:
             parse(text, n=1, m=0)
         assert (err.value.line, err.value.col) == (1, 5)
+
+    @pytest.mark.parametrize(
+        "text, col",
+        [
+            ("(" * 400 + "x[1]" + ")" * 400, MAX_NESTING + 1),
+            ("-" * 3000 + "x[1]", MAX_NESTING + 1),
+            ("x[1]" + "^2" * 2000, len("x[1]") + 2 * MAX_NESTING + 1),
+            ("sqrt(" * 200 + "x[1]" + ")" * 200, len("sqrt(") * (MAX_NESTING + 1)),
+        ],
+        ids=["parentheses", "unary-minus", "powers", "calls"],
+    )
+    def test_nesting_past_the_limit_is_rejected_at_its_token(self, text, col):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}") as err:
+            parse(text, n=1, m=0)
+        assert (err.value.line, err.value.col) == (1, col)
+
+    def test_nesting_at_the_limit_parses(self):
+        p = Point([3.0], [])
+        assert evaluate(parse("(" * MAX_NESTING + "x[1]" + ")" * MAX_NESTING, n=1), p) == 3.0
+        assert evaluate(parse("-" * MAX_NESTING + "x[1]", n=1), p) == 3.0
+        assert evaluate(parse("x[1]" + "^1" * MAX_NESTING, n=1), p) == 3.0
 
     def test_whitespace_insensitive(self):
         a = parse("2*x[1]  +\n  y[1]", n=1, m=1)
@@ -390,6 +431,13 @@ class TestCompiledAgainstReference:
         p = Point([0.5], [])
         assert evaluate(e, p) == pytest.approx(ref_eval(e, p), rel=1e-12)
         assert gradient(e, p)[0] == pytest.approx(1 + 200 * 0.01, rel=1e-12)
+        # 5000 levels, far beyond the interpreter's recursion limit; every
+        # partial sum is exact at x = 0.5
+        e = x_(1)
+        for _ in range(5000):
+            e = e + x_(1) * x_(1)
+        assert evaluate(e, p) == 0.5 + 5000 * 0.25
+        assert gradient(e, p)[0] == 1 + 5000 * 2 * 0.5
 
 
 class TestConcurrentReads:

@@ -12,6 +12,7 @@ from cnfopt.lagrangian import (
     DualValue,
     Multipliers,
     augmented,
+    augmented_batch,
     augmented_gradient,
     augmented_objective,
     dual_value,
@@ -256,6 +257,23 @@ class TestDualValue:
                 x = rng.uniform(prob.box[0], prob.box[1], prob.n)
                 p = prob.lift(x)
                 assert prob.objective(p) >= res.value - 1e-6, entry.id
+
+
+def test_deep_objective_compiles_in_every_kernel_form():
+    # 5000 levels, far beyond the interpreter's recursion limit; every
+    # partial sum is exact at these points
+    g = x_(1)
+    for _ in range(5000):
+        g = g + x_(1) * x_(1)
+    prob = CnfProblem(name="deep", n=1, m=0, g=g)
+    fun, value_fn, _ = augmented_objective(prob, [], [], 0.0)
+    assert value_fn(np.array([0.5])) == 0.5 + 5000 * 0.25
+    value, grad = fun(np.array([0.5]))
+    assert value == 0.5 + 5000 * 0.25
+    assert grad.tolist() == [1 + 5000 * 2 * 0.5]
+    values, grads = augmented_batch(prob, [], [], 0.0)(np.array([[0.5], [-1.0]]))
+    assert values.tolist() == [0.5 + 5000 * 0.25, -1.0 + 5000 * 1.0]
+    assert grads.tolist() == [[1 + 5000 * 2 * 0.5], [1 + 5000 * 2 * -1.0]]
 
 
 def test_import_binds_the_module():

@@ -222,6 +222,16 @@ class TestProblemText:
             with pytest.raises(ProblemFormatError, match="line 5: power exponent is undefined"):
                 load_problem(bad)
 
+    @pytest.mark.parametrize(
+        "expression",
+        ["(" * 400 + "x[1]" + ")" * 400, "-" * 3000 + "x[1]", "x[1]" + "^2" * 2000],
+        ids=["parentheses", "unary-minus", "powers"],
+    )
+    def test_deep_nesting_is_a_format_error(self, expression):
+        bad = f'problem "p"\nvar x 1\naux y 0\nobjective: x[1]^2\nineq: {expression}\n'
+        with pytest.raises(ProblemFormatError, match="line 5: expression nested deeper"):
+            load_problem(bad)
+
     def test_reference_may_be_nonsmooth_but_objective_not(self):
         bad = 'problem "p"\nvar x 1\naux y 0\nobjective: abs(x[1])\n'
         with pytest.raises(ProblemFormatError):

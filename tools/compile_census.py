@@ -1,0 +1,89 @@
+"""Count and hash the code the expression compiler emits for each benchmark workload.
+
+    python3 tools/compile_census.py [seed]
+
+The seed defaults to ``jobs.DEFAULT_SEED`` (1).
+
+Run from anywhere; cnfopt is imported from this checkout's ``src/`` and the
+job lists from ``perfbench/jobs.py``, which is only read.  Every job of the
+four workloads runs once, in order, with ``expr._Emitter.build`` wrapped to
+record the source of each function it compiles.  For each workload the script
+prints one line per kind of compiled function:
+
+    <workload> <kind> <functions> <lines> <sha256>
+
+where the kinds are ``value`` and ``gradient`` (one expression each) and
+``kernel-value``, ``kernel-gradient`` and ``kernel-batched`` (the pieces of
+the augmented-Lagrangian kernel), ``lines`` counts every source line,
+``def`` and ``return`` included, and the digest covers the sources in compile
+order.  Two checkouts that print the same line for a kind compiled the same
+functions byte for byte, so a compiler change shows here which code it
+changed and by how many lines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import traceback
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+# the benchmark fixes BLAS to one thread; so does this script
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import cnfopt.expr as expr  # noqa: E402
+import cnfopt.lagrangian as lagrangian  # noqa: E402
+import jobs  # noqa: E402
+
+KINDS = ("value", "gradient", "kernel-value", "kernel-gradient", "kernel-batched")
+
+
+def _kind(head, runtime):
+    name = head.partition("(")[0]
+    if name == "_val":
+        return "value"
+    if name == "_grad":
+        return "gradient"
+    if name == "_aval":
+        return "kernel-value"
+    if name == "_agrad":
+        batched = runtime is lagrangian._KERNEL_BATCH_RUNTIME
+        return "kernel-batched" if batched else "kernel-gradient"
+    raise ValueError(f"unknown compiled function {head!r}")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("seed", type=int, nargs="?", default=jobs.DEFAULT_SEED)
+    seed = ap.parse_args(argv).seed
+    sources = {kind: [] for kind in KINDS}
+    build = expr._Emitter.build
+
+    def recording_build(self, head, result_expr, runtime=expr._RUNTIME):
+        # the text build compiles: the head, the emitted lines, the return
+        src = "\n".join([f"def {head}:", *self.lines, f"    return {result_expr}"])
+        sources[_kind(head, runtime)].append(src)
+        return build(self, head, result_expr, runtime)
+
+    expr._Emitter.build = recording_build
+    for workload in jobs.WORKLOADS:
+        for kind in KINDS:
+            sources[kind].clear()
+        for job in jobs.make_workload(workload, seed):
+            try:
+                job.run()
+            except Exception:  # a failing job is reported; the others still run
+                traceback.print_exc()
+        for kind in KINDS:
+            text = "\n".join(sources[kind])
+            lines = sum(src.count("\n") + 1 for src in sources[kind])
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            print(workload, kind, len(sources[kind]), lines, digest, flush=True)
+
+
+if __name__ == "__main__":
+    main()
