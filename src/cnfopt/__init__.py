@@ -7,7 +7,6 @@ from .alpf import (
     AlpfTrace,
     BlockPartition,
     format_table,
-    norm0_thresholded,
     solve_alpf,
     solve_decomposed,
     solve_penalty,
@@ -31,6 +30,7 @@ from .expr import (
     Point,
     evaluate,
     gradient,
+    norm0_thresholded,
     parse,
     pretty,
 )

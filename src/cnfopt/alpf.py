@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .expr import NORM0_THRESHOLD, Point, evaluate, walk
+from .expr import Point, evaluate, norm0_thresholded, walk
 from .inner import InnerConfig, minimize
 from .lagrangian import (
     Multipliers,
@@ -80,35 +80,17 @@ class AlpfRecord:
         return Point(self.x, self.y)
 
     def to_dict(self):
-        return {
-            "k": self.k,
-            "rho": self.rho,
-            "x": self.x.tolist(),
-            "y": self.y.tolist(),
-            "u": self.u.tolist(),
-            "v": self.v.tolist(),
-            "A": self.A,
-            "g": self.g,
-            "e": self.e,
-            "gap": self.gap,
-            "inner_status": self.inner_status,
-        }
+        """Every field in declaration order, arrays as lists."""
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            doc[f.name] = value.tolist() if f.type == "np.ndarray" else value
+        return doc
 
     @classmethod
     def from_dict(cls, doc):
-        return cls(
-            k=doc["k"],
-            rho=doc["rho"],
-            x=np.array(doc["x"], dtype=float),
-            y=np.array(doc["y"], dtype=float),
-            u=np.array(doc["u"], dtype=float),
-            v=np.array(doc["v"], dtype=float),
-            A=doc["A"],
-            g=doc["g"],
-            e=doc["e"],
-            gap=doc["gap"],
-            inner_status=doc["inner_status"],
-        )
+        return cls(**{f.name: np.array(doc[f.name], dtype=float) if f.type == "np.ndarray"
+                      else doc[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -414,10 +396,6 @@ def infeasibility_trend_violations(trace, slack=1e-6):
     return [k for k, (a, b) in enumerate(zip(es, es[1:]), start=2) if b > a + slack]
 
 
-def norm0_thresholded(x):
-    return int(np.count_nonzero(np.abs(x) > NORM0_THRESHOLD))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -439,14 +417,8 @@ def trace_from_jsonl(text):
 
 
 def traces_equal(a, b):
-    if (a.problem, a.solver, a.status) != (b.problem, b.solver, b.status):
-        return False
-    if len(a.records) != len(b.records):
-        return False
-    for ra, rb in zip(a.records, b.records):
-        if ra.to_dict() != rb.to_dict():
-            return False
-    return True
+    return ((a.problem, a.solver, a.status) == (b.problem, b.solver, b.status)
+            and [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records])
 
 
 def format_table(trace, surrogate=None, max_x=12):

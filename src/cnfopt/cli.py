@@ -19,14 +19,13 @@ from .alpf import (
     STATUS_APPROX,
     STATUS_KKT,
     format_table,
-    norm0_thresholded,
     solve_alpf,
     solve_decomposed,
     solve_penalty,
     trace_to_jsonl,
 )
 from .certificate import certify
-from .expr import Point
+from .expr import Point, norm0_thresholded
 from .inner import InnerConfig
 from .model import (
     ProblemFormatError,
@@ -35,7 +34,7 @@ from .model import (
     sample_convexity,
     validate_exactness,
 )
-from .problems import build, catalog_ids
+from .problems import CatalogEntry, build, catalog_ids
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -118,8 +117,6 @@ def _load_entry(args):
         raise CliError(f"cannot read {args.problem}: {err}") from err
     except ProblemFormatError as err:
         raise CliError(str(err)) from err
-    from .problems import CatalogEntry
-
     return CatalogEntry(id=prob.name, params={}, problem=prob, start=prob.default_start())
 
 

@@ -100,9 +100,7 @@ class Expr:
 
 def wrap(v):
     """Coerce a number to a constant node; pass expressions through."""
-    if isinstance(v, Expr):
-        return v
-    return Expr("const", value=float(v))
+    return v if isinstance(v, Expr) else const(v)
 
 
 def const(v):
@@ -186,6 +184,11 @@ def evaluate(e, p):
     return compiled_value(e)(p.x, p.y)
 
 
+def norm0_thresholded(x):
+    """The number of entries of ``x`` with |t| > NORM0_THRESHOLD."""
+    return int(np.count_nonzero(np.abs(x) > NORM0_THRESHOLD))
+
+
 def walk(e):
     """Every node of the tree in preorder (a node, then its children left to
     right), as a list; iterative, so deep trees need no recursion."""
@@ -196,6 +199,27 @@ def walk(e):
         nodes.append(node)
         stack.extend(reversed(node.children))
     return nodes
+
+
+def _fold(e, rule):
+    """Fold the tree bottom up: ``rule(node, results)`` gets the results of
+    the node's children, left to right, and returns the node's own; returns
+    the root's.  Iterative, so trees of any depth and width fold."""
+    # a preorder that visits children right to left, reversed, is the
+    # post-order that visits them left to right: each node after its children
+    order = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    done = []  # results of the folded nodes not yet consumed
+    for node in reversed(order):
+        split = len(done) - len(node.children)
+        result = rule(node, done[split:])
+        del done[split:]
+        done.append(result)
+    return done[0]
 
 
 def _nonsmooth(node):
@@ -209,25 +233,20 @@ def _dialect_error(node):
     )
 
 
-def smooth_violations(e):
-    """Nodes that put the tree outside the smooth dialect."""
-    return [node for node in walk(e) if _nonsmooth(node)]
-
-
 def is_smooth(e):
-    return not smooth_violations(e)
+    return not any(_nonsmooth(node) for node in walk(e))
 
 
 def require_smooth(e):
-    bad = smooth_violations(e)
-    if bad:
-        raise _dialect_error(bad[0])
+    """Raise DialectError at the first nonsmooth node in preorder."""
+    for node in walk(e):
+        if _nonsmooth(node):
+            raise _dialect_error(node)
 
 
 def gradient(e, p):
     """Exact forward-mode gradient, ordered x block then y block.  The tree
     must be smooth dialect."""
-    require_smooth(e)
     return value_and_gradient(e, p)[1]
 
 
@@ -294,7 +313,7 @@ def _rt_inv_2sqrt(s, loc):
 
 
 def _rt_norm0(block):
-    return float(np.count_nonzero(np.abs(block) > NORM0_THRESHOLD))
+    return float(norm0_thresholded(block))
 
 
 _RUNTIME = {
@@ -353,6 +372,11 @@ _BATCH_RUNTIME = {
 _LITERAL = r"\d+(?:\.\d*)?(?:e[+-]\d+)?"
 _NO_TEMP = re.compile(rf"t\d+|[xy]\[\d+\]|-?-?{_LITERAL}|-\(-?{_LITERAL}\)")
 
+# an n-ary sum is written this many terms a line at most, each line adding on
+# to the last; Python's compiler recurses once per term of a line, and a line
+# of a few thousand terms exhausts its stack
+SUM_CHUNK = 100
+
 
 class _Emitter:
     def __init__(self):
@@ -367,6 +391,14 @@ class _Emitter:
         self.counter += 1
         self.lines.append(f"    {name} = {rhs}")
         return name
+
+    def total(self, terms):
+        """The fragment of the sum of ``terms``, added left to right as one
+        line would, written at most SUM_CHUNK terms a line."""
+        line = terms[:SUM_CHUNK]
+        for i in range(SUM_CHUNK, len(terms), SUM_CHUNK - 1):
+            line = [self.temp(" + ".join(line))] + terms[i:i + SUM_CHUNK - 1]
+        return self.temp(" + ".join(line))
 
     def bind(self, value):
         """Bind a non-literal constant (e.g. an error-location string)."""
@@ -399,29 +431,15 @@ def _emit(e, em, n, pos):
     every coordinate is its own slot when ``pos`` is None).  Returns (value
     fragment, {slot: derivative fragment}).  With ``pos`` empty no partial
     exists, so this is the value form: the only one that admits nonsmooth
-    nodes.  Iterative, so trees of any depth compile."""
-    need_smooth = pos != {}
-    # a preorder that visits children right to left, reversed, is the
-    # post-order that visits them left to right: each node after its children
-    order = []
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    done = []  # (value, partials) of the emitted nodes not yet consumed
-    for node in reversed(order):
-        if need_smooth and _nonsmooth(node):
-            raise _dialect_error(node)
-        split = len(done) - len(node.children)
-        parts = done[split:]
-        del done[split:]
-        done.append(_emit_node(node, parts, em, n, pos))
-    return done[0]
+    nodes."""
+    return _fold(e, lambda node, parts: _emit_node(node, parts, em, n, pos))
 
 
 def _emit_node(e, parts, em, n, pos):
-    """Emit one node, given the (value, partials) of its children."""
+    """Emit one node, given the (value, partials) of its children; a
+    nonsmooth node raises DialectError in any form but the value form."""
+    if pos != {} and _nonsmooth(e):
+        raise _dialect_error(e)
     k = e.kind
     if k == "var":
         flat = e.index if e.block == "x" else n + e.index
@@ -431,12 +449,12 @@ def _emit_node(e, parts, em, n, pos):
     if k == "const":
         return (_lit(e.value), {})
     if k == "add" or k == "sum":
-        val = em.temp(" + ".join(v for v, _ in parts)) if parts else "0.0"
+        val = em.total([v for v, _ in parts]) if parts else "0.0"
         grad = {}
         for _, d in parts:
             for slot, frag in d.items():
-                grad[slot] = frag if slot not in grad else f"{grad[slot]} + {frag}"
-        return (val, {s: em.temp(f) for s, f in grad.items()})
+                grad.setdefault(slot, []).append(frag)
+        return (val, {s: em.total(terms) for s, terms in grad.items()})
     if k == "neg":
         (va, da) = parts[0]
         return (em.temp(f"-{va}"), {s: em.temp(f"-({f})") for s, f in da.items()})
@@ -493,10 +511,8 @@ def _emit_node(e, parts, em, n, pos):
         return (val, {s: em.temp(factor if f == "1.0" else f"{factor} * ({f})")
                       for s, f in da.items()})
     # the nonsmooth kinds, which only the value form reaches
-    if k == "abs":
-        return (em.temp(f"abs({parts[0][0]})"), {})
-    if k == "max":
-        return (em.temp(f"max({', '.join(v for v, _ in parts)})"), {})
+    if k == "abs" or k == "max":
+        return (em.temp(f"{k}({', '.join(v for v, _ in parts)})"), {})
     if k == "norm0":
         return (em.temp(f"_n0({e.block})"), {})
     raise ExprError(f"unknown node kind {k!r}")
@@ -716,15 +732,27 @@ def _const_value(e):
     """Fold a tree of constants to a float, or None if it has variables;
     an undefined operation (0^-1, a fractional power of a negative base,
     division by zero) raises DomainError."""
+    value = _fold(e, _const_node)
+    if isinstance(value, DomainError):
+        raise value
+    return value
+
+
+def _const_node(e, vals):
+    # only the kinds below fold: any other node is not constant, whatever
+    # lies inside it, so an error below it is dropped.  A folding node passes
+    # on the error of its leftmost operand that has one, as evaluating its
+    # operands left to right would raise it
     if e.kind == "const":
         return e.value
-    if e.kind == "neg":
-        v = _const_value(e.children[0])
-        return None if v is None else -v
-    if e.kind in ("add", "mul", "div", "pow"):
-        vals = [_const_value(c) for c in e.children]
-        if any(v is None for v in vals):
-            return None
+    if e.kind not in ("neg", "add", "mul", "div", "pow"):
+        return None
+    bad = next((v for v in vals if isinstance(v, DomainError)), None)
+    if bad is not None or any(v is None for v in vals):
+        return bad
+    try:
+        if e.kind == "neg":
+            return -vals[0]
         if e.kind == "add":
             return vals[0] + vals[1]
         if e.kind == "mul":
@@ -732,7 +760,8 @@ def _const_value(e):
         if e.kind == "div":
             return _rt_div(vals[0], vals[1], _where(e))
         return _rt_pow(vals[0], e.value, _where(e))
-    return None
+    except DomainError as err:
+        return err
 
 
 def parse(text, n=None, m=None):
@@ -758,60 +787,58 @@ def _fmt_num(v):
     return repr(v)
 
 
-def _pp(e):
-    """Return (text, precedence) for one node."""
+def _pp(e, parts):
+    """(text, precedence, operand) for one node, given its children's; a neg
+    node's operand is its child's (text, precedence), which a sum prints
+    after a minus sign, and any other node's is None."""
     k = e.kind
     if k == "const":
         s = _fmt_num(e.value)
-        return (s, _PREC_UNARY if e.value < 0 else _PREC_ATOM)
+        return (s, _PREC_UNARY if e.value < 0 else _PREC_ATOM, None)
     if k == "var":
-        return (f"{e.block}[{e.index + 1}]", _PREC_ATOM)
+        return (f"{e.block}[{e.index + 1}]", _PREC_ATOM, None)
     if k == "norm0":
-        return (f"norm0({e.block})", _PREC_ATOM)
-    if k in ("abs", "sqrt"):
-        return (f"{k}({_pp(e.children[0])[0]})", _PREC_ATOM)
-    if k == "max":
-        return ("max(" + ", ".join(_pp(c)[0] for c in e.children) + ")", _PREC_ATOM)
+        return (f"norm0({e.block})", _PREC_ATOM, None)
+    if k in ("abs", "sqrt", "max"):
+        return (f"{k}({', '.join(c[0] for c in parts)})", _PREC_ATOM, None)
     if k == "neg":
-        body, prec = _pp(e.children[0])
+        body, prec, _ = parts[0]
         if prec < _PREC_POW:
             body = f"({body})"
-        return (f"-{body}", _PREC_UNARY)
+        return (f"-{body}", _PREC_UNARY, parts[0][:2])
     if k in ("add", "sum"):
-        parts = []
-        for i, c in enumerate(e.children):
-            if i > 0 and c.kind == "neg":
-                body, prec = _pp(c.children[0])
+        out = []
+        for i, (body, prec, operand) in enumerate(parts):
+            if i > 0 and operand is not None:
+                body, prec = operand
                 if prec < _PREC_ADD + 1:
                     body = f"({body})"
-                parts.append(f" - {body}")
+                out.append(f" - {body}")
                 continue
-            body, prec = _pp(c)
             if prec < _PREC_ADD:
                 body = f"({body})"
-            parts.append(body if i == 0 else f" + {body}")
-        return ("".join(parts), _PREC_ADD)
+            out.append(body if i == 0 else f" + {body}")
+        return ("".join(out), _PREC_ADD, None)
     if k in ("mul", "div"):
         op = "*" if k == "mul" else "/"
-        left, lp = _pp(e.children[0])
-        right, rp = _pp(e.children[1])
+        (left, lp, _), (right, rp, _) = parts
         if lp < _PREC_MUL:
             left = f"({left})"
         if rp < _PREC_MUL + (0 if k == "mul" else 1):
             right = f"({right})"
-        return (f"{left}{op}{right}", _PREC_MUL)
+        return (f"{left}{op}{right}", _PREC_MUL, None)
     if k == "pow":
-        base, bp = _pp(e.children[0])
+        base, bp, _ = parts[0]
         if bp < _PREC_ATOM:
             base = f"({base})"
         expo = _fmt_num(e.value)
         if e.value < 0:
             expo = f"({expo})"
-        return (f"{base}^{expo}", _PREC_POW)
+        return (f"{base}^{expo}", _PREC_POW, None)
     raise ExprError(f"unknown node kind {k!r}")
 
 
 def pretty(e):
     """Render the tree in the text syntax; parse(pretty(t)) evaluates
     identically to t and is stable under further round trips."""
-    return _pp(e)[0]
+    return _fold(e, _pp)[0]

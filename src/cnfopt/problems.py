@@ -91,8 +91,7 @@ def build_ex1b():
 def build_ex5():
     """Same lifted form as ex1a; kept as its own entry because it is the
     worked optimality-test example."""
-    entry = _build_ex1("ex5", "a")
-    return entry
+    return _build_ex1("ex5", "a")
 
 
 def build_ex2(b1=(1.0, 0.0), b2=(0.0, 1.0)):

@@ -20,6 +20,7 @@ from cnfopt.expr import (
     norm0_,
     parse,
     pretty,
+    sqrt_,
     sum_,
     value_and_gradient,
     walk,
@@ -272,6 +273,25 @@ class TestParse:
         assert (err.value.line, err.value.col) == (1, 5)
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x[1]^(sqrt(1/0))", "power exponent must be a constant (line 1, column 5)"),
+            ("x[1]^(2 + 1/0)",
+             "power exponent is undefined: division by zero at line 1, column 12 (line 1, column 5)"),
+            ("x[1]^(x[1] + 1/0)",
+             "power exponent is undefined: division by zero at line 1, column 15 (line 1, column 5)"),
+        ],
+        ids=["inside-a-call", "beside-a-constant", "beside-a-variable"],
+    )
+    def test_exponent_folding_sees_only_arithmetic(self, text, message):
+        # a call is not constant, whatever lies inside it; every operand of
+        # neg, +, *, / and ^ is folded, so an undefined one is reported even
+        # beside a variable
+        with pytest.raises(ParseError) as err:
+            parse(text, n=1, m=0)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         "text, col",
         [
             ("(" * 400 + "x[1]" + ")" * 400, MAX_NESTING + 1),
@@ -438,6 +458,11 @@ class TestCompiledAgainstReference:
             e = e + x_(1) * x_(1)
         assert evaluate(e, p) == 0.5 + 5000 * 0.25
         assert gradient(e, p)[0] == 1 + 5000 * 2 * 0.5
+        # built with no source positions, so each of these binds the text of
+        # the whole chain as its error location
+        assert evaluate(e**4, p) == (0.5 + 5000 * 0.25) ** 4
+        assert evaluate(e / 2.0, p) == (0.5 + 5000 * 0.25) / 2.0
+        assert evaluate(sqrt_(e), p) == math.sqrt(0.5 + 5000 * 0.25)
 
 
 class TestConcurrentReads:

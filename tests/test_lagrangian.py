@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cnfopt.alpf import BlockPartition
-from cnfopt.expr import Point, const, evaluate, gradient, x_
+from cnfopt.expr import Point, const, evaluate, gradient, sum_, x_
 from cnfopt.inner import InnerConfig
 from cnfopt.lagrangian import (
     V_FREE,
@@ -259,12 +259,22 @@ class TestDualValue:
                 assert prob.objective(p) >= res.value - 1e-6, entry.id
 
 
-def test_deep_objective_compiles_in_every_kernel_form():
-    # 5000 levels, far beyond the interpreter's recursion limit; every
-    # partial sum is exact at these points
+def _chain(terms):
     g = x_(1)
-    for _ in range(5000):
+    for _ in range(terms):
         g = g + x_(1) * x_(1)
+    return g
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_chain(5000), x_(1) + sum_([x_(1) * x_(1)] * 5000)],
+    ids=["5000-levels", "5000-term-sum"],
+)
+def test_deep_objective_compiles_in_every_kernel_form(g):
+    # 5000 levels, far beyond the interpreter's recursion limit, or 5000
+    # terms of one sum, past what Python compiles on one line; every partial
+    # sum is exact at these points
     prob = CnfProblem(name="deep", n=1, m=0, g=g)
     fun, value_fn, _ = augmented_objective(prob, [], [], 0.0)
     assert value_fn(np.array([0.5])) == 0.5 + 5000 * 0.25

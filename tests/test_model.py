@@ -165,6 +165,16 @@ exact: true
 box: -2 2
 """
 
+# 3000 terms in an objective and in an exponent, far beyond the interpreter's
+# recursion limit; the parser's nesting limit does not bound a chain
+CHAIN_TEXT = f"""\
+problem "chains"
+var x 2
+aux y 1
+objective: {" + ".join(["x[1]*x[2]"] * 3000)}
+reference: x[1]^({"+".join(["0.001"] * 3000)})
+"""
+
 
 class TestProblemText:
     def test_load_fields(self):
@@ -177,8 +187,9 @@ class TestProblemText:
         assert prob.objective(p) == pytest.approx(1.5**2 + 4.0)
         assert prob.reference([1.5, 2.0]) == pytest.approx(1.5**2 + 2.0**2)
 
-    def test_dump_load_round_trip(self):
-        prob = load_problem(SAMPLE_TEXT)
+    @pytest.mark.parametrize("source", [SAMPLE_TEXT, CHAIN_TEXT], ids=["toy", "3000-term-chains"])
+    def test_dump_load_round_trip(self, source):
+        prob = load_problem(source)
         text = dump_problem(prob)
         again = load_problem(text)
         assert dump_problem(again) == text
@@ -186,6 +197,15 @@ class TestProblemText:
         for _ in range(10):
             p = Point(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 1))
             assert again.objective(p) == pytest.approx(prob.objective(p), rel=1e-12)
+
+    def test_long_chains_load_evaluate_and_print(self):
+        prob = load_problem(CHAIN_TEXT)
+        expo = 0.001
+        for _ in range(2999):
+            expo += 0.001  # left to right, as the parser nests the sum
+        assert prob.reference([2.0, 0.5]) == 2.0**expo
+        assert prob.objective(Point([2.0, 0.5], [0.0])) == 3000.0
+        assert f"objective: {prob.g}\n" in dump_problem(prob)
 
     def test_catalog_entries_round_trip(self):
         for entry in default_entries():
