@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class ParseError(ExprError):
         self.col = col
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Expr:
     """One node of an immutable expression tree.
 
@@ -55,6 +55,10 @@ class Expr:
     (index is 0-based internally; the text syntax is 1-based) and the
     block name for "norm0".  ``pos`` is a (line, column) source location
     when the node came from the parser.
+
+    ``==``, ``hash`` and ``repr`` are what a dataclass would generate with
+    ``pos`` left out of all three, but they walk the tree on an explicit
+    stack, so trees of any depth compare, hash and print.
     """
 
     kind: str
@@ -62,7 +66,45 @@ class Expr:
     block: str = ""
     index: int = 0
     children: tuple = ()
-    pos: tuple | None = field(default=None, compare=False, repr=False)
+    pos: tuple | None = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if ((a.kind, a.value, a.block, a.index) != (b.kind, b.value, b.block, b.index)
+                    or len(a.children) != len(b.children)):
+                return False
+            for ca, cb in zip(a.children, b.children):
+                if ca is not cb:  # a tuple compares identical items as equal
+                    if ca.__class__ is not cb.__class__:
+                        return False
+                    stack.append((ca, cb))
+        return True
+
+    def __hash__(self):
+        return _fold(self, lambda e, hashes: hash(
+            (e.kind, e.value, e.block, e.index, tuple(map(_Hashed, hashes)))))
+
+    def __repr__(self):
+        out = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(f"{item.__class__.__qualname__}(kind={item.kind!r}, value={item.value!r}, "
+                       f"block={item.block!r}, index={item.index!r}, children=(")
+            kids = item.children
+            stack.append(",))" if len(kids) == 1 else "))")
+            for i in reversed(range(len(kids))):
+                stack.append(kids[i])
+                if i:
+                    stack.append(", ")
+        return "".join(out)
 
     def __add__(self, other):
         return Expr("add", children=(self, wrap(other)))
@@ -96,6 +138,18 @@ class Expr:
 
     def __str__(self):
         return pretty(self)
+
+
+class _Hashed:
+    """A child whose hash is known: a tuple of these hashes as the children would."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
 
 
 def wrap(v):
@@ -174,6 +228,21 @@ def _where(e):
     if e.pos is not None:
         return f"at line {e.pos[0]}, column {e.pos[1]}"
     return f"in '{pretty(e)}'"
+
+
+class _Where:
+    """A node's error location, printed only when an error message needs it:
+    a node with no source position prints its whole subtree.  Holds a copy of
+    the node without its compile cache, so code compiled and cached on a node
+    never refers back to it."""
+
+    __slots__ = ("node",)
+
+    def __init__(self, e):
+        self.node = Expr(e.kind, e.value, e.block, e.index, e.children, e.pos)
+
+    def __str__(self):
+        return _where(self.node)
 
 
 def evaluate(e, p):
@@ -283,15 +352,19 @@ def _rt_div(a, b, loc):
     return a / b
 
 
+def _rt_ipow(v, k):
+    # an integer power; overflow gives inf of the power's sign
+    try:
+        return v**k
+    except OverflowError:
+        return math.inf if (v > 0 or k % 2 == 0) else -math.inf
+
+
 def _rt_pow(v, expo, loc):
     if v == 0.0 and expo < 0:
         raise DomainError(f"zero raised to negative power {loc}")
     if expo == int(expo):
-        k = int(expo)
-        try:
-            return v**k
-        except OverflowError:
-            return math.inf if (v > 0 or k % 2 == 0) else -math.inf
+        return _rt_ipow(v, int(expo))
     if v < 0.0:
         raise DomainError(f"fractional power {expo!r} of negative base {v!r} {loc}")
     try:
@@ -319,6 +392,7 @@ def _rt_norm0(block):
 _RUNTIME = {
     "_div": _rt_div,
     "_pw": _rt_pow,
+    "_ipw": _rt_ipow,
     "_sq": _rt_sqrt,
     "_isq": _rt_inv_2sqrt,
     "_n0": _rt_norm0,
@@ -340,11 +414,16 @@ def _bt_div(a, b, loc):
     return a / b
 
 
-def _bt_pow(v, expo, loc):
-    # Python's ** on each element: numpy's vectorized pow need not round as libm does
-    if isinstance(v, np.ndarray):
-        return np.array([_rt_pow(t, expo, loc) for t in v.tolist()])
-    return _rt_pow(v, expo, loc)
+def _per_element(rt_pow):
+    """The batched twin of a scalar power helper.  It applies Python's ** to
+    each element, because numpy's vectorized pow need not round as libm does."""
+
+    def bt_pow(v, *args):
+        if isinstance(v, np.ndarray):
+            return np.array([rt_pow(t, *args) for t in v.tolist()])
+        return rt_pow(v, *args)
+
+    return bt_pow
 
 
 def _bt_sqrt(v, loc):
@@ -362,7 +441,8 @@ def _bt_inv_2sqrt(s, loc):
 
 _BATCH_RUNTIME = {
     "_div": _bt_div,
-    "_pw": _bt_pow,
+    "_pw": _per_element(_rt_pow),
+    "_ipw": _per_element(_rt_ipow),
     "_sq": _bt_sqrt,
     "_isq": _bt_inv_2sqrt,
 }
@@ -473,7 +553,7 @@ def _emit_node(e, parts, em, n, pos):
         return (val, grad)
     if k == "div":
         (va, da), (vb, db) = parts
-        val = em.temp(f"_div({va}, {vb}, {em.bind(_where(e))})")
+        val = em.temp(f"_div({va}, {vb}, {em.bind(_Where(e))})")
         grad = {}
         if da or db:
             inv = em.temp(f"1.0 / {vb}")
@@ -491,7 +571,7 @@ def _emit_node(e, parts, em, n, pos):
         (va, da) = parts[0]
         expo = e.value
         if k == "sqrt":
-            loc = em.bind(_where(e))
+            loc = em.bind(_Where(e))
             val = em.temp(f"_sq({va}, {loc})")
             factor = f"_isq({val}, {loc})"
         elif expo == 0:
@@ -501,8 +581,14 @@ def _emit_node(e, parts, em, n, pos):
         elif expo == 2 or expo == 3:
             val = em.temp("*".join([va] * int(expo)))
             factor = f"2.0 * {va}" if expo == 2 else f"3.0 * {va} * {va}"
+        elif expo > 3 and expo == int(expo):
+            # a positive integer power: no zero or fraction check can fire,
+            # only ** and its overflow.  Each exponent is int() of the float
+            # that _pw took, so the results are _pw's bit for bit
+            val = em.temp(f"_ipw({va}, {int(expo)})")
+            factor = f"{_lit(expo)} * _ipw({va}, {int(expo - 1)})"
         else:
-            loc = em.bind(_where(e))
+            loc = em.bind(_Where(e))
             val = em.temp(f"_pw({va}, {_lit(expo)}, {loc})")
             factor = f"{_lit(expo)} * _pw({va}, {_lit(expo - 1)}, {loc})"
         if not da:

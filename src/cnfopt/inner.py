@@ -156,7 +156,8 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, batch_fun=None)
     for it in range(cfg.max_iters + 1):
         # sqrt of a dot product is what np.linalg.norm computes for a 1-D
         # float array, without its dispatch cost
-        gnorm = math.sqrt(g.dot(g))
+        gg = g.dot(g)
+        gnorm = math.sqrt(gg)
         if gnorm <= tol:
             return InnerResult(z, f, gnorm, "converged", it)
         if f < VALUE_FLOOR or math.sqrt(z.dot(z)) > POINT_NORM_CAP:
@@ -178,10 +179,11 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, batch_fun=None)
         if cfg.method == NEWTON_FD:
             d = _newton_direction(_fd_hessian(batch_fun, z), g)
             t = INIT_STEP
+            slope = float(g @ d)
         else:
             d = -g
             t = trial
-        slope = float(g @ d)
+            slope = -float(gg)  # g @ -g: negation is exact
         if slope >= 0.0:  # never step along a non-descent direction
             d = -g
             slope = -gnorm * gnorm

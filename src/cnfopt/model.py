@@ -187,13 +187,13 @@ def midpoint_convexity_violations(fn, dim, box, pairs, seed, tol=CONVEXITY_TOL):
     A sampled necessary condition for convexity of fn over the box; cheap
     and catches sign mistakes, but no proof.
     """
-    rng = np.random.default_rng(seed)
     lo, hi = box
+    # one draw takes the stream that drawing a, then b, pair by pair would
+    ends = np.random.default_rng(seed).uniform(lo, hi, (pairs, 2, dim))
+    mids = 0.5 * (ends[:, 0] + ends[:, 1])
     bad = 0
-    for _ in range(pairs):
-        a = rng.uniform(lo, hi, dim)
-        b = rng.uniform(lo, hi, dim)
-        over = fn(0.5 * (a + b)) > 0.5 * (fn(a) + fn(b)) + tol
+    for (a, b), mid in zip(ends, mids):
+        over = fn(mid) > 0.5 * (fn(a) + fn(b)) + tol
         # a float fn's bool skips numpy's any(), which costs as much as fn
         if over.any() if isinstance(over, np.ndarray) else over:
             bad += 1

@@ -1,8 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import cnfopt.expr as expr_module
+import expr_oracle
 from cnfopt.expr import (
     DialectError,
     DomainError,
@@ -12,6 +16,7 @@ from cnfopt.expr import (
     MAX_NESTING,
     abs_,
     compiled_gradient,
+    compiled_value,
     const,
     evaluate,
     gradient,
@@ -531,3 +536,255 @@ class TestPretty:
         p = Point([1.3], [0.2, -0.7, 2.0])
         assert evaluate(r, p) == pytest.approx(evaluate(e, p), rel=1e-12)
         assert parse(pretty(r), n=1, m=3) == r
+
+
+def _same_float(a, b):
+    """Equal bit for bit, or both nan."""
+    a, b = float(a), float(b)
+    return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+
+
+# signed zeros, infinities, nan, subnormals, underflow and both overflow signs
+POWER_BASES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+               2.2250738585072014e-308, 1e-80, -1e-80, 1.5, -1.5, 0.7, 1e60, -1e60, 1e62, -1e62]
+POWER_EXPONENTS = [4, 5, 6, 7, 10, 11, 64]
+
+
+class TestIntegerPower:
+    """``_ipw``, the runtime of a power with a positive integer exponent
+    above 3, and ``_pw``, which it replaced there, against the old helper
+    kept in ``tests/expr_oracle.py``."""
+
+    def test_helpers_equal_the_old_checked_power(self):
+        from cnfopt.expr import _rt_ipow, _rt_pow
+
+        assert _rt_ipow(1e60, 6) == math.inf
+        assert _rt_ipow(-1e62, 5) == -math.inf
+        assert _rt_ipow(-1e62, 6) == math.inf
+        assert _rt_ipow(-1e60, 5) == -(1e60**5)  # 1e300 is still finite
+        with np.errstate(all="ignore"):  # numpy floats overflow to inf with a warning
+            for v in POWER_BASES:
+                for k in POWER_EXPONENTS:
+                    for base in (v, np.float64(v)):
+                        want = expr_oracle.checked_pow(base, float(k), "loc")
+                        for got in (_rt_ipow(base, k), _rt_pow(base, float(k), "loc")):
+                            assert type(got) is type(want)
+                            assert _same_float(got, want), (v, k)
+
+    def test_batched_forms_match_elementwise(self):
+        from cnfopt.expr import _BATCH_RUNTIME
+
+        bases = np.array(POWER_BASES)
+        for k in POWER_EXPONENTS:
+            want = [expr_oracle.checked_pow(v, float(k), "loc") for v in POWER_BASES]
+            for got in (_BATCH_RUNTIME["_ipw"](bases, k),
+                        _BATCH_RUNTIME["_pw"](bases, float(k), "loc")):
+                assert got.shape == bases.shape
+                assert all(_same_float(g, w) for g, w in zip(got.tolist(), want)), k
+            # a coordinate frozen across the batch stays one float
+            assert _same_float(_BATCH_RUNTIME["_ipw"](-1e62, k),
+                               expr_oracle.checked_pow(-1e62, float(k), "loc"))
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7])
+    def test_compiled_powers_use_it_and_keep_their_values(self, k):
+        e = x_(1) ** k
+        assert "_ipw" in compiled_value(e).__code__.co_names
+        assert "_pw" not in compiled_value(e).__code__.co_names
+        with np.errstate(all="ignore"):
+            for v in POWER_BASES:
+                p = Point([v], [])
+                want = expr_oracle.checked_pow(v, float(k), "loc")
+                assert _same_float(evaluate(e, p), want)
+                want = k * expr_oracle.checked_pow(v, float(k - 1), "loc")
+                assert _same_float(gradient(e, p)[0], want)
+
+    def test_other_powers_keep_their_checks(self):
+        assert "_pw" in compiled_value(x_(1) ** -4).__code__.co_names
+        with pytest.raises(DomainError, match="zero raised to negative power"):
+            evaluate(x_(1) ** -4, Point([0.0], []))
+        with pytest.raises(DomainError, match="fractional power"):
+            evaluate(x_(1) ** 4.5, Point([-1.0], []))
+
+
+def _halving_chain(levels):
+    e = x_(1)
+    for _ in range(levels):
+        e = (e + 1.0) / 2.0
+    return e
+
+
+class TestLazyErrorLocations:
+    """A node's error location is printed only when its DomainError is
+    raised, with the same text as before, and compiled code holds no
+    reference back to the tree it is cached on."""
+
+    def test_compiling_prints_nothing(self, monkeypatch):
+        printed = []
+        real = expr_module.pretty
+        monkeypatch.setattr(expr_module, "pretty", lambda e: printed.append(e) or real(e))
+        e = _halving_chain(2000)
+        p = Point([3.0], [])
+        # 1 + 2^-k for k = 0, 1, ...; exactly 1 once 2^-k falls below rounding
+        assert evaluate(e, p) == 1.0
+        assert gradient(e, p)[0] == 0.0  # 2^-2000 underflows
+        other = sqrt_(x_(1)) + x_(1) ** -2 + abs_(x_(1)) ** 1.5
+        assert evaluate(other, Point([4.0], [])) == 2.0 + 1.0 / 16.0 + 8.0
+        assert printed == []
+
+    MESSAGES = [
+        (x_(1) / (x_(1) - 1.0), 1.0, "division by zero in 'x[1]/(x[1] - 1)'"),
+        (sqrt_(x_(1) - 2.0), 1.0, "sqrt of negative value np.float64(-1.0) in 'sqrt(x[1] - 2)'"),
+        ((x_(1) - 1.0) ** -2, 1.0, "zero raised to negative power in '(x[1] - 1)^(-2)'"),
+        ("x[1] / (x[1] - 1)", 1.0, "division by zero at line 1, column 6"),
+        ("sqrt(x[1] - 2)", 1.0, "sqrt of negative value np.float64(-1.0) at line 1, column 1"),
+        ("(x[1] - 1)^(-2)", 1.0, "zero raised to negative power at line 1, column 11"),
+        ("2 * (x[1] - 1)^(-3)", 1.0, "zero raised to negative power at line 1, column 15"),
+    ]
+
+    @pytest.mark.parametrize("e, x, message", MESSAGES)
+    def test_messages_are_unchanged(self, e, x, message):
+        e = parse(e, n=1) if isinstance(e, str) else e
+        for run in (evaluate, gradient):
+            with pytest.raises(DomainError) as info:
+                run(e, Point([x], []))
+            assert str(info.value) == message
+
+    def test_sqrt_gradient_message_is_unchanged(self):
+        # a list: the two trees are equal, since == leaves pos out
+        want = [(sqrt_(x_(1) - 1.0), "in 'sqrt(x[1] - 1)'"),
+                (parse("sqrt(x[1] - 1)", n=1), "at line 1, column 1")]
+        for e, where in want:
+            with pytest.raises(DomainError) as info:
+                gradient(e, Point([1.0], []))
+            assert str(info.value) == f"sqrt gradient needs a positive argument {where}"
+
+    def test_batched_helpers_print_the_same_location(self):
+        from cnfopt.expr import _BATCH_RUNTIME, _RUNTIME, _Where
+
+        node = x_(1) / (x_(1) - 1.0)
+        for runtime, args in ((_RUNTIME, (1.0, 0.0)), (_BATCH_RUNTIME, (np.ones(2), np.zeros(2)))):
+            with pytest.raises(DomainError) as info:
+                runtime["_div"](*args, _Where(node))
+            assert str(info.value) == "division by zero in 'x[1]/(x[1] - 1)'"
+
+    @pytest.mark.parametrize("build", [
+        lambda: x_(1) / x_(2),
+        lambda: sqrt_(x_(1) + x_(2)),
+        lambda: (x_(1) - x_(2)) ** -2,
+    ], ids=["div", "sqrt", "negative-power"])
+    def test_compiled_tree_is_freed_without_the_collector(self, build):
+        p = Point([1.0, 2.0], [])
+        gc.disable()
+        try:
+            for compile_it in (lambda e: evaluate(e, p), lambda e: gradient(e, p)):
+                e = build()
+                compile_it(e)
+                assert e.__dict__["_compiled"]
+                dropped = weakref.ref(e)
+                del e
+                assert dropped() is None
+        finally:
+            gc.enable()
+
+
+def _chain(levels, leaf):
+    e = leaf
+    for _ in range(levels):
+        e = e + x_(1) * 0.5
+    return e
+
+
+_NAN = math.nan  # one object: a tuple compares identical items as equal
+
+
+def _random_node_tree(shape, values, places, depth, pool):
+    """A tree of every node kind.  ``shape`` draws the structure, ``values``
+    the constants and ``places`` the source positions, so trees drawn with
+    the same ``shape`` and ``values`` but other ``places`` are equal."""
+    pos = None
+    if places.random() < 0.4:
+        pos = (int(places.integers(1, 5)), int(places.integers(1, 40)))
+    roll = shape.random()
+    if depth == 0 or roll < 0.25:
+        if pool and roll < 0.05:
+            return pool[int(shape.integers(len(pool)))]  # a subtree shared within the tree
+        leaf = int(shape.integers(3))
+        if leaf == 0:
+            choices = [0.0, -0.0, 1.0, -2.5, 1e300, math.inf, _NAN, None]
+            v = choices[int(values.integers(len(choices)))]
+            return Expr("const", value=float("nan") if v is None else v, pos=pos)
+        block = "xy"[int(shape.integers(2))]
+        if leaf == 1:
+            return Expr("var", block=block, index=int(values.integers(3)), pos=pos)
+        return Expr("norm0", block=block, pos=pos)
+    kind = ["add", "sum", "mul", "div", "neg", "pow", "sqrt", "abs", "max"][int(shape.integers(9))]
+    count = {"neg": 1, "pow": 1, "sqrt": 1, "abs": 1, "sum": int(shape.integers(0, 4)),
+             "max": int(shape.integers(1, 4))}.get(kind, 2)
+    kids = tuple(_random_node_tree(shape, values, places, depth - 1, pool) for _ in range(count))
+    value = [2.0, -1.0, 0.5, 4.0][int(values.integers(4))] if kind == "pow" else 0.0
+    node = Expr(kind, value=value, children=kids, pos=pos)
+    pool.append(node)
+    return node
+
+
+class TestNodeIdentity:
+    """``==``, ``hash`` and ``repr`` of ``Expr`` walk the tree without
+    recursion, give what the dataclass-generated methods gave
+    (``tests/expr_oracle.py``), and leave ``pos`` out."""
+
+    def test_deep_chains_compare_hash_and_print(self):
+        a, b = _chain(3000, x_(1)), _chain(3000, x_(1))
+        c = _chain(3000, x_(2))  # differs only at the bottom
+        assert a == b and not a != b
+        assert a != c and not a == c
+        assert hash(a) == hash(b)
+        assert {a: "found"}[b] == "found"
+        text = repr(a)
+        assert text == repr(b) != repr(c)
+        assert text.startswith("Expr(kind='add', value=0.0, block='', index=0, children=(")
+        assert text.count("Expr(") == len(walk(a))
+
+    def test_results_equal_the_recursive_oracle(self):
+        def draw(shape, values, places):
+            rngs = [np.random.default_rng(s) for s in (shape, values, places)]
+            return _random_node_tree(*rngs, shape % 4 + 1, [])
+
+        outcomes = set()
+        for trial in range(600):
+            seed = trial // 6
+            a = draw(seed, seed, seed)
+            mode = trial % 6
+            if mode == 0:
+                b = draw(seed, seed, seed)  # equal, unless a fresh nan is drawn
+            elif mode == 1:
+                b = draw(seed, seed, seed + 1000)  # only the positions differ
+            elif mode == 2:
+                b = draw(seed, seed + 1000, seed)  # the same shape, other constants
+            elif mode == 3:
+                b = draw(seed + 1000, seed, seed)  # another tree
+            elif mode == 4:
+                b = Expr(a.kind, a.value, a.block, a.index, a.children)  # shares the children
+            else:
+                b = a
+            ma, mb = expr_oracle.mirror(a), expr_oracle.mirror(b)
+            assert (a == b) == (ma == mb)
+            assert (a != b) == (ma != mb)
+            assert hash(a) == hash(ma) and hash(b) == hash(mb)
+            assert repr(a) == repr(ma)
+            outcomes.add((mode, a == b))
+        # each mode that can go either way went both ways
+        assert {(0, True), (0, False), (1, True), (2, True), (2, False), (3, False)} <= outcomes
+
+    def test_other_types_are_not_equal(self):
+        assert x_(1).__eq__(1.0) is NotImplemented
+        assert x_(1) != 1.0 and x_(1) != "x[1]"
+        assert expr_oracle.Expr("var").__eq__(1.0) is NotImplemented
+
+    def test_pos_is_left_out(self):
+        parsed = parse("x[1] + 2*y[1]", n=1, m=1)
+        built = x_(1) + 2.0 * y_(1)
+        assert parsed.pos is not None and built.pos is None
+        assert parsed == built
+        assert hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built)
+        assert "pos" not in repr(parsed)

@@ -54,7 +54,7 @@ def with_zeros(values):
 
 @pytest.mark.parametrize("rho", [0.0, 37.0, 1e5])
 def test_ex7_powers_of_four_and_six(rho):
-    # x^4 and x^6 run through _pw, which applies Python's ** per point
+    # x^4 and x^6 run through _ipw, which applies Python's ** per point
     prob = build("ex7").problem
     rng = np.random.default_rng(11)
     for _ in range(5):

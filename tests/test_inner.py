@@ -152,3 +152,28 @@ def test_newton_matches_the_per_point_hessian(monkeypatch, fun, start, grad_tol)
     for a, b in [(got.point, want.point), (got.value, want.value),
                  (got.grad_norm, want.grad_norm), *zip(seen["batch"], seen["loop"])]:
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_gradient_descent_slope_is_the_negated_squared_norm():
+    """Gradient descent takes its slope from the squared gradient norm it
+    already has: -(g @ g) equals g @ -g bit for bit, as negation is exact."""
+    scale = np.linspace(0.5, 3.0, 37)
+
+    def value(z):
+        return float(np.sum(scale * z**4) + z @ z)
+
+    gradients = []
+
+    def fun(z):
+        g = 4.0 * scale * z**3 + 2.0 * z
+        gradients.append(g)
+        return value(z), g
+
+    slopes = []
+    res = minimize(fun, np.random.default_rng(3).uniform(-2, 2, 37), InnerConfig(max_iters=60),
+                   value_fn=value, callback=lambda z, f, t, slope: slopes.append(slope))
+    assert res.iterations == len(slopes) > 5
+    # fun runs once at the start and once per accepted step
+    for g, slope in zip(gradients, slopes):
+        assert type(slope) is float
+        assert slope.hex() == float(g @ -g).hex()

@@ -3,6 +3,7 @@ import types
 import numpy as np
 import pytest
 
+import cnfopt.lagrangian as lagrangian_module
 from cnfopt.alpf import BlockPartition
 from cnfopt.expr import Point, const, evaluate, gradient, sum_, x_
 from cnfopt.inner import InnerConfig
@@ -356,3 +357,43 @@ class TestKernelOracle:
             assert got_val == pytest.approx(want_val, rel=1e-12)
             assert value_fn(p.flat()[cols]) == pytest.approx(want_val, rel=1e-12)
             assert got_grad == pytest.approx(want_grad[cols], rel=1e-12)
+
+
+class TestFullSpaceClosures:
+    """Over every column in order, the ``augmented_objective`` closures hand
+    ``z`` to the kernel as it is.  They must equal the scatter path (a copy
+    of ``base`` with ``z`` written in) bit for bit and leave ``z`` as it was."""
+
+    @pytest.mark.parametrize("eid,params", [
+        ("ex7", {}), ("ex8", {"n": 10}), ("ex9", {"n": 10, "lam": 1.0}),
+    ])
+    def test_equal_to_the_scatter_path(self, eid, params):
+        prob = build(eid, **params).problem
+        dim = prob.n + prob.m
+        rng = np.random.default_rng(11)
+        lo, hi = prob.box
+        base = Point(rng.uniform(lo, hi, prob.n), rng.uniform(lo, hi, prob.m))
+        u = with_zeros(rng.uniform(0.0, 2.0, prob.s))
+        v = with_zeros(rng.normal(size=prob.r))
+        kernel = lagrangian_module._kernel(prob)
+        for rho in (0.0, 37.0):
+            for wrt in (None, np.arange(dim)):
+                args = (prob, u, v, rho)
+                direct = augmented_objective(*args, base=base, wrt=wrt)
+                assert kernel.full
+                kernel.full = False  # the closures read it when they are built
+                try:
+                    scatter = augmented_objective(*args, base=base, wrt=wrt)
+                finally:
+                    kernel.full = True
+                for _ in range(4):
+                    z = rng.uniform(2 * lo, 2 * hi, dim)
+                    before = z.tobytes()
+                    (f1, g1), (f2, g2) = direct[0](z), scatter[0](z)
+                    assert float(f1).hex() == float(f2).hex()
+                    assert g1.tobytes() == g2.tobytes()
+                    assert float(direct[1](z)).hex() == float(scatter[1](z)).hex()
+                    p1, p2 = direct[2](z), scatter[2](z)
+                    assert p1.x.tobytes() == p2.x.tobytes() and p1.y.tobytes() == p2.y.tobytes()
+                    p1.x[:] = 0.0  # the point is a copy
+                    assert z.tobytes() == before

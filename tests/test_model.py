@@ -14,6 +14,8 @@ from cnfopt.model import (
 )
 from cnfopt.problems import build, default_entries
 
+import convexity_oracle
+
 
 @pytest.fixture(scope="module")
 def ex5():
@@ -117,6 +119,34 @@ class TestSampleConvexity:
     def test_midpoint_helper_flags_nonconvex_function(self):
         assert midpoint_convexity_violations(lambda z: -(z[0] ** 2), 1, (-2, 2), 100, 0) > 0
         assert midpoint_convexity_violations(lambda z: z[0] ** 2, 1, (-2, 2), 100, 0) == 0
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar-fn", "vector-fn"])
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_one_draw_equals_the_per_pair_loop(self, vector, dim):
+        """The one-draw check counts what the old per-pair loop counted and
+        calls ``fn`` at the same points, bit for bit, in the same order."""
+
+        def recording(calls):
+            def fn(z):
+                calls.append(np.array(z))
+                # nonconvex in places, so some pairs count and some do not
+                parts = [np.sin(3.0 * z).sum(), float(z @ z), -(z[0] ** 2)]
+                return np.array(parts) if vector else parts[0]
+            return fn
+
+        counts = set()
+        for seed in range(4):
+            for box, pairs in (((-2.0, 2.0), 60), ((-5.0, 0.5), 1), ((0.0, 1.0), 0)):
+                got_calls, want_calls = [], []
+                got = midpoint_convexity_violations(recording(got_calls), dim, box, pairs, seed)
+                want = convexity_oracle.midpoint_convexity_violations(
+                    recording(want_calls), dim, box, pairs, seed)
+                assert got == want
+                assert len(got_calls) == len(want_calls) == 3 * pairs
+                for z_got, z_want in zip(got_calls, want_calls):
+                    assert z_got.tobytes() == z_want.tobytes()
+                counts.add(got)
+        assert len(counts) > 2  # the pairs did not all agree
 
 
 class TestBuiltinSuiteInvariants:
