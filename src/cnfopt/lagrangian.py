@@ -116,7 +116,6 @@ class _Kernel:
         # no reference to prob itself: the kernel is cached on the problem,
         # and a cycle would keep both alive until a full garbage collection
         self._n, self._g = prob.n, prob.g
-        self.full = cols is None  # every column, in order
         self._pos = None if cols is None else {f: i for i, f in enumerate(cols)}
         self._width = prob.n + prob.m if cols is None else len(cols)
         self._cons = [(prob.ineqs[i], False) for i in ineq_idx]
@@ -302,24 +301,26 @@ def augmented_objective(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_
     n, m = prob.n, prob.m
     kernel, base_vec, wrt_idx, mu = _subproblem(prob, u, v, base, wrt, ineq_idx, eq_idx)
 
-    # over every column in order, z is the whole flat point: it goes to the
-    # kernel as it is, with no copy, since the kernel only reads it
-    full = kernel.full
-
-    def flat(z):
-        vec = base_vec.copy()
-        vec[wrt_idx] = z
-        return vec
+    if kernel._pos is None:
+        # over every column in order, z is the whole flat point: it goes to
+        # the kernel as it is, with no copy, since the kernel only reads it
+        def flat(z):
+            return z
+    else:
+        def flat(z):
+            vec = base_vec.copy()
+            vec[wrt_idx] = z
+            return vec
 
     def to_point(z):
-        return Point.from_flat(z if full else flat(z), n, m)
+        return Point.from_flat(flat(z), n, m)
 
     def fun(z):
-        val, acc = kernel.value_and_grad(z if full else flat(z), mu, rho)
+        val, acc = kernel.value_and_grad(flat(z), mu, rho)
         return val, np.array(acc)
 
     def value_fn(z):
-        return kernel.value(z if full else flat(z), mu, rho)
+        return kernel.value(flat(z), mu, rho)
 
     return fun, value_fn, to_point
 

@@ -180,6 +180,10 @@ def validate_exactness(prob, samples=1000, seed=0):
     return worst
 
 
+# pairs drawn at once by the midpoint-convexity check
+_DRAW_PAIRS = 256
+
+
 def midpoint_convexity_violations(fn, dim, box, pairs, seed, tol=CONVEXITY_TOL):
     """Count sampled pairs (p, q) with fn((p+q)/2) > (fn(p)+fn(q))/2 + tol;
     when fn returns a vector, a pair counts once if any component does.
@@ -188,15 +192,18 @@ def midpoint_convexity_violations(fn, dim, box, pairs, seed, tol=CONVEXITY_TOL):
     and catches sign mistakes, but no proof.
     """
     lo, hi = box
-    # one draw takes the stream that drawing a, then b, pair by pair would
-    ends = np.random.default_rng(seed).uniform(lo, hi, (pairs, 2, dim))
-    mids = 0.5 * (ends[:, 0] + ends[:, 1])
+    rng = np.random.default_rng(seed)
     bad = 0
-    for (a, b), mid in zip(ends, mids):
-        over = fn(mid) > 0.5 * (fn(a) + fn(b)) + tol
-        # a float fn's bool skips numpy's any(), which costs as much as fn
-        if over.any() if isinstance(over, np.ndarray) else over:
-            bad += 1
+    # a draw of k pairs takes the stream that drawing a, then b, pair by
+    # pair would; a bounded k keeps memory independent of the pair count
+    for start in range(0, pairs, _DRAW_PAIRS):
+        ends = rng.uniform(lo, hi, (min(_DRAW_PAIRS, pairs - start), 2, dim))
+        mids = 0.5 * (ends[:, 0] + ends[:, 1])
+        for (a, b), mid in zip(ends, mids):
+            over = fn(mid) > 0.5 * (fn(a) + fn(b)) + tol
+            # a float fn's bool skips numpy's any(), which costs as much as fn
+            if over.any() if isinstance(over, np.ndarray) else over:
+                bad += 1
     return bad
 
 

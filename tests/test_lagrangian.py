@@ -376,24 +376,23 @@ class TestFullSpaceClosures:
         u = with_zeros(rng.uniform(0.0, 2.0, prob.s))
         v = with_zeros(rng.normal(size=prob.r))
         kernel = lagrangian_module._kernel(prob)
+        mu = np.concatenate([u, v]).tolist()
         for rho in (0.0, 37.0):
             for wrt in (None, np.arange(dim)):
-                args = (prob, u, v, rho)
-                direct = augmented_objective(*args, base=base, wrt=wrt)
-                assert kernel.full
-                kernel.full = False  # the closures read it when they are built
-                try:
-                    scatter = augmented_objective(*args, base=base, wrt=wrt)
-                finally:
-                    kernel.full = True
+                fun, value_fn, to_point = augmented_objective(prob, u, v, rho, base=base, wrt=wrt)
                 for _ in range(4):
                     z = rng.uniform(2 * lo, 2 * hi, dim)
                     before = z.tobytes()
-                    (f1, g1), (f2, g2) = direct[0](z), scatter[0](z)
-                    assert float(f1).hex() == float(f2).hex()
-                    assert g1.tobytes() == g2.tobytes()
-                    assert float(direct[1](z)).hex() == float(scatter[1](z)).hex()
-                    p1, p2 = direct[2](z), scatter[2](z)
-                    assert p1.x.tobytes() == p2.x.tobytes() and p1.y.tobytes() == p2.y.tobytes()
-                    p1.x[:] = 0.0  # the point is a copy
+                    # the scatter path: a copy of base with z written in
+                    vec = base.flat().copy()
+                    vec[np.arange(dim)] = z
+                    want_val, want_acc = kernel.value_and_grad(vec, mu, rho)
+                    got_val, got_grad = fun(z)
+                    assert float(got_val).hex() == float(want_val).hex()
+                    assert got_grad.tobytes() == np.array(want_acc).tobytes()
+                    assert float(value_fn(z)).hex() == float(kernel.value(vec, mu, rho)).hex()
+                    p = to_point(z)
+                    assert p.x.tobytes() == vec[:prob.n].tobytes()
+                    assert p.y.tobytes() == vec[prob.n:].tobytes()
+                    p.x[:] = 0.0  # the point is a copy
                     assert z.tobytes() == before

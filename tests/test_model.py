@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cnfopt.expr import Point, const, evaluate, x_, y_
+from cnfopt import model
 from cnfopt.model import (
     CnfProblem,
     ProblemFormatError,
@@ -147,6 +150,32 @@ class TestSampleConvexity:
                     assert z_got.tobytes() == z_want.tobytes()
                 counts.add(got)
         assert len(counts) > 2  # the pairs did not all agree
+
+    @pytest.mark.parametrize("pairs", [-1, 2 * model._DRAW_PAIRS + 3])
+    def test_pair_counts_past_one_draw(self, pairs):
+        """A count the ``validate --samples`` flag can pass spans several
+        draws and still matches the loop; a negative one checks no pair."""
+
+        def fn(z):
+            return np.sin(3.0 * z).sum()
+
+        got = midpoint_convexity_violations(fn, 3, (-2.0, 2.0), pairs, 5)
+        assert got == convexity_oracle.midpoint_convexity_violations(fn, 3, (-2.0, 2.0), pairs, 5)
+        assert (got > 0) == (pairs > 0)
+
+    def test_memory_does_not_grow_with_pairs(self):
+        def peak(pairs):
+            tracemalloc.start()
+            try:
+                midpoint_convexity_violations(lambda z: 0.0, 200, (-1.0, 1.0), pairs, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2 * model._DRAW_PAIRS)  # warm up
+        few, many = peak(2 * model._DRAW_PAIRS), peak(16 * model._DRAW_PAIRS)
+        # all pairs in one draw would take 8 times the memory of the few
+        assert many < 1.5 * few
 
 
 class TestBuiltinSuiteInvariants:

@@ -1,15 +1,14 @@
 """Run the benchmark on two checkouts as alternating pairs and compare them.
 
-    python3 tools/ab_bench.py PARENT --tag TAG [--change DIR] [--workload W ...]
-                              [--pairs N] [--seed S] [--seconds T] [--trace 0|1]
+    python3 tools/ab_bench.py PARENT --tag TAG [--workload W ...] [--pairs N]
+                              [--trace 0|1]
 
-PARENT and ``--change`` (this checkout by default) are roots of two
-checkouts.  For each workload (every one in ``BENCHMARK.json`` by default) the
-script runs each checkout's own, unchanged ``perfbench/run.py`` N times with
-the same arguments, in pairs whose first side alternates: the parent first in
-pairs 1, 3, ..., the change first in pairs 2, 4, ....  The seed defaults to
-``jobs.HELD_OUT_SEED`` and the run length to ``BENCHMARK.json``'s
-``run_seconds``.
+PARENT is the root of another checkout; the change is this one.  For each
+workload (every one in ``BENCHMARK.json`` by default) the script runs each
+checkout's own, unchanged ``perfbench/run.py`` N times with the same
+arguments, in pairs whose first side alternates: the parent first in pairs
+1, 3, ..., the change first in pairs 2, 4, ....  Every run takes the seed
+``jobs.HELD_OUT_SEED`` and ``BENCHMARK.json``'s ``run_seconds``.
 
 For each workload and metric it prints each side's median [quartiles], the
 relative change of the medians, and how many pairs the change won (ties count
@@ -24,8 +23,7 @@ for neither side).  An end-to-end metric also gets a verdict:
 * ``within bound``: otherwise.
 
 Every run, the summary and both environment fingerprints go to
-``BENCH_<tag>.json`` at the root of the change checkout (or ``--out``),
-rewritten after each pair, so an interrupted comparison keeps its pairs.
+``BENCH_<tag>.json`` at the root of this checkout, rewritten after each pair, so an interrupted comparison keeps its pairs.
 """
 
 from __future__ import annotations
@@ -44,10 +42,11 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import jobs  # noqa: E402  (read only, for its seed)
 
 
-def _run(checkout, args, workload):
+def _run(checkout, record, workload):
     """One benchmark run in ``checkout``: (environment, result)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-           str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
+           str(record["seed"]), "--seconds", str(record["seconds"]), "--trace",
+           str(record["trace"])]
     out = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
     lines = out.stdout.splitlines()
     return json.loads(lines[-2])["env"], json.loads(lines[-1])
@@ -92,22 +91,18 @@ def main(argv=None):
         bench = json.load(fh)
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
-    ap.add_argument("--change", default=ROOT)
     ap.add_argument("--tag", required=True)
-    ap.add_argument("--out")
     ap.add_argument("--workload", action="append", choices=[w["name"] for w in bench["workloads"]])
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=jobs.HELD_OUT_SEED)
-    ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
-    checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    out = args.out or os.path.join(args.change, f"BENCH_{args.tag}.json")
+    checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    out = os.path.join(ROOT, f"BENCH_{args.tag}.json")
     # (better, bound) of each metric; per-layer metrics have no bound
     kinds = {m["name"]: (m["better"], None) for m in bench["per_layer"]}
     kinds.update((m["name"], (m["better"], m["bound"])) for m in bench["end_to_end"])
-    record = {"tag": args.tag, "command": bench["command"], "seed": args.seed,
-              "seconds": args.seconds, "trace": args.trace, "pairs": args.pairs,
+    record = {"tag": args.tag, "command": bench["command"], "seed": jobs.HELD_OUT_SEED,
+              "seconds": bench["run_seconds"], "trace": args.trace, "pairs": args.pairs,
               "env": {}, "workloads": {}}
 
     for workload in args.workload or [w["name"] for w in bench["workloads"]]:
@@ -116,7 +111,7 @@ def main(argv=None):
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                env, result = _run(checkouts[side], args, workload)
+                env, result = _run(checkouts[side], record, workload)
                 record["env"][side] = env
                 runs[side].append({**result, "first": side == order[0]})
             names = [n for n in runs["parent"][0]["metrics"] if n in runs["change"][0]["metrics"]]
@@ -125,9 +120,11 @@ def main(argv=None):
             with open(out, "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=1)
                 fh.write("\n")
-        print(f"{workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds} s, "
-              f"trace {args.trace}; correct {all(r['correct'] for v in runs.values() for r in v)}, "
-              f"failed {sum(r['failed'] for v in runs.values() for r in v)}")
+        every = [r for side in runs.values() for r in side]
+        print(f"{workload}: {args.pairs} pairs, seed {record['seed']}, "
+              f"{record['seconds']} s, trace {args.trace}; "
+              f"correct {all(r['correct'] for r in every)}, "
+              f"failed {sum(r['failed'] for r in every)}")
         for name, s in entry["metrics"].items():
             rel = "" if s["relative"] is None else f" ({s['relative']:+.1%})"
             print(f"  {name} [{s['unit']}]: {_fmt(s['parent'])} -> {_fmt(s['change'])}{rel}, "
