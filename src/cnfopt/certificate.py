@@ -9,22 +9,22 @@ only under a feasible-direction hypothesis that is not machine-checkable
 (the verdict says so).  A nonnegative LP optimum means no first-order
 descent direction; the LP duals are exactly the KKT multipliers.
 
-Every test reads one linearization at the point: the objective gradient,
-the constraint values and the constraint gradients, one forward pass per
-expression.  ``certify`` builds it once, and only inside the matched set.
+Every test reads one linearization at the point: the objective gradient
+and the problem kernel's Jacobian form (constraint values and gradients).
+``certify`` builds it once, and only inside the matched set.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .expr import Point, gradient, value_and_gradient
+from .expr import Point, gradient
 from .lagrangian import V_NONNEG, Multipliers, lagrangian
 from .lp import LpProblem, solve_lp
-from .model import check_feasible
+from .model import _kernel, check_feasible
 
 CNP_INEQ = "cnp_ineq"
 CNP0_EQ = "cnp0_eq"
@@ -50,11 +50,7 @@ class KktResidual:
         return max(self.stationarity, self.complementarity, self.sign_violation) <= tol
 
     def to_dict(self):
-        return {
-            "stationarity": self.stationarity,
-            "complementarity": self.complementarity,
-            "sign_violation": self.sign_violation,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -82,14 +78,11 @@ class _Linearization:
 
 
 def _linearize(prob, p, grad_g):
-    """The linearization at p, given the objective gradient there; one
-    forward pass per constraint yields its value and gradient."""
-    exprs = (*prob.ineqs, *prob.eqs)
-    vals = np.zeros(len(exprs))
-    jac = np.zeros((len(exprs), prob.n + prob.m))
-    for k, e in enumerate(exprs):
-        vals[k], jac[k] = value_and_gradient(e, p)
-    return _Linearization(grad_g, vals[:prob.s], vals[prob.s:], jac)
+    """The linearization at p, given the objective gradient there; one run of
+    the kernel's Jacobian form gives every constraint's value and gradient."""
+    jac = np.zeros((prob.s + prob.r, prob.n + prob.m))
+    cv = _kernel(prob).rows(p.flat(), jac)
+    return _Linearization(grad_g, cv[:prob.s], cv[prob.s:], jac)
 
 
 def _outside_matched_set(prob, p, rep, feas_tol):

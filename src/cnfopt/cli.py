@@ -176,28 +176,32 @@ def _summary(entry, trace):
 def _cmd_solve(args):
     entry = _load_entry(args)
     prob = entry.problem
-    inner = InnerConfig(
-        method="newton_fd" if args.inner == "newton" else "gradient_descent",
-        max_iters=args.inner_iters,
-    )
-    cfg = AlpfConfig(
-        eps=args.eps,
-        rho0=args.rho0,
-        growth=args.growth,
-        max_outer=args.max_outer,
-        inner=inner,
-        start=_resolve_start(args, entry),
-        seed=args.seed,
-        sigma0=args.sigma0,
-    )
+    if args.solver == "decomposed" and not args.blocks:
+        raise CliError("--solver decomposed requires --blocks")
+    try:  # the configurations and the partition check their numbers
+        inner = InnerConfig(
+            method="newton_fd" if args.inner == "newton" else "gradient_descent",
+            max_iters=args.inner_iters,
+        )
+        cfg = AlpfConfig(
+            eps=args.eps,
+            rho0=args.rho0,
+            growth=args.growth,
+            max_outer=args.max_outer,
+            inner=inner,
+            start=_resolve_start(args, entry),
+            seed=args.seed,
+            sigma0=args.sigma0,
+        )
+        if args.solver == "decomposed":
+            partition = BlockPartition.contiguous(prob, args.blocks)
+    except ValueError as err:
+        raise CliError(str(err)) from err
     if args.solver == "alpf":
         trace = solve_alpf(prob, cfg)
     elif args.solver == "penalty":
         trace = solve_penalty(prob, cfg)
     else:
-        if not args.blocks:
-            raise CliError("--solver decomposed requires --blocks")
-        partition = BlockPartition.contiguous(prob, args.blocks)
         trace = solve_decomposed(prob, partition, cfg)
 
     summary = _summary(entry, trace)
@@ -225,6 +229,8 @@ def _cmd_solve(args):
 
 
 def _cmd_certify(args):
+    if not args.feas_tol > 0:
+        raise CliError("--feas-tol must be positive")
     entry = _load_entry(args)
     prob = entry.problem
     tokens = [t for t in args.point.split(",") if t.strip() != ""]
@@ -240,6 +246,8 @@ def _cmd_certify(args):
 
 
 def _cmd_validate(args):
+    if args.samples <= 0:
+        raise CliError("--samples must be positive")
     entry = _load_entry(args)
     prob = entry.problem
     report = {

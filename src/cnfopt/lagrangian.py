@@ -10,8 +10,8 @@ The squared hinge max(g_i,0)^2 is continuously differentiable with
 derivative 2*max(g_i,0)*grad g_i, so no subgradient handling is needed
 anywhere.
 
-All of these evaluate one kernel: A and its gradient, compiled once per
-(problem, column subset, constraint subset) by the expression compiler
+All of these evaluate the problem kernel of ``cnfopt.model``: A and its
+gradient, compiled once per (problem, column subset, constraint subset)
 and cached on the problem, with the multipliers and rho as arguments, so
 L (rho = 0), F (zero multipliers) and every outer iteration share one
 compile.  The kernel is straight-line code in pieces, the objective and
@@ -30,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import _BATCH_RUNTIME, _RUNTIME, Point, _cache_of, _emit, _Emitter
+from .expr import Point
 # only the benchmark's tracer uses these here: it patches both names on this module
 from .expr import compiled_gradient, compiled_value  # noqa: F401
 from .inner import InnerConfig, InnerResult, minimize
-from .model import midpoint_convexity_violations
+from .model import _kernel, midpoint_convexity_violations
 
 V_FREE = "v_free"
 V_NONNEG = "v_nonneg"
@@ -75,159 +75,6 @@ def _check_mult(prob, mult):
             f"multiplier shapes ({mult.u.shape}, {mult.v.shape}) do not match "
             f"problem with s={prob.s}, r={prob.r}"
         )
-
-
-def _nonzero(w):
-    """Where the weights ``w`` of a batch are nonzero: True at every point,
-    False at none, else a mask over the points."""
-    if w.all():
-        return True
-    return w != 0.0 if w.any() else False
-
-
-def _wadd(acc, w, partial, nz):
-    """acc + w * partial at the points where ``nz`` holds, acc elsewhere;
-    never in place, since acc may be an input array."""
-    if nz is True:
-        return acc + w * partial
-    if nz is False:
-        return acc
-    return np.where(nz, acc + w * partial, acc)
-
-
-_KERNEL_BATCH_RUNTIME = {**_BATCH_RUNTIME, "_where": np.where, "_nonzero": _nonzero,
-                         "_wadd": _wadd}
-
-# a kernel piece holds at most this many constraints, and the objective
-# has a piece of its own: one straight-line function over everything would
-# make compile-time memory grow with the problem size
-_PIECE = 16
-
-
-class _Kernel:
-    """A and its partials for one problem over one column subset and one
-    constraint subset, laid out as the module docstring says.  ``mu``
-    lists the multipliers of the selected inequalities, then of the
-    selected equalities.  Value, gradient and batched gradient pieces each
-    compile on first use, so value-only callers never pay for gradient
-    code and gradient descent never pays for the batched form."""
-
-    def __init__(self, prob, cols, ineq_idx, eq_idx):
-        # no reference to prob itself: the kernel is cached on the problem,
-        # and a cycle would keep both alive until a full garbage collection
-        self._n, self._g = prob.n, prob.g
-        self._pos = None if cols is None else {f: i for i, f in enumerate(cols)}
-        self._width = prob.n + prob.m if cols is None else len(cols)
-        self._cons = [(prob.ineqs[i], False) for i in ineq_idx]
-        self._cons += [(prob.eqs[j], True) for j in eq_idx]
-        self._value_pieces = None
-        self._grad_pieces = None
-        self._batch_pieces = None
-
-    def value(self, vec, mu, rho):
-        """A at the flat point ``vec`` (x block, then y block)."""
-        if self._value_pieces is None:
-            self._value_pieces = self._compile(False)
-        x, y = self._blocks(vec)
-        a = 0.0
-        for piece in self._value_pieces:
-            a = piece(x, y, mu, rho, a)
-        return float(a)
-
-    def value_and_grad(self, vec, mu, rho):
-        """(A, partials as a list over the kernel's columns) at ``vec``."""
-        if self._grad_pieces is None:
-            self._grad_pieces = self._compile(True)
-        x, y = self._blocks(vec)
-        a = 0.0
-        acc = [0.0] * self._width
-        for piece in self._grad_pieces:
-            a = piece(x, y, mu, rho, a, acc)
-        return float(a), acc
-
-    def batch_value_and_grad(self, x, y, mu, rho, size):
-        """(A, partials) at ``size`` points at once, equal to
-        ``value_and_grad`` at each point bit for bit.  ``x`` and ``y`` hold,
-        per coordinate, an array over the points or one float they share.
-        Returns A as an array over the points and the partials as an array
-        of shape (kernel columns, points)."""
-        if self._batch_pieces is None:
-            self._batch_pieces = self._compile(True, batched=True)
-        first, *rest = self._batch_pieces
-        acc = [0.0] * self._width
-        with np.errstate(all="ignore"):  # overflow gives inf, as on floats
-            # a copy: the pieces add to a in place, and the objective may be
-            # a bare variable whose array is an input
-            a = np.full(size, first(x, y, mu, rho, 0.0, acc))
-            for piece in rest:
-                a = piece(x, y, mu, rho, a, acc)
-        grads = np.empty((self._width, size))
-        for s, col in enumerate(acc):
-            grads[s] = col
-        return a, grads
-
-    def _blocks(self, vec):
-        # plain lists keep the compiled straight-line code on the float
-        # fast path instead of numpy scalar arithmetic
-        flat = vec.tolist()
-        return flat[:self._n], flat[self._n:]
-
-    def _compile(self, with_grad, batched=False):
-        """The kernel's pieces.  The value form is the gradient form over no
-        slots, so it emits no partials.  The batched form runs the gradient
-        code on arrays over points; only two line templates differ, as
-        noted."""
-        n, pos = self._n, (self._pos if with_grad else {})
-        head = "_agrad(x, y, mu, rho, a, acc)" if with_grad else "_aval(x, y, mu, rho, a)"
-        runtime = _KERNEL_BATCH_RUNTIME if batched else _RUNTIME
-        em = _Emitter()
-        val, grad = _emit(self._g, em, n, pos)
-        em.lines.append(f"    a = {val}")
-        em.lines.extend(f"    acc[{s}] = {grad[s]}" for s in sorted(grad))
-        pieces = [em.build(head, "a", runtime)]
-        for lo in range(0, len(self._cons), _PIECE):
-            em = _Emitter()
-            for k in range(lo, min(lo + _PIECE, len(self._cons))):
-                e, is_eq = self._cons[k]
-                c, grad = _emit(e, em, n, pos)
-                p = c
-                if not is_eq:
-                    p = "p"
-                    # the hinge: a conditional expression, or a select per point
-                    em.lines.append(f"    p = _where({c} > 0.0, {c}, 0.0)" if batched
-                                    else f"    p = {c} if {c} > 0.0 else 0.0")
-                em.lines.append(f"    a += mu[{k}] * {c} + rho * {p} * {p}")
-                if grad:
-                    # a zero weight adds nothing, so an overflowing partial
-                    # cannot turn the sum into nan; per point when batched,
-                    # with no in-place add, since acc may hold an input array
-                    em.lines.append(f"    w = mu[{k}] + 2.0 * rho * {p}")
-                    if batched:
-                        em.lines.append("    nz = _nonzero(w)")
-                        em.lines.extend(f"    acc[{s}] = _wadd(acc[{s}], w, {grad[s]}, nz)"
-                                        for s in sorted(grad))
-                    else:
-                        em.lines.append("    if w != 0.0:")
-                        em.lines.extend(f"        acc[{s}] += w * ({grad[s]})"
-                                        for s in sorted(grad))
-            pieces.append(em.build(head, "a", runtime))
-        return pieces
-
-
-def _kernel(prob, cols=None, ineq_idx=None, eq_idx=None):
-    """The kernel of ``prob`` over the flat columns ``cols`` (all when None)
-    and the given constraint subsets (all when None), cached on the problem
-    like compiled expressions are cached on their nodes."""
-    if cols == tuple(range(prob.n + prob.m)):
-        cols = None  # every column in order is the whole-problem kernel
-    ineq_idx = tuple(range(prob.s) if ineq_idx is None else ineq_idx)
-    eq_idx = tuple(range(prob.r) if eq_idx is None else eq_idx)
-    key = ("augmented", cols, ineq_idx, eq_idx)
-    cache = _cache_of(prob)
-    kernel = cache.get(key)
-    if kernel is None:
-        kernel = cache[key] = _Kernel(prob, cols, ineq_idx, eq_idx)
-    return kernel
 
 
 def _mu(u, v):

@@ -1,17 +1,21 @@
-"""Lifted problem objects and their validation.
+"""Lifted problem objects, their compiled kernel and their validation.
 
 A problem is a smooth convex objective g over (x, y) with smooth convex
 inequality constraints (<= 0) and equality constraints (= 0), optionally
 carrying the original nonsmooth objective over x alone plus a lift map
 that reconstructs a feasible y from a given x.
+
+Each problem compiles to a kernel (``_kernel``) whose forms give its
+constraint values, their Jacobian rows and the augmented Lagrangian.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .expr import _BATCH_RUNTIME, _RUNTIME, _cache_of, _emit, _Emitter
 from .expr import (
     DialectError,
     Expr,
@@ -117,11 +121,10 @@ class CnfProblem:
         return Point(x, y)
 
     def constraint_values(self, p):
-        """(inequality values, equality values) at a point."""
+        """(inequality values, equality values) at a point, from the kernel."""
         self.check_point(p)
-        gv = np.array([evaluate(gi, p) for gi in self.ineqs])
-        hv = np.array([evaluate(hj, p) for hj in self.eqs])
-        return gv, hv
+        cv = _kernel(self).rows(p.flat())
+        return cv[:self.s], cv[self.s:]
 
     def default_start(self):
         return Point(np.zeros(self.n), np.zeros(self.m))
@@ -139,12 +142,7 @@ class FeasibilityReport:
     exactness_gap: float | None = None
 
     def to_dict(self):
-        return {
-            "max_ineq_violation": self.max_ineq_violation,
-            "max_eq_residual": self.max_eq_residual,
-            "in_feasible_set": self.in_feasible_set,
-            "exactness_gap": self.exactness_gap,
-        }
+        return asdict(self)
 
 
 def check_feasible(prob, p, tol=1e-8):
@@ -212,15 +210,189 @@ def sample_convexity(prob, samples=500, seed=0, box=None):
     objective and each constraint); returns the number of violating pairs."""
     if samples <= 0:
         raise ValueError("samples must be positive")
-    components = (prob.g, *prob.ineqs, *prob.eqs)
+    kernel = _kernel(prob)
 
     def values(vec):
-        p = Point.from_flat(vec, prob.n, prob.m)
-        return np.array([evaluate(comp, p) for comp in components])
+        return np.array([prob.objective(Point.from_flat(vec, prob.n, prob.m)), *kernel.rows(vec)])
 
     return midpoint_convexity_violations(
         values, prob.n + prob.m, box if box is not None else prob.box, samples, seed
     )
+
+
+def _nonzero(w):
+    """Where the weights ``w`` of a batch are nonzero: True at every point,
+    False at none, else a mask over the points."""
+    if w.all():
+        return True
+    return w != 0.0 if w.any() else False
+
+
+def _wadd(acc, w, partial, nz):
+    """acc + w * partial at the points where ``nz`` holds, acc elsewhere;
+    never in place, since acc may be an input array."""
+    if nz is True:
+        return acc + w * partial
+    if nz is False:
+        return acc
+    return np.where(nz, acc + w * partial, acc)
+
+
+_KERNEL_BATCH_RUNTIME = {**_BATCH_RUNTIME, "_where": np.where, "_nonzero": _nonzero,
+                         "_wadd": _wadd}
+
+# a kernel piece holds at most this many constraints, and the objective
+# has a piece of its own: one straight-line function over everything would
+# make compile-time memory grow with the problem size
+_PIECE = 16
+
+_HEADS = {"value": "_aval(x, y, mu, rho, a)", "gradient": "_agrad(x, y, mu, rho, a, acc)",
+          "batched": "_agrad(x, y, mu, rho, a, acc)", "rows": "_cval(x, y, cv, jac)",
+          "jacobian": "_cjac(x, y, cv, jac)"}
+
+
+class _Kernel:
+    """The compiled forms of one problem over one column subset and one
+    constraint subset (see this module's and ``cnfopt.lagrangian``'s
+    docstrings).  ``mu`` lists the multipliers of the selected inequalities,
+    then of the selected equalities.  Each form compiles on first use, so
+    value-only callers never pay for gradient code and gradient descent
+    never pays for the batched form."""
+
+    def __init__(self, prob, cols, ineq_idx, eq_idx):
+        # no reference to prob itself: the kernel is cached on the problem,
+        # and a cycle would keep both alive until a full garbage collection
+        self._n, self._g = prob.n, prob.g
+        self._pos = None if cols is None else {f: i for i, f in enumerate(cols)}
+        self._width = prob.n + prob.m if cols is None else len(cols)
+        self._cons = [(prob.ineqs[i], False) for i in ineq_idx]
+        self._cons += [(prob.eqs[j], True) for j in eq_idx]
+        self._value_pieces = self._grad_pieces = self._batch_pieces = None
+        self._cons_pieces = {}  # the rows and Jacobian forms, by name
+
+    def value(self, vec, mu, rho):
+        """A at the flat point ``vec`` (x block, then y block)."""
+        if self._value_pieces is None:
+            self._value_pieces = self._compile("value")
+        x, y = self._blocks(vec)
+        a = 0.0
+        for piece in self._value_pieces:
+            a = piece(x, y, mu, rho, a)
+        return float(a)
+
+    def value_and_grad(self, vec, mu, rho):
+        """(A, partials as a list over the kernel's columns) at ``vec``."""
+        if self._grad_pieces is None:
+            self._grad_pieces = self._compile("gradient")
+        x, y = self._blocks(vec)
+        a = 0.0
+        acc = [0.0] * self._width
+        for piece in self._grad_pieces:
+            a = piece(x, y, mu, rho, a, acc)
+        return float(a), acc
+
+    def batch_value_and_grad(self, x, y, mu, rho, size):
+        """(A, partials) at ``size`` points at once, equal to
+        ``value_and_grad`` at each point bit for bit.  ``x`` and ``y`` hold,
+        per coordinate, an array over the points or one float they share.
+        Returns A as an array over the points and the partials as an array
+        of shape (kernel columns, points)."""
+        if self._batch_pieces is None:
+            self._batch_pieces = self._compile("batched")
+        first, *rest = self._batch_pieces
+        acc = [0.0] * self._width
+        with np.errstate(all="ignore"):  # overflow gives inf, as on floats
+            # a copy: the pieces add to a in place, and the objective may be
+            # a bare variable whose array is an input
+            a = np.full(size, first(x, y, mu, rho, 0.0, acc))
+            for piece in rest:
+                a = piece(x, y, mu, rho, a, acc)
+        grads = np.empty((self._width, size))
+        for s, col in enumerate(acc):
+            grads[s] = col
+        return a, grads
+
+    def rows(self, vec, jac=None):
+        """The selected constraints' values at ``vec``; given ``jac``, of shape
+        (constraints, kernel columns), also their partials, row by row."""
+        form = "rows" if jac is None else "jacobian"
+        if form not in self._cons_pieces:
+            self._cons_pieces[form] = self._compile(form)
+        x, y = self._blocks(vec)
+        cv = [0.0] * len(self._cons)
+        for piece in self._cons_pieces[form]:
+            piece(x, y, cv, jac)
+        return np.array(cv)
+
+    def _blocks(self, vec):
+        # plain lists keep the compiled straight-line code on the float
+        # fast path instead of numpy scalar arithmetic
+        flat = vec.tolist()
+        return flat[:self._n], flat[self._n:]
+
+    def _compile(self, form):
+        """The pieces of one form.  The value and rows forms are the gradient
+        and Jacobian forms over no slots.  The rows and Jacobian forms write
+        each constraint's value and row, with no objective piece.  The batched
+        form runs the gradient code on arrays over points; two templates differ."""
+        head, batched = _HEADS[form], form == "batched"
+        augmented = form in ("value", "gradient", "batched")
+        n, pos = self._n, ({} if form in ("value", "rows") else self._pos)
+        runtime = _KERNEL_BATCH_RUNTIME if batched else _RUNTIME
+        pieces = []
+        if augmented:
+            em = _Emitter()
+            val, grad = _emit(self._g, em, n, pos)
+            em.lines.append(f"    a = {val}")
+            em.lines.extend(f"    acc[{s}] = {grad[s]}" for s in sorted(grad))
+            pieces.append(em.build(head, "a", runtime))
+        for lo in range(0, len(self._cons), _PIECE):
+            em = _Emitter()
+            for k in range(lo, min(lo + _PIECE, len(self._cons))):
+                e, is_eq = self._cons[k]
+                c, grad = _emit(e, em, n, pos)
+                if not augmented:
+                    em.lines.append(f"    cv[{k}] = {c}")
+                    em.lines.extend(f"    jac[{k}, {s}] = {grad[s]}" for s in sorted(grad))
+                    continue
+                p = c
+                if not is_eq:
+                    p = "p"
+                    # the hinge: a conditional expression, or a select per point
+                    em.lines.append(f"    p = _where({c} > 0.0, {c}, 0.0)" if batched
+                                    else f"    p = {c} if {c} > 0.0 else 0.0")
+                em.lines.append(f"    a += mu[{k}] * {c} + rho * {p} * {p}")
+                if grad:
+                    # a zero weight adds nothing, so an overflowing partial
+                    # cannot turn the sum into nan; per point when batched,
+                    # with no in-place add, since acc may hold an input array
+                    em.lines.append(f"    w = mu[{k}] + 2.0 * rho * {p}")
+                    if batched:
+                        em.lines.append("    nz = _nonzero(w)")
+                        em.lines.extend(f"    acc[{s}] = _wadd(acc[{s}], w, {grad[s]}, nz)"
+                                        for s in sorted(grad))
+                    else:
+                        em.lines.append("    if w != 0.0:")
+                        em.lines.extend(f"        acc[{s}] += w * ({grad[s]})"
+                                        for s in sorted(grad))
+            pieces.append(em.build(head, "a" if augmented else "None", runtime))
+        return pieces
+
+
+def _kernel(prob, cols=None, ineq_idx=None, eq_idx=None):
+    """The kernel of ``prob`` over the flat columns ``cols`` (all when None)
+    and the given constraint subsets (all when None), cached on the problem
+    like compiled expressions are cached on their nodes."""
+    if cols == tuple(range(prob.n + prob.m)):
+        cols = None  # every column in order is the whole-problem kernel
+    ineq_idx = tuple(range(prob.s) if ineq_idx is None else ineq_idx)
+    eq_idx = tuple(range(prob.r) if eq_idx is None else eq_idx)
+    key = ("augmented", cols, ineq_idx, eq_idx)
+    cache = _cache_of(prob)
+    kernel = cache.get(key)
+    if kernel is None:
+        kernel = cache[key] = _Kernel(prob, cols, ineq_idx, eq_idx)
+    return kernel
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 import cnfopt.certificate as certificate
 import cnfopt.expr as expr
+import cnfopt.model as model
 from cnfopt.certificate import (
     CNP0_EQ,
     CNP_INEQ,
@@ -269,8 +270,10 @@ def _alternating(n):
 
 
 class TestOneLinearizationPerCertificate:
-    """certify builds one feasibility report and takes each expression's
-    gradient once, however many of its tests run."""
+    """certify builds one feasibility report and one linearization, however
+    many of its tests run: the objective's gradient once, and every
+    constraint's value and gradient from one run of the problem kernel's
+    Jacobian form, which compiles only inside the matched set."""
 
     @pytest.mark.parametrize(
         "entry_id, params, x, verdict",
@@ -285,28 +288,36 @@ class TestOneLinearizationPerCertificate:
     )
     def test_each_gradient_and_the_report_once(self, monkeypatch, entry_id, params, x, verdict):
         prob = build(entry_id, **params).problem
-        calls, reports = self._count(monkeypatch)
+        calls, jacobians, builds, reports = self._count(monkeypatch)
         cert = certify(prob, prob.lift(x))
         assert cert.verdict == verdict
-        exprs = (prob.g, *prob.ineqs, *prob.eqs)
-        assert [calls[id(e)] for e in exprs] == [1] * len(exprs)
-        assert sum(calls.values()) == len(exprs)
+        assert calls == Counter({id(prob.g): 1})
+        assert jacobians == [model._kernel(prob)]
+        # a fresh problem: its Jacobian form compiles once, piece by piece
+        pieces = -(-(prob.s + prob.r) // model._PIECE)
+        assert builds["_cjac"] == pieces > 0
         assert len(reports) == 1
 
     def test_no_constraint_gradient_outside_the_matched_set(self, monkeypatch, ex5):
-        calls, reports = self._count(monkeypatch)
+        calls, jacobians, builds, reports = self._count(monkeypatch)
         cert = certify(ex5.problem, Point([1, 1], [0, 0, 0, 0]))
         assert cert.verdict == VERDICT_INCONCLUSIVE
         assert calls == Counter({id(ex5.problem.g): 1})
+        assert jacobians == []
+        assert builds["_cjac"] == 0
         assert len(reports) == 1
 
     @staticmethod
     def _count(monkeypatch):
-        """Count compiled-gradient calls per expression and feasibility
-        reports built by certify."""
+        """Count compiled-gradient calls per expression, list the kernels
+        whose Jacobian form runs, and count compiled functions by name and
+        the feasibility reports built by certify."""
         calls = Counter()
+        jacobians = []
+        builds = Counter()
         reports = []
         compiled, check = expr.compiled_gradient, certificate.check_feasible
+        rows, build_fn = model._Kernel.rows, expr._Emitter.build
 
         def counting_gradient(e, *args):
             fn, slots = compiled(e, *args)
@@ -317,13 +328,24 @@ class TestOneLinearizationPerCertificate:
 
             return counted, slots
 
+        def counting_rows(kernel, vec, jac=None):
+            if jac is not None:  # the Jacobian form runs
+                jacobians.append(kernel)
+            return rows(kernel, vec, jac)
+
+        def counting_build(em, head, *args, **kwargs):
+            builds[head.partition("(")[0]] += 1
+            return build_fn(em, head, *args, **kwargs)
+
         def counting_check(*args, **kwargs):
             reports.append(check(*args, **kwargs))
             return reports[-1]
 
         monkeypatch.setattr(expr, "compiled_gradient", counting_gradient)
+        monkeypatch.setattr(model._Kernel, "rows", counting_rows)
+        monkeypatch.setattr(expr._Emitter, "build", counting_build)
         monkeypatch.setattr(certificate, "check_feasible", counting_check)
-        return calls, reports
+        return calls, jacobians, builds, reports
 
 
 class TestDirectionLpOracle:

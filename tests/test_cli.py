@@ -224,6 +224,25 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "nested deeper" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--catalog", "ex7", "--samples", "0"],
+            ["certify", "--catalog", "ex5", "--point", "0,0", "--feas-tol", "0"],
+            ["solve", "--catalog", "ex7", "--eps", "-1"],
+            ["solve", "--catalog", "ex7", "--inner-iters", "0"],
+            ["solve", "--catalog", "ex7", "--max-outer", "0"],
+            ["solve", "--catalog", "ex9", "--n", "10", "--solver", "decomposed", "--blocks", "50"],
+        ],
+        ids=["samples", "feas-tol", "eps", "inner-iters", "max-outer", "blocks"],
+    )
+    def test_number_out_of_range_exit_three(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_start_and_pattern_conflict(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cnfopt.expr import Point, const, evaluate, x_, y_
+from cnfopt.expr import DomainError, Point, const, evaluate, sqrt_, value_and_gradient, x_, y_
 from cnfopt import model
 from cnfopt.model import (
     CnfProblem,
@@ -15,7 +15,7 @@ from cnfopt.model import (
     sample_convexity,
     validate_exactness,
 )
-from cnfopt.problems import build, default_entries
+from cnfopt.problems import build, catalog_ids, default_entries
 
 import convexity_oracle
 
@@ -176,6 +176,99 @@ class TestSampleConvexity:
         few, many = peak(2 * model._DRAW_PAIRS), peak(16 * model._DRAW_PAIRS)
         # all pairs in one draw would take 8 times the memory of the few
         assert many < 1.5 * few
+
+
+# a problem whose constraints reach every runtime helper a smooth tree can
+# call: division, sqrt and its derivative, integer powers above 3 and a
+# negative power
+_HELPERS = CnfProblem(
+    name="helpers", n=2, m=1, g=x_(1) ** 2,
+    ineqs=(x_(1) / (x_(2) ** 2 + 1.0) - y_(1), sqrt_(x_(1) ** 2 + 1.0) - x_(2) ** 5),
+    eqs=((x_(1) ** 2 + 2.0) ** -2 - y_(1) ** 4,),
+)
+
+# convex on part of the box (-1, 2) only, so some sampled pairs count
+_CUBIC = CnfProblem(name="cubic", n=2, m=0, g=x_(1) ** 2, ineqs=(x_(1) ** 3 - x_(2),),
+                    eqs=(x_(2) ** 2 - 1.0,))
+
+# every catalog entry at its defaults, ex8 n=10 (40 constraints, three
+# kernel pieces) and the helper problem above
+CONSTRAINT_CASES = [pytest.param(lambda eid=eid: build(eid).problem, id=eid)
+                    for eid in catalog_ids()]
+CONSTRAINT_CASES += [
+    pytest.param(lambda: build("ex8", n=10).problem, id="ex8-n10"),
+    pytest.param(lambda: _HELPERS, id="helpers"),
+]
+
+
+def _seeded_points(prob, seed=13, per_scale=4):
+    """Points drawn from the box and scaled up to where values overflow."""
+    rng = np.random.default_rng(seed)
+    lo, hi = prob.box
+    for scale in (1.0, 1e3, 1e59, 1e160):
+        for _ in range(per_scale):
+            yield Point(scale * rng.uniform(lo, hi, prob.n), scale * rng.uniform(lo, hi, prob.m))
+
+
+class TestKernelConstraintForms:
+    """The problem kernel's rows and Jacobian forms against one expression
+    at a time: ``evaluate`` and ``value_and_gradient`` on array points."""
+
+    @pytest.mark.parametrize("make", CONSTRAINT_CASES)
+    def test_rows_equal_evaluate(self, make):
+        prob = make()
+        cons = (*prob.ineqs, *prob.eqs)
+        for p in _seeded_points(prob):
+            with np.errstate(all="ignore"):  # overflow gives inf, as on floats
+                want = np.array([evaluate(c, p) for c in cons])
+            gv, hv = prob.constraint_values(p)
+            assert np.concatenate([gv, hv]).tobytes() == want.tobytes()
+            assert model._kernel(prob).rows(p.flat()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("make", CONSTRAINT_CASES)
+    def test_jacobian_rows_equal_value_and_gradient(self, make):
+        prob = make()
+        cons = (*prob.ineqs, *prob.eqs)
+        for p in _seeded_points(prob):
+            jac = np.zeros((len(cons), prob.n + prob.m))
+            cv = model._kernel(prob).rows(p.flat(), jac)
+            for k, c in enumerate(cons):
+                with np.errstate(all="ignore"):
+                    value, grad = value_and_gradient(c, p)
+                assert float(cv[k]).hex() == float(value).hex()
+                assert jac[k].tobytes() == grad.tobytes()
+
+    def test_all_finite_and_overflowing_values_occur(self):
+        # the scales above reach both finite and overflowed values
+        prob = build("ex8", n=10).problem
+        cvs = np.concatenate([model._kernel(prob).rows(p.flat()) for p in _seeded_points(prob)])
+        assert np.isfinite(cvs).any() and not np.isfinite(cvs).all()
+
+    def test_domain_error_message_as_evaluate(self):
+        prob = load_problem(
+            'problem "recip"\nvar x 1\naux y 0\nobjective: x[1]\nineq: 1/x[1] - 1\n'
+        )
+        p = Point([0.0], [])
+        with pytest.raises(DomainError) as want:
+            evaluate(prob.ineqs[0], p)
+        with pytest.raises(DomainError) as got:
+            prob.constraint_values(p)
+        assert str(got.value) == str(want.value) == "division by zero at line 1, column 2"
+
+    @pytest.mark.parametrize("make", CONSTRAINT_CASES + [pytest.param(lambda: _CUBIC, id="cubic")])
+    def test_sample_convexity_counts_as_per_component(self, make):
+        prob = make()
+        comps = (prob.g, *prob.ineqs, *prob.eqs)
+
+        def values(vec):
+            p = Point.from_flat(vec, prob.n, prob.m)
+            return np.array([evaluate(c, p) for c in comps])
+
+        box = (-1.0, 2.0)
+        want = midpoint_convexity_violations(values, prob.n + prob.m, box, 60, 4)
+        assert sample_convexity(prob, samples=60, seed=4, box=box) == want
+        if prob is _CUBIC:
+            assert 0 < want < 60
 
 
 class TestBuiltinSuiteInvariants:

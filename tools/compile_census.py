@@ -12,9 +12,11 @@ prints one line per kind of compiled function:
 
     <workload> <kind> <functions> <lines> <sha256>
 
-where the kinds are ``value`` and ``gradient`` (one expression each) and
+where the kinds are ``value`` and ``gradient`` (one expression each),
 ``kernel-value``, ``kernel-gradient`` and ``kernel-batched`` (the pieces of
-the augmented-Lagrangian kernel), ``lines`` counts every source line,
+the problem kernel's augmented-Lagrangian forms) and ``kernel-rows`` and
+``kernel-jacobian`` (the pieces of its constraint forms: values, and values
+with Jacobian rows), ``lines`` counts every source line,
 ``def`` and ``return`` included, and the digest covers the sources in compile
 order.  Two checkouts that print the same line for a kind compiled the same
 functions byte for byte, so a compiler change shows here which code it
@@ -36,24 +38,23 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import cnfopt.expr as expr  # noqa: E402
-import cnfopt.lagrangian as lagrangian  # noqa: E402
+import cnfopt.model as model  # noqa: E402
 import jobs  # noqa: E402
 
-KINDS = ("value", "gradient", "kernel-value", "kernel-gradient", "kernel-batched")
+# the kind of each compiled function name; the batched kernel form shares
+# its name with the gradient form and differs in its runtime
+_KIND_OF = {"_val": "value", "_grad": "gradient", "_aval": "kernel-value",
+            "_agrad": "kernel-gradient", "_cval": "kernel-rows", "_cjac": "kernel-jacobian"}
+KINDS = (*_KIND_OF.values(), "kernel-batched")
 
 
 def _kind(head, runtime):
     name = head.partition("(")[0]
-    if name == "_val":
-        return "value"
-    if name == "_grad":
-        return "gradient"
-    if name == "_aval":
-        return "kernel-value"
-    if name == "_agrad":
-        batched = runtime is lagrangian._KERNEL_BATCH_RUNTIME
-        return "kernel-batched" if batched else "kernel-gradient"
-    raise ValueError(f"unknown compiled function {head!r}")
+    if name not in _KIND_OF:
+        raise ValueError(f"unknown compiled function {head!r}")
+    if runtime is model._KERNEL_BATCH_RUNTIME:
+        return "kernel-batched"
+    return _KIND_OF[name]
 
 
 def main(argv=None):
