@@ -249,8 +249,9 @@ def evaluate(e, p):
     """Evaluate the tree at a point.  Raises DomainError for division by
     zero, sqrt of a negative, or a fractional power of a negative base;
     arithmetic overflow yields +/-inf so that line searches can probe
-    large trial steps."""
-    return compiled_value(e)(p.x, p.y)
+    large trial steps.  The compiled code runs on float lists, so a message
+    shows a value as a Python float, as the problem kernel's do."""
+    return compiled_value(e)(p.x.tolist(), p.y.tolist())
 
 
 def norm0_thresholded(x):
@@ -324,7 +325,7 @@ def value_and_gradient(e, p):
     coordinates).  Nonsmooth nodes raise DialectError."""
     n, m = p.x.shape[0], p.y.shape[0]
     fn, slots = compiled_gradient(e, n, m)
-    value, partials = fn(p.x, p.y)
+    value, partials = fn(p.x.tolist(), p.y.tolist())
     grad = np.zeros(n + m)
     if slots.size:
         grad[slots] = partials

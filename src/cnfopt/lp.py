@@ -1,12 +1,20 @@
 """Dense two-phase primal simplex for the small optimality-test programs.
 
-Free variables are split into nonnegative pairs, inequality rows get
-slacks, and Bland's rule is always on because the certificate programs
-are heavily degenerate (many zero right-hand sides).  Row multipliers
-are returned alongside the primal solution: ``duals_ub`` are the
-nonnegative multipliers of the A_ub d <= b_ub rows and ``duals_eq`` the
-free multipliers of the equality rows, normalized so that
-c + A_ub^T duals_ub + A_eq^T duals_eq = 0 at an optimum.
+Free variables are split into nonnegative pairs and inequality rows get
+slacks.  The simplex starts from a crash basis: an inequality row whose
+right-hand side is already nonnegative starts with its slack basic, and
+only the rows flipped to b >= 0 and the equality rows get an artificial
+column.  Phase 1 prices those artificials alone, so a program feasible at
+its slack basis (the one-sided certificate program at a feasible point)
+takes no phase-1 pivot.  Bland's rule is always on because the
+certificate programs are heavily degenerate (many zero right-hand sides).
+
+Row multipliers are returned alongside the primal solution: ``duals_ub``
+are the nonnegative multipliers of the A_ub d <= b_ub rows and
+``duals_eq`` the free multipliers of the equality rows, normalized so that
+c + A_ub^T duals_ub + A_eq^T duals_eq = 0 at an optimum.  They are read
+through the starting basic columns (slacks and artificials), which form
+an identity in the first tableau and so carry the basis inverse.
 """
 
 from __future__ import annotations
@@ -110,11 +118,10 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _bland_iterate(T, basis, costs, pivots_used):
+def _bland_iterate(T, basis, costs, ncols, pivots_used):
     """Run Bland-rule pivots to optimality; returns ('optimal', pivots) or
-    ('unbounded', entering column index).  Only the structural columns, the
-    ones left of the artificial block, may enter."""
-    ncols = T.shape[1] - T.shape[0] - 1
+    ('unbounded', entering column index).  Only the ``ncols`` structural
+    columns, the ones left of the artificial block, may enter."""
     while True:
         # every structural column priced in one product over a slice view;
         # recomputed each time, since a row updated across pivots drifts by
@@ -170,17 +177,24 @@ def solve_lp(lp):
     A, b, costs, signs = _standardize(lp)
     ncols = A.shape[1]
 
-    # tableau with artificial columns appended; they start as the basis and
-    # track the basis inverse, which is what the dual extraction reads
-    T = np.zeros((mrows, ncols + mrows + 1))
+    # crash basis: an unflipped inequality row starts with its slack basic
+    # (+e_r, b_r >= 0); a flipped or equality row gets an artificial column.
+    # The starting columns form an identity, so they track the basis
+    # inverse, which is what the dual extraction reads
+    art_rows = np.flatnonzero((signs < 0) | (np.arange(mrows) >= mu))
+    nart = art_rows.size
+    T = np.zeros((mrows, ncols + nart + 1))
     T[:, :ncols] = A
-    T[:, ncols : ncols + mrows] = np.eye(mrows)
+    T[art_rows, ncols + np.arange(nart)] = 1.0
     T[:, -1] = b
-    basis = np.arange(ncols, ncols + mrows)
+    basis = np.arange(2 * k, 2 * k + mrows)
+    basis[art_rows] = ncols + np.arange(nart)
+    init_cols = basis.copy()
 
-    phase1_costs = np.zeros(ncols + mrows)
+    # phase 1 prices the artificials alone; with none it takes no pivot
+    phase1_costs = np.zeros(ncols + nart)
     phase1_costs[ncols:] = 1.0
-    status, pivots = _bland_iterate(T, basis, phase1_costs, 0)
+    status, pivots = _bland_iterate(T, basis, phase1_costs, ncols, 0)
     if status != "optimal":
         raise SimplexError("phase 1 cannot be unbounded")
     phase1_value = float(phase1_costs[basis] @ T[:, -1])
@@ -197,8 +211,8 @@ def solve_lp(lp):
             nonbasic[cand[0]] = False
             _pivot(T, basis, r, cand[0])
 
-    phase2_costs = np.concatenate([costs, np.zeros(mrows)])
-    status, info = _bland_iterate(T, basis, phase2_costs, pivots)
+    phase2_costs = np.concatenate([costs, np.zeros(nart)])
+    status, info = _bland_iterate(T, basis, phase2_costs, ncols, pivots)
     structural = basis < ncols
     if status == "unbounded":
         entering = info
@@ -211,9 +225,9 @@ def solve_lp(lp):
     z[basis[structural]] = T[structural, -1]
     d = _d_from_z(z, k)
     objective = float(lp.c @ d)
-    # y = c_B B^{-1}, read through the artificial block; undo row flips and
-    # negate to match the KKT convention c + A_ub^T.u + A_eq^T.v = 0
-    y = phase2_costs[basis] @ T[:, ncols : ncols + mrows]
+    # y = c_B B^{-1}, read through the starting basic columns; undo row flips
+    # and negate to match the KKT convention c + A_ub^T.u + A_eq^T.v = 0
+    y = phase2_costs[basis] @ T[:, init_cols]
     y_orig = -(signs * y)
     duals_ub = y_orig[:mu].copy()
     duals_eq = y_orig[mu:].copy()

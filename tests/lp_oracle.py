@@ -3,7 +3,9 @@
 ``enumerate_vertices_oracle`` enumerates every basis of the standardized
 system, so it only reaches a handful of columns.  ``scalar_simplex`` is
 ``solve_lp``'s two-phase Bland simplex written one column and one row at a
-time; the two must take the same pivots and return the same numbers.
+time; the two must take the same pivots and return the same numbers.  Its
+``crash=False`` option keeps the all-artificial start, which gives every
+row an artificial column, as a second reference for the crash start.
 """
 
 import numpy as np
@@ -139,25 +141,48 @@ def _scalar_bland_iterate(T, basis, costs, candidate_cols, pivots_used):
             raise SimplexError("pivot budget exhausted despite Bland's rule")
 
 
-def scalar_simplex(lp):
-    """The reference two-phase simplex; returns (LpSolution, pivots), where
-    pivots counts every pivot, those that drive artificials out included."""
+def starting_tableau(lp, crash=True):
+    """The first tableau ``[A | artificials | b]`` of the standardized
+    program, built one row at a time; returns (T, basis, ncols).
+
+    With ``crash`` an inequality row left unflipped by ``_standardize``
+    starts with its slack basic and only the other rows get an artificial
+    column, as in ``solve_lp``; without it every row starts artificial."""
+    k = lp.nvars
+    mu = lp.b_ub.shape[0]
+    A, b, _, signs = _standardize(lp)
+    mrows, ncols = A.shape
+    art_rows = [r for r in range(mrows) if not crash or r >= mu or signs[r] < 0]
+    T = np.zeros((mrows, ncols + len(art_rows) + 1))
+    T[:, :ncols] = A
+    T[:, -1] = b
+    basis = []
+    for r in range(mrows):
+        if r in art_rows:
+            basis.append(ncols + art_rows.index(r))
+            T[r, basis[-1]] = 1.0
+        else:
+            basis.append(2 * k + r)  # the slack, +e_r with b_r >= 0
+    return T, basis, ncols
+
+
+def scalar_simplex(lp, crash=True):
+    """The reference two-phase simplex from ``starting_tableau(lp, crash)``;
+    returns (LpSolution, pivots), where pivots counts every pivot, those
+    that drive artificials out included."""
     k = lp.nvars
     mu = lp.b_ub.shape[0]
     mrows = mu + lp.b_eq.shape[0]
     if mrows == 0:
         return solve_lp(lp), 0  # the closed-form branch takes no pivots
 
-    A, b, costs, signs = _standardize(lp)
-    ncols = A.shape[1]
-    T = np.zeros((mrows, ncols + mrows + 1))
-    T[:, :ncols] = A
-    T[:, ncols : ncols + mrows] = np.eye(mrows)
-    T[:, -1] = b
-    basis = [ncols + i for i in range(mrows)]
+    _, b, costs, signs = _standardize(lp)
+    T, basis, ncols = starting_tableau(lp, crash)
+    nart = T.shape[1] - ncols - 1
+    init_cols = list(basis)  # an identity, so they carry the basis inverse
     structural = list(range(ncols))
 
-    phase1_costs = np.zeros(ncols + mrows)
+    phase1_costs = np.zeros(ncols + nart)
     phase1_costs[ncols:] = 1.0
     status, pivots = _scalar_bland_iterate(T, basis, phase1_costs, structural, 0)
     if status != "optimal":
@@ -174,7 +199,7 @@ def scalar_simplex(lp):
                     pivots += 1
                     break
 
-    phase2_costs = np.concatenate([costs, np.zeros(mrows)])
+    phase2_costs = np.concatenate([costs, np.zeros(nart)])
     status, info = _scalar_bland_iterate(T, basis, phase2_costs, structural, pivots)
     if status == "unbounded":
         entering, pivots = info
@@ -190,7 +215,7 @@ def scalar_simplex(lp):
         if basis[r] < ncols:
             z[basis[r]] = T[r, -1]
     d = _d_from_z(z, k)
-    y_orig = -(signs * (phase2_costs[basis] @ T[:, ncols : ncols + mrows]))
+    y_orig = -(signs * (phase2_costs[basis] @ T[:, init_cols]))
     duals_ub = y_orig[:mu].copy()
     duals_eq = y_orig[mu:].copy()
     duals_ub[(duals_ub > -1e-9) & (duals_ub < 0.0)] = 0.0

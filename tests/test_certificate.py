@@ -6,6 +6,7 @@ import pytest
 
 import cnfopt.certificate as certificate
 import cnfopt.expr as expr
+import cnfopt.lp as lp_module
 import cnfopt.model as model
 from cnfopt.certificate import (
     CNP0_EQ,
@@ -346,6 +347,24 @@ class TestOneLinearizationPerCertificate:
         monkeypatch.setattr(expr._Emitter, "build", counting_build)
         monkeypatch.setattr(certificate, "check_feasible", counting_check)
         return calls, jacobians, builds, reports
+
+
+class TestDirectionLpPivots:
+    def test_one_sided_lp_at_an_ex8_optimum(self, monkeypatch):
+        # at a feasible point the one-sided program's slack basis is
+        # feasible: no phase 1, and at most n + 1 pivots here (393 from the
+        # all-artificial start)
+        n = 60
+        prob = build("ex8", n=n).problem
+        p = prob.lift(1.1 * _alternating(n))
+        lin = certificate._linearize(prob, p, gradient(prob.g, p))
+        pivots = []
+        pivot = lp_module._pivot
+        monkeypatch.setattr(lp_module, "_pivot", lambda *args: pivots.append(pivot(*args)))
+        sol = certificate.solve_lp(certificate._direction_lp(lin, CNP_INEQ))
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(0.0, abs=1e-12)
+        assert 0 < len(pivots) <= n + 1
 
 
 class TestDirectionLpOracle:

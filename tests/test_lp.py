@@ -3,7 +3,12 @@ import pytest
 
 import cnfopt.lp as lp_module
 from cnfopt.lp import LpProblem, LpSolution, solve_lp
-from lp_oracle import enumerate_vertices_oracle, scalar_simplex
+from lp_oracle import (
+    _scalar_bland_iterate,
+    enumerate_vertices_oracle,
+    scalar_simplex,
+    starting_tableau,
+)
 
 
 def check_optimal_certificates(lp, sol, tol=1e-8):
@@ -235,6 +240,38 @@ def degenerate_lp(rng):
     )
 
 
+def near_singular_direction_lp():
+    """A one-sided direction LP from an ex9 n=4 solve: rows that differ by
+    1e-16 to 1e-7 make tableau entries near 1e7.  Its right-hand sides are
+    all zero, so its slack basis is feasible."""
+    entries = [
+        (0, 0, -1.9999999999999996), (0, 4, -1.9999999999999996), (0, 8, -1.0),
+        (1, 0, 4.869933475711918e-16), (1, 4, -2.0), (1, 8, -1.0),
+        (2, 4, -1.0000000000000002),
+        (3, 1, -1.9999999999999996), (3, 5, -1.9999999999999996), (3, 9, -1.0),
+        (4, 1, 8.863947890411843e-16), (4, 5, -2.0000000000000004), (4, 9, -1.0),
+        (5, 5, -1.0000000000000004),
+        (6, 2, 6.043646581387097), (6, 6, 6.043646581387097), (6, 10, -1.0),
+        (7, 2, 6.043646581373252), (7, 6, 1.3845813384705252e-11), (7, 10, -1.0),
+        (8, 6, 1.0000000000138458),
+        (9, 3, -0.5327347802549132), (9, 7, -0.5327347802549132), (9, 11, -1.0),
+        (10, 3, -0.5327349360348821), (10, 7, 1.5577996892446322e-07), (10, 11, -1.0),
+        (11, 7, 1.000000155779969),
+    ]
+    A_ub = np.zeros((12, 12))
+    for i, j, a in entries:
+        A_ub[i, j] = a
+    c = np.array(
+        [
+            -1.9770851622524788e-11, -3.9541703245049575e-11,
+            -5.931255486757436e-11, -7.908340649009915e-11,
+            -1.2993285641932998e-16, -5.197561163362715e-16,
+            2.000000000013846, 2.000000155779969, 0.0, 0.0, 0.0, 0.0,
+        ]
+    )
+    return LpProblem(c=c, A_ub=A_ub, b_ub=np.zeros(12))
+
+
 class TestAgainstScalarSimplex:
     """solve_lp prices every column with one vector-matrix product; the
     scalar reference prices one column at a time.  Bland's rule must pick
@@ -287,34 +324,91 @@ class TestAgainstScalarSimplex:
         assert min(statuses.values()) > 0, statuses
 
     def test_near_singular_direction_lp(self, monkeypatch):
-        # a one-sided direction LP from an ex9 n=4 solve: rows that differ by
-        # 1e-16 to 1e-7 make tableau entries near 1e7, and a reduced-cost row
-        # updated across pivots instead of recomputed drifted below the
-        # tolerance on a column with no positive entry ("phase 1 unbounded")
-        entries = [
-            (0, 0, -1.9999999999999996), (0, 4, -1.9999999999999996), (0, 8, -1.0),
-            (1, 0, 4.869933475711918e-16), (1, 4, -2.0), (1, 8, -1.0),
-            (2, 4, -1.0000000000000002),
-            (3, 1, -1.9999999999999996), (3, 5, -1.9999999999999996), (3, 9, -1.0),
-            (4, 1, 8.863947890411843e-16), (4, 5, -2.0000000000000004), (4, 9, -1.0),
-            (5, 5, -1.0000000000000004),
-            (6, 2, 6.043646581387097), (6, 6, 6.043646581387097), (6, 10, -1.0),
-            (7, 2, 6.043646581373252), (7, 6, 1.3845813384705252e-11), (7, 10, -1.0),
-            (8, 6, 1.0000000000138458),
-            (9, 3, -0.5327347802549132), (9, 7, -0.5327347802549132), (9, 11, -1.0),
-            (10, 3, -0.5327349360348821), (10, 7, 1.5577996892446322e-07), (10, 11, -1.0),
-            (11, 7, 1.000000155779969),
-        ]
-        A_ub = np.zeros((12, 12))
-        for i, j, a in entries:
-            A_ub[i, j] = a
-        c = np.array(
-            [
-                -1.9770851622524788e-11, -3.9541703245049575e-11,
-                -5.931255486757436e-11, -7.908340649009915e-11,
-                -1.2993285641932998e-16, -5.197561163362715e-16,
-                2.000000000013846, 2.000000155779969, 0.0, 0.0, 0.0, 0.0,
-            ]
+        # from its slack basis the program is unbounded at the first price
+        lp = near_singular_direction_lp()
+        assert self._assert_same(monkeypatch, lp) == ("unbounded", 0)
+        # the all-artificial start reaches the same status after 19 pivots
+        old, old_pivots = scalar_simplex(lp, crash=False)
+        assert (old.status, old_pivots) == ("unbounded", 19)
+
+    def test_near_singular_phase_one(self):
+        # phase 1 from the all-artificial start: a reduced-cost row updated
+        # across pivots instead of recomputed drifted below the tolerance on
+        # a column with no positive entry ("phase 1 unbounded")
+        lp = near_singular_direction_lp()
+        T, basis, ncols = starting_tableau(lp, crash=False)
+        T_ref, basis_ref = T.copy(), list(basis)
+        costs = np.zeros(T.shape[1] - 1)
+        costs[ncols:] = 1.0
+        basis = np.array(basis)
+        assert lp_module._bland_iterate(T, basis, costs, ncols, 0) == ("optimal", 16)
+        assert _scalar_bland_iterate(T_ref, basis_ref, costs, range(ncols), 0) == ("optimal", 16)
+        assert basis.tolist() == basis_ref
+        assert np.array_equal(T, T_ref)
+
+
+class TestCrashStart:
+    """solve_lp starts from the slack basis: an inequality row with b >= 0
+    starts with its slack basic, and only rows that _standardize flips and
+    equality rows get an artificial column, which phase 1 prices alone."""
+
+    @staticmethod
+    def _phases(monkeypatch, lp):
+        """Solve lp; returns its solution and, per _bland_iterate call, the
+        number of artificial columns and the pivots that call took."""
+        calls = []
+        iterate = lp_module._bland_iterate
+
+        def recording(T, basis, costs, ncols, pivots_used):
+            status, info = iterate(T, basis, costs, ncols, pivots_used)
+            took = info - pivots_used if status == "optimal" else None
+            calls.append((T.shape[1] - ncols - 1, took))
+            return status, info
+
+        with monkeypatch.context() as m:
+            m.setattr(lp_module, "_bland_iterate", recording)
+            return solve_lp(lp), calls
+
+    def test_slack_basis_needs_no_artificial(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            nvars, rows = int(rng.integers(2, 8)), int(rng.integers(1, 20))
+            lp = LpProblem(
+                c=rng.integers(-3, 4, nvars).astype(float),
+                A_ub=rng.integers(-3, 4, (rows, nvars)).astype(float),
+                b_ub=rng.integers(0, 3, rows).astype(float),
+            )
+            sol, calls = self._phases(monkeypatch, lp)
+            assert calls[0] == (0, 0)  # no artificial column, no phase-1 pivot
+            assert sol.status in ("optimal", "unbounded")
+            if sol.status == "optimal":
+                check_optimal_certificates(lp, sol)
+
+    def test_flipped_and_equality_rows_get_artificials(self, monkeypatch):
+        # rows 0 and 2 keep their slacks, row 1 is flipped, two equality rows
+        lp = LpProblem(
+            c=np.array([1.0, 1.0, 1.0]),
+            A_ub=np.array([[1.0, 0.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]),
+            b_ub=np.array([4.0, -1.0, 0.0]),
+            A_eq=np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 1.0]]),
+            b_eq=np.array([0.0, 2.0]),
         )
-        lp = LpProblem(c=c, A_ub=A_ub, b_ub=np.zeros(12))
-        assert self._assert_same(monkeypatch, lp) == ("unbounded", 19)
+        sol, calls = self._phases(monkeypatch, lp)
+        assert [arts for arts, _ in calls] == [3, 3]
+        assert calls[0][1] > 0
+        check_optimal_certificates(lp, sol)
+        only_eq = LpProblem(c=lp.c, A_eq=lp.A_eq, b_eq=lp.b_eq)
+        assert self._phases(monkeypatch, only_eq)[1][0][0] == 2
+
+    @pytest.mark.parametrize("family, seed, count", [(degenerate_lp, 7, 60), (random_lp, 2024, 200)])
+    def test_both_starts_agree(self, family, seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            lp = family(rng)
+            crash, _ = scalar_simplex(lp)
+            old, _ = scalar_simplex(lp, crash=False)
+            assert crash.status == old.status
+            if crash.status == "optimal":
+                assert crash.objective == pytest.approx(old.objective, abs=1e-8)
+                check_optimal_certificates(lp, crash)
+                check_optimal_certificates(lp, old)

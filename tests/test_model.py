@@ -255,6 +255,20 @@ class TestKernelConstraintForms:
             prob.constraint_values(p)
         assert str(got.value) == str(want.value) == "division by zero at line 1, column 2"
 
+    def test_sqrt_message_as_evaluate(self):
+        # both show the value as a Python float, whatever numpy's scalar repr
+        prob = load_problem(
+            'problem "root"\nvar x 1\naux y 0\nobjective: x[1]\nineq: sqrt(x[1] - 2)\n'
+        )
+        p = Point([1.0], [])
+        with pytest.raises(DomainError) as want:
+            evaluate(prob.ineqs[0], p)
+        with pytest.raises(DomainError) as got:
+            prob.constraint_values(p)
+        assert str(got.value) == str(want.value) == (
+            "sqrt of negative value -1.0 at line 1, column 1"
+        )
+
     @pytest.mark.parametrize("make", CONSTRAINT_CASES + [pytest.param(lambda: _CUBIC, id="cubic")])
     def test_sample_convexity_counts_as_per_component(self, make):
         prob = make()
