@@ -143,18 +143,16 @@ _CONVEXITY_PAIRS = 200
 def _outer_loop(prob, cfg, solver, partition=None):
     """The loop of the module docstring for ``solver`` (alpf, penalty or
     decomposed).  Each block's inner solve starts at the current iterate
-    with the other blocks frozen; without a partition the one block is
-    every column and every constraint.  The variants differ only in the
-    starting u, the stop test and whether the multipliers move."""
+    with the other blocks frozen.  The blocks are ``partition.blocks(prob)``;
+    without a partition the one block is every column and every
+    constraint.  The variants differ only in the starting u, the stop test
+    and whether the multipliers move."""
     cfg = cfg if cfg is not None else AlpfConfig()
     if partition is None:
         blocks = [(np.arange(prob.n + prob.m), list(range(prob.s)), list(range(prob.r)))]
         rho = cfg.rho0
     else:
-        ineq_of, eq_of = partition.assign_constraints(prob)
-        blocks = [(partition.flat_indices(prob, j), ineq_of[j], eq_of[j])
-                  for j in range(partition.nblocks)]
-        blocks = [blk for blk in blocks if blk[0].size]
+        blocks = partition.blocks(prob)
         # the decomposition's penalty weight sigma enters A as sigma/2
         rho = 0.5 * cfg.sigma0 if cfg.sigma0 is not None else cfg.rho0
 
@@ -220,8 +218,8 @@ def _outer_loop(prob, cfg, solver, partition=None):
         if solver != "penalty":
             # one update after the cycle equals an update after each block's
             # solve: every constraint lives inside one block (see
-            # BlockPartition.assign_constraints), so later blocks leave the
-            # constraint values of earlier blocks unchanged
+            # BlockPartition.blocks), so later blocks leave the constraint
+            # values of earlier blocks unchanged
             u, v = update_multipliers(u, v, gv, hv, rho)
         rho *= cfg.growth
 
@@ -265,45 +263,35 @@ class BlockPartition:
         if len(self.x_blocks) != len(self.y_blocks):
             raise ValueError("x and y block lists must have the same length")
 
-    @property
-    def nblocks(self):
-        return len(self.x_blocks)
-
-    def validate(self, prob):
-        seen_x = sorted(i for blk in self.x_blocks for i in blk)
-        seen_y = sorted(i for blk in self.y_blocks for i in blk)
-        if seen_x != list(range(prob.n)) or seen_y != list(range(prob.m)):
-            raise ValueError("blocks must disjointly cover all variables")
-
-    def flat_indices(self, prob, j):
-        return np.array(
-            list(self.x_blocks[j]) + [prob.n + i for i in self.y_blocks[j]], dtype=int
-        )
-
-    def assign_constraints(self, prob):
-        """Map each constraint to the unique block holding its variables;
-        a constraint spanning two blocks is a partition violation."""
-        self.validate(prob)
+    def blocks(self, prob):
+        """The subproblem ``(flat columns, inequality indices, equality
+        indices)`` of each block that holds a variable, in block order.  A
+        constraint goes to the unique block holding its variables (a
+        variable-free one to block 0); one spanning two blocks is a
+        partition violation."""
+        for blks, size in ((self.x_blocks, prob.n), (self.y_blocks, prob.m)):
+            if sorted(i for blk in blks for i in blk) != list(range(size)):
+                raise ValueError("blocks must disjointly cover all variables")
         owner = {}
-        for j in range(self.nblocks):
-            for i in self.x_blocks[j]:
-                owner[("x", i)] = j
-            for i in self.y_blocks[j]:
-                owner[("y", i)] = j
-        ineq_of = [[] for _ in range(self.nblocks)]
-        eq_of = [[] for _ in range(self.nblocks)]
+        for j, (xs, ys) in enumerate(zip(self.x_blocks, self.y_blocks)):
+            owner.update({("x", i): j for i in xs})
+            owner.update({("y", i): j for i in ys})
+        ineq_of = [[] for _ in self.x_blocks]
+        eq_of = [[] for _ in self.x_blocks]
         for kind, exprs, buckets in (
             ("inequality", prob.ineqs, ineq_of),
             ("equality", prob.eqs, eq_of),
         ):
             for idx, e in enumerate(exprs):
-                blocks = {owner[var] for var in _expr_vars(e)}
-                if len(blocks) > 1:
+                owners = {owner[var] for var in _expr_vars(e)}
+                if len(owners) > 1:
                     raise ValueError(
-                        f"{kind} constraint {idx + 1} spans blocks {sorted(blocks)}"
+                        f"{kind} constraint {idx + 1} spans blocks {sorted(owners)}"
                     )
-                buckets[blocks.pop() if blocks else 0].append(idx)
-        return ineq_of, eq_of
+                buckets[owners.pop() if owners else 0].append(idx)
+        cols = [np.array(xs + tuple(prob.n + i for i in ys), dtype=int)
+                for xs, ys in zip(self.x_blocks, self.y_blocks)]
+        return [blk for blk in zip(cols, ineq_of, eq_of) if blk[0].size]
 
     @classmethod
     def contiguous(cls, prob, nblocks):
@@ -311,12 +299,8 @@ class BlockPartition:
         the block its constraints tie it to (connected components of the
         constraint incidence)."""
         if not 1 <= nblocks <= max(prob.n, 1):
-            raise ValueError(f"nblocks must be in 1..{prob.n}")
+            raise ValueError(f"nblocks must be in 1..{max(prob.n, 1)}")
         chunks = np.array_split(np.arange(prob.n), nblocks)
-        x_owner = {}
-        for j, chunk in enumerate(chunks):
-            for i in chunk:
-                x_owner[int(i)] = j
 
         # union-find over variables through shared constraints
         parent = {}
@@ -336,29 +320,31 @@ class BlockPartition:
             for other in used[1:]:
                 union(used[0], other)
 
+        # the x blocks of each component; chunks are contiguous, so the two
+        # smallest blocks of a component are its first two in x order
+        x_blocks_of = {}
+        for j, chunk in enumerate(chunks):
+            for i in chunk.tolist():
+                x_blocks_of.setdefault(find(("x", i)), set()).add(j)
         y_blocks = [[] for _ in range(nblocks)]
         for i in range(prob.m):
-            root = find(("y", i))
-            block = None
-            for xi in range(prob.n):
-                if find(("x", xi)) == root:
-                    bj = x_owner[xi]
-                    if block is not None and bj != block:
-                        raise ValueError(
-                            f"y[{i + 1}] couples x blocks {block} and {bj}; "
-                            "choose a coarser partition"
-                        )
-                    block = bj
-            y_blocks[block if block is not None else 0].append(i)
+            owners = sorted(x_blocks_of.get(find(("y", i)), {0}))
+            if len(owners) > 1:
+                raise ValueError(
+                    f"y[{i + 1}] couples x blocks {owners[0]} and {owners[1]}; "
+                    "choose a coarser partition"
+                )
+            y_blocks[owners[0]].append(i)
         return cls(chunks, y_blocks)
 
 
 def solve_decomposed(prob, partition, cfg=None):
-    """Gauss-Seidel cycles over the blocks: each block minimizes its own
-    augmented objective (full objective, block-local constraints, penalty
-    weight sigma/2) with the other blocks frozen.  Blocks must be processed
-    sequentially because each one reads the latest values of the others.
-    Stops when the global infeasibility falls below eps."""
+    """Gauss-Seidel cycles over ``partition.blocks(prob)``: each block
+    minimizes its own augmented objective (full objective, the constraints
+    on its variables, penalty weight sigma/2) with the other blocks frozen.
+    Blocks must be processed sequentially because each one reads the
+    latest values of the others.  Stops when the global infeasibility
+    falls below eps."""
     return _outer_loop(prob, cfg, "decomposed", partition)
 
 

@@ -176,6 +176,7 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, batch_fun=None)
             window_count = 0
             window_f0 = f
 
+        # both directions descend: slope < 0 here (a NaN slope fails Armijo)
         if cfg.method == NEWTON_FD:
             d = _newton_direction(_fd_hessian(batch_fun, z), g)
             t = INIT_STEP
@@ -184,10 +185,6 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, batch_fun=None)
             d = -g
             t = trial
             slope = -float(gg)  # g @ -g: negation is exact
-        if slope >= 0.0:  # never step along a non-descent direction
-            d = -g
-            slope = -gnorm * gnorm
-            t = INIT_STEP
 
         accepted = False
         while t >= _MIN_STEP:

@@ -11,6 +11,7 @@ constraint values, their Jacobian rows and the augmented Lagrangian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -67,8 +68,8 @@ class CnfProblem:
         object.__setattr__(self, "eqs", tuple(self.eqs))
         if self.n < 0 or self.m < 0:
             raise ValueError("dimensions must be nonnegative")
-        if not (self.box[0] < self.box[1]):
-            raise ValueError("box must satisfy lo < hi")
+        if not -math.inf < self.box[0] < self.box[1] < math.inf:
+            raise ValueError("box must be finite with lo < hi")
         for e in (self.g, *self.ineqs, *self.eqs):
             require_smooth(e)
             self._check_indices(walk(e))
@@ -483,10 +484,14 @@ def load_problem(text, name=None):
                     raise ProblemFormatError(f"line {lineno}: exact must be true or false")
                 exact = payload == "true"
             elif keyword == "box":
-                parts = payload.split()
-                if len(parts) != 2:
-                    raise ProblemFormatError(f"line {lineno}: box takes '<lo> <hi>'")
-                box = (float(parts[0]), float(parts[1]))
+                try:
+                    box = tuple(float(bound) for bound in payload.split())
+                except ValueError:
+                    box = ()
+                if len(box) != 2 or not -math.inf < box[0] < box[1] < math.inf:
+                    raise ProblemFormatError(
+                        f"line {lineno}: box takes finite '<lo> <hi>' with lo < hi"
+                    )
             else:
                 raise ProblemFormatError(f"line {lineno}: unknown keyword {keyword!r}")
         except ParseError as err:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from cnfopt.alpf import (
     traces_equal,
     update_multipliers,
 )
-from cnfopt.expr import Point, x_
+from cnfopt.expr import Point, const, x_
 from cnfopt.inner import InnerConfig
 from cnfopt.model import CnfProblem
 from cnfopt.problems import build
@@ -145,20 +147,36 @@ class TestBlockPartition:
         part = BlockPartition.contiguous(entry.problem, 2)
         assert part.x_blocks == ((0, 1, 2), (3, 4, 5))
         assert sorted(part.y_blocks[0]) == [0, 1, 2, 6, 7, 8]
-        ineq_of, eq_of = part.assign_constraints(entry.problem)
-        assert ineq_of == [[], []]
-        assert sorted(eq_of[0]) == list(range(9))
-        assert sorted(eq_of[1]) == list(range(9, 18))
+        (cols0, ineq0, eq0), (cols1, ineq1, eq1) = part.blocks(entry.problem)
+        assert cols0.tolist() == [0, 1, 2, 6, 7, 8, 12, 13, 14]
+        assert cols1.tolist() == [3, 4, 5, 9, 10, 11, 15, 16, 17]
+        assert (ineq0, ineq1) == ([], [])
+        assert sorted(eq0) == list(range(9))
+        assert sorted(eq1) == list(range(9, 18))
+
+    def test_contiguous_attaches_each_y_to_its_chunk(self):
+        prob = build("ex9", n=100, lam=1.0).problem
+        part = BlockPartition.contiguous(prob, 10)
+        for j, chunk in enumerate(part.x_blocks):
+            assert chunk == tuple(range(10 * j, 10 * j + 10))
+            assert part.y_blocks[j] == chunk + tuple(prob.n + i for i in chunk)
 
     def test_shared_variable_blocks_decomposition(self):
         entry = build("ex8", n=4)
-        with pytest.raises(ValueError, match="couples"):
+        with pytest.raises(ValueError, match=re.escape(
+                "y[1] couples x blocks 0 and 1; choose a coarser partition")):
             BlockPartition.contiguous(entry.problem, 2)
+
+    def test_block_count_range(self):
+        prob = CnfProblem(name="empty", n=0, m=0, g=const(1.0))
+        assert BlockPartition.contiguous(prob, 1).x_blocks == ((),)
+        with pytest.raises(ValueError, match=re.escape("nblocks must be in 1..1")):
+            BlockPartition.contiguous(prob, 2)
 
     def test_explicit_partition_validation(self):
         entry = build("ex9", n=4, lam=1.0)
-        with pytest.raises(ValueError, match="cover"):
-            BlockPartition(((0, 1), (2,)), ((0, 1, 4, 5), (2, 3, 6, 7))).validate(
+        with pytest.raises(ValueError, match="blocks must disjointly cover all variables"):
+            BlockPartition(((0, 1), (2,)), ((0, 1, 4, 5), (2, 3, 6, 7))).blocks(
                 entry.problem
             )
 
@@ -167,8 +185,21 @@ class TestBlockPartition:
             name="span", n=2, m=0, g=x_(1) + x_(2), eqs=(x_(1) + x_(2) - 1,)
         )
         part = BlockPartition(((0,), (1,)), ((), ()))
-        with pytest.raises(ValueError, match="spans"):
-            part.assign_constraints(prob)
+        message = "equality constraint 1 spans blocks [0, 1]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            part.blocks(prob)
+
+    def test_x_coupling_passes_contiguous_and_spans_in_blocks(self):
+        # with no y variable there is nothing for contiguous to attach, so
+        # only the block split sees the x-x constraint across the chunks
+        prob = CnfProblem(
+            name="span", n=2, m=0, g=x_(1) + x_(2), ineqs=(x_(1) - x_(2),)
+        )
+        part = BlockPartition.contiguous(prob, 2)
+        assert part.x_blocks == ((0,), (1,))
+        message = "inequality constraint 1 spans blocks [0, 1]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            part.blocks(prob)
 
 
 class TestSolveDecomposed:

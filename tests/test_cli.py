@@ -212,6 +212,15 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "solve", "--problem", str(path))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("bounds", ["a 1", "-inf inf", "0 nan"])
+    def test_bad_box_problem_file_exit_three(self, capsys, tmp_path, bounds):
+        path = tmp_path / "box.cnf"
+        path.write_text(f'problem "box"\nvar x 1\naux y 0\nobjective: x[1]^2\nbox: {bounds}\n')
+        code, out, err = run_cli(capsys, "validate", "--problem", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "error: line 5: box takes finite '<lo> <hi>' with lo < hi\n"
+
     @pytest.mark.parametrize(
         "expression",
         ["(" * 400 + "x[1]" + ")" * 400, "-" * 3000 + "x[1]", "x[1]" + "^2" * 2000],

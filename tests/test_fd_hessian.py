@@ -104,13 +104,9 @@ def test_ex9_full_and_block_kernels(blocks):
     if blocks is None:
         check_against_oracle(prob, u, v, 37.0, p)
         return
-    partition = BlockPartition.contiguous(prob, blocks)
-    ineq_of, eq_of = partition.assign_constraints(prob)
-    for j in range(partition.nblocks):
-        ineq_idx, eq_idx = list(ineq_of[j]), list(eq_of[j])
+    for wrt, ineq_idx, eq_idx in BlockPartition.contiguous(prob, blocks).blocks(prob):
         check_against_oracle(prob, u[ineq_idx], v[eq_idx], 37.0, p,
-                             wrt=partition.flat_indices(prob, j),
-                             ineq_idx=ineq_idx, eq_idx=eq_idx)
+                             wrt=wrt, ineq_idx=ineq_idx, eq_idx=eq_idx)
 
 
 def test_overflowing_partial_at_a_zero_weight():

@@ -340,10 +340,7 @@ class TestKernelOracle:
         if blocks is None:
             parts = [(None, range(prob.s), range(prob.r))]
         else:
-            partition = BlockPartition.contiguous(prob, blocks)
-            ineq_of, eq_of = partition.assign_constraints(prob)
-            parts = [(partition.flat_indices(prob, j), ineq_of[j], eq_of[j])
-                     for j in range(partition.nblocks)]
+            parts = BlockPartition.contiguous(prob, blocks).blocks(prob)
         for wrt, ineq_idx, eq_idx in parts:
             ineq_idx, eq_idx = list(ineq_idx), list(eq_idx)
             fun, value_fn, _ = augmented_objective(

@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -390,6 +392,18 @@ class TestProblemText:
     def test_unknown_keyword(self):
         with pytest.raises(ProblemFormatError, match="unknown keyword"):
             load_problem('problem "p"\nvar x 1\naux y 0\nobjective: 1\nfoo: 2\n')
+
+    @pytest.mark.parametrize("bounds", ["a 1", "-inf inf", "0 nan", "1 1", "0"])
+    def test_bad_box_is_a_format_error(self, bounds):
+        bad = f'problem "p"\nvar x 1\naux y 0\nobjective: x[1]^2\nbox: {bounds}\n'
+        with pytest.raises(ProblemFormatError,
+                           match=re.escape("line 5: box takes finite '<lo> <hi>' with lo < hi")):
+            load_problem(bad)
+
+    @pytest.mark.parametrize("box", [(-math.inf, math.inf), (0.0, math.nan), (1.0, 1.0)])
+    def test_box_must_be_finite_and_ordered(self, box):
+        with pytest.raises(ValueError, match="box must be finite with lo < hi"):
+            CnfProblem(name="bad", n=1, m=0, g=x_(1) ** 2, box=box)
 
     def test_expression_errors_carry_line(self):
         bad = 'problem "p"\nvar x 1\naux y 0\nobjective: x[2]^2\n'
