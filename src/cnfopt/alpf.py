@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -29,8 +30,8 @@ from .inner import InnerConfig, minimize
 from .lagrangian import (
     Multipliers,
     augmented,
-    augmented_batch,
     augmented_gradient,
+    augmented_hessian,
     augmented_objective,
     lagrangian_convexity_violations,
 )
@@ -55,8 +56,14 @@ class AlpfConfig:
     sigma0: float | None = None  # decomposition penalty start; defaults to 2*rho0
 
     def __post_init__(self):
-        if self.eps < 0 or self.rho0 <= 0 or self.growth <= 1:
-            raise ValueError("need eps >= 0, rho0 > 0 and growth > 1")
+        # each range test fails on NaN
+        if not (0 <= self.eps < math.inf and 0 < self.rho0 < math.inf
+                and 1 < self.growth < math.inf):
+            raise ValueError("need finite eps >= 0, rho0 > 0 and growth > 1")
+        if not (self.sigma0 is None or 0 < self.sigma0 < math.inf):
+            raise ValueError("sigma0 must be finite and positive")
+        if self.start is not None and not np.isfinite(self.start.flat()).all():
+            raise ValueError("start must have finite coordinates")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
 
@@ -171,7 +178,7 @@ def _outer_loop(prob, cfg, solver, partition=None):
             block = dict(base=p, wrt=wrt, ineq_idx=ineq_idx, eq_idx=eq_idx)
             fun, value_fn, to_point = augmented_objective(*args, **block)
             res = minimize(fun, p.flat()[wrt], cfg.inner, value_fn=value_fn,
-                           batch_fun=augmented_batch(*args, **block))
+                           hess_fun=augmented_hessian(*args, **block))
             p = to_point(res.point)
             inner_status = min(inner_status, res.status, key=_CYCLE_PRECEDENCE.index)
             if inner_status == "diverged":

@@ -125,6 +125,8 @@ def _parse_vector(text, length, pad=True):
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as err:
         raise CliError(f"bad vector {text!r}: {err}") from err
+    if not np.isfinite(values).all():
+        raise CliError(f"bad vector {text!r}: entries must be finite")
     if len(values) > length:
         raise CliError(f"vector has {len(values)} entries, expected at most {length}")
     if len(values) < length and not pad:

@@ -344,7 +344,9 @@ def value_and_gradient(e, p):
 # is the zeroth-order part of the sweep), and a derivative factor is
 # emitted only where an operand has partials.  Sparse emission keeps the op
 # count at sum over nodes of the per-node active-coordinate count, which is
-# what the solver hot loops pay for.
+# what the solver hot loops pay for.  Asked for it, the same rules also carry
+# each node's Hessian, forward over forward (Griewank & Walther, Evaluating
+# Derivatives, ch. 13), and leave the first-order code as it is.
 
 
 def _rt_div(a, b, loc):
@@ -402,52 +404,6 @@ _RUNTIME = {
 }
 
 
-# The runtime of gradient code run on many points at once: each variable is
-# an array over the points (or one float they all share) and every helper
-# works elementwise with the same IEEE operations as its scalar twin, so each
-# element equals the scalar result bit for bit.  A DomainError at any point
-# raises, as the scalar code would at that point.
-
-
-def _bt_div(a, b, loc):
-    if np.any(b == 0.0):
-        raise DomainError(f"division by zero {loc}")
-    return a / b
-
-
-def _per_element(rt_pow):
-    """The batched twin of a scalar power helper.  It applies Python's ** to
-    each element, because numpy's vectorized pow need not round as libm does."""
-
-    def bt_pow(v, *args):
-        if isinstance(v, np.ndarray):
-            return np.array([rt_pow(t, *args) for t in v.tolist()])
-        return rt_pow(v, *args)
-
-    return bt_pow
-
-
-def _bt_sqrt(v, loc):
-    neg = np.less(v, 0.0)
-    if np.any(neg):
-        _rt_sqrt(float(np.asarray(v)[neg][0]), loc)
-    return np.sqrt(v)
-
-
-def _bt_inv_2sqrt(s, loc):
-    if np.any(s == 0.0):
-        _rt_inv_2sqrt(0.0, loc)
-    return 0.5 / s
-
-
-_BATCH_RUNTIME = {
-    "_div": _bt_div,
-    "_pw": _per_element(_rt_pow),
-    "_ipw": _per_element(_rt_ipow),
-    "_sq": _bt_sqrt,
-    "_isq": _bt_inv_2sqrt,
-}
-
 # a right-hand side that only names a value, or is a literal or a negated
 # one, is used as the fragment itself, with no temp to copy it
 _LITERAL = r"\d+(?:\.\d*)?(?:e[+-]\d+)?"
@@ -457,6 +413,11 @@ _NO_TEMP = re.compile(rf"t\d+|[xy]\[\d+\]|-?-?{_LITERAL}|-\(-?{_LITERAL}\)")
 # to the last; Python's compiler recurses once per term of a line, and a line
 # of a few thousand terms exhausts its stack
 SUM_CHUNK = 100
+
+# an outer product of partials with more entries than this is left whole for
+# one rank-one update at run time, so a dense n x n Hessian takes O(n) lines
+OUTER_ENTRIES = 32
+_NO_HESS = ({}, ())  # a Hessian (entries, outer products) with neither
 
 
 class _Emitter:
@@ -506,19 +467,50 @@ def _lit(v):
     return repr(float(v))
 
 
-def _emit(e, em, n, pos):
+def _emit(e, em, n, pos, second=False):
     """Emit the statements of the tree's value and of its partials over the
     output slots ``pos`` maps flat coordinates to (x[i] -> i, y[j] -> n + j;
     every coordinate is its own slot when ``pos`` is None).  Returns (value
-    fragment, {slot: derivative fragment}).  With ``pos`` empty no partial
-    exists, so this is the value form: the only one that admits nonsmooth
-    nodes."""
-    return _fold(e, lambda node, parts: _emit_node(node, parts, em, n, pos))
+    fragment, {slot: derivative fragment}, Hessian (see ``_second``), which
+    is ``_NO_HESS`` unless ``second`` asks for it).  With ``pos`` empty no
+    partial exists, so this is the value form: the only one that admits
+    nonsmooth nodes."""
+    return _fold(e, lambda node, parts: _emit_node(node, parts, em, n, pos, second))
 
 
-def _emit_node(e, parts, em, n, pos):
-    """Emit one node, given the (value, partials) of its children; a
-    nonsmooth node raises DialectError in any form but the value form."""
+def _times(*frags):
+    """The fragment of a product, with its unit factors left out."""
+    return " * ".join(f for f in frags if f != "1.0") or "1.0"
+
+
+def _second(em, scaled, products):
+    """A node's Hessian ({(s, t): fragment} over slots s <= t, [outer
+    products]): its children's, ``scaled`` as (factor, Hessian) pairs, plus
+    ``products`` (c, u, v), each c (u v' + v u') of two partial dicts, or
+    c u u' when v is None, written out unless over OUTER_ENTRIES entries."""
+    terms = {}
+    outers = []
+    for factor, (entries, left) in scaled:
+        for key, f in entries.items():
+            terms.setdefault(key, []).append(_times(factor, f))
+        outers.extend((em.temp(_times(factor, c)), u, v) for c, u, v in left)
+    for c, u, v in products:
+        other = u if v is None else v
+        if len(u) * len(other) > OUTER_ENTRIES:
+            outers.append((em.temp(c), u, v))
+            continue
+        for i, fu in u.items():
+            for j, fv in other.items():
+                # u v' + v u' puts u_i v_j at (i, j) and at (j, i); u u' once
+                for key in [(i, j)] * (i <= j) + [(j, i)] * (v is not None and j <= i):
+                    terms.setdefault(key, []).append(_times(c, fu, fv))
+    return ({key: em.total(t) for key, t in terms.items()}, outers)
+
+
+def _emit_node(e, parts, em, n, pos, second):
+    """Emit one node, given the (value, partials, Hessian) of its children;
+    a nonsmooth node raises DialectError in any form but the value form.
+    Only first-order lines, which come first, can raise a DomainError."""
     if pos != {} and _nonsmooth(e):
         raise _dialect_error(e)
     k = e.kind
@@ -526,21 +518,24 @@ def _emit_node(e, parts, em, n, pos):
         flat = e.index if e.block == "x" else n + e.index
         slot = flat if pos is None else pos.get(flat)
         frag = f"x[{e.index}]" if e.block == "x" else f"y[{e.index}]"
-        return (frag, {} if slot is None else {slot: "1.0"})
+        return (frag, {} if slot is None else {slot: "1.0"}, _NO_HESS)
     if k == "const":
-        return (_lit(e.value), {})
+        return (_lit(e.value), {}, _NO_HESS)
     if k == "add" or k == "sum":
-        val = em.total([v for v, _ in parts]) if parts else "0.0"
+        val = em.total([v for v, _, _ in parts]) if parts else "0.0"
         grad = {}
-        for _, d in parts:
+        for _, d, _ in parts:
             for slot, frag in d.items():
                 grad.setdefault(slot, []).append(frag)
-        return (val, {s: em.total(terms) for s, terms in grad.items()})
+        hess = _second(em, [("1.0", h) for _, _, h in parts], ()) if second else _NO_HESS
+        return (val, {s: em.total(terms) for s, terms in grad.items()}, hess)
     if k == "neg":
-        (va, da) = parts[0]
-        return (em.temp(f"-{va}"), {s: em.temp(f"-({f})") for s, f in da.items()})
+        (va, da, ha) = parts[0]
+        val = em.temp(f"-{va}")
+        grad = {s: em.temp(f"-({f})") for s, f in da.items()}
+        return (val, grad, _second(em, [("-1.0", ha)], ()) if second else _NO_HESS)
     if k == "mul":
-        (va, da), (vb, db) = parts
+        (va, da, ha), (vb, db, hb) = parts
         val = em.temp(f"{va} * {vb}")
         grad = {}
         for slot in da.keys() | db.keys():
@@ -551,11 +546,14 @@ def _emit_node(e, parts, em, n, pos):
             if right is not None:
                 terms.append(va if right == "1.0" else f"({right}) * {va}")
             grad[slot] = em.temp(" + ".join(terms))
-        return (val, grad)
+        # (ab)'' = b a'' + a b'' + a' b' + b' a'
+        hess = _second(em, [(vb, ha), (va, hb)], [("1.0", da, db)]) if second else _NO_HESS
+        return (val, grad, hess)
     if k == "div":
-        (va, da), (vb, db) = parts
+        (va, da, ha), (vb, db, hb) = parts
         val = em.temp(f"_div({va}, {vb}, {em.bind(_Where(e))})")
         grad = {}
+        hess = _NO_HESS
         if da or db:
             inv = em.temp(f"1.0 / {vb}")
             for slot in da.keys() | db.keys():
@@ -566,42 +564,58 @@ def _emit_node(e, parts, em, n, pos):
                     grad[slot] = em.temp(f"-{val} * ({right}) * {inv}")
                 else:
                     grad[slot] = em.temp(f"(({left}) - {val} * ({right})) * {inv}")
-        return (val, grad)
+            if second:
+                # from q b = a: q'' = (a'' - q b'' - q' b' - b' q') / b
+                scaled = [(inv, ha)]
+                if hb[0] or hb[1]:
+                    scaled.append((em.temp(f"-{val} * {inv}"), hb))
+                hess = _second(em, scaled, [(f"-{inv}", grad, db)])
+        return (val, grad, hess)
     if k == "pow" or k == "sqrt":
-        # one operand, and the chain rule through a derivative factor
-        (va, da) = parts[0]
+        # one operand, and the chain rule through a derivative factor f' and
+        # a curvature f''; sqrt's f'' is -2 f'^3, written once f' is named
+        (va, da, ha) = parts[0]
         expo = e.value
+        curve = None
         if k == "sqrt":
             loc = em.bind(_Where(e))
             val = em.temp(f"_sq({va}, {loc})")
             factor = f"_isq({val}, {loc})"
         elif expo == 0:
-            return ("1.0", {})
+            return ("1.0", {}, _NO_HESS)
         elif expo == 1:
-            return (va, da)
+            return (va, da, ha)
         elif expo == 2 or expo == 3:
             val = em.temp("*".join([va] * int(expo)))
             factor = f"2.0 * {va}" if expo == 2 else f"3.0 * {va} * {va}"
+            curve = "2.0" if expo == 2 else f"6.0 * {va}"
         elif expo > 3 and expo == int(expo):
             # a positive integer power: no zero or fraction check can fire,
             # only ** and its overflow.  Each exponent is int() of the float
             # that _pw took, so the results are _pw's bit for bit
             val = em.temp(f"_ipw({va}, {int(expo)})")
             factor = f"{_lit(expo)} * _ipw({va}, {int(expo - 1)})"
+            curve = f"{_lit(expo * (expo - 1))} * _ipw({va}, {int(expo - 2)})"
         else:
             loc = em.bind(_Where(e))
             val = em.temp(f"_pw({va}, {_lit(expo)}, {loc})")
             factor = f"{_lit(expo)} * _pw({va}, {_lit(expo - 1)}, {loc})"
+            curve = f"{_lit(expo * (expo - 1))} * _pw({va}, {_lit(expo - 2)}, {loc})"
         if not da:
-            return (val, da)
+            return (val, da, _NO_HESS)
         factor = em.temp(factor)
-        return (val, {s: em.temp(factor if f == "1.0" else f"{factor} * ({f})")
-                      for s, f in da.items()})
+        grad = {s: em.temp(factor if f == "1.0" else f"{factor} * ({f})") for s, f in da.items()}
+        hess = _NO_HESS
+        if second:
+            # f(a)'' = f'(a) a'' + f''(a) a' a'
+            curve = em.temp(curve or f"-2.0 * {factor} * {factor} * {factor}")
+            hess = _second(em, [(factor, ha)], [(curve, da, None)])
+        return (val, grad, hess)
     # the nonsmooth kinds, which only the value form reaches
     if k == "abs" or k == "max":
-        return (em.temp(f"{k}({', '.join(v for v, _ in parts)})"), {})
+        return (em.temp(f"{k}({', '.join(v for v, _, _ in parts)})"), {}, _NO_HESS)
     if k == "norm0":
-        return (em.temp(f"_n0({e.block})"), {})
+        return (em.temp(f"_n0({e.block})"), {}, _NO_HESS)
     raise ExprError(f"unknown node kind {k!r}")
 
 
@@ -635,7 +649,7 @@ def compiled_gradient(e, n, m):
     hit = cache.get(key)
     if hit is None:
         em = _Emitter()
-        val, grad = _emit(e, em, n, None)
+        val, grad, _ = _emit(e, em, n, None)
         slots = np.array(sorted(grad), dtype=int)
         partials = ", ".join(grad[s] for s in slots)
         result = f"({val}, ({partials}{',' if len(slots) == 1 else ''}))"

@@ -1,10 +1,11 @@
 """Unconstrained smooth minimizers for the outer multiplier loops.
 
 Two methods over flat coordinate vectors: backtracking gradient descent,
-and a Newton method whose Hessian comes from central differences of the
-gradient with a Levenberg-style diagonal shift.  The gradients at all 2*dim
-neighbours of an iterate come from one batched call.  Both enforce the
-Armijo condition on every accepted step and guard against unbounded descent.
+and a Newton method with a Levenberg-style diagonal shift on the Hessian
+that a ``hess_fun`` closure gives, exact for the augmented Lagrangian.  It
+keeps the name ``newton_fd`` from when it took central differences of the
+gradient, since configurations pass that name.  Both enforce the Armijo
+condition on every accepted step and guard against unbounded descent.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ _MIN_STEP = 1e-20
 VALUE_FLOOR = -1e12
 POINT_NORM_CAP = 1e8
 
-# central-difference step of the Newton method's Hessian
-FD_STEP = 1e-5
-
 # numerical-floor detection over a window of accepted steps: the solve is
 # declared stalled only when the best gradient norm stops improving AND
 # the window's total decrease sits at rounding scale.  Flat penalty
@@ -50,8 +48,8 @@ class InnerConfig:
     def __post_init__(self):
         if self.method not in (GRADIENT_DESCENT, NEWTON_FD):
             raise ValueError(f"unknown inner method {self.method!r}")
-        if self.grad_tol <= 0 or self.max_iters < 1:
-            raise ValueError("grad_tol must be positive and max_iters >= 1")
+        if not 0 < self.grad_tol < math.inf or self.max_iters < 1:
+            raise ValueError("grad_tol must be positive and finite and max_iters >= 1")
 
 
 @dataclass
@@ -76,31 +74,6 @@ class InnerResult:
     iterations: int
 
 
-def _rowwise(fun):
-    """``batch_fun`` for a plain ``fun``: one call per row."""
-
-    def batch_fun(points):
-        out = [fun(z) for z in points]
-        return np.array([f for f, _ in out]), np.array([g for _, g in out])
-
-    return batch_fun
-
-
-def _fd_hessian(batch_fun, z):
-    """Central-difference Hessian at ``z`` from one ``batch_fun`` call over
-    the 2*dim neighbours z +- FD_STEP e_i, symmetrized."""
-    dim = z.shape[0]
-    h = FD_STEP
-    idx = np.arange(dim)
-    points = np.tile(z, (2 * dim, 1))
-    points[idx, idx] += h
-    points[dim + idx, idx] -= h
-    grads = batch_fun(points)[1]
-    # column i is (grad(z + h e_i) - grad(z - h e_i)) / 2h
-    H = ((grads[:dim] - grads[dim:]) / (2.0 * h)).T
-    return 0.5 * (H + H.T)
-
-
 def _newton_direction(H, grad):
     """Shifted-Newton direction for the Hessian ``H``; falls back to
     steepest descent if the factorization keeps failing."""
@@ -122,14 +95,12 @@ def _newton_direction(H, grad):
     return -grad
 
 
-def minimize(fun, start, cfg=None, value_fn=None, callback=None, batch_fun=None):
+def minimize(fun, start, cfg=None, value_fn=None, callback=None, hess_fun=None):
     """Minimize a smooth function given by ``fun(z) -> (value, gradient)``.
 
     ``value_fn`` optionally provides a cheaper value-only evaluation for
-    line-search trials, and ``batch_fun(points) -> (values, gradients)``
-    one evaluation of ``fun`` at every row of a 2-D array, equal to it bit
-    for bit; the Newton method builds each finite-difference Hessian from
-    one such call (row by row through ``fun`` when it is omitted).
+    line-search trials.  ``hess_fun(z)`` gives the symmetric Hessian at z,
+    which the Newton method requires and gradient descent ignores.
     Convergence means the gradient norm dropped below
     grad_tol scaled by max(1, |f(start)|), which keeps the test meaningful
     when penalty weights inflate the objective.  Divergence means an
@@ -141,7 +112,8 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, batch_fun=None)
     """
     cfg = cfg if cfg is not None else InnerConfig()
     value_of = value_fn if value_fn is not None else (lambda z: fun(z)[0])
-    batch_fun = batch_fun if batch_fun is not None else _rowwise(fun)
+    if cfg.method == NEWTON_FD and hess_fun is None:
+        raise ValueError("the Newton method needs hess_fun")
 
     z = np.asarray(start, dtype=float).copy()
     f, g = fun(z)
@@ -178,7 +150,7 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, batch_fun=None)
 
         # both directions descend: slope < 0 here (a NaN slope fails Armijo)
         if cfg.method == NEWTON_FD:
-            d = _newton_direction(_fd_hessian(batch_fun, z), g)
+            d = _newton_direction(hess_fun(z), g)
             t = INIT_STEP
             slope = float(g @ d)
         else:

@@ -18,10 +18,10 @@ compile.  The kernel is straight-line code in pieces, the objective and
 then at most 16 constraints each, which bounds compile-time memory.  Each
 piece adds its constraints' terms to the running value and their weighted
 partials to one gradient list in constraint order, skipping a weight of
-exactly 0, so the result equals a term-by-term sum bit for bit.  A batched
-form of the same gradient code runs on arrays over many points at once,
-with the same operations per point, for the Newton method's
-finite-difference Hessian.
+exactly 0, so the result equals a term-by-term sum bit for bit.  The
+Newton method's exact Hessian comes from a third form: the same code plus
+each node's second derivatives, and the Jacobian rows of the equalities
+and active inequalities for the 2 rho grad c grad c' term.
 """
 
 from __future__ import annotations
@@ -126,13 +126,25 @@ def lagrangian_convexity_violations(prob, u, v, pairs, seed):
 
 
 def _subproblem(prob, u, v, base, wrt, ineq_idx, eq_idx):
-    """(kernel, base vector, kernel columns, multipliers) of one inner
-    subproblem, as ``augmented_objective`` documents its arguments."""
+    """(kernel, z -> flat point, multipliers) of one inner subproblem, as
+    ``augmented_objective`` documents its arguments."""
     cols = None if wrt is None else tuple(int(f) for f in wrt)
     kernel = _kernel(prob, cols, ineq_idx, eq_idx)
-    base_vec = (base.flat() if base is not None else np.zeros(prob.n + prob.m)).copy()
-    wrt_idx = np.arange(prob.n + prob.m) if cols is None else np.array(cols, dtype=int)
-    return kernel, base_vec, wrt_idx, _mu(u, v)
+    if kernel._pos is None:
+        # over every column in order, z is the whole flat point: it goes to
+        # the kernel as it is, with no copy, since the kernel only reads it
+        def flat(z):
+            return z
+    else:
+        base_vec = (base.flat() if base is not None else np.zeros(prob.n + prob.m)).copy()
+        wrt_idx = np.array(cols, dtype=int)
+
+        def flat(z):
+            vec = base_vec.copy()
+            vec[wrt_idx] = z
+            return vec
+
+    return kernel, flat, _mu(u, v)
 
 
 def augmented_objective(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_idx=None):
@@ -146,18 +158,7 @@ def augmented_objective(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_
     is compiled once and serves every multiplier and penalty value.
     """
     n, m = prob.n, prob.m
-    kernel, base_vec, wrt_idx, mu = _subproblem(prob, u, v, base, wrt, ineq_idx, eq_idx)
-
-    if kernel._pos is None:
-        # over every column in order, z is the whole flat point: it goes to
-        # the kernel as it is, with no copy, since the kernel only reads it
-        def flat(z):
-            return z
-    else:
-        def flat(z):
-            vec = base_vec.copy()
-            vec[wrt_idx] = z
-            return vec
+    kernel, flat, mu = _subproblem(prob, u, v, base, wrt, ineq_idx, eq_idx)
 
     def to_point(z):
         return Point.from_flat(flat(z), n, m)
@@ -172,26 +173,15 @@ def augmented_objective(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_
     return fun, value_fn, to_point
 
 
-def augmented_batch(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_idx=None):
-    """``batch_fun(points) -> (values, gradients)``: the ``fun`` of
-    ``augmented_objective`` with the same arguments at every row of
-    ``points``, in one run of the kernel's batched form and equal to it bit
-    for bit.  The Newton method takes its finite-difference Hessian from
-    one such call."""
-    kernel, base_vec, wrt_idx, mu = _subproblem(prob, u, v, base, wrt, ineq_idx, eq_idx)
-    n = prob.n
-    # frozen coordinates stay floats shared by every point
-    shared = base_vec.tolist()
-    wrt_idx = wrt_idx.tolist()
+def augmented_hessian(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_idx=None):
+    """``hess_fun(z)``: the Hessian of ``augmented_objective``'s ``fun`` with
+    the same arguments, from the kernel's Hessian form."""
+    kernel, flat, mu = _subproblem(prob, u, v, base, wrt, ineq_idx, eq_idx)
 
-    def batch_fun(points):
-        vec = list(shared)
-        for f, col in zip(wrt_idx, np.ascontiguousarray(points.T)):
-            vec[f] = col
-        values, grads = kernel.batch_value_and_grad(vec[:n], vec[n:], mu, rho, points.shape[0])
-        return values, grads.T
+    def hess_fun(z):
+        return kernel.hessian(flat(z), mu, rho)[2]
 
-    return batch_fun
+    return hess_fun
 
 
 @dataclass
@@ -224,8 +214,8 @@ def dual_value(prob, mult, inner_cfg=None, start=None, seed=0):
     cfg = inner_cfg if inner_cfg is not None else InnerConfig()
     start = start if start is not None else prob.default_start()
     fun, value_fn, to_point = augmented_objective(prob, mult.u, mult.v, 0.0, base=start)
-    batch_fun = augmented_batch(prob, mult.u, mult.v, 0.0, base=start)
-    res = minimize(fun, start.flat(), cfg, value_fn=value_fn, batch_fun=batch_fun)
+    hess_fun = augmented_hessian(prob, mult.u, mult.v, 0.0, base=start)
+    res = minimize(fun, start.flat(), cfg, value_fn=value_fn, hess_fun=hess_fun)
 
     local = lagrangian_convexity_violations(prob, mult.u, mult.v, _CONVEXITY_PAIRS, seed) > 0
     if res.status == "diverged":

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .expr import _BATCH_RUNTIME, _RUNTIME, _cache_of, _emit, _Emitter
+from .expr import _RUNTIME, _cache_of, _emit, _Emitter
 from .expr import (
     DialectError,
     Expr,
@@ -221,26 +221,18 @@ def sample_convexity(prob, samples=500, seed=0, box=None):
     )
 
 
-def _nonzero(w):
-    """Where the weights ``w`` of a batch are nonzero: True at every point,
-    False at none, else a mask over the points."""
-    if w.all():
-        return True
-    return w != 0.0 if w.any() else False
+def _outer(H, c, cols, u, vcols=None, v=None):
+    """Add c (u v' + v u') to H over ``cols`` x ``vcols``, or c u u' when v is
+    None: an outer product the emitter left whole (``expr.OUTER_ENTRIES``)."""
+    if v is None:
+        H[np.ix_(cols, cols)] += c * np.outer(u, u)
+    else:
+        block = c * np.outer(u, v)
+        H[np.ix_(cols, vcols)] += block
+        H[np.ix_(vcols, cols)] += block.T
 
 
-def _wadd(acc, w, partial, nz):
-    """acc + w * partial at the points where ``nz`` holds, acc elsewhere;
-    never in place, since acc may be an input array."""
-    if nz is True:
-        return acc + w * partial
-    if nz is False:
-        return acc
-    return np.where(nz, acc + w * partial, acc)
-
-
-_KERNEL_BATCH_RUNTIME = {**_BATCH_RUNTIME, "_where": np.where, "_nonzero": _nonzero,
-                         "_wadd": _wadd}
+_KERNEL_RUNTIME = {**_RUNTIME, "_outer": _outer}
 
 # a kernel piece holds at most this many constraints, and the objective
 # has a piece of its own: one straight-line function over everything would
@@ -248,8 +240,8 @@ _KERNEL_BATCH_RUNTIME = {**_BATCH_RUNTIME, "_where": np.where, "_nonzero": _nonz
 _PIECE = 16
 
 _HEADS = {"value": "_aval(x, y, mu, rho, a)", "gradient": "_agrad(x, y, mu, rho, a, acc)",
-          "batched": "_agrad(x, y, mu, rho, a, acc)", "rows": "_cval(x, y, cv, jac)",
-          "jacobian": "_cjac(x, y, cv, jac)"}
+          "hessian": "_ahess(x, y, mu, rho, a, acc, h, H, jac)",
+          "rows": "_cval(x, y, cv, jac)", "jacobian": "_cjac(x, y, cv, jac)"}
 
 
 class _Kernel:
@@ -258,7 +250,7 @@ class _Kernel:
     docstrings).  ``mu`` lists the multipliers of the selected inequalities,
     then of the selected equalities.  Each form compiles on first use, so
     value-only callers never pay for gradient code and gradient descent
-    never pays for the batched form."""
+    never pays for the Hessian form."""
 
     def __init__(self, prob, cols, ineq_idx, eq_idx):
         # no reference to prob itself: the kernel is cached on the problem,
@@ -268,8 +260,9 @@ class _Kernel:
         self._width = prob.n + prob.m if cols is None else len(cols)
         self._cons = [(prob.ineqs[i], False) for i in ineq_idx]
         self._cons += [(prob.eqs[j], True) for j in eq_idx]
-        self._value_pieces = self._grad_pieces = self._batch_pieces = None
+        self._value_pieces = self._grad_pieces = self._hess_pieces = None
         self._cons_pieces = {}  # the rows and Jacobian forms, by name
+        self._pairs = {}  # (s, t) -> its slot in the Hessian form's entry list
 
     def value(self, vec, mu, rho):
         """A at the flat point ``vec`` (x block, then y block)."""
@@ -292,26 +285,35 @@ class _Kernel:
             a = piece(x, y, mu, rho, a, acc)
         return float(a), acc
 
-    def batch_value_and_grad(self, x, y, mu, rho, size):
-        """(A, partials) at ``size`` points at once, equal to
-        ``value_and_grad`` at each point bit for bit.  ``x`` and ``y`` hold,
-        per coordinate, an array over the points or one float they share.
-        Returns A as an array over the points and the partials as an array
-        of shape (kernel columns, points)."""
-        if self._batch_pieces is None:
-            self._batch_pieces = self._compile("batched")
-        first, *rest = self._batch_pieces
+    def hessian(self, vec, mu, rho):
+        """(A, partials, Hessian) at ``vec``: ``value_and_grad``'s A and
+        partials bit for bit, and the exactly symmetric dense Hessian
+        grad^2 g + sum_i w_i grad^2 c_i + 2 rho sum over the active c_i of
+        grad c_i grad c_i', w_i = mu_i + 2 rho p_i, over the kernel's columns.
+        Equalities are active, and inequalities where mu_i + 2 rho c_i > 0 (the
+        multiplier-shifted hinge max(c_i + mu_i / 2 rho, 0)): at mu_i = 0 where
+        c_i > 0, which is exact.  A positive multiplier, left by the update on
+        constraints that were active, keeps the curvature within mu_i / 2 rho
+        below the kink, where a Newton step would see none and run along it."""
+        if self._hess_pieces is None:
+            self._hess_pieces = self._compile("hessian")
+            self._upper = tuple(np.array(list(self._pairs), dtype=int).reshape(-1, 2).T)
+            self._lower = np.tril_indices(self._width, -1)
+        x, y = self._blocks(vec)
+        a = 0.0
         acc = [0.0] * self._width
+        h = [0.0] * len(self._pairs)
+        H = np.zeros((self._width, self._width))
+        jac = np.zeros((len(self._cons), self._width))
         with np.errstate(all="ignore"):  # overflow gives inf, as on floats
-            # a copy: the pieces add to a in place, and the objective may be
-            # a bare variable whose array is an input
-            a = np.full(size, first(x, y, mu, rho, 0.0, acc))
-            for piece in rest:
-                a = piece(x, y, mu, rho, a, acc)
-        grads = np.empty((self._width, size))
-        for s, col in enumerate(acc):
-            grads[s] = col
-        return a, grads
+            for piece in self._hess_pieces:
+                a = piece(x, y, mu, rho, a, acc, h, H, jac)
+            H[self._upper] += h
+            if rho:
+                # jac holds the rows of the equalities and active inequalities
+                H += (2.0 * rho) * (jac.T @ jac)
+        H[self._lower] = H.T[self._lower]
+        return float(a), acc, H
 
     def rows(self, vec, jac=None):
         """The selected constraints' values at ``vec``; given ``jac``, of shape
@@ -331,27 +333,41 @@ class _Kernel:
         flat = vec.tolist()
         return flat[:self._n], flat[self._n:]
 
+    def _second_order(self, hess, indent, weight):
+        """The lines adding ``weight`` times a Hessian from ``_emit``: each
+        entry into its slot of ``h``, each outer product into ``H``."""
+        entries, outers = hess
+        for key in sorted(entries):
+            slot = self._pairs.setdefault(key, len(self._pairs))
+            yield f"{indent}h[{slot}] += {weight}{entries[key]}"
+        for c, u, v in outers:
+            args = [f"{weight}{c}"]
+            for d in (u, v) if v is not None else (u,):
+                keys = sorted(d)
+                args += [f"({', '.join(map(str, keys))},)", f"[{', '.join(d[s] for s in keys)}]"]
+            yield f"{indent}_outer(H, {', '.join(args)})"
+
     def _compile(self, form):
         """The pieces of one form.  The value and rows forms are the gradient
         and Jacobian forms over no slots.  The rows and Jacobian forms write
-        each constraint's value and row, with no objective piece.  The batched
-        form runs the gradient code on arrays over points; two templates differ."""
-        head, batched = _HEADS[form], form == "batched"
-        augmented = form in ("value", "gradient", "batched")
+        each constraint's value and row, with no objective piece.  The Hessian
+        form adds second-order lines, and the rows of its 2 rho grad c grad c'."""
+        head, second = _HEADS[form], form == "hessian"
+        augmented = form in ("value", "gradient", "hessian")
         n, pos = self._n, ({} if form in ("value", "rows") else self._pos)
-        runtime = _KERNEL_BATCH_RUNTIME if batched else _RUNTIME
         pieces = []
         if augmented:
             em = _Emitter()
-            val, grad = _emit(self._g, em, n, pos)
+            val, grad, hess = _emit(self._g, em, n, pos, second)
             em.lines.append(f"    a = {val}")
             em.lines.extend(f"    acc[{s}] = {grad[s]}" for s in sorted(grad))
-            pieces.append(em.build(head, "a", runtime))
+            em.lines.extend(self._second_order(hess, "    ", ""))
+            pieces.append(em.build(head, "a", _KERNEL_RUNTIME))
         for lo in range(0, len(self._cons), _PIECE):
             em = _Emitter()
             for k in range(lo, min(lo + _PIECE, len(self._cons))):
                 e, is_eq = self._cons[k]
-                c, grad = _emit(e, em, n, pos)
+                c, grad, hess = _emit(e, em, n, pos, second)
                 if not augmented:
                     em.lines.append(f"    cv[{k}] = {c}")
                     em.lines.extend(f"    jac[{k}, {s}] = {grad[s]}" for s in sorted(grad))
@@ -359,24 +375,22 @@ class _Kernel:
                 p = c
                 if not is_eq:
                     p = "p"
-                    # the hinge: a conditional expression, or a select per point
-                    em.lines.append(f"    p = _where({c} > 0.0, {c}, 0.0)" if batched
-                                    else f"    p = {c} if {c} > 0.0 else 0.0")
+                    em.lines.append(f"    p = {c} if {c} > 0.0 else 0.0")
                 em.lines.append(f"    a += mu[{k}] * {c} + rho * {p} * {p}")
                 if grad:
                     # a zero weight adds nothing, so an overflowing partial
-                    # cannot turn the sum into nan; per point when batched,
-                    # with no in-place add, since acc may hold an input array
+                    # cannot turn the sum into nan
                     em.lines.append(f"    w = mu[{k}] + 2.0 * rho * {p}")
-                    if batched:
-                        em.lines.append("    nz = _nonzero(w)")
-                        em.lines.extend(f"    acc[{s}] = _wadd(acc[{s}], w, {grad[s]}, nz)"
-                                        for s in sorted(grad))
-                    else:
-                        em.lines.append("    if w != 0.0:")
-                        em.lines.extend(f"        acc[{s}] += w * ({grad[s]})"
-                                        for s in sorted(grad))
-            pieces.append(em.build(head, "a" if augmented else "None", runtime))
+                    em.lines.append("    if w != 0.0:")
+                    em.lines.extend(f"        acc[{s}] += w * ({grad[s]})" for s in sorted(grad))
+                    em.lines.extend(self._second_order(hess, "        ", "w * "))
+                    if second:
+                        # the row of an equality, or of an active inequality
+                        # (see ``hessian``); with rho = 0 no row counts
+                        em.lines.append("    if rho:" if is_eq
+                                        else f"    if mu[{k}] + 2.0 * rho * {c} > 0.0:")
+                        em.lines.extend(f"        jac[{k}, {s}] = {grad[s]}" for s in sorted(grad))
+            pieces.append(em.build(head, "a" if augmented else "None", _KERNEL_RUNTIME))
         return pieces
 
 

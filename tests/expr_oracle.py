@@ -8,8 +8,7 @@ copies a cnfopt tree into it.  Tests require ``a == b``, ``hash(a)`` and
 
 ``checked_pow`` is the power helper that compiled code called for every
 power above 3 before integer powers got a helper of their own.  Tests
-require that helper, the general one and their batched forms to equal it
-bit for bit.
+require that helper and the general one to equal it bit for bit.
 """
 
 from __future__ import annotations

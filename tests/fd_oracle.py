@@ -1,16 +1,18 @@
-"""Reference central-difference Hessian for the batched one in cnfopt.inner.
+"""Reference central-difference Hessian for the exact one of the problem kernel.
 
-``fd_hessian`` is the per-point loop that ``cnfopt.inner`` used before it
-took every neighbour's gradient from one batched kernel call: two scalar
-``fun`` calls per coordinate, each on its own copy of the point.  Tests
-require the batched Hessian to equal it bit for bit.
+``fd_hessian`` is the per-point loop that ``cnfopt.inner`` once built its
+Newton Hessians with: two scalar ``fun`` calls per coordinate, each on its
+own copy of the point.  Tests hold the kernel's compiled Hessian form to it
+within a relative tolerance, and give the Newton method of ``cnfopt.inner``
+its Hessians from it where a test function has no compiled form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cnfopt.inner import FD_STEP
+# the central-difference step
+FD_STEP = 1e-5
 
 
 def fd_hessian(fun, z):

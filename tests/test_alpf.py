@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -111,6 +112,24 @@ class TestSolveAlpf:
             AlpfConfig(eps=-1.0)
         with pytest.raises(ValueError):
             AlpfConfig(max_outer=0)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("eps", math.inf, "finite eps"),
+        ("eps", math.nan, "finite eps"),
+        ("rho0", math.nan, "finite eps"),
+        ("rho0", math.inf, "finite eps"),
+        ("growth", math.nan, "finite eps"),
+        ("growth", math.inf, "finite eps"),
+        ("sigma0", math.nan, "sigma0 must be finite and positive"),
+        ("sigma0", -1.0, "sigma0 must be finite and positive"),
+        ("sigma0", 0.0, "sigma0 must be finite and positive"),
+        ("sigma0", math.inf, "sigma0 must be finite and positive"),
+        ("start", Point([1.0, math.nan], [0.0]), "start must have finite coordinates"),
+        ("start", Point([1.0], [math.inf]), "start must have finite coordinates"),
+    ])
+    def test_config_rejects_non_finite_settings(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            AlpfConfig(**{field: value})
 
 
 class TestSolvePenalty:

@@ -252,6 +252,28 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--rho0", "nan"],
+            ["solve", "--growth", "nan"],
+            ["solve", "--solver", "decomposed", "--blocks", "2", "--sigma0", "nan"],
+            ["solve", "--solver", "decomposed", "--blocks", "2", "--sigma0", "-1"],
+            ["solve", "--eps", "inf"],
+            ["solve", "--start", "1,nan"],
+            ["certify", "--point", "1,nan,0,0"],
+        ],
+        ids=["rho0-nan", "growth-nan", "sigma0-nan", "sigma0-negative", "eps-inf", "start-nan",
+             "point-nan"],
+    )
+    def test_non_finite_or_out_of_range_setting_exit_three(self, capsys, argv):
+        command, *rest = argv
+        code, out, err = run_cli(capsys, command, "--catalog", "ex9", "--n", "4", *rest)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_start_and_pattern_conflict(self, capsys):
         code, _, err = run_cli(
             capsys,

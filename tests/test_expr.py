@@ -571,20 +571,6 @@ class TestIntegerPower:
                             assert type(got) is type(want)
                             assert _same_float(got, want), (v, k)
 
-    def test_batched_forms_match_elementwise(self):
-        from cnfopt.expr import _BATCH_RUNTIME
-
-        bases = np.array(POWER_BASES)
-        for k in POWER_EXPONENTS:
-            want = [expr_oracle.checked_pow(v, float(k), "loc") for v in POWER_BASES]
-            for got in (_BATCH_RUNTIME["_ipw"](bases, k),
-                        _BATCH_RUNTIME["_pw"](bases, float(k), "loc")):
-                assert got.shape == bases.shape
-                assert all(_same_float(g, w) for g, w in zip(got.tolist(), want)), k
-            # a coordinate frozen across the batch stays one float
-            assert _same_float(_BATCH_RUNTIME["_ipw"](-1e62, k),
-                               expr_oracle.checked_pow(-1e62, float(k), "loc"))
-
     @pytest.mark.parametrize("k", [4, 5, 6, 7])
     def test_compiled_powers_use_it_and_keep_their_values(self, k):
         e = x_(1) ** k
@@ -657,15 +643,6 @@ class TestLazyErrorLocations:
             with pytest.raises(DomainError) as info:
                 gradient(e, Point([1.0], []))
             assert str(info.value) == f"sqrt gradient needs a positive argument {where}"
-
-    def test_batched_helpers_print_the_same_location(self):
-        from cnfopt.expr import _BATCH_RUNTIME, _RUNTIME, _Where
-
-        node = x_(1) / (x_(1) - 1.0)
-        for runtime, args in ((_RUNTIME, (1.0, 0.0)), (_BATCH_RUNTIME, (np.ones(2), np.zeros(2)))):
-            with pytest.raises(DomainError) as info:
-                runtime["_div"](*args, _Where(node))
-            assert str(info.value) == "division by zero in 'x[1]/(x[1] - 1)'"
 
     @pytest.mark.parametrize("build", [
         lambda: x_(1) / x_(2),

@@ -1,7 +1,8 @@
+import math
+
 import numpy as np
 import pytest
 
-import cnfopt.inner as inner
 from cnfopt.inner import ARMIJO_C, GRADIENT_DESCENT, NEWTON_FD, InnerConfig, minimize
 from fd_oracle import fd_hessian
 
@@ -32,23 +33,42 @@ def double_well(z):
     return float(z[0] ** 4 - z[0] ** 2), np.array([4 * z[0] ** 3 - 2 * z[0]])
 
 
+# the exact Hessian of each function above
+EXACT_HESSIAN = {
+    quadratic: lambda z: 2.0 * np.eye(z.size),
+    banana: lambda z: np.array([[2.0 - 40.0 * (z[1] - z[0] ** 2) + 80.0 * z[0] ** 2, -40.0 * z[0]],
+                                [-40.0 * z[0], 20.0]]),
+    linear_drop: lambda z: np.zeros((z.size, z.size)),
+    rounding_floor: lambda z: 2e-18 * np.eye(z.size),
+    double_well: lambda z: np.array([[12.0 * z[0] ** 2 - 2.0]]),
+}
+
+
+def solve(fun, start, cfg, **kwargs):
+    """``minimize``, with the Newton method's Hessians from the
+    central-difference oracle."""
+    if cfg.method == NEWTON_FD:
+        kwargs["hess_fun"] = lambda z: fd_hessian(fun, z)
+    return minimize(fun, start, cfg, **kwargs)
+
+
 @pytest.mark.parametrize("method", [GRADIENT_DESCENT, NEWTON_FD])
 class TestMinimize:
     def test_quadratic_reaches_zero(self, method):
         cfg = InnerConfig(method=method)
-        res = minimize(quadratic, np.array([3.0, -4.0, 0.5]), cfg)
+        res = solve(quadratic, np.array([3.0, -4.0, 0.5]), cfg)
         assert res.status == "converged"
         assert res.value <= 1e-12
         assert np.linalg.norm(res.point) <= 1e-6
         assert res.grad_norm <= cfg.grad_tol * max(1.0, quadratic(np.array([3.0, -4.0, 0.5]))[0])
 
     def test_banana_valley(self, method):
-        res = minimize(banana, np.zeros(2), InnerConfig(method=method))
+        res = solve(banana, np.zeros(2), InnerConfig(method=method))
         assert res.status == "converged"
         assert res.point == pytest.approx([1.0, 1.0], abs=1e-4)
 
     def test_linear_diverges(self, method):
-        res = minimize(linear_drop, np.zeros(3), InnerConfig(method=method))
+        res = solve(linear_drop, np.zeros(3), InnerConfig(method=method))
         assert res.status == "diverged"
 
     def test_monotone_and_armijo(self, method):
@@ -60,7 +80,7 @@ class TestMinimize:
             checks.append(f <= values[-1] + ARMIJO_C * t * slope + 1e-12)
             values.append(f)
 
-        minimize(banana, np.array([-0.7, 1.4]), cfg, callback=cb)
+        solve(banana, np.array([-0.7, 1.4]), cfg, callback=cb)
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         assert all(checks)
 
@@ -72,7 +92,7 @@ class TestMinimize:
 
         # starts in a concavity of z^4 - z^2 so the raw Newton model is
         # indefinite and the shift/fallback must still give descent
-        res = minimize(double_well, np.array([0.1]), InnerConfig(method=method), callback=cb)
+        res = solve(double_well, np.array([0.1]), InnerConfig(method=method), callback=cb)
         assert res.status == "converged"
         assert abs(res.point[0]) == pytest.approx(np.sqrt(0.5), abs=1e-5)
         assert all(s < 0 for s in slopes)
@@ -80,15 +100,15 @@ class TestMinimize:
 
     def test_rounding_floor_is_stalled(self, method):
         cfg = InnerConfig(method=method, grad_tol=1e-30, max_iters=400)
-        res = minimize(rounding_floor, np.array([3.0, -4.0]), cfg)
+        res = solve(rounding_floor, np.array([3.0, -4.0]), cfg)
         assert res.status == "stalled"
         assert res.iterations <= 3
         assert res.grad_norm > cfg.grad_tol
 
     def test_no_acceptable_step_is_stalled(self, method):
         # every trial value lies far above f(start) = 25, so no step passes Armijo
-        res = minimize(quadratic, np.array([3.0, -4.0]), InnerConfig(method=method),
-                       value_fn=lambda z: quadratic(z)[0] + 1e6)
+        res = solve(quadratic, np.array([3.0, -4.0]), InnerConfig(method=method),
+                    value_fn=lambda z: quadratic(z)[0] + 1e6)
         assert res.status == "stalled"
         assert res.iterations == 0
         assert res.point.tolist() == [3.0, -4.0]
@@ -116,6 +136,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             InnerConfig(max_iters=0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_grad_tol_must_be_finite(self, tol):
+        with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
+            InnerConfig(grad_tol=tol)
+
     def test_value_fn_used_for_trials(self):
         counter = {"full": 0, "cheap": 0}
 
@@ -140,18 +165,21 @@ class TestConfig:
     (double_well, [0.1], 1e-8),
     (rounding_floor, [3.0, -4.0], 1e-30),
 ])
-def test_newton_matches_the_per_point_hessian(monkeypatch, fun, start, grad_tol):
-    """Newton on a plain function builds its Hessian row by row through
-    ``fun``; every iterate equals the one the per-point loop gives."""
+def test_newton_matches_the_per_point_hessian(fun, start, grad_tol):
+    """Newton with each function's exact Hessian ends as it does with the
+    central-difference oracle's: the same status, at the same point to
+    within the oracle's error."""
     cfg = InnerConfig(method=NEWTON_FD, grad_tol=grad_tol, max_iters=400)
-    seen = {"batch": [], "loop": []}
-    got = minimize(fun, np.array(start), cfg, callback=lambda z, *_: seen["batch"].append(z))
-    monkeypatch.setattr(inner, "_fd_hessian", lambda batch_fun, z: fd_hessian(fun, z))
-    want = minimize(fun, np.array(start), cfg, callback=lambda z, *_: seen["loop"].append(z))
-    assert (got.status, got.iterations) == (want.status, want.iterations)
-    for a, b in [(got.point, want.point), (got.value, want.value),
-                 (got.grad_norm, want.grad_norm), *zip(seen["batch"], seen["loop"])]:
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    got = minimize(fun, np.array(start), cfg, hess_fun=EXACT_HESSIAN[fun])
+    want = solve(fun, np.array(start), cfg)
+    assert got.status == want.status
+    assert abs(got.iterations - want.iterations) <= 1
+    assert got.point == pytest.approx(want.point, rel=1e-6, abs=1e-6)
+
+
+def test_newton_needs_a_hessian():
+    with pytest.raises(ValueError, match="the Newton method needs hess_fun"):
+        minimize(quadratic, np.array([1.0]), InnerConfig(method=NEWTON_FD))
 
 
 def test_gradient_descent_slope_is_the_negated_squared_norm():

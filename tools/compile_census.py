@@ -13,7 +13,7 @@ prints one line per kind of compiled function:
     <workload> <kind> <functions> <lines> <sha256>
 
 where the kinds are ``value`` and ``gradient`` (one expression each),
-``kernel-value``, ``kernel-gradient`` and ``kernel-batched`` (the pieces of
+``kernel-value``, ``kernel-gradient`` and ``kernel-hessian`` (the pieces of
 the problem kernel's augmented-Lagrangian forms) and ``kernel-rows`` and
 ``kernel-jacobian`` (the pieces of its constraint forms: values, and values
 with Jacobian rows), ``lines`` counts every source line,
@@ -38,48 +38,44 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import cnfopt.expr as expr  # noqa: E402
-import cnfopt.model as model  # noqa: E402
 import jobs  # noqa: E402
 
-# the kind of each compiled function name; the batched kernel form shares
-# its name with the gradient form and differs in its runtime
-_KIND_OF = {"_val": "value", "_grad": "gradient", "_aval": "kernel-value",
-            "_agrad": "kernel-gradient", "_cval": "kernel-rows", "_cjac": "kernel-jacobian"}
-KINDS = (*_KIND_OF.values(), "kernel-batched")
+# the kind of each compiled function name
+KINDS = {"_val": "value", "_grad": "gradient", "_aval": "kernel-value",
+         "_agrad": "kernel-gradient", "_ahess": "kernel-hessian", "_cval": "kernel-rows",
+         "_cjac": "kernel-jacobian"}
 
 
-def _kind(head, runtime):
+def _kind(head):
     name = head.partition("(")[0]
-    if name not in _KIND_OF:
+    if name not in KINDS:
         raise ValueError(f"unknown compiled function {head!r}")
-    if runtime is model._KERNEL_BATCH_RUNTIME:
-        return "kernel-batched"
-    return _KIND_OF[name]
+    return KINDS[name]
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("seed", type=int, nargs="?", default=jobs.DEFAULT_SEED)
     seed = ap.parse_args(argv).seed
-    sources = {kind: [] for kind in KINDS}
+    sources = {kind: [] for kind in KINDS.values()}
     build = expr._Emitter.build
 
     def recording_build(self, head, result_expr, runtime=expr._RUNTIME):
         # the text build compiles: the head, the emitted lines, the return
         src = "\n".join([f"def {head}:", *self.lines, f"    return {result_expr}"])
-        sources[_kind(head, runtime)].append(src)
+        sources[_kind(head)].append(src)
         return build(self, head, result_expr, runtime)
 
     expr._Emitter.build = recording_build
     for workload in jobs.WORKLOADS:
-        for kind in KINDS:
+        for kind in sources:
             sources[kind].clear()
         for job in jobs.make_workload(workload, seed):
             try:
                 job.run()
             except Exception:  # a failing job is reported; the others still run
                 traceback.print_exc()
-        for kind in KINDS:
+        for kind in sources:
             text = "\n".join(sources[kind])
             lines = sum(src.count("\n") + 1 for src in sources[kind])
             digest = hashlib.sha256(text.encode()).hexdigest()
