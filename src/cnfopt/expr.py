@@ -158,7 +158,12 @@ def wrap(v):
 
 
 def const(v):
-    return Expr("const", value=float(v))
+    """A constant node; the compiled forms write it as a literal, which
+    only a finite value has."""
+    value = float(v)
+    if not math.isfinite(value):
+        raise ValueError(f"constant {value!r} is not a finite number")
+    return Expr("const", value=value)
 
 
 def x_(i):

@@ -1,11 +1,12 @@
 """Unconstrained smooth minimizers for the outer multiplier loops.
 
 Two methods over flat coordinate vectors: backtracking gradient descent,
-and a Newton method with a Levenberg-style diagonal shift on the Hessian
-that a ``hess_fun`` closure gives, exact for the augmented Lagrangian.  It
-keeps the name ``newton_fd`` from when it took central differences of the
-gradient, since configurations pass that name.  Both enforce the Armijo
-condition on every accepted step and guard against unbounded descent.
+and a Newton method with a Levenberg-style diagonal shift on the Hessian,
+which takes value, gradient and exact Hessian from one ``hess_fun`` call
+per iterate (see ``minimize``).  It keeps the name ``newton_fd`` from when
+it took central differences of the gradient, since configurations pass
+that name.  Both enforce the Armijo condition on every accepted step and
+guard against unbounded descent.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .expr import DomainError
 
 GRADIENT_DESCENT = "gradient_descent"
 NEWTON_FD = "newton_fd"
@@ -99,8 +102,17 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, hess_fun=None):
     """Minimize a smooth function given by ``fun(z) -> (value, gradient)``.
 
     ``value_fn`` optionally provides a cheaper value-only evaluation for
-    line-search trials.  ``hess_fun(z)`` gives the symmetric Hessian at z,
-    which the Newton method requires and gradient descent ignores.
+    line-search trials (without it a trial takes the method's full
+    evaluation).  Gradient descent calls ``fun`` per iterate and
+    ``value_fn`` per trial, and ignores ``hess_fun``.  The Newton method
+    requires ``hess_fun(z) -> (value, gradient, Hessian)``, whose value and
+    gradient must be ``fun``'s, and never calls ``fun``: it calls
+    ``hess_fun`` at the start and at each unit trial step, and when that
+    step is accepted its triple serves the next iterate.  Backtracked
+    trials (t < 1) take ``value_fn``, and a backtracked step, once
+    accepted, one ``hess_fun`` call at its point.  A ``DomainError`` from
+    ``hess_fun`` at a unit trial falls back to ``value_fn`` there, and is
+    raised again if that step is accepted.
     Convergence means the gradient norm dropped below
     grad_tol scaled by max(1, |f(start)|), which keeps the test meaningful
     when penalty weights inflate the objective.  Divergence means an
@@ -111,12 +123,17 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, hess_fun=None):
     ``callback(z, f, step, slope)`` fires after each accepted step.
     """
     cfg = cfg if cfg is not None else InnerConfig()
-    value_of = value_fn if value_fn is not None else (lambda z: fun(z)[0])
-    if cfg.method == NEWTON_FD and hess_fun is None:
+    newton = cfg.method == NEWTON_FD
+    if newton and hess_fun is None:
         raise ValueError("the Newton method needs hess_fun")
+    full = hess_fun if newton else fun
+    value_of = value_fn if value_fn is not None else (lambda z: full(z)[0])
 
     z = np.asarray(start, dtype=float).copy()
-    f, g = fun(z)
+    if newton:
+        f, g, H = hess_fun(z)
+    else:
+        f, g = fun(z)
     tol = cfg.grad_tol * max(1.0, abs(f))
     trial = INIT_STEP
     window_best = np.inf
@@ -149,8 +166,8 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, hess_fun=None):
             window_f0 = f
 
         # both directions descend: slope < 0 here (a NaN slope fails Armijo)
-        if cfg.method == NEWTON_FD:
-            d = _newton_direction(hess_fun(z), g)
+        if newton:
+            d = _newton_direction(H, g)
             t = INIT_STEP
             slope = float(g @ d)
         else:
@@ -161,7 +178,16 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, hess_fun=None):
         accepted = False
         while t >= _MIN_STEP:
             zt = z + t * d
-            ft = value_of(zt)
+            # at: Newton's triple at the unit trial point, or the DomainError
+            # it raised there, which only an accepted step raises again
+            if newton and t == INIT_STEP:
+                try:
+                    at = hess_fun(zt)
+                    ft = at[0]
+                except DomainError as err:
+                    at, ft = err, value_of(zt)
+            else:
+                at, ft = None, value_of(zt)
             if ft <= f + ARMIJO_C * t * slope:
                 accepted = True
                 break
@@ -172,8 +198,12 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, hess_fun=None):
             return InnerResult(z, f, gnorm, "stalled", it)
 
         z = zt
-        f, g = fun(z)
-        if cfg.method == GRADIENT_DESCENT:
+        if not newton:
+            f, g = fun(z)
             trial = min(t * 2.0, 1e16)
+        elif isinstance(at, DomainError):
+            raise at
+        else:
+            f, g, H = at if at is not None else hess_fun(z)
         if callback is not None:
             callback(z, f, t, slope)

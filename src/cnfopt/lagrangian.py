@@ -18,10 +18,14 @@ compile.  The kernel is straight-line code in pieces, the objective and
 then at most 16 constraints each, which bounds compile-time memory.  Each
 piece adds its constraints' terms to the running value and their weighted
 partials to one gradient list in constraint order, skipping a weight of
-exactly 0, so the result equals a term-by-term sum bit for bit.  The
-Newton method's exact Hessian comes from a third form: the same code plus
-each node's second derivatives, and the Jacobian rows of the equalities
-and active inequalities for the 2 rho grad c grad c' term.
+exactly 0, so the result equals a term-by-term sum bit for bit.  Gradient
+descent runs the value form (line-search trials) and the gradient form
+(iterates).  The Newton method runs a third form, the Hessian form: the
+gradient form's code plus each node's second derivatives, and the
+Jacobian rows of the equalities and active inequalities for the
+2 rho grad c grad c' term.  Its value and gradient are the other forms'
+bit for bit, so one call per iterate gives all three, and Newton runs
+the value form only for backtracked line-search trials.
 """
 
 from __future__ import annotations
@@ -174,12 +178,14 @@ def augmented_objective(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_
 
 
 def augmented_hessian(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_idx=None):
-    """``hess_fun(z)``: the Hessian of ``augmented_objective``'s ``fun`` with
-    the same arguments, from the kernel's Hessian form."""
+    """``hess_fun(z) -> (value, grad, Hessian)`` for the Newton method, from
+    the kernel's Hessian form: ``augmented_objective``'s ``fun(z)`` with the
+    same arguments, bit for bit and with the same errors, and its Hessian."""
     kernel, flat, mu = _subproblem(prob, u, v, base, wrt, ineq_idx, eq_idx)
 
     def hess_fun(z):
-        return kernel.hessian(flat(z), mu, rho)[2]
+        val, acc, H = kernel.hessian(flat(z), mu, rho)
+        return val, np.array(acc), H
 
     return hess_fun
 

@@ -274,6 +274,26 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--catalog", "ex9", "--n", "4", "--lambda", "nan"],
+            ["--catalog", "ex9", "--n", "4", "--lambda", "inf"],
+            ["--catalog", "ex4", "--b", "inf"],
+            ["--catalog", "ex4", "--b", "nan"],
+        ],
+        ids=["ex9-lambda-nan", "ex9-lambda-inf", "ex4-b-inf", "ex4-b-nan"],
+    )
+    def test_non_finite_catalog_parameter_exit_three(self, capsys, argv):
+        # the parameter becomes a constant of the problem's expressions,
+        # which the compiled forms could not write as a literal
+        code, out, err = run_cli(capsys, "solve", *argv, "--max-outer", "2")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not a finite number" in err
+        assert "Traceback" not in err
+
     def test_start_and_pattern_conflict(self, capsys):
         code, _, err = run_cli(
             capsys,

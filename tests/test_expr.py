@@ -258,6 +258,16 @@ class TestParse:
             parse("x[1] +\n 1e400", n=1, m=0)
         assert (err.value.line, err.value.col) == (2, 2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_is_rejected(self, value):
+        # the compiled forms write a constant as a literal; repr gives the
+        # bare names nan and inf, which no compiled namespace defines
+        with pytest.raises(ValueError, match="not a finite number"):
+            const(value)
+        with pytest.raises(ValueError, match="not a finite number"):
+            x_(1) * value  # an operand is wrapped as a constant
+        assert const(1e308).value == 1e308
+
     def test_exponent_folding_to_infinity_is_rejected(self):
         with pytest.raises(ParseError, match="not a finite number") as err:
             parse("x[1]^(1e200*1e200)", n=1, m=0)

@@ -7,8 +7,8 @@ first corrected where the two differ by design: an inequality counts as
 active where mu + 2 rho c > 0, so within mu / 2 rho below its kink (see
 ``model._Kernel.hessian``), and at c = 0 exactly the oracle's neighbours
 straddle the kink and see half the curvature.  The form's value and
-partials must equal the gradient form's bit for bit, and its errors must
-be the gradient form's.
+partials must equal the gradient form's bit for bit, and its value the
+value form's, and its errors must be the gradient form's.
 """
 
 from collections import Counter
@@ -43,6 +43,20 @@ def with_zeros(values):
     return values
 
 
+def same_value_and_partials(kernel, vec, mu, rho):
+    """Assert that the value form's A, the gradient form's (A, partials)
+    and the Hessian form's (A, partials) at ``vec`` are bit-identical:
+    Newton's line search compares the Hessian form's A at the iterate with
+    value-form A at backtracked trials, and reads its partials in place of
+    the gradient form's.  Returns the gradient form's pair."""
+    value = kernel.value(vec, mu, rho)
+    a, acc = kernel.value_and_grad(vec, mu, rho)
+    hess_a, hess_acc, _ = kernel.hessian(vec, mu, rho)
+    assert same_bits(value, a) and same_bits(hess_a, a)
+    assert same_bits(hess_acc, acc)
+    return a, acc
+
+
 def check(prob, u, v, rho, p, wrt=None, ineq_idx=None, eq_idx=None):
     """Check the Hessian form at p (see the module docstring); returns how
     many of the selected inequalities were active, inactive, in the band
@@ -50,7 +64,7 @@ def check(prob, u, v, rho, p, wrt=None, ineq_idx=None, eq_idx=None):
     block = dict(base=p, wrt=wrt, ineq_idx=ineq_idx, eq_idx=eq_idx)
     z = p.flat() if wrt is None else p.flat()[wrt]
     before = z.copy()
-    H = augmented_hessian(prob, u, v, rho, **block)(z)
+    value, grad, H = augmented_hessian(prob, u, v, rho, **block)(z)
     assert same_bits(z, before)  # the input is left alone
     assert H.shape == (z.size, z.size)
     assert same_bits(H, H.T)
@@ -58,12 +72,17 @@ def check(prob, u, v, rho, p, wrt=None, ineq_idx=None, eq_idx=None):
     cols = None if wrt is None else tuple(int(f) for f in wrt)
     kernel = _kernel(prob, cols, ineq_idx, eq_idx)
     mu = list(u) + list(v)
-    a, acc, again = kernel.hessian(p.flat(), mu, rho)
-    want_a, want_acc = kernel.value_and_grad(p.flat(), mu, rho)
-    assert same_bits(a, want_a) and same_bits(acc, want_acc)
-    assert same_bits(again, H)
+    want_a, want_acc = same_value_and_partials(kernel, p.flat(), mu, rho)
+    # the triple is the gradient form's value and partials, bit for bit, so
+    # Newton needs no gradient-form call
+    assert type(value) is float and isinstance(grad, np.ndarray)
+    assert same_bits(value, want_a) and same_bits(grad, want_acc)
+    assert same_bits(kernel.hessian(p.flat(), mu, rho)[2], H)
 
-    want = fd_hessian(augmented_objective(prob, u, v, rho, **block)[0], z)
+    fun = augmented_objective(prob, u, v, rho, **block)[0]
+    want_value, want_grad = fun(z)
+    assert same_bits(value, want_value) and same_bits(grad, want_grad)
+    want = fd_hessian(fun, z)
     jac = np.zeros((len(mu), z.size))
     cv = kernel.rows(p.flat(), jac)
     seen = Counter()
@@ -99,6 +118,19 @@ def test_every_catalog_entry(eid, rho):
     u = with_zeros(rng.uniform(0.5, 2.0, prob.s))
     v = with_zeros(rng.normal(size=prob.r))
     check(prob, u, v, rho, p)
+    # every form's value and partials at the catalog start too
+    same_value_and_partials(_kernel(prob), prob.default_start().flat(), list(u) + list(v), rho)
+
+
+@pytest.mark.parametrize("rho", RHOS)
+def test_every_form_gives_the_same_bits_where_partials_overflow(rho):
+    # at x[1] = 1e-160, 1/x[1] is 1e160 while its partial -1/x[1]^2
+    # overflows to -inf, in the objective and in a weighted constraint
+    prob = CnfProblem(name="overflow", n=2, m=0, g=1 / x_(1) + x_(2) * x_(2),
+                      ineqs=(1 / x_(1) - x_(2),), eqs=(x_(2) * x_(2) - 1.0,))
+    a, acc = same_value_and_partials(_kernel(prob), np.array([1e-160, 0.5]), [0.5, 0.3], rho)
+    assert acc[0] == -np.inf and np.isfinite(acc[1])
+    assert a == (1e160 + 0.25 + 0.5 * 1e160 - 0.3 * 0.75 if rho == 0.0 else np.inf)
 
 
 @pytest.mark.parametrize("rho", RHOS)
@@ -242,7 +274,8 @@ def test_overflowing_partial_at_a_zero_weight():
     prob = CnfProblem(name="overflow", n=1, m=0, g=x_(1) ** 2, ineqs=(1 / x_(1),))
     p = Point(np.array([-1e-160]), np.zeros(0))
     for rho in (0.0, 10.0):
-        assert augmented_hessian(prob, [0.0], [], rho, base=p)(p.flat()).tolist() == [[2.0]]
+        value, grad, H = augmented_hessian(prob, [0.0], [], rho, base=p)(p.flat())
+        assert (value, grad.tolist(), H.tolist()) == (1e-320, [-2e-160], [[2.0]])
 
 
 @pytest.mark.parametrize("objective,ineqs,x1", [
@@ -287,7 +320,7 @@ def test_dual_value_with_newton_matches_the_loop(monkeypatch, prob, u, v):
 
     def oracle(prob, u, v, rho, **block):
         fun = augmented_objective(prob, u, v, rho, **block)[0]
-        return lambda z: calls.append(z) or fd_hessian(fun, z)
+        return lambda z: calls.append(z) or (*fun(z), fd_hessian(fun, z))
 
     monkeypatch.setattr(lagrangian, "augmented_hessian", oracle)
     want = dual_value(prob, mult, cfg)

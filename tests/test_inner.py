@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import cnfopt.model as model
+from cnfopt.alpf import AlpfConfig, BlockPartition, solve_decomposed
+from cnfopt.expr import DomainError
 from cnfopt.inner import ARMIJO_C, GRADIENT_DESCENT, NEWTON_FD, InnerConfig, minimize
+from cnfopt.problems import build
 from fd_oracle import fd_hessian
 
 
@@ -44,11 +48,17 @@ EXACT_HESSIAN = {
 }
 
 
+def with_hessian(fun, hessian):
+    """A ``hess_fun`` for ``minimize``: ``fun``'s value and gradient, and
+    ``hessian(z)``."""
+    return lambda z: (*fun(z), hessian(z))
+
+
 def solve(fun, start, cfg, **kwargs):
     """``minimize``, with the Newton method's Hessians from the
     central-difference oracle."""
     if cfg.method == NEWTON_FD:
-        kwargs["hess_fun"] = lambda z: fd_hessian(fun, z)
+        kwargs["hess_fun"] = with_hessian(fun, lambda z: fd_hessian(fun, z))
     return minimize(fun, start, cfg, **kwargs)
 
 
@@ -106,9 +116,14 @@ class TestMinimize:
         assert res.grad_norm > cfg.grad_tol
 
     def test_no_acceptable_step_is_stalled(self, method):
-        # every trial value lies far above f(start) = 25, so no step passes Armijo
-        res = solve(quadratic, np.array([3.0, -4.0]), InnerConfig(method=method),
-                    value_fn=lambda z: quadratic(z)[0] + 1e6)
+        # every value away from the start lies far above f(start) = 25, so no
+        # trial step passes Armijo, whether its value comes from value_fn or,
+        # at Newton's unit step, from hess_fun
+        def spike(z):
+            return quadratic(z)[0] + (0.0 if z.tolist() == [3.0, -4.0] else 1e6)
+
+        res = solve(lambda z: (spike(z), quadratic(z)[1]), np.array([3.0, -4.0]),
+                    InnerConfig(method=method), value_fn=spike)
         assert res.status == "stalled"
         assert res.iterations == 0
         assert res.point.tolist() == [3.0, -4.0]
@@ -170,7 +185,7 @@ def test_newton_matches_the_per_point_hessian(fun, start, grad_tol):
     central-difference oracle's: the same status, at the same point to
     within the oracle's error."""
     cfg = InnerConfig(method=NEWTON_FD, grad_tol=grad_tol, max_iters=400)
-    got = minimize(fun, np.array(start), cfg, hess_fun=EXACT_HESSIAN[fun])
+    got = minimize(fun, np.array(start), cfg, hess_fun=with_hessian(fun, EXACT_HESSIAN[fun]))
     want = solve(fun, np.array(start), cfg)
     assert got.status == want.status
     assert abs(got.iterations - want.iterations) <= 1
@@ -205,3 +220,122 @@ def test_gradient_descent_slope_is_the_negated_squared_norm():
     for g, slope in zip(gradients, slopes):
         assert type(slope) is float
         assert slope.hex() == float(g @ -g).hex()
+
+
+# -- the Newton method's evaluations: one hess_fun call per iterate
+
+
+def no_fun(z):
+    raise AssertionError("the Newton method called fun")
+
+
+class Counted:
+    """Stubs that record the point of each ``hess_fun`` and ``value_fn``
+    call, over ``fun`` and its exact Hessian."""
+
+    def __init__(self, fun):
+        self.inner, self.hessian = fun, EXACT_HESSIAN[fun]
+        self.hess_at, self.value_at = [], []
+
+    def hess_fun(self, z):
+        self.hess_at.append(z.copy())
+        return (*self.inner(z), self.hessian(z))
+
+    def value_fn(self, z):
+        self.value_at.append(z.copy())
+        return self.inner(z)[0]
+
+
+@pytest.mark.parametrize("fun,start", [
+    (quadratic, [3.0, -4.0, 0.5]),
+    (banana, [0.0, 0.0]),
+    (banana, [-0.7, 1.4]),
+])
+def test_newton_takes_one_hessian_call_per_unit_step(fun, start):
+    stubs = Counted(fun)
+    steps = []
+    res = minimize(no_fun, np.array(start), InnerConfig(method=NEWTON_FD),
+                   value_fn=stubs.value_fn, hess_fun=stubs.hess_fun,
+                   callback=lambda z, f, t, slope: steps.append((z.copy(), t)))
+    assert res.status == "converged" and res.iterations == len(steps)
+    backtracked = [t for _, t in steps if t < 1.0]
+    assert bool(backtracked) == (fun is banana)
+    # at the start, at each unit trial (the accepted step's own call when
+    # t = 1), and at each backtracked step once it is accepted
+    assert len(stubs.hess_at) == 1 + len(steps) + len(backtracked)
+    assert stubs.hess_at[0].tolist() == start
+    for z, _ in steps:
+        assert any(np.array_equal(z, h) for h in stubs.hess_at)
+    # only the halvings below the unit step take a value alone
+    assert len(stubs.value_at) == sum(round(-math.log2(t)) for t in backtracked)
+
+
+def domain_stubs(value, undefined_below, curvature):
+    """``hess_fun`` whose partials are undefined below ``undefined_below``,
+    where ``value`` is defined, and the Hessian ``curvature`` at the start
+    1.0 (2.0 elsewhere); both stubs record their points."""
+    hess_at, value_at = [], []
+
+    def hess_fun(z):
+        hess_at.append(z[0])
+        if z[0] < undefined_below:
+            raise DomainError("partial undefined")
+        return value(z), 2.0 * z, np.array([[curvature if z[0] == 1.0 else 2.0]])
+
+    def value_fn(z):
+        value_at.append(z[0])
+        return value(z)
+
+    return hess_fun, value_fn, hess_at, value_at
+
+
+def test_domain_error_at_a_rejected_unit_step_falls_back_to_the_value():
+    # curvature 0.5 against the true 2 makes the step -4: the unit trial at
+    # -3 raises in hess_fun, and value_fn rejects it (109 > 1), so the
+    # search backtracks through -1 to 0, as a value-only search does
+    def value(z):
+        return float(z[0] ** 2 + (100.0 if z[0] < -0.5 else 0.0))
+
+    hess_fun, value_fn, hess_at, value_at = domain_stubs(value, -0.5, 0.5)
+    res = minimize(no_fun, np.array([1.0]), InnerConfig(method=NEWTON_FD),
+                   value_fn=value_fn, hess_fun=hess_fun)
+    assert (res.status, res.iterations) == ("converged", 2)
+    # the raising unit trial, then the backtracked ones
+    assert value_at == pytest.approx([-3.0, -1.0, 0.0], abs=1e-6)
+    # the start, the raising unit trial, the backtracked point 0 once
+    # accepted, and the next unit step, which lands at 0 again
+    assert hess_at == pytest.approx([1.0, -3.0, 0.0, 0.0], abs=1e-6)
+
+
+def test_domain_error_at_an_accepted_unit_step_propagates():
+    # curvature 1.5 makes the step -4/3: value_fn accepts the unit trial at
+    # -1/3, where hess_fun raised, so the error is raised as fun would
+    hess_fun, value_fn, hess_at, value_at = domain_stubs(
+        lambda z: float(z[0] ** 2), -0.1, 1.5)
+    steps = []
+    with pytest.raises(DomainError, match="partial undefined"):
+        minimize(no_fun, np.array([1.0]), InnerConfig(method=NEWTON_FD), value_fn=value_fn,
+                 hess_fun=hess_fun, callback=lambda *args: steps.append(args))
+    assert steps == []
+    assert value_at == hess_at[1:] == [pytest.approx(-1.0 / 3.0)]
+
+
+def test_decomposed_newton_compiles_no_gradient_form(monkeypatch):
+    forms = []
+    compile_form = model._Kernel._compile
+
+    def counting(self, form):
+        forms.append(form)
+        return compile_form(self, form)
+
+    monkeypatch.setattr(model._Kernel, "_compile", counting)
+    prob = build("ex9", n=30, lam=1.0).problem
+    cfg = AlpfConfig(eps=1e-6, rho0=10.0, growth=10.0, max_outer=10, sigma0=5.0,
+                     inner=InnerConfig(method=NEWTON_FD, max_iters=400))
+    trace = solve_decomposed(prob, BlockPartition.contiguous(prob, 6), cfg)
+    assert trace.status == "approx_stop"
+    assert "gradient" not in forms
+    # each block kernel compiles its Hessian form once; the value form
+    # compiles for the whole problem's records and for blocks that backtracked
+    assert forms.count("hessian") == 6
+    assert 1 <= forms.count("value") < 1 + 6

@@ -282,7 +282,10 @@ def test_deep_objective_compiles_in_every_kernel_form(g):
     value, grad = fun(np.array([0.5]))
     assert value == 0.5 + 5000 * 0.25
     assert grad.tolist() == [1 + 5000 * 2 * 0.5]
-    assert augmented_hessian(prob, [], [], 0.0)(np.array([0.5])).tolist() == [[5000 * 2.0]]
+    value, grad, hess = augmented_hessian(prob, [], [], 0.0)(np.array([0.5]))
+    assert value == 0.5 + 5000 * 0.25
+    assert grad.tolist() == [1 + 5000 * 2 * 0.5]
+    assert hess.tolist() == [[5000 * 2.0]]
 
 
 def test_import_binds_the_module():
