@@ -66,6 +66,9 @@ class AlpfConfig:
             raise ValueError("start must have finite coordinates")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
+        # it seeds numpy generators, which take no negative seed
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass

@@ -110,7 +110,8 @@ def _load_entry(args):
         try:
             return build(args.catalog, **params)
         except (KeyError, TypeError, ValueError) as err:
-            raise CliError(str(err)) from err
+            # str() of a KeyError is the repr of its message, quotes and all
+            raise CliError(err.args[0] if isinstance(err, KeyError) else str(err)) from err
     try:
         prob = load_problem_file(args.problem)
     except OSError as err:
@@ -250,6 +251,8 @@ def _cmd_certify(args):
 def _cmd_validate(args):
     if args.samples <= 0:
         raise CliError("--samples must be positive")
+    if args.seed < 0:
+        raise CliError("--seed must be an integer >= 0")
     entry = _load_entry(args)
     prob = entry.problem
     report = {

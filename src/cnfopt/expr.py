@@ -254,8 +254,9 @@ def evaluate(e, p):
     """Evaluate the tree at a point.  Raises DomainError for division by
     zero, sqrt of a negative, or a fractional power of a negative base;
     arithmetic overflow yields +/-inf so that line searches can probe
-    large trial steps.  The compiled code runs on float lists, so a message
-    shows a value as a Python float, as the problem kernel's do."""
+    large trial steps.  The value form runs on float lists, on the evaluator
+    or compiled, so a message shows a value as a Python float, as the
+    problem kernel's do."""
     return compiled_value(e)(p.x.tolist(), p.y.tolist())
 
 
@@ -290,9 +291,12 @@ def _fold(e, rule):
         stack.extend(node.children)
     done = []  # results of the folded nodes not yet consumed
     for node in reversed(order):
-        split = len(done) - len(node.children)
-        result = rule(node, done[split:])
-        del done[split:]
+        if node.children:
+            split = len(done) - len(node.children)
+            result = rule(node, done[split:])
+            del done[split:]
+        else:
+            result = rule(node, ())
         done.append(result)
     return done[0]
 
@@ -340,18 +344,40 @@ def value_and_gradient(e, p):
 # ---------------------------------------------------------------------------
 # compiled evaluation
 #
-# Each tree compiles once into straight-line Python (cached on the node):
-# a value function over (x, y) arrays, and a forward-mode function that
-# also returns the partial derivatives over the tree's variable support.
-# One emitter, _emit, writes both, and the augmented-Lagrangian kernel's
-# pieces too: it carries partials only for the variables given an output
-# slot, so the value form is the forward-mode form over no slots (the value
-# is the zeroth-order part of the sweep), and a derivative factor is
-# emitted only where an operand has partials.  Sparse emission keeps the op
-# count at sum over nodes of the per-node active-coordinate count, which is
-# what the solver hot loops pay for.  Asked for it, the same rules also carry
-# each node's Hessian, forward over forward (Griewank & Walther, Evaluating
-# Derivatives, ch. 13), and leave the first-order code as it is.
+# Each node kind has one rule, _node_rule, for its value and its partial
+# derivatives and, asked for it, its Hessian, forward over forward
+# (Griewank & Walther, Evaluating Derivatives, ch. 13).  A rule computes
+# only through an operand interface, and _sweep folds a tree with it.  The
+# interface has two implementations:
+#
+# - _Emitter runs the rules on symbolic operands.  An operand is the text
+#   of a Python expression, and naming one (``let``) writes it as a line of
+#   straight-line code, which compiles into a form's function.
+# - _Evaluator runs them on floats.  Each operation computes at once and
+#   calls the runtime helpers the compiled lines call, in the same order,
+#   so it returns the compiled function's bits and raises its errors.
+#
+# A rule carries partials only for the variables given an output slot, so
+# the value form is the forward-mode form over no slots (the value is the
+# zeroth-order part of the sweep), and a derivative factor is computed only
+# where an operand has partials.  Sparse partials keep the op count at the
+# sum over nodes of the per-node active-coordinate count, which is what the
+# solver hot loops pay for.
+#
+# Compiling a form costs about 4 to 8 runs of it on the evaluator, and a
+# compiled run costs a small fraction of one.  So each form
+# (``compiled_value``, ``compiled_gradient`` and the problem kernel's forms
+# in cnfopt.model) counts its calls: the first COLD_CALLS run on the
+# evaluator, and the next one compiles the form, which is cached and serves
+# every later call.  A form that runs once, as each of a certificate's
+# does, is never compiled; a hot form pays COLD_CALLS evaluator runs on top
+# of its compile.
+
+# calls of a form that run on the evaluator before the form compiles.  In a
+# sweep of 1, 2, 4 and 8 over the four benchmark workloads (CHANGES.md) the
+# certify pass fell by half at every value, and the solver workloads, whose
+# hot Hessian and value forms pay every cold call, were fastest at 1
+COLD_CALLS = 1
 
 
 def _rt_div(a, b, loc):
@@ -425,13 +451,25 @@ OUTER_ENTRIES = 32
 _NO_HESS = ({}, ())  # a Hessian (entries, outer products) with neither
 
 
+def _lit(v):
+    return repr(float(v))
+
+
 class _Emitter:
+    """The operand interface on symbolic operands: each operation returns
+    the text of a Python expression, and ``let`` writes one as a line of
+    its own.  ``build`` compiles the lines into a function."""
+
+    one = "1.0"  # the unit partial of a variable, which a product leaves out
+
     def __init__(self):
         self.lines = []
         self.counter = 0
         self.consts = {}
 
-    def temp(self, rhs):
+    def let(self, rhs):
+        """A name for ``rhs``: a new temp assigned in a line, or ``rhs``
+        itself when it only names a value or is a literal."""
         if _NO_TEMP.fullmatch(rhs):
             return rhs
         name = f"t{self.counter}"
@@ -440,18 +478,42 @@ class _Emitter:
         return name
 
     def total(self, terms):
-        """The fragment of the sum of ``terms``, added left to right as one
-        line would, written at most SUM_CHUNK terms a line."""
+        """A name for the sum of ``terms``, added left to right as one line
+        would, written at most SUM_CHUNK terms a line."""
         line = terms[:SUM_CHUNK]
         for i in range(SUM_CHUNK, len(terms), SUM_CHUNK - 1):
-            line = [self.temp(" + ".join(line))] + terms[i:i + SUM_CHUNK - 1]
-        return self.temp(" + ".join(line))
+            line = [self.let(" + ".join(line))] + terms[i:i + SUM_CHUNK - 1]
+        return self.let(" + ".join(line))
 
     def bind(self, value):
         """Bind a non-literal constant (e.g. an error-location string)."""
         name = f"c{len(self.consts)}"
         self.consts[name] = value
         return name
+
+    def where(self, e):
+        """The error location of node ``e``, for a checked runtime helper."""
+        return self.bind(_Where(e))
+
+    # the operations, each the text of its expression
+    lit = staticmethod(_lit)
+    var = staticmethod(lambda block, index: f"{block}[{index}]")
+    block = staticmethod(lambda name: name)
+    is_one = staticmethod(lambda f: f == "1.0")
+    neg = staticmethod(lambda a: f"-{a}")
+    group = staticmethod(lambda a: f"({a})")
+    plus = staticmethod(lambda *terms: " + ".join(terms))
+    sub = staticmethod(lambda a, b: f"{a} - {b}")
+    mul = staticmethod(lambda *factors: " * ".join(factors))
+    # a product with its unit factors left out
+    times = staticmethod(lambda *factors: " * ".join(f for f in factors if f != "1.0") or "1.0")
+    # a times itself, k factors in all
+    repeated = staticmethod(lambda a, k: "*".join([a] * k))
+    recip = staticmethod(lambda b: f"1.0 / {b}")
+    call = staticmethod(lambda helper, *args: f"{helper}({', '.join(map(str, args))})")
+    positive = staticmethod(lambda a: f"{a} > 0.0")
+    nonzero = staticmethod(lambda a: f"{a} != 0.0")
+    hinge = staticmethod(lambda c: f"{c} if {c} > 0.0 else 0.0")
 
     def build(self, head, result_expr, runtime=_RUNTIME):
         """Compile ``def <head>:`` over the emitted lines, returning
@@ -468,159 +530,240 @@ class _Emitter:
         return namespace.pop(fname)
 
 
-def _lit(v):
-    return repr(float(v))
+class _Evaluator:
+    """The operand interface on floats: each operation computes its value
+    at once, as the line ``_Emitter`` writes for it would, and ``let`` only
+    passes a value on.  ``x`` and ``y`` are the point's blocks as lists of
+    floats, as a compiled form takes them."""
+
+    one = 1.0
+
+    def __init__(self, x, y):
+        self.x, self.y = x, y
+
+    def var(self, block, index):
+        return getattr(self, block)[index]
+
+    def block(self, name):
+        return getattr(self, name)
+
+    @staticmethod
+    def total(terms):
+        # left to right from the first term: a sum from 0.0 would turn -0.0 into 0.0
+        value = terms[0]
+        for t in terms[1:]:
+            value = value + t
+        return value
+
+    @staticmethod
+    def mul(value, *factors):
+        for f in factors:
+            value = value * f
+        return value
+
+    let = staticmethod(lambda v: v)
+    where = staticmethod(_Where)
+    lit = staticmethod(float)
+    # the unit partial multiplies like any factor: 1.0 * v is v bit for bit
+    is_one = staticmethod(lambda f: False)
+    neg = staticmethod(lambda a: -a)
+    group = staticmethod(lambda a: a)
+    plus = staticmethod(lambda *terms: _Evaluator.total(terms))
+    sub = staticmethod(lambda a, b: a - b)
+    times = mul
+    repeated = staticmethod(lambda a, k: _Evaluator.mul(a, *[a] * (k - 1)))
+    recip = staticmethod(lambda b: 1.0 / b)
+    call = staticmethod(lambda helper, *args: _RUNTIME[helper](*args))
+    positive = staticmethod(lambda a: a > 0.0)
+    nonzero = staticmethod(lambda a: a != 0.0)
+    hinge = staticmethod(lambda c: c if c > 0.0 else 0.0)
 
 
-def _emit(e, em, n, pos, second=False):
-    """Emit the statements of the tree's value and of its partials over the
-    output slots ``pos`` maps flat coordinates to (x[i] -> i, y[j] -> n + j;
-    every coordinate is its own slot when ``pos`` is None).  Returns (value
-    fragment, {slot: derivative fragment}, Hessian (see ``_second``), which
-    is ``_NO_HESS`` unless ``second`` asks for it).  With ``pos`` empty no
-    partial exists, so this is the value form: the only one that admits
-    nonsmooth nodes."""
-    return _fold(e, lambda node, parts: _emit_node(node, parts, em, n, pos, second))
+def _sweep(e, ops, n, pos, second=False):
+    """The tree's value and its partials over the output slots ``pos`` maps
+    flat coordinates to (x[i] -> i, y[j] -> n + j; every coordinate is its
+    own slot when ``pos`` is None), computed on the operand interface
+    ``ops``.  Returns (value, {slot: partial}, Hessian (see ``_second``),
+    which is ``_NO_HESS`` unless ``second`` asks for it).  With ``pos``
+    empty no partial exists, so this is the value form: the only one that
+    admits nonsmooth nodes."""
+    return _fold(e, lambda node, parts: _node_rule(node, parts, ops, n, pos, second))
 
 
-def _times(*frags):
-    """The fragment of a product, with its unit factors left out."""
-    return " * ".join(f for f in frags if f != "1.0") or "1.0"
-
-
-def _second(em, scaled, products):
-    """A node's Hessian ({(s, t): fragment} over slots s <= t, [outer
+def _second(ops, scaled, products):
+    """A node's Hessian ({(s, t): entry} over slots s <= t, [outer
     products]): its children's, ``scaled`` as (factor, Hessian) pairs, plus
     ``products`` (c, u, v), each c (u v' + v u') of two partial dicts, or
     c u u' when v is None, written out unless over OUTER_ENTRIES entries."""
+    # a product with an empty side, and a Hessian with neither part, add nothing
+    if products:
+        products = [(c, u, v) for c, u, v in products if u and (v is None or v)]
+    if not products:
+        for _, (entries, left) in scaled:
+            if entries or left:
+                break
+        else:
+            return _NO_HESS
     terms = {}
     outers = []
     for factor, (entries, left) in scaled:
         for key, f in entries.items():
-            terms.setdefault(key, []).append(_times(factor, f))
-        outers.extend((em.temp(_times(factor, c)), u, v) for c, u, v in left)
+            terms.setdefault(key, []).append(ops.times(factor, f))
+        if left:
+            outers.extend((ops.let(ops.times(factor, c)), u, v) for c, u, v in left)
     for c, u, v in products:
         other = u if v is None else v
         if len(u) * len(other) > OUTER_ENTRIES:
-            outers.append((em.temp(c), u, v))
+            outers.append((ops.let(c), u, v))
             continue
         for i, fu in u.items():
             for j, fv in other.items():
                 # u v' + v u' puts u_i v_j at (i, j) and at (j, i); u u' once
-                for key in [(i, j)] * (i <= j) + [(j, i)] * (v is not None and j <= i):
-                    terms.setdefault(key, []).append(_times(c, fu, fv))
-    return ({key: em.total(t) for key, t in terms.items()}, outers)
+                if i <= j:
+                    terms.setdefault((i, j), []).append(ops.times(c, fu, fv))
+                if v is not None and j <= i:
+                    terms.setdefault((j, i), []).append(ops.times(c, fu, fv))
+    return ({key: ops.total(t) for key, t in terms.items()}, outers)
 
 
-def _emit_node(e, parts, em, n, pos, second):
-    """Emit one node, given the (value, partials, Hessian) of its children;
-    a nonsmooth node raises DialectError in any form but the value form.
-    Only first-order lines, which come first, can raise a DomainError."""
-    if pos != {} and _nonsmooth(e):
-        raise _dialect_error(e)
+def _merged(ops, grads):
+    """The partials of a sum of terms with the partials ``grads``: each
+    slot's terms added in order.  A partial is always a name or a literal,
+    so a slot with one term passes it on as it is."""
+    if len(grads) < 2:
+        return grads[0] if grads else {}
+    if len(grads) == 2 and grads[0].keys().isdisjoint(grads[1]):
+        return grads[0] | grads[1]  # the same order: the first's slots first
+    terms = {}
+    for d in grads:
+        for slot, f in d.items():
+            terms.setdefault(slot, []).append(f)
+    return {s: t[0] if len(t) == 1 else ops.total(t) for s, t in terms.items()}
+
+
+def _chain(ops, e, va, val, loc, order, factor=None):
+    """f'(a) (order 1) or f''(a) (order 2) of a one-operand node f at its
+    operand's value ``va``: sqrt's 1 / (2 f(a)), then -2 f'^3 from its named
+    f' ``factor``; a power's expo a^(expo - 1), then expo (expo - 1)
+    a^(expo - 2), written as the power's value is."""
+    if e.kind == "sqrt":
+        return ops.call("_isq", val, loc) if order == 1 else ops.mul(
+            ops.lit(-2.0), factor, factor, factor)
+    expo = e.value
+    coef = ops.lit(expo if order == 1 else expo * (expo - 1))
+    if expo == 2 or expo == 3:
+        return ops.mul(coef, *[va] * int(expo - order))
+    if expo > 3 and expo == int(expo):
+        return ops.mul(coef, ops.call("_ipw", va, int(expo - order)))
+    return ops.mul(coef, ops.call("_pw", va, ops.lit(expo - order), loc))
+
+
+def _node_rule(e, parts, ops, n, pos, second):
+    """One node's (value, partials, Hessian) on ``ops``, given its
+    children's; a nonsmooth node raises DialectError in any form but the
+    value form.  Only first-order operations, which come first, can raise
+    a DomainError."""
     k = e.kind
     if k == "var":
         flat = e.index if e.block == "x" else n + e.index
         slot = flat if pos is None else pos.get(flat)
-        frag = f"x[{e.index}]" if e.block == "x" else f"y[{e.index}]"
-        return (frag, {} if slot is None else {slot: "1.0"}, _NO_HESS)
+        return (ops.var(e.block, e.index), {} if slot is None else {slot: ops.one}, _NO_HESS)
     if k == "const":
-        return (_lit(e.value), {}, _NO_HESS)
+        return (ops.lit(e.value), {}, _NO_HESS)
     if k == "add" or k == "sum":
-        val = em.total([v for v, _, _ in parts]) if parts else "0.0"
-        grad = {}
-        for _, d, _ in parts:
-            for slot, frag in d.items():
-                grad.setdefault(slot, []).append(frag)
-        hess = _second(em, [("1.0", h) for _, _, h in parts], ()) if second else _NO_HESS
-        return (val, {s: em.total(terms) for s, terms in grad.items()}, hess)
+        val = ops.total([v for v, _, _ in parts]) if parts else ops.lit(0.0)
+        hess = _NO_HESS
+        if second:
+            # the terms' Hessians added, or the only one passed on as it is
+            hs = [h for _, _, h in parts if h[0] or h[1]]
+            hess = hs[0] if len(hs) == 1 else _second(ops, [(ops.one, h) for h in hs], ())
+        return (val, _merged(ops, [d for _, d, _ in parts if d]), hess)
     if k == "neg":
         (va, da, ha) = parts[0]
-        val = em.temp(f"-{va}")
-        grad = {s: em.temp(f"-({f})") for s, f in da.items()}
-        return (val, grad, _second(em, [("-1.0", ha)], ()) if second else _NO_HESS)
+        val = ops.let(ops.neg(va))
+        grad = {s: ops.let(ops.neg(ops.group(f))) for s, f in da.items()}
+        return (val, grad, _second(ops, [(ops.lit(-1.0), ha)], ()) if second else _NO_HESS)
     if k == "mul":
         (va, da, ha), (vb, db, hb) = parts
-        val = em.temp(f"{va} * {vb}")
+        val = ops.let(ops.mul(va, vb))
         grad = {}
-        for slot in da.keys() | db.keys():
+        for slot in da.keys() | db.keys() if da or db else ():
             left, right = da.get(slot), db.get(slot)
             terms = []
             if left is not None:
-                terms.append(vb if left == "1.0" else f"({left}) * {vb}")
+                terms.append(vb if ops.is_one(left) else ops.mul(ops.group(left), vb))
             if right is not None:
-                terms.append(va if right == "1.0" else f"({right}) * {va}")
-            grad[slot] = em.temp(" + ".join(terms))
+                terms.append(va if ops.is_one(right) else ops.mul(ops.group(right), va))
+            grad[slot] = ops.let(ops.plus(*terms))
         # (ab)'' = b a'' + a b'' + a' b' + b' a'
-        hess = _second(em, [(vb, ha), (va, hb)], [("1.0", da, db)]) if second else _NO_HESS
+        hess = _second(ops, [(vb, ha), (va, hb)], [(ops.one, da, db)]) if second else _NO_HESS
         return (val, grad, hess)
     if k == "div":
         (va, da, ha), (vb, db, hb) = parts
-        val = em.temp(f"_div({va}, {vb}, {em.bind(_Where(e))})")
+        val = ops.let(ops.call("_div", va, vb, ops.where(e)))
         grad = {}
         hess = _NO_HESS
         if da or db:
-            inv = em.temp(f"1.0 / {vb}")
+            inv = ops.let(ops.recip(vb))
             for slot in da.keys() | db.keys():
                 left, right = da.get(slot), db.get(slot)
                 if right is None:
-                    grad[slot] = em.temp(f"({left}) * {inv}")
+                    grad[slot] = ops.let(ops.mul(ops.group(left), inv))
                 elif left is None:
-                    grad[slot] = em.temp(f"-{val} * ({right}) * {inv}")
+                    grad[slot] = ops.let(ops.mul(ops.neg(val), ops.group(right), inv))
                 else:
-                    grad[slot] = em.temp(f"(({left}) - {val} * ({right})) * {inv}")
+                    grad[slot] = ops.let(ops.mul(ops.group(ops.sub(
+                        ops.group(left), ops.mul(val, ops.group(right)))), inv))
             if second:
                 # from q b = a: q'' = (a'' - q b'' - q' b' - b' q') / b
                 scaled = [(inv, ha)]
                 if hb[0] or hb[1]:
-                    scaled.append((em.temp(f"-{val} * {inv}"), hb))
-                hess = _second(em, scaled, [(f"-{inv}", grad, db)])
+                    scaled.append((ops.let(ops.mul(ops.neg(val), inv)), hb))
+                hess = _second(ops, scaled, [(ops.neg(inv), grad, db)])
         return (val, grad, hess)
     if k == "pow" or k == "sqrt":
+        if k == "pow" and pos != {} and e.value != int(e.value):  # a fractional power
+            raise _dialect_error(e)
         # one operand, and the chain rule through a derivative factor f' and
-        # a curvature f''; sqrt's f'' is -2 f'^3, written once f' is named
+        # a curvature f'' (see ``_chain``)
         (va, da, ha) = parts[0]
         expo = e.value
-        curve = None
+        loc = None
         if k == "sqrt":
-            loc = em.bind(_Where(e))
-            val = em.temp(f"_sq({va}, {loc})")
-            factor = f"_isq({val}, {loc})"
+            loc = ops.where(e)
+            val = ops.let(ops.call("_sq", va, loc))
         elif expo == 0:
-            return ("1.0", {}, _NO_HESS)
+            return (ops.lit(1.0), {}, _NO_HESS)
         elif expo == 1:
             return (va, da, ha)
         elif expo == 2 or expo == 3:
-            val = em.temp("*".join([va] * int(expo)))
-            factor = f"2.0 * {va}" if expo == 2 else f"3.0 * {va} * {va}"
-            curve = "2.0" if expo == 2 else f"6.0 * {va}"
+            val = ops.let(ops.repeated(va, int(expo)))
         elif expo > 3 and expo == int(expo):
             # a positive integer power: no zero or fraction check can fire,
             # only ** and its overflow.  Each exponent is int() of the float
             # that _pw took, so the results are _pw's bit for bit
-            val = em.temp(f"_ipw({va}, {int(expo)})")
-            factor = f"{_lit(expo)} * _ipw({va}, {int(expo - 1)})"
-            curve = f"{_lit(expo * (expo - 1))} * _ipw({va}, {int(expo - 2)})"
+            val = ops.let(ops.call("_ipw", va, int(expo)))
         else:
-            loc = em.bind(_Where(e))
-            val = em.temp(f"_pw({va}, {_lit(expo)}, {loc})")
-            factor = f"{_lit(expo)} * _pw({va}, {_lit(expo - 1)}, {loc})"
-            curve = f"{_lit(expo * (expo - 1))} * _pw({va}, {_lit(expo - 2)}, {loc})"
+            loc = ops.where(e)
+            val = ops.let(ops.call("_pw", va, ops.lit(expo), loc))
         if not da:
             return (val, da, _NO_HESS)
-        factor = em.temp(factor)
-        grad = {s: em.temp(factor if f == "1.0" else f"{factor} * ({f})") for s, f in da.items()}
+        factor = ops.let(_chain(ops, e, va, val, loc, 1))
+        grad = {s: ops.let(factor if ops.is_one(f) else ops.mul(factor, ops.group(f)))
+                for s, f in da.items()}
         hess = _NO_HESS
         if second:
             # f(a)'' = f'(a) a'' + f''(a) a' a'
-            curve = em.temp(curve or f"-2.0 * {factor} * {factor} * {factor}")
-            hess = _second(em, [(factor, ha)], [(curve, da, None)])
+            curve = ops.let(_chain(ops, e, va, val, loc, 2, factor))
+            hess = _second(ops, [(factor, ha)], [(curve, da, None)])
         return (val, grad, hess)
-    # the nonsmooth kinds, which only the value form reaches
+    # the nonsmooth kinds, which only the value form admits
+    if pos != {} and k in _NONSMOOTH:
+        raise _dialect_error(e)
     if k == "abs" or k == "max":
-        return (em.temp(f"{k}({', '.join(v for v, _, _ in parts)})"), {}, _NO_HESS)
+        return (ops.let(ops.call(k, *(v for v, _, _ in parts))), {}, _NO_HESS)
     if k == "norm0":
-        return (em.temp(f"_n0({e.block})"), {}, _NO_HESS)
+        return (ops.let(ops.call("_n0", ops.block(e.block))), {}, _NO_HESS)
     raise ExprError(f"unknown node kind {k!r}")
 
 
@@ -634,34 +777,74 @@ def _cache_of(e):
     return cache
 
 
+def _cold_call(counts, key):
+    """Count one call of the form ``key`` not compiled yet: true while it is
+    one of the form's first COLD_CALLS, which run on the evaluator."""
+    calls = counts[key] = counts.get(key, 0) + 1
+    return calls <= COLD_CALLS
+
+
+def _cold(cache, key, run, build):
+    """The function of a form while it is cold.  Each call counts; the first
+    COLD_CALLS return ``run(x, y)``, and the next one compiles ``build()``
+    into ``cache[key]``, which serves it and every later call.  Nothing
+    stored on the node refers to this function, so no cycle holds the tree."""
+
+    def cold(x, y):
+        fn = cache.get(key)
+        if fn is None:
+            if _cold_call(cache, ("calls", key)):
+                return run(x, y)
+            fn = cache[key] = build()
+        return fn(x, y)
+
+    return cold
+
+
 def compiled_value(e):
-    """fn(x, y) -> float for this tree, compiled once and cached."""
+    """fn(x, y) -> float for this tree: on the evaluator for the tree's
+    first COLD_CALLS evaluations, then compiled once and cached."""
     cache = _cache_of(e)
     fn = cache.get("value")
     if fn is None:
-        em = _Emitter()
-        fn = em.build("_val(x, y)", _emit(e, em, 0, {})[0])
-        cache["value"] = fn
+        def build():
+            em = _Emitter()
+            return em.build("_val(x, y)", _sweep(e, em, 0, {})[0])
+
+        fn = _cold(cache, "value", lambda x, y: _sweep(e, _Evaluator(x, y), 0, {})[0], build)
     return fn
 
 
 def compiled_gradient(e, n, m):
     """(fn, slots) with fn(x, y) -> (value, partials aligned with slots),
     the flat coordinates (x[i] -> i, y[j] -> n + j) the tree depends on,
-    sorted for determinism."""
+    sorted for determinism.  Like ``compiled_value``'s, fn runs on the
+    evaluator until it compiles; a nonsmooth tree raises DialectError here,
+    before anything is evaluated."""
     cache = _cache_of(e)
     key = ("grad", n, m)
-    hit = cache.get(key)
-    if hit is None:
-        em = _Emitter()
-        val, grad, _ = _emit(e, em, n, None)
-        slots = np.array(sorted(grad), dtype=int)
-        partials = ", ".join(grad[s] for s in slots)
-        result = f"({val}, ({partials}{',' if len(slots) == 1 else ''}))"
-        fn = em.build("_grad(x, y)", result)
-        hit = (fn, slots)
-        cache[key] = hit
-    return hit
+    fn = cache.get(key)
+    if fn is None:
+        slots = cache.get(("slots", n, m))
+        if slots is None:
+            # the symbolic sweep finds which partials exist and, as the
+            # compiled form would, rejects a nonsmooth node
+            grad = _sweep(e, _Emitter(), n, None)[1]
+            slots = cache[("slots", n, m)] = np.array(sorted(grad), dtype=int)
+
+        def run(x, y):
+            val, grad, _ = _sweep(e, _Evaluator(x, y), n, None)
+            return (val, tuple(grad[s] for s in slots.tolist()))
+
+        def build():
+            em = _Emitter()
+            val, grad, _ = _sweep(e, em, n, None)
+            partials = ", ".join(grad[s] for s in slots)
+            return em.build("_grad(x, y)",
+                            f"({val}, ({partials}{',' if len(slots) == 1 else ''}))")
+
+        fn = _cold(cache, key, run, build)
+    return fn, cache[("slots", n, m)]
 
 
 # ---------------------------------------------------------------------------

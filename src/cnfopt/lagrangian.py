@@ -11,21 +11,25 @@ derivative 2*max(g_i,0)*grad g_i, so no subgradient handling is needed
 anywhere.
 
 All of these evaluate the problem kernel of ``cnfopt.model``: A and its
-gradient, compiled once per (problem, column subset, constraint subset)
-and cached on the problem, with the multipliers and rho as arguments, so
-L (rho = 0), F (zero multipliers) and every outer iteration share one
-compile.  The kernel is straight-line code in pieces, the objective and
-then at most 16 constraints each, which bounds compile-time memory.  Each
-piece adds its constraints' terms to the running value and their weighted
-partials to one gradient list in constraint order, skipping a weight of
-exactly 0, so the result equals a term-by-term sum bit for bit.  Gradient
-descent runs the value form (line-search trials) and the gradient form
-(iterates).  The Newton method runs a third form, the Hessian form: the
-gradient form's code plus each node's second derivatives, and the
-Jacobian rows of the equalities and active inequalities for the
-2 rho grad c grad c' term.  Its value and gradient are the other forms'
-bit for bit, so one call per iterate gives all three, and Newton runs
-the value form only for backtracked line-search trials.
+gradient, one kernel per (problem, column subset, constraint subset),
+cached on the problem, with the multipliers and rho as arguments, so
+L (rho = 0), F (zero multipliers) and every outer iteration share it.
+Each form of the kernel runs on the float evaluator of ``cnfopt.expr`` for
+its first ``expr.COLD_CALLS`` calls and is compiled, once, on the next:
+straight-line code in pieces, the objective and then at most 16
+constraints each, which bounds compile-time memory.  Both tiers run the
+same per-node rules and the same statements, with the same bits and the
+same errors.  Each piece adds its constraints' terms to the running value
+and their weighted partials to one gradient list in constraint order,
+skipping a weight of exactly 0, so the result equals a term-by-term sum
+bit for bit.  Gradient descent runs the value form (line-search trials)
+and the gradient form (iterates).  The Newton method runs a third form,
+the Hessian form: the gradient form's statements plus each node's second
+derivatives, and the Jacobian rows of the equalities and active
+inequalities for the 2 rho grad c grad c' term.  Its value and gradient
+are the other forms' bit for bit, so one call per iterate gives all
+three, and Newton runs the value form only for backtracked line-search
+trials.
 """
 
 from __future__ import annotations

@@ -5,8 +5,11 @@ inequality constraints (<= 0) and equality constraints (= 0), optionally
 carrying the original nonsmooth objective over x alone plus a lift map
 that reconstructs a feasible y from a given x.
 
-Each problem compiles to a kernel (``_kernel``) whose forms give its
-constraint values, their Jacobian rows and the augmented Lagrangian.
+Each problem has a kernel (``_kernel``) whose forms give its constraint
+values, their Jacobian rows and the augmented Lagrangian.  A form's
+statements are written once (``_Kernel._assemble``) against the operand
+interface of ``cnfopt.expr``: the float evaluator runs them for the form's
+first ``expr.COLD_CALLS`` calls, and the next call compiles them.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .expr import _RUNTIME, _cache_of, _emit, _Emitter
+from .expr import _RUNTIME, _cache_of, _cold_call, _Emitter, _Evaluator, _sweep
 from .expr import (
     DialectError,
     Expr,
@@ -244,13 +247,100 @@ _HEADS = {"value": "_aval(x, y, mu, rho, a)", "gradient": "_agrad(x, y, mu, rho,
           "rows": "_cval(x, y, cv, jac)", "jacobian": "_cjac(x, y, cv, jac)"}
 
 
+class _PieceEmitter(_Emitter):
+    """The kernel's statements on symbolic operands: the lines of one piece
+    of a form, over the parameters its head (``_HEADS``) names.  ``pairs``
+    maps each Hessian entry (s, t) to its slot of ``h``."""
+
+    rho = "rho"
+
+    def __init__(self, pairs):
+        super().__init__()
+        self.pairs = pairs
+        self.indent = "    "
+
+    def put(self, name, key, value, add=False):
+        """Set ``name``, or its item ``key``, to ``value`` (add it, with
+        ``add``); returns the target."""
+        if key is not None:
+            name = f"{name}[{', '.join(map(str, key)) if isinstance(key, tuple) else key}]"
+        self.lines.append(f"{self.indent}{name} {'+=' if add else '='} {value}")
+        return name
+
+    def entry(self, key, value):
+        """Add ``value`` to the Hessian entry ``key``."""
+        slot = self.pairs.setdefault(key, len(self.pairs))
+        self.lines.append(f"{self.indent}h[{slot}] += {value}")
+
+    def outer(self, c, u, v):
+        """Add an outer product the sweep left whole to H (see ``_outer``)."""
+        args = [c]
+        for d in (u, v) if v is not None else (u,):
+            keys = sorted(d)
+            args += [f"({', '.join(map(str, keys))},)", f"[{', '.join(d[s] for s in keys)}]"]
+        self.lines.append(f"{self.indent}_outer(H, {', '.join(args)})")
+
+    def when(self, cond):
+        """Open the block of statements that run where ``cond`` holds; it
+        lasts until ``end``.  Every block is written, so this is true."""
+        self.lines.append(f"    if {cond}:")
+        self.indent = "        "
+        return True
+
+    def end(self):
+        self.indent = "    "
+
+
+class _PieceEvaluator(_Evaluator):
+    """The kernel's statements on floats, over the arguments a compiled
+    piece takes, named as its head (``_HEADS``) names them.  Hessian entries
+    are summed in ``sums``, as a compiled piece sums them in ``h``."""
+
+    def __init__(self, params, args):
+        self.a = None
+        for name, arg in zip(params, args):
+            setattr(self, name, arg)
+        self.sums = {}
+
+    def put(self, name, key, value, add=False):
+        if key is None:
+            if add:
+                value = getattr(self, name) + value
+            setattr(self, name, value)
+        else:
+            target = getattr(self, name)
+            if add:
+                value = target[key] + value
+            target[key] = value
+        return value
+
+    def entry(self, key, value):
+        self.sums[key] = self.sums.get(key, 0.0) + value
+
+    def outer(self, c, u, v):
+        args = []
+        for d in (u, v) if v is not None else (u,):
+            keys = sorted(d)
+            args += [tuple(keys), [d[s] for s in keys]]
+        _outer(self.H, c, *args)
+
+    @staticmethod
+    def when(cond):
+        return cond
+
+    @staticmethod
+    def end():
+        pass
+
+
 class _Kernel:
-    """The compiled forms of one problem over one column subset and one
-    constraint subset (see this module's and ``cnfopt.lagrangian``'s
-    docstrings).  ``mu`` lists the multipliers of the selected inequalities,
-    then of the selected equalities.  Each form compiles on first use, so
-    value-only callers never pay for gradient code and gradient descent
-    never pays for the Hessian form."""
+    """The forms of one problem over one column subset and one constraint
+    subset (see this module's and ``cnfopt.lagrangian``'s docstrings).
+    ``mu`` lists the multipliers of the selected inequalities, then of the
+    selected equalities.  Each form runs on the float evaluator for its first
+    ``expr.COLD_CALLS`` calls and compiles on the next, so a form that runs
+    no more often never pays for compiling, and gradient descent never pays
+    for the Hessian form."""
 
     def __init__(self, prob, cols, ineq_idx, eq_idx):
         # no reference to prob itself: the kernel is cached on the problem,
@@ -260,28 +350,33 @@ class _Kernel:
         self._width = prob.n + prob.m if cols is None else len(cols)
         self._cons = [(prob.ineqs[i], False) for i in ineq_idx]
         self._cons += [(prob.eqs[j], True) for j in eq_idx]
-        self._value_pieces = self._grad_pieces = self._hess_pieces = None
-        self._cons_pieces = {}  # the rows and Jacobian forms, by name
+        # each form's compiled pieces, once it has compiled
+        self._value_pieces = self._gradient_pieces = self._hessian_pieces = None
+        self._rows_pieces = self._jacobian_pieces = None
+        self._calls = {}  # each form's calls before it compiled
         self._pairs = {}  # (s, t) -> its slot in the Hessian form's entry list
+        self._lower = None
 
     def value(self, vec, mu, rho):
         """A at the flat point ``vec`` (x block, then y block)."""
-        if self._value_pieces is None:
-            self._value_pieces = self._compile("value")
+        pieces = self._value_pieces
+        if pieces is None:
+            pieces = self._warm("value")
         x, y = self._blocks(vec)
         a = 0.0
-        for piece in self._value_pieces:
+        for piece in pieces:
             a = piece(x, y, mu, rho, a)
         return float(a)
 
     def value_and_grad(self, vec, mu, rho):
         """(A, partials as a list over the kernel's columns) at ``vec``."""
-        if self._grad_pieces is None:
-            self._grad_pieces = self._compile("gradient")
+        pieces = self._gradient_pieces
+        if pieces is None:
+            pieces = self._warm("gradient")
         x, y = self._blocks(vec)
         a = 0.0
         acc = [0.0] * self._width
-        for piece in self._grad_pieces:
+        for piece in pieces:
             a = piece(x, y, mu, rho, a, acc)
         return float(a), acc
 
@@ -295,10 +390,12 @@ class _Kernel:
         c_i > 0, which is exact.  A positive multiplier, left by the update on
         constraints that were active, keeps the curvature within mu_i / 2 rho
         below the kink, where a Newton step would see none and run along it."""
-        if self._hess_pieces is None:
-            self._hess_pieces = self._compile("hessian")
-            self._upper = tuple(np.array(list(self._pairs), dtype=int).reshape(-1, 2).T)
-            self._lower = np.tril_indices(self._width, -1)
+        pieces = self._hessian_pieces
+        if pieces is None:
+            if self._lower is None:
+                self._lower = np.tril_indices(self._width, -1)
+                self._upper = tuple(ix[:0] for ix in self._lower)  # no slot until compiled
+            pieces = self._warm("hessian")
         x, y = self._blocks(vec)
         a = 0.0
         acc = [0.0] * self._width
@@ -306,7 +403,7 @@ class _Kernel:
         H = np.zeros((self._width, self._width))
         jac = np.zeros((len(self._cons), self._width))
         with np.errstate(all="ignore"):  # overflow gives inf, as on floats
-            for piece in self._hess_pieces:
+            for piece in pieces:
                 a = piece(x, y, mu, rho, a, acc, h, H, jac)
             H[self._upper] += h
             if rho:
@@ -318,12 +415,12 @@ class _Kernel:
     def rows(self, vec, jac=None):
         """The selected constraints' values at ``vec``; given ``jac``, of shape
         (constraints, kernel columns), also their partials, row by row."""
-        form = "rows" if jac is None else "jacobian"
-        if form not in self._cons_pieces:
-            self._cons_pieces[form] = self._compile(form)
+        pieces = self._rows_pieces if jac is None else self._jacobian_pieces
+        if pieces is None:
+            pieces = self._warm("rows" if jac is None else "jacobian")
         x, y = self._blocks(vec)
         cv = [0.0] * len(self._cons)
-        for piece in self._cons_pieces[form]:
+        for piece in pieces:
             piece(x, y, cv, jac)
         return np.array(cv)
 
@@ -333,65 +430,106 @@ class _Kernel:
         flat = vec.tolist()
         return flat[:self._n], flat[self._n:]
 
-    def _second_order(self, hess, indent, weight):
-        """The lines adding ``weight`` times a Hessian from ``_emit``: each
-        entry into its slot of ``h``, each outer product into ``H``."""
-        entries, outers = hess
-        for key in sorted(entries):
-            slot = self._pairs.setdefault(key, len(self._pairs))
-            yield f"{indent}h[{slot}] += {weight}{entries[key]}"
-        for c, u, v in outers:
-            args = [f"{weight}{c}"]
-            for d in (u, v) if v is not None else (u,):
-                keys = sorted(d)
-                args += [f"({', '.join(map(str, keys))},)", f"[{', '.join(d[s] for s in keys)}]"]
-            yield f"{indent}_outer(H, {', '.join(args)})"
+    def _warm(self, form):
+        """The pieces that run one call of a form not compiled yet: the
+        evaluator's for the form's first ``expr.COLD_CALLS`` calls; then the
+        compiled pieces, kept for every later call."""
+        if _cold_call(self._calls, form):
+            return (self._evaluator_piece(form),)
+        pieces = self._compile(form)
+        setattr(self, f"_{form}_pieces", pieces)
+        return pieces
+
+    def _evaluator_piece(self, form):
+        """One piece that runs every statement of ``form`` on the float
+        evaluator, with the compiled pieces' parameters and result."""
+        params = _HEADS[form].partition("(")[2][:-1].split(", ")
+
+        def piece(*args):
+            ops = _PieceEvaluator(params, args)
+            if form in ("value", "gradient", "hessian"):
+                self._assemble(ops, form, None)
+            self._assemble(ops, form, range(len(self._cons)))
+            # the entries add to H after every outer product, as ``hessian`` adds h
+            for key, total in ops.sums.items():
+                ops.H[key] += total
+            return ops.a
+
+        return piece
 
     def _compile(self, form):
-        """The pieces of one form.  The value and rows forms are the gradient
-        and Jacobian forms over no slots.  The rows and Jacobian forms write
-        each constraint's value and row, with no objective piece.  The Hessian
-        form adds second-order lines, and the rows of its 2 rho grad c grad c'."""
-        head, second = _HEADS[form], form == "hessian"
+        """The compiled pieces of one form: the objective's (not in the rows
+        and Jacobian forms), then one per _PIECE constraints."""
         augmented = form in ("value", "gradient", "hessian")
-        n, pos = self._n, ({} if form in ("value", "rows") else self._pos)
+        groups = [None] if augmented else []
+        groups += [range(lo, min(lo + _PIECE, len(self._cons)))
+                   for lo in range(0, len(self._cons), _PIECE)]
         pieces = []
-        if augmented:
-            em = _Emitter()
-            val, grad, hess = _emit(self._g, em, n, pos, second)
-            em.lines.append(f"    a = {val}")
-            em.lines.extend(f"    acc[{s}] = {grad[s]}" for s in sorted(grad))
-            em.lines.extend(self._second_order(hess, "    ", ""))
-            pieces.append(em.build(head, "a", _KERNEL_RUNTIME))
-        for lo in range(0, len(self._cons), _PIECE):
-            em = _Emitter()
-            for k in range(lo, min(lo + _PIECE, len(self._cons))):
-                e, is_eq = self._cons[k]
-                c, grad, hess = _emit(e, em, n, pos, second)
-                if not augmented:
-                    em.lines.append(f"    cv[{k}] = {c}")
-                    em.lines.extend(f"    jac[{k}, {s}] = {grad[s]}" for s in sorted(grad))
-                    continue
-                p = c
-                if not is_eq:
-                    p = "p"
-                    em.lines.append(f"    p = {c} if {c} > 0.0 else 0.0")
-                em.lines.append(f"    a += mu[{k}] * {c} + rho * {p} * {p}")
-                if grad:
-                    # a zero weight adds nothing, so an overflowing partial
-                    # cannot turn the sum into nan
-                    em.lines.append(f"    w = mu[{k}] + 2.0 * rho * {p}")
-                    em.lines.append("    if w != 0.0:")
-                    em.lines.extend(f"        acc[{s}] += w * ({grad[s]})" for s in sorted(grad))
-                    em.lines.extend(self._second_order(hess, "        ", "w * "))
-                    if second:
-                        # the row of an equality, or of an active inequality
-                        # (see ``hessian``); with rho = 0 no row counts
-                        em.lines.append("    if rho:" if is_eq
-                                        else f"    if mu[{k}] + 2.0 * rho * {c} > 0.0:")
-                        em.lines.extend(f"        jac[{k}, {s}] = {grad[s]}" for s in sorted(grad))
-            pieces.append(em.build(head, "a" if augmented else "None", _KERNEL_RUNTIME))
+        for ks in groups:
+            em = _PieceEmitter(self._pairs)
+            self._assemble(em, form, ks)
+            pieces.append(em.build(_HEADS[form], "a" if augmented else "None", _KERNEL_RUNTIME))
+        if form == "hessian":
+            self._upper = tuple(np.array(list(self._pairs), dtype=int).reshape(-1, 2).T)
         return pieces
+
+    def _assemble(self, ops, form, ks):
+        """The statements of one form on the operand interface ``ops``: the
+        objective's when ``ks`` is None, else those of the constraints ``ks``.
+        The value and rows forms are the gradient and Jacobian forms over no
+        slots.  The rows and Jacobian forms set each constraint's value and
+        row.  The augmented forms add each term of A and its weighted
+        partials; the Hessian form adds second derivatives, and the rows of
+        its 2 rho grad c grad c'."""
+        second = form == "hessian"
+        pos = {} if form in ("value", "rows") else self._pos
+        if ks is None:
+            val, grad, hess = _sweep(self._g, ops, self._n, pos, second)
+            ops.put("a", None, val)
+            for s in sorted(grad):
+                ops.put("acc", s, grad[s])
+            self._curvature(ops, hess, None)
+            return
+        for k in ks:
+            e, is_eq = self._cons[k]
+            c, grad, hess = _sweep(e, ops, self._n, pos, second)
+            if form in ("rows", "jacobian"):
+                ops.put("cv", k, c)
+                for s in sorted(grad):
+                    ops.put("jac", (k, s), grad[s])
+                continue
+            p = c if is_eq else ops.put("p", None, ops.hinge(c))
+            mu = ops.var("mu", k)
+            ops.put("a", None, ops.plus(ops.mul(mu, c), ops.mul(ops.rho, p, p)), add=True)
+            if not grad:
+                continue
+            # a zero weight adds nothing, so an overflowing partial cannot
+            # turn the sum into nan
+            w = ops.put("w", None, ops.plus(mu, ops.mul(ops.lit(2.0), ops.rho, p)))
+            if ops.when(ops.nonzero(w)):
+                for s in sorted(grad):
+                    ops.put("acc", s, ops.mul(w, ops.group(grad[s])), add=True)
+                self._curvature(ops, hess, w)
+                ops.end()
+            if second:
+                # the row of an equality, or of an active inequality (see
+                # ``hessian``); with rho = 0 no row counts
+                active = ops.rho if is_eq else ops.positive(
+                    ops.plus(mu, ops.mul(ops.lit(2.0), ops.rho, c)))
+                if ops.when(active):
+                    for s in sorted(grad):
+                        ops.put("jac", (k, s), grad[s])
+                    ops.end()
+
+    @staticmethod
+    def _curvature(ops, hess, weight):
+        """Add ``weight`` times a Hessian from ``_sweep`` (all of it when
+        ``weight`` is None): each entry to its sum, each outer product to H."""
+        entries, outers = hess
+        for key in sorted(entries):
+            ops.entry(key, entries[key] if weight is None else ops.mul(weight, entries[key]))
+        for c, u, v in outers:
+            ops.outer(c if weight is None else ops.mul(weight, c), u, v)
 
 
 def _kernel(prob, cols=None, ineq_idx=None, eq_idx=None):

@@ -274,7 +274,9 @@ class TestOneLinearizationPerCertificate:
     """certify builds one feasibility report and one linearization, however
     many of its tests run: the objective's gradient once, and every
     constraint's value and gradient from one run of the problem kernel's
-    Jacobian form, which compiles only inside the matched set."""
+    Jacobian form, which runs only inside the matched set.  A form runs on
+    the float evaluator for its first ``expr.COLD_CALLS`` calls, so a
+    one-shot certify compiles no constraint code."""
 
     @pytest.mark.parametrize(
         "entry_id, params, x, verdict",
@@ -294,10 +296,20 @@ class TestOneLinearizationPerCertificate:
         assert cert.verdict == verdict
         assert calls == Counter({id(prob.g): 1})
         assert jacobians == [model._kernel(prob)]
-        # a fresh problem: its Jacobian form compiles once, piece by piece
-        pieces = -(-(prob.s + prob.r) // model._PIECE)
-        assert builds["_cjac"] == pieces > 0
+        # a fresh problem: its rows and Jacobian forms ran once each, on the
+        # evaluator, and compiled nothing
+        assert builds["_cjac"] == builds["_cval"] == 0
         assert len(reports) == 1
+        # the call after the form's cold calls builds its pieces, once
+        kernel, vec = model._kernel(prob), prob.lift(x).flat()
+        jac = np.zeros((prob.s + prob.r, prob.n + prob.m))
+        for _ in range(expr.COLD_CALLS - 1):
+            kernel.rows(vec, jac)
+        assert builds["_cjac"] == 0
+        pieces = -(-(prob.s + prob.r) // model._PIECE)
+        for _ in range(3):
+            kernel.rows(vec, jac)
+            assert builds["_cjac"] == pieces > 0
 
     def test_no_constraint_gradient_outside_the_matched_set(self, monkeypatch, ex5):
         calls, jacobians, builds, reports = self._count(monkeypatch)

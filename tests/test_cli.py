@@ -191,6 +191,34 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "unknown catalog id" in err
 
+    def test_unknown_catalog_message_is_printed_as_it_is(self, capsys):
+        # not the repr of the KeyError's message, in quotes
+        code, out, err = run_cli(capsys, "solve", "--catalog", "ex6")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == ("error: unknown catalog id 'ex6'; valid: "
+                       "ex1a, ex1b, ex2, ex3, ex4, ex5, ex7, ex8, ex9\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the solve reaches the seeded convexity sampling of its stop test
+            (["solve", "--catalog", "ex7", "--seed", "-10", "--max-outer", "5"],
+             "seed must be an integer >= 0, got -10"),
+            # checked before the problem loads, as --samples is
+            (["validate", "--catalog", "ex9", "--n", "4", "--seed", "-1"],
+             "--seed must be an integer >= 0"),
+            (["validate", "--catalog", "nope", "--seed", "-1"],
+             "--seed must be an integer >= 0"),
+        ],
+        ids=["solve", "validate", "validate-before-load"],
+    )
+    def test_negative_seed_exit_three(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_file_exit_three(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--problem", "/does/not/exist.cnf")
         assert code == EXIT_CONFIG

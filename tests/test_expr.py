@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -7,6 +8,7 @@ import pytest
 
 import cnfopt.expr as expr_module
 import expr_oracle
+from tiers import compiled_tier, in_both_tiers
 from cnfopt.expr import (
     DialectError,
     DomainError,
@@ -134,6 +136,7 @@ class TestGradient:
         g = gradient(e, Point([0, 0], [0, 0]))
         assert g == pytest.approx([5.0, 0.0, 0.0, 3.0])
 
+    @in_both_tiers
     def test_nonsmooth_rejected(self):
         with pytest.raises(DialectError):
             gradient(abs_(x_(1)), Point([1], []))
@@ -142,17 +145,21 @@ class TestGradient:
         with pytest.raises(DialectError):
             gradient(x_(1) ** 1.5, Point([1], []))
 
+    # built in each test, since forms and their call counts are cached on the tree
     NONSMOOTH = [
-        (abs_(x_(1) - 6), 2.0),
-        (max_([x_(1), 2 * x_(1)]), 8.0),
-        (norm0_("x") + x_(1), 5.0),
-        (x_(1) ** 1.5, 8.0),
+        (lambda: abs_(x_(1) - 6), 2.0),
+        (lambda: max_([x_(1), 2 * x_(1)]), 8.0),
+        (lambda: norm0_("x") + x_(1), 5.0),
+        (lambda: x_(1) ** 1.5, 8.0),
     ]
 
-    @pytest.mark.parametrize("e, want", NONSMOOTH, ids=["abs", "max", "norm0", "fractional-power"])
-    def test_emitter_rejects_nonsmooth_nodes(self, e, want):
-        # no require_smooth in front: the gradient emitter itself refuses,
+    @pytest.mark.parametrize("make, want", NONSMOOTH,
+                             ids=["abs", "max", "norm0", "fractional-power"])
+    @in_both_tiers
+    def test_emitter_rejects_nonsmooth_nodes(self, make, want):
+        # no require_smooth in front: the symbolic sweep itself refuses,
         # while the value form of the same tree still evaluates
+        e = make()
         p = Point([4.0], [])
         with pytest.raises(DialectError):
             value_and_gradient(e, p)
@@ -435,6 +442,7 @@ def random_smooth_tree(rng, depth, n, m):
 
 
 class TestCompiledAgainstReference:
+    @in_both_tiers
     def test_values_match_interpreter(self):
         rng = np.random.default_rng(31)
         for _ in range(120):
@@ -442,6 +450,7 @@ class TestCompiledAgainstReference:
             p = Point(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2))
             assert evaluate(e, p) == pytest.approx(ref_eval(e, p), rel=1e-12, abs=1e-12)
 
+    @in_both_tiers
     def test_gradients_match_interpreter(self):
         rng = np.random.default_rng(32)
         for _ in range(120):
@@ -452,6 +461,7 @@ class TestCompiledAgainstReference:
             assert got_v == pytest.approx(want_v, rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(got_g, want_g, rtol=1e-10, atol=1e-12)
 
+    @in_both_tiers
     def test_reference_dialect_values_match(self):
         rng = np.random.default_rng(33)
         e = parse("abs(x[1]*x[2])^(1/3) + max(x[1], x[2], 0.1) + norm0(x)", n=2, m=0)
@@ -459,6 +469,7 @@ class TestCompiledAgainstReference:
             p = Point(rng.uniform(-2, 2, 2), [])
             assert evaluate(e, p) == pytest.approx(ref_eval(e, p), rel=1e-12)
 
+    @in_both_tiers
     def test_deep_chain_compiles(self):
         e = x_(1)
         for _ in range(200):
@@ -582,10 +593,13 @@ class TestIntegerPower:
                             assert _same_float(got, want), (v, k)
 
     @pytest.mark.parametrize("k", [4, 5, 6, 7])
+    @in_both_tiers
     def test_compiled_powers_use_it_and_keep_their_values(self, k):
         e = x_(1) ** k
-        assert "_ipw" in compiled_value(e).__code__.co_names
-        assert "_pw" not in compiled_value(e).__code__.co_names
+        if compiled_tier():
+            evaluate(e, Point([1.0], []))  # compiles on its first call
+            assert "_ipw" in compiled_value(e).__code__.co_names
+            assert "_pw" not in compiled_value(e).__code__.co_names
         with np.errstate(all="ignore"):
             for v in POWER_BASES:
                 p = Point([v], [])
@@ -594,8 +608,12 @@ class TestIntegerPower:
                 want = k * expr_oracle.checked_pow(v, float(k - 1), "loc")
                 assert _same_float(gradient(e, p)[0], want)
 
+    @in_both_tiers
     def test_other_powers_keep_their_checks(self):
-        assert "_pw" in compiled_value(x_(1) ** -4).__code__.co_names
+        if compiled_tier():
+            e = x_(1) ** -4
+            evaluate(e, Point([1.0], []))  # compiles on its first call
+            assert "_pw" in compiled_value(e).__code__.co_names
         with pytest.raises(DomainError, match="zero raised to negative power"):
             evaluate(x_(1) ** -4, Point([0.0], []))
         with pytest.raises(DomainError, match="fractional power"):
@@ -614,6 +632,7 @@ class TestLazyErrorLocations:
     raised, with the same text as before, and compiled code holds no
     reference back to the tree it is cached on."""
 
+    @in_both_tiers
     def test_compiling_prints_nothing(self, monkeypatch):
         printed = []
         real = expr_module.pretty
@@ -638,13 +657,16 @@ class TestLazyErrorLocations:
     ]
 
     @pytest.mark.parametrize("e, x, message", MESSAGES)
+    @in_both_tiers
     def test_messages_are_unchanged(self, e, x, message):
-        e = parse(e, n=1) if isinstance(e, str) else e
         for run in (evaluate, gradient):
+            # a copy of the root, on which no form is cached yet
+            tree = parse(e, n=1) if isinstance(e, str) else dataclasses.replace(e)
             with pytest.raises(DomainError) as info:
-                run(e, Point([x], []))
+                run(tree, Point([x], []))
             assert str(info.value) == message
 
+    @in_both_tiers
     def test_sqrt_gradient_message_is_unchanged(self):
         # a list: the two trees are equal, since == leaves pos out
         want = [(sqrt_(x_(1) - 1.0), "in 'sqrt(x[1] - 1)'"),
@@ -659,6 +681,7 @@ class TestLazyErrorLocations:
         lambda: sqrt_(x_(1) + x_(2)),
         lambda: (x_(1) - x_(2)) ** -2,
     ], ids=["div", "sqrt", "negative-power"])
+    @in_both_tiers
     def test_compiled_tree_is_freed_without_the_collector(self, build):
         p = Point([1.0, 2.0], [])
         gc.disable()

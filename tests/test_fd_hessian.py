@@ -24,6 +24,7 @@ from cnfopt.lagrangian import Multipliers, augmented_hessian, augmented_objectiv
 from cnfopt.model import CnfProblem, _kernel
 from cnfopt.problems import build, catalog_ids
 from fd_oracle import FD_STEP, fd_hessian
+from tiers import compiled_tier, in_both_tiers
 
 # the oracle errs by about FD_STEP^2 times the third derivatives plus
 # 1e-16 / FD_STEP times the gradient, far below this
@@ -111,6 +112,7 @@ def perturbed_lift(prob, rng, spread=0.1):
 
 @pytest.mark.parametrize("rho", RHOS)
 @pytest.mark.parametrize("eid", catalog_ids())
+@in_both_tiers
 def test_every_catalog_entry(eid, rho):
     prob = build(eid).problem
     rng = np.random.default_rng(7)
@@ -147,6 +149,7 @@ def test_ex7_powers_of_four_and_six(rho):
 
 
 @pytest.mark.parametrize("rho", [0.0, 37.0])
+@in_both_tiers
 def test_ex8_constant_partials_and_mixed_zero_weights(rho):
     # n = 10 makes 40 constraints, three pieces; the objective
     # n*y[2n+1] - sum y[i] has constant partials and no curvature
@@ -157,7 +160,8 @@ def test_ex8_constant_partials_and_mixed_zero_weights(rho):
     u = with_zeros(rng.uniform(0.5, 2.0, prob.s))
     v = rng.normal(size=prob.r)
     check(prob, u, v, rho, p)
-    assert len(_kernel(prob)._hess_pieces) == 1 + 3
+    if compiled_tier():
+        assert len(_kernel(prob)._hessian_pieces) == 1 + 3
 
 
 @pytest.mark.parametrize("rho", [37.0, 1e5])
@@ -208,6 +212,7 @@ def test_ex9_full_and_block_kernels(blocks):
 
 @pytest.mark.parametrize("rho", RHOS)
 @pytest.mark.parametrize("blocks", [None, 6])
+@in_both_tiers
 def test_ex9_n30_whole_and_in_six_blocks(blocks, rho):
     # the whole objective's misfit has a dense 30 x 30 curvature, which the
     # kernel adds as one outer product; a block's 5 x 5 one is written out
@@ -217,14 +222,17 @@ def test_ex9_n30_whole_and_in_six_blocks(blocks, rho):
     v = with_zeros(rng.normal(size=prob.r))
     if blocks is None:
         check(prob, [], v, rho, p)
-        assert "_outer" in _kernel(prob)._hess_pieces[0].__code__.co_names
+        if compiled_tier():
+            assert "_outer" in _kernel(prob)._hessian_pieces[0].__code__.co_names
         return
     for wrt, ineq_idx, eq_idx in BlockPartition.contiguous(prob, blocks).blocks(prob):
         check(prob, [], v[eq_idx], rho, p, wrt=wrt, ineq_idx=ineq_idx, eq_idx=eq_idx)
         kernel = _kernel(prob, tuple(int(f) for f in wrt), ineq_idx, eq_idx)
-        assert "_outer" not in kernel._hess_pieces[0].__code__.co_names
+        if compiled_tier():
+            assert "_outer" not in kernel._hessian_pieces[0].__code__.co_names
 
 
+@in_both_tiers
 def test_dense_constraint_curvature_as_an_outer_product():
     # ex3's (a_i . x)^2 over 12 coordinates has 78 curvature entries, more
     # than the emitter writes one by one; and a product of two dense sums
@@ -239,7 +247,8 @@ def test_dense_constraint_curvature_as_an_outer_product():
     prob = CnfProblem(name="cross", n=8, m=8, g=left * right + 0.5 * right * right,
                       eqs=(left * right - 1.0,))
     check(prob, [], [0.7], 37.0, Point(rng.uniform(-1.0, 1.0, 8), rng.uniform(-1.0, 1.0, 8)))
-    assert "_outer" in _kernel(prob)._hess_pieces[0].__code__.co_names
+    if compiled_tier():
+        assert "_outer" in _kernel(prob)._hessian_pieces[0].__code__.co_names
 
 
 @pytest.mark.parametrize("rho", RHOS)

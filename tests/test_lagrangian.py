@@ -22,6 +22,7 @@ from cnfopt.lagrangian import (
 )
 from cnfopt.model import CnfProblem, check_feasible
 from cnfopt.problems import build, catalog_ids, default_entries
+from tiers import in_both_tiers
 
 
 @pytest.fixture(scope="module")
@@ -268,15 +269,16 @@ def _chain(terms):
 
 
 @pytest.mark.parametrize(
-    "g",
-    [_chain(5000), x_(1) + sum_([x_(1) * x_(1)] * 5000)],
+    "make",
+    [lambda: _chain(5000), lambda: x_(1) + sum_([x_(1) * x_(1)] * 5000)],
     ids=["5000-levels", "5000-term-sum"],
 )
-def test_deep_objective_compiles_in_every_kernel_form(g):
+@in_both_tiers
+def test_deep_objective_compiles_in_every_kernel_form(make):
     # 5000 levels, far beyond the interpreter's recursion limit, or 5000
     # terms of one sum, past what Python compiles on one line; every partial
-    # sum is exact at these points
-    prob = CnfProblem(name="deep", n=1, m=0, g=g)
+    # sum is exact at these points, on the evaluator and compiled
+    prob = CnfProblem(name="deep", n=1, m=0, g=make())
     fun, value_fn, _ = augmented_objective(prob, [], [], 0.0)
     assert value_fn(np.array([0.5])) == 0.5 + 5000 * 0.25
     value, grad = fun(np.array([0.5]))
@@ -326,11 +328,13 @@ KERNEL_CASES += [
 
 
 class TestKernelOracle:
-    """The compiled kernel behind the ``augmented_objective`` closures
-    against a term-by-term sum, on the whole problem or per block."""
+    """The kernel behind the ``augmented_objective`` closures against a
+    term-by-term sum, on the whole problem or per block, with its forms on
+    the float evaluator and compiled."""
 
     @pytest.mark.parametrize("rho", [0.0, 37.0, 1e5])
     @pytest.mark.parametrize("eid,params,blocks", KERNEL_CASES)
+    @in_both_tiers
     def test_matches_term_by_term_sum(self, eid, params, blocks, rho):
         prob = build(eid, **params).problem
         rng = np.random.default_rng(7)

@@ -1,11 +1,25 @@
 import math
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cnfopt.expr import DomainError, Point, const, evaluate, sqrt_, value_and_gradient, x_, y_
+import cnfopt.expr as expr
+from cnfopt.expr import (
+    DialectError,
+    DomainError,
+    ExprError,
+    Point,
+    const,
+    evaluate,
+    parse,
+    sqrt_,
+    value_and_gradient,
+    x_,
+    y_,
+)
 from cnfopt import model
 from cnfopt.model import (
     CnfProblem,
@@ -20,6 +34,7 @@ from cnfopt.model import (
 from cnfopt.problems import build, catalog_ids, default_entries
 
 import convexity_oracle
+from tiers import TIERS, cold_calls, in_both_tiers
 
 
 @pytest.fixture(scope="module")
@@ -182,16 +197,20 @@ class TestSampleConvexity:
 
 # a problem whose constraints reach every runtime helper a smooth tree can
 # call: division, sqrt and its derivative, integer powers above 3 and a
-# negative power
-_HELPERS = CnfProblem(
-    name="helpers", n=2, m=1, g=x_(1) ** 2,
-    ineqs=(x_(1) / (x_(2) ** 2 + 1.0) - y_(1), sqrt_(x_(1) ** 2 + 1.0) - x_(2) ** 5),
-    eqs=((x_(1) ** 2 + 2.0) ** -2 - y_(1) ** 4,),
-)
+# negative power; built fresh for each test, like every problem of the
+# cases below, since forms and their call counts are cached on the trees
+def _helpers():
+    return CnfProblem(
+        name="helpers", n=2, m=1, g=x_(1) ** 2,
+        ineqs=(x_(1) / (x_(2) ** 2 + 1.0) - y_(1), sqrt_(x_(1) ** 2 + 1.0) - x_(2) ** 5),
+        eqs=((x_(1) ** 2 + 2.0) ** -2 - y_(1) ** 4,),
+    )
+
 
 # convex on part of the box (-1, 2) only, so some sampled pairs count
-_CUBIC = CnfProblem(name="cubic", n=2, m=0, g=x_(1) ** 2, ineqs=(x_(1) ** 3 - x_(2),),
-                    eqs=(x_(2) ** 2 - 1.0,))
+def _cubic():
+    return CnfProblem(name="cubic", n=2, m=0, g=x_(1) ** 2, ineqs=(x_(1) ** 3 - x_(2),),
+                      eqs=(x_(2) ** 2 - 1.0,))
 
 # every catalog entry at its defaults, ex8 n=10 (40 constraints, three
 # kernel pieces) and the helper problem above
@@ -199,7 +218,7 @@ CONSTRAINT_CASES = [pytest.param(lambda eid=eid: build(eid).problem, id=eid)
                     for eid in catalog_ids()]
 CONSTRAINT_CASES += [
     pytest.param(lambda: build("ex8", n=10).problem, id="ex8-n10"),
-    pytest.param(lambda: _HELPERS, id="helpers"),
+    pytest.param(_helpers, id="helpers"),
 ]
 
 
@@ -214,9 +233,11 @@ def _seeded_points(prob, seed=13, per_scale=4):
 
 class TestKernelConstraintForms:
     """The problem kernel's rows and Jacobian forms against one expression
-    at a time: ``evaluate`` and ``value_and_gradient`` on array points."""
+    at a time: ``evaluate`` and ``value_and_gradient`` on array points, with
+    every form on the float evaluator and with every form compiled."""
 
     @pytest.mark.parametrize("make", CONSTRAINT_CASES)
+    @in_both_tiers
     def test_rows_equal_evaluate(self, make):
         prob = make()
         cons = (*prob.ineqs, *prob.eqs)
@@ -228,6 +249,7 @@ class TestKernelConstraintForms:
             assert model._kernel(prob).rows(p.flat()).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("make", CONSTRAINT_CASES)
+    @in_both_tiers
     def test_jacobian_rows_equal_value_and_gradient(self, make):
         prob = make()
         cons = (*prob.ineqs, *prob.eqs)
@@ -240,12 +262,14 @@ class TestKernelConstraintForms:
                 assert float(cv[k]).hex() == float(value).hex()
                 assert jac[k].tobytes() == grad.tobytes()
 
+    @in_both_tiers
     def test_all_finite_and_overflowing_values_occur(self):
         # the scales above reach both finite and overflowed values
         prob = build("ex8", n=10).problem
         cvs = np.concatenate([model._kernel(prob).rows(p.flat()) for p in _seeded_points(prob)])
         assert np.isfinite(cvs).any() and not np.isfinite(cvs).all()
 
+    @in_both_tiers
     def test_domain_error_message_as_evaluate(self):
         prob = load_problem(
             'problem "recip"\nvar x 1\naux y 0\nobjective: x[1]\nineq: 1/x[1] - 1\n'
@@ -257,6 +281,7 @@ class TestKernelConstraintForms:
             prob.constraint_values(p)
         assert str(got.value) == str(want.value) == "division by zero at line 1, column 2"
 
+    @in_both_tiers
     def test_sqrt_message_as_evaluate(self):
         # both show the value as a Python float, whatever numpy's scalar repr
         prob = load_problem(
@@ -271,7 +296,8 @@ class TestKernelConstraintForms:
             "sqrt of negative value -1.0 at line 1, column 1"
         )
 
-    @pytest.mark.parametrize("make", CONSTRAINT_CASES + [pytest.param(lambda: _CUBIC, id="cubic")])
+    @pytest.mark.parametrize("make", CONSTRAINT_CASES + [pytest.param(_cubic, id="cubic")])
+    @in_both_tiers
     def test_sample_convexity_counts_as_per_component(self, make):
         prob = make()
         comps = (prob.g, *prob.ineqs, *prob.eqs)
@@ -283,8 +309,176 @@ class TestKernelConstraintForms:
         box = (-1.0, 2.0)
         want = midpoint_convexity_violations(values, prob.n + prob.m, box, 60, 4)
         assert sample_convexity(prob, samples=60, seed=4, box=box) == want
-        if prob is _CUBIC:
+        if prob.name == "cubic":
             assert 0 < want < 60
+
+
+def _outcome(run):
+    """``run()``'s result, or the type and text of the expression error it
+    raises."""
+    try:
+        return run()
+    except ExprError as err:
+        return (type(err), str(err))
+
+
+def _every_form(prob, p, mu, rho):
+    """Each form of the problem's kernel, and each expression's value and
+    gradient, at p: its bits, or its error."""
+    kernel, vec = model._kernel(prob), p.flat()
+
+    def jacobian():
+        jac = np.zeros((prob.s + prob.r, prob.n + prob.m))
+        return kernel.rows(vec, jac).tobytes(), jac.tobytes()
+
+    def gradient():
+        a, acc = kernel.value_and_grad(vec, mu, rho)
+        return float(a).hex(), np.array(acc).tobytes()
+
+    def hessian():
+        a, acc, H = kernel.hessian(vec, mu, rho)
+        return float(a).hex(), np.array(acc).tobytes(), H.tobytes()
+
+    def expression(e):
+        value, grad = value_and_gradient(e, p)
+        return float(evaluate(e, p)).hex(), float(value).hex(), grad.tobytes()
+
+    forms = {"rows": lambda: kernel.rows(vec).tobytes(), "jacobian": jacobian,
+             "value": lambda: float(kernel.value(vec, mu, rho)).hex(),
+             "gradient": gradient, "hessian": hessian}
+    with np.errstate(all="ignore"):  # overflow gives inf, as on floats
+        got = {name: _outcome(run) for name, run in forms.items()}
+        for k, e in enumerate((prob.g, *prob.ineqs, *prob.eqs)):
+            got[k] = _outcome(lambda: expression(e))
+    return got
+
+
+def _forms_in_both_tiers(make, points, mu, rho):
+    """``_every_form`` at each point on a problem that only runs the float
+    evaluator and on one whose forms compile on their first call."""
+    probs = {tier: make() for tier in TIERS}
+    got = {tier: [] for tier in TIERS}
+    for p in points:
+        for tier, prob in probs.items():
+            with cold_calls(TIERS[tier]):
+                got[tier].append(_every_form(prob, p, mu, rho))
+    return got
+
+
+# each reaches a checked runtime helper at the points below: a DomainError in
+# every form, in the derivative forms only (sqrt's derivative factor at 0),
+# or none
+_DOMAIN_TEXT = """problem "domains"
+var x 3
+aux y 1
+objective: x[1]^2 + 1/(x[3] - 2)
+ineq: 1/x[1] - y[1]
+ineq: (x[2] - 1)^(-2) - 4
+eq: sqrt(x[3]) - 1
+"""
+_DOMAIN_POINTS = [Point(x, [0.5]) for x in (
+    [0.0, 2.0, 1.0], [1.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 2.0, -1.0], [1.0, 2.0, 2.0],
+    [0.5, 3.0, 4.0],
+)]
+
+
+class TestTiers:
+    """A form's first ``expr.COLD_CALLS`` calls run on the float evaluator,
+    and the next compiles it.  Both tiers give the same bits, and raise the
+    same errors with the same text."""
+
+    @pytest.mark.parametrize("rho", [0.0, 37.0])
+    @pytest.mark.parametrize("make", CONSTRAINT_CASES)
+    def test_every_form_gives_the_same_bits_in_both_tiers(self, make, rho):
+        prob = make()
+        rng = np.random.default_rng(5)
+        mu = np.concatenate([rng.uniform(0.0, 2.0, prob.s), rng.normal(size=prob.r)])
+        mu[::3] = 0.0
+        # the scales reach values and partials that overflow to inf; at the
+        # finite ones, Hessian entries and outer products share entries of H
+        points = list(_seeded_points(prob, per_scale=8))
+        got = _forms_in_both_tiers(make, points, mu.tolist(), rho)
+        assert got["evaluator"] == got["compiled"]
+
+    @pytest.mark.parametrize("source", ["text", "builder"])
+    def test_domain_errors_have_the_same_text_in_both_tiers(self, source):
+        def make():
+            prob = load_problem(_DOMAIN_TEXT)
+            if source == "text":
+                return prob  # located at line and column
+            # located by the printed subtree
+            return CnfProblem(name="domains", n=3, m=1, g=x_(1) ** 2 + 1 / (x_(3) - 2.0),
+                              ineqs=(1 / x_(1) - y_(1), (x_(2) - 1.0) ** -2 - 4.0),
+                              eqs=(sqrt_(x_(3)) - 1.0,))
+
+        got = _forms_in_both_tiers(make, _DOMAIN_POINTS, [0.5, 0.0, 1.5], 37.0)
+        assert got["evaluator"] == got["compiled"]
+        raised = [v[1] for forms in got["compiled"] for v in forms.values()
+                  if isinstance(v, tuple) and v[0] is DomainError]
+        for message in ("division by zero", "zero raised to negative power",
+                        "sqrt gradient needs a positive argument", "sqrt of negative value"):
+            assert any(m.startswith(message) for m in raised), message
+        # the value forms are defined where only sqrt's derivative is not
+        at_sqrt_zero = got["evaluator"][2]
+        assert not isinstance(at_sqrt_zero["rows"], tuple)
+        assert at_sqrt_zero["jacobian"][1].startswith("sqrt gradient needs a positive argument")
+
+    @in_both_tiers
+    def test_a_dialect_error_comes_before_a_domain_error(self):
+        # the symbolic sweep refuses the nonsmooth node before anything is
+        # evaluated, where evaluating bottom up would divide by zero first
+        e = parse("abs(1/x[1]) + x[2]", n=2)
+        p = Point([0.0, 1.0], [])
+        with pytest.raises(DialectError) as info:
+            value_and_gradient(e, p)
+        assert str(info.value) == (
+            "nonsmooth node 'abs' at line 1, column 1; "
+            "the smooth dialect forbids abs, max, norm0 and fractional powers"
+        )
+        with pytest.raises(DomainError) as info:
+            evaluate(e, p)
+        assert str(info.value) == "division by zero at line 1, column 6"
+
+    def test_call_after_the_cold_calls_compiles_each_form_once(self, monkeypatch):
+        assert expr.COLD_CALLS >= 1  # the shipped tier runs on the evaluator first
+        builds = Counter()
+        build_fn = expr._Emitter.build
+
+        def counting_build(em, head, *args, **kwargs):
+            builds[head.partition("(")[0]] += 1
+            return build_fn(em, head, *args, **kwargs)
+
+        monkeypatch.setattr(expr._Emitter, "build", counting_build)
+        prob = build("ex8", n=10).problem  # 40 constraints: three pieces
+        kernel, p = model._kernel(prob), prob.lift(np.linspace(-1.0, 1.0, 10))
+        vec, mu, rho = p.flat(), [0.5] * 40, 37.0
+
+        def jacobian():
+            jac = np.zeros((40, prob.n + prob.m))
+            return kernel.rows(vec, jac).tobytes(), jac.tobytes()
+
+        def hessian():
+            a, acc, H = kernel.hessian(vec, mu, rho)
+            return a, acc, H.tobytes()
+
+        forms = {
+            "_cval": (lambda: kernel.rows(vec).tobytes(), 3),
+            "_cjac": (jacobian, 3),
+            "_aval": (lambda: kernel.value(vec, mu, rho), 4),
+            "_agrad": (lambda: kernel.value_and_grad(vec, mu, rho), 4),
+            "_ahess": (hessian, 4),
+            "_val": (lambda: evaluate(prob.g, p), 1),
+            "_grad": (lambda: value_and_gradient(prob.g, p)[1].tobytes(), 1),
+        }
+        for name, (run, pieces) in forms.items():
+            first = [run() for _ in range(expr.COLD_CALLS)]
+            assert builds[name] == 0, name
+            last = [run()]
+            assert builds[name] == pieces, name
+            last += [run() for _ in range(3)]
+            assert builds[name] == pieces, name
+            assert first + last == [first[0]] * len(first + last), name
+        assert sum(builds.values()) == 20
 
 
 class TestBuiltinSuiteInvariants:

@@ -3,7 +3,10 @@
     python3 tools/ab_bench.py PARENT --tag TAG [--workload W ...] [--pairs N]
                               [--trace 0|1]
 
-PARENT is the root of another checkout; the change is this one.  For each
+PARENT is the root of another checkout; the change is this one.  Each run
+rewrites ``perfbench/results/`` in the checkout it runs in, so PARENT should
+be a throwaway clone (``git clone`` of the parent commit), and the script
+refuses this checkout itself as PARENT, or fewer than one pair.  For each
 workload (every one in ``BENCHMARK.json`` by default) the script runs each
 checkout's own, unchanged ``perfbench/run.py`` N times with the same
 arguments, in pairs whose first side alternates: the parent first in pairs
@@ -96,6 +99,10 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    if os.path.realpath(args.parent) == os.path.realpath(ROOT):
+        ap.error(f"PARENT {args.parent!r} is this checkout; clone the parent commit elsewhere")
     checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
     out = os.path.join(ROOT, f"BENCH_{args.tag}.json")
     # (better, bound) of each metric; per-layer metrics have no bound

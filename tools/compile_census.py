@@ -7,8 +7,12 @@ The seed defaults to ``jobs.DEFAULT_SEED`` (1).
 Run from anywhere; cnfopt is imported from this checkout's ``src/`` and the
 job lists from ``perfbench/jobs.py``, which is only read.  Every job of the
 four workloads runs once, in order, with ``expr._Emitter.build`` wrapped to
-record the source of each function it compiles.  For each workload the script
-prints one line per kind of compiled function:
+record the source of each function it compiles.  A form runs on the float
+evaluator for its first ``expr.COLD_CALLS`` calls and compiles on the next,
+so the census counts only the forms called more than ``COLD_CALLS`` times; a
+copy of the tree with ``COLD_CALLS = 0`` compiles every form that runs, and
+its census shows the code the emitter writes for all of them.  For each
+workload the script prints one line per kind of compiled function:
 
     <workload> <kind> <functions> <lines> <sha256>
 
