@@ -130,8 +130,14 @@ def update_multipliers(u, v, gv, hv, rho):
 
 
 def infeasibility(gv, hv):
-    """e = ||max(g, 0)||_2 + ||h||_2 from constraint values."""
-    return float(np.linalg.norm(np.maximum(gv, 0.0))) + float(np.linalg.norm(hv))
+    """e = ||max(g, 0)||_2 + ||h||_2 from constraint values.  Each norm is
+    the root of the exactly rounded sum of the squares, so e does not
+    depend on the BLAS kernel that a vector norm would run."""
+    return _norm2(np.maximum(gv, 0.0)) + _norm2(hv)
+
+
+def _norm2(values):
+    return math.sqrt(math.fsum(t * t for t in np.asarray(values, dtype=float).tolist()))
 
 
 def _lagrangian_sampled_convex(prob, u, v, pairs, seed):

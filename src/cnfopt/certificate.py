@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .expr import Point, gradient
+from .expr import Point, gradient, value_and_gradient
 from .lagrangian import V_NONNEG, Multipliers, lagrangian
 from .lp import LpProblem, solve_lp
 from .model import _kernel, check_feasible
@@ -85,9 +85,10 @@ def _linearize(prob, p, grad_g):
     return _Linearization(grad_g, cv[:prob.s], cv[prob.s:], jac)
 
 
-def _outside_matched_set(prob, p, rep, feas_tol):
-    """Why p is outside the matched set (infeasible, or with a lifted
-    objective off the reference), or None when it is inside."""
+def _outside_matched_set(rep, g_value, feas_tol):
+    """Why a point with the feasibility report ``rep`` and the objective
+    value ``g_value`` is outside the matched set (infeasible, or with a
+    lifted objective off the reference), or None when it is inside."""
     if not rep.in_feasible_set:
         return (
             f"point is not feasible within {feas_tol:g} "
@@ -95,7 +96,7 @@ def _outside_matched_set(prob, p, rep, feas_tol):
             f"worst equality {rep.max_eq_residual:.3g})"
         )
     gap = rep.exactness_gap
-    if gap is not None and gap > feas_tol * max(1.0, abs(prob.objective(p))):
+    if gap is not None and gap > feas_tol * max(1.0, abs(g_value)):
         return (
             f"lifted objective differs from the reference by "
             f"{gap:.3g}; the point is outside the matched set"
@@ -138,10 +139,12 @@ def _lp_test(lin, variant, cert_tol):
 
 def _matched_lp_test(prob, p, variant, feas_tol, cert_tol):
     """The direction test at p, which must lie in the matched set."""
-    reason = _outside_matched_set(prob, p, check_feasible(prob, p, tol=feas_tol), feas_tol)
+    rep = check_feasible(prob, p, tol=feas_tol)
+    g_value, grad_g = value_and_gradient(prob.g, p)
+    reason = _outside_matched_set(rep, g_value, feas_tol)
     if reason is not None:
         raise CertificateError(reason)
-    return _lp_test(_linearize(prob, p, gradient(prob.g, p)), variant, cert_tol)
+    return _lp_test(_linearize(prob, p, grad_g), variant, cert_tol)
 
 
 def lp_test_ineq(prob, p, feas_tol=1e-6, cert_tol=CERT_TOL):
@@ -262,9 +265,11 @@ def certify(prob, p, feas_tol=1e-6, cert_tol=CERT_TOL):
     """
     prob.check_point(p)
     rep = check_feasible(prob, p, tol=feas_tol)
-    grad_g = gradient(prob.g, p)
+    # the gradient form's value is the value form's, bit for bit: the
+    # objective's value form runs once, for the report's exactness gap
+    g_value, grad_g = value_and_gradient(prob.g, p)
     grad_norm = float(np.linalg.norm(grad_g))
-    if _outside_matched_set(prob, p, rep, feas_tol) is not None:
+    if _outside_matched_set(rep, g_value, feas_tol) is not None:
         return Certificate(p, rep, grad_norm, None, None, None, VERDICT_INCONCLUSIVE)
     if grad_norm <= cert_tol:
         return Certificate(p, rep, grad_norm, None, None, None, VERDICT_GLOBAL)

@@ -62,10 +62,10 @@ def _build_parser():
         p.add_argument("--lambda", dest="lam", type=float, help="0-norm weight")
         p.add_argument("--i", dest="I", type=int, help="sample count for the multi-class entry")
         p.add_argument("--b", type=float, help="target scalar for the 0-norm fit entry")
-        p.add_argument("--seed", type=int, default=0)
 
     solve = sub.add_parser("solve", help="run a solver and print the iteration trace")
     add_source(solve)
+    solve.add_argument("--seed", type=int, default=0, help="seed of the stop test's sampling")
     solve.add_argument("--solver", choices=["alpf", "penalty", "decomposed"], default="alpf")
     solve.add_argument("--eps", type=float, default=1e-6)
     solve.add_argument("--rho0", type=float, default=10.0)
@@ -89,6 +89,7 @@ def _build_parser():
 
     val = sub.add_parser("validate", help="sampled model validation of a problem")
     add_source(val)
+    val.add_argument("--seed", type=int, default=0, help="seed of the sampled checks")
     val.add_argument("--samples", type=int, default=500)
     val.add_argument("--output", choices=["table", "json", "jsonl"])
 

@@ -189,7 +189,10 @@ def sum_(args):
 
 
 def max_(args):
-    return Expr("max", children=tuple(wrap(t) for t in args))
+    children = tuple(wrap(t) for t in args)
+    if len(children) < 2:
+        raise ValueError("max takes at least two arguments")
+    return Expr("max", children=children)
 
 
 def norm0_(block):
@@ -362,11 +365,16 @@ def value_and_gradient(e, p):
 # zeroth-order part of the sweep), and a derivative factor is computed only
 # where an operand has partials.  Sparse partials keep the op count at the
 # sum over nodes of the per-node active-coordinate count, which is what the
-# solver hot loops pay for.
+# solver hot loops pay for.  Every line a rule names has an order: 0 for a
+# value, 1 for a partial, 2 for a second derivative.  A line reads only
+# lines of its own order or lower, so the problem kernel of cnfopt.model
+# writes each order in a section of its own, and a call of order k runs
+# the first k + 1 sections of one compiled code (Griewank & Walther, ch. 3:
+# a derivative code computes the function's values first).
 #
 # Compiling a form costs about 4 to 8 runs of it on the evaluator, and a
 # compiled run costs a small fraction of one.  So each form
-# (``compiled_value``, ``compiled_gradient`` and the problem kernel's forms
+# (``compiled_value``, ``compiled_gradient`` and the problem kernel's codes
 # in cnfopt.model) counts its calls: the first COLD_CALLS run on the
 # evaluator, and the next one compiles the form, which is cached and serves
 # every later call.  A form that runs once, as each of a certificate's
@@ -458,32 +466,38 @@ def _lit(v):
 class _Emitter:
     """The operand interface on symbolic operands: each operation returns
     the text of a Python expression, and ``let`` writes one as a line of
-    its own.  ``build`` compiles the lines into a function."""
+    its own.  ``build`` compiles the lines into a function.
+
+    Each line has an order: 0 for a value, 1 for a partial derivative, 2
+    for a second derivative.  ``sections[k]`` takes the lines of order k;
+    here all three are ``lines``, so the lines run as the sweep writes
+    them (``model._PieceEmitter`` keeps them apart)."""
 
     one = "1.0"  # the unit partial of a variable, which a product leaves out
 
     def __init__(self):
         self.lines = []
+        self.sections = (self.lines,) * 3
         self.counter = 0
         self.consts = {}
 
-    def let(self, rhs):
-        """A name for ``rhs``: a new temp assigned in a line, or ``rhs``
-        itself when it only names a value or is a literal."""
+    def let(self, rhs, order):
+        """A name for ``rhs``, a term of ``order``: a new temp assigned in a
+        line, or ``rhs`` itself when it only names a value or is a literal."""
         if _NO_TEMP.fullmatch(rhs):
             return rhs
         name = f"t{self.counter}"
         self.counter += 1
-        self.lines.append(f"    {name} = {rhs}")
+        self.sections[order].append(f"    {name} = {rhs}")
         return name
 
-    def total(self, terms):
+    def total(self, terms, order):
         """A name for the sum of ``terms``, added left to right as one line
         would, written at most SUM_CHUNK terms a line."""
         line = terms[:SUM_CHUNK]
         for i in range(SUM_CHUNK, len(terms), SUM_CHUNK - 1):
-            line = [self.let(" + ".join(line))] + terms[i:i + SUM_CHUNK - 1]
-        return self.let(" + ".join(line))
+            line = [self.let(" + ".join(line), order)] + terms[i:i + SUM_CHUNK - 1]
+        return self.let(" + ".join(line), order)
 
     def bind(self, value):
         """Bind a non-literal constant (e.g. an error-location string)."""
@@ -548,7 +562,7 @@ class _Evaluator:
         return getattr(self, name)
 
     @staticmethod
-    def total(terms):
+    def total(terms, order=0):
         # left to right from the first term: a sum from 0.0 would turn -0.0 into 0.0
         value = terms[0]
         for t in terms[1:]:
@@ -561,7 +575,7 @@ class _Evaluator:
             value = value * f
         return value
 
-    let = staticmethod(lambda v: v)
+    let = staticmethod(lambda v, order: v)
     where = staticmethod(_Where)
     lit = staticmethod(float)
     # the unit partial multiplies like any factor: 1.0 * v is v bit for bit
@@ -610,11 +624,11 @@ def _second(ops, scaled, products):
         for key, f in entries.items():
             terms.setdefault(key, []).append(ops.times(factor, f))
         if left:
-            outers.extend((ops.let(ops.times(factor, c)), u, v) for c, u, v in left)
+            outers.extend((ops.let(ops.times(factor, c), 2), u, v) for c, u, v in left)
     for c, u, v in products:
         other = u if v is None else v
         if len(u) * len(other) > OUTER_ENTRIES:
-            outers.append((ops.let(c), u, v))
+            outers.append((ops.let(c, 2), u, v))
             continue
         for i, fu in u.items():
             for j, fv in other.items():
@@ -623,7 +637,7 @@ def _second(ops, scaled, products):
                     terms.setdefault((i, j), []).append(ops.times(c, fu, fv))
                 if v is not None and j <= i:
                     terms.setdefault((j, i), []).append(ops.times(c, fu, fv))
-    return ({key: ops.total(t) for key, t in terms.items()}, outers)
+    return ({key: ops.total(t, 2) for key, t in terms.items()}, outers)
 
 
 def _merged(ops, grads):
@@ -638,7 +652,7 @@ def _merged(ops, grads):
     for d in grads:
         for slot, f in d.items():
             terms.setdefault(slot, []).append(f)
-    return {s: t[0] if len(t) == 1 else ops.total(t) for s, t in terms.items()}
+    return {s: t[0] if len(t) == 1 else ops.total(t, 1) for s, t in terms.items()}
 
 
 def _chain(ops, e, va, val, loc, order, factor=None):
@@ -661,8 +675,9 @@ def _chain(ops, e, va, val, loc, order, factor=None):
 def _node_rule(e, parts, ops, n, pos, second):
     """One node's (value, partials, Hessian) on ``ops``, given its
     children's; a nonsmooth node raises DialectError in any form but the
-    value form.  Only first-order operations, which come first, can raise
-    a DomainError."""
+    value form.  Each line it names carries its order (see "compiled
+    evaluation" above).  Only value lines and sqrt's derivative factor
+    (order 1) can raise a DomainError."""
     k = e.kind
     if k == "var":
         flat = e.index if e.block == "x" else n + e.index
@@ -671,7 +686,7 @@ def _node_rule(e, parts, ops, n, pos, second):
     if k == "const":
         return (ops.lit(e.value), {}, _NO_HESS)
     if k == "add" or k == "sum":
-        val = ops.total([v for v, _, _ in parts]) if parts else ops.lit(0.0)
+        val = ops.total([v for v, _, _ in parts], 0) if parts else ops.lit(0.0)
         hess = _NO_HESS
         if second:
             # the terms' Hessians added, or the only one passed on as it is
@@ -680,12 +695,12 @@ def _node_rule(e, parts, ops, n, pos, second):
         return (val, _merged(ops, [d for _, d, _ in parts if d]), hess)
     if k == "neg":
         (va, da, ha) = parts[0]
-        val = ops.let(ops.neg(va))
-        grad = {s: ops.let(ops.neg(ops.group(f))) for s, f in da.items()}
+        val = ops.let(ops.neg(va), 0)
+        grad = {s: ops.let(ops.neg(ops.group(f)), 1) for s, f in da.items()}
         return (val, grad, _second(ops, [(ops.lit(-1.0), ha)], ()) if second else _NO_HESS)
     if k == "mul":
         (va, da, ha), (vb, db, hb) = parts
-        val = ops.let(ops.mul(va, vb))
+        val = ops.let(ops.mul(va, vb), 0)
         grad = {}
         for slot in da.keys() | db.keys() if da or db else ():
             left, right = da.get(slot), db.get(slot)
@@ -694,31 +709,31 @@ def _node_rule(e, parts, ops, n, pos, second):
                 terms.append(vb if ops.is_one(left) else ops.mul(ops.group(left), vb))
             if right is not None:
                 terms.append(va if ops.is_one(right) else ops.mul(ops.group(right), va))
-            grad[slot] = ops.let(ops.plus(*terms))
+            grad[slot] = ops.let(ops.plus(*terms), 1)
         # (ab)'' = b a'' + a b'' + a' b' + b' a'
         hess = _second(ops, [(vb, ha), (va, hb)], [(ops.one, da, db)]) if second else _NO_HESS
         return (val, grad, hess)
     if k == "div":
         (va, da, ha), (vb, db, hb) = parts
-        val = ops.let(ops.call("_div", va, vb, ops.where(e)))
+        val = ops.let(ops.call("_div", va, vb, ops.where(e)), 0)
         grad = {}
         hess = _NO_HESS
         if da or db:
-            inv = ops.let(ops.recip(vb))
+            inv = ops.let(ops.recip(vb), 1)
             for slot in da.keys() | db.keys():
                 left, right = da.get(slot), db.get(slot)
                 if right is None:
-                    grad[slot] = ops.let(ops.mul(ops.group(left), inv))
+                    grad[slot] = ops.let(ops.mul(ops.group(left), inv), 1)
                 elif left is None:
-                    grad[slot] = ops.let(ops.mul(ops.neg(val), ops.group(right), inv))
+                    grad[slot] = ops.let(ops.mul(ops.neg(val), ops.group(right), inv), 1)
                 else:
                     grad[slot] = ops.let(ops.mul(ops.group(ops.sub(
-                        ops.group(left), ops.mul(val, ops.group(right)))), inv))
+                        ops.group(left), ops.mul(val, ops.group(right)))), inv), 1)
             if second:
                 # from q b = a: q'' = (a'' - q b'' - q' b' - b' q') / b
                 scaled = [(inv, ha)]
                 if hb[0] or hb[1]:
-                    scaled.append((ops.let(ops.mul(ops.neg(val), inv)), hb))
+                    scaled.append((ops.let(ops.mul(ops.neg(val), inv), 2), hb))
                 hess = _second(ops, scaled, [(ops.neg(inv), grad, db)])
         return (val, grad, hess)
     if k == "pow" or k == "sqrt":
@@ -731,39 +746,39 @@ def _node_rule(e, parts, ops, n, pos, second):
         loc = None
         if k == "sqrt":
             loc = ops.where(e)
-            val = ops.let(ops.call("_sq", va, loc))
+            val = ops.let(ops.call("_sq", va, loc), 0)
         elif expo == 0:
             return (ops.lit(1.0), {}, _NO_HESS)
         elif expo == 1:
             return (va, da, ha)
         elif expo == 2 or expo == 3:
-            val = ops.let(ops.repeated(va, int(expo)))
+            val = ops.let(ops.repeated(va, int(expo)), 0)
         elif expo > 3 and expo == int(expo):
             # a positive integer power: no zero or fraction check can fire,
             # only ** and its overflow.  Each exponent is int() of the float
             # that _pw took, so the results are _pw's bit for bit
-            val = ops.let(ops.call("_ipw", va, int(expo)))
+            val = ops.let(ops.call("_ipw", va, int(expo)), 0)
         else:
             loc = ops.where(e)
-            val = ops.let(ops.call("_pw", va, ops.lit(expo), loc))
+            val = ops.let(ops.call("_pw", va, ops.lit(expo), loc), 0)
         if not da:
             return (val, da, _NO_HESS)
-        factor = ops.let(_chain(ops, e, va, val, loc, 1))
-        grad = {s: ops.let(factor if ops.is_one(f) else ops.mul(factor, ops.group(f)))
+        factor = ops.let(_chain(ops, e, va, val, loc, 1), 1)
+        grad = {s: ops.let(factor if ops.is_one(f) else ops.mul(factor, ops.group(f)), 1)
                 for s, f in da.items()}
         hess = _NO_HESS
         if second:
             # f(a)'' = f'(a) a'' + f''(a) a' a'
-            curve = ops.let(_chain(ops, e, va, val, loc, 2, factor))
+            curve = ops.let(_chain(ops, e, va, val, loc, 2, factor), 2)
             hess = _second(ops, [(factor, ha)], [(curve, da, None)])
         return (val, grad, hess)
     # the nonsmooth kinds, which only the value form admits
     if pos != {} and k in _NONSMOOTH:
         raise _dialect_error(e)
     if k == "abs" or k == "max":
-        return (ops.let(ops.call(k, *(v for v, _, _ in parts))), {}, _NO_HESS)
+        return (ops.let(ops.call(k, *(v for v, _, _ in parts)), 0), {}, _NO_HESS)
     if k == "norm0":
-        return (ops.let(ops.call("_n0", ops.block(e.block))), {}, _NO_HESS)
+        return (ops.let(ops.call("_n0", ops.block(e.block)), 0), {}, _NO_HESS)
     raise ExprError(f"unknown node kind {k!r}")
 
 
@@ -1014,6 +1029,8 @@ class _Parser:
             if len(args) != 1:
                 raise ParseError(f"{name} takes exactly one argument", line, col)
             return Expr(name, children=(args[0],), pos=(line, col))
+        if len(args) < 2:
+            raise ParseError("max takes at least two arguments", line, col)
         return Expr("max", children=tuple(args), pos=(line, col))
 
 

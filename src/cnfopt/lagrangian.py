@@ -11,25 +11,27 @@ derivative 2*max(g_i,0)*grad g_i, so no subgradient handling is needed
 anywhere.
 
 All of these evaluate the problem kernel of ``cnfopt.model``: A and its
-gradient, one kernel per (problem, column subset, constraint subset),
+derivatives, one kernel per (problem, column subset, constraint subset),
 cached on the problem, with the multipliers and rho as arguments, so
 L (rho = 0), F (zero multipliers) and every outer iteration share it.
-Each form of the kernel runs on the float evaluator of ``cnfopt.expr`` for
-its first ``expr.COLD_CALLS`` calls and is compiled, once, on the next:
-straight-line code in pieces, the objective and then at most 16
-constraints each, which bounds compile-time memory.  Both tiers run the
-same per-node rules and the same statements, with the same bits and the
-same errors.  Each piece adds its constraints' terms to the running value
-and their weighted partials to one gradient list in constraint order,
-skipping a weight of exactly 0, so the result equals a term-by-term sum
-bit for bit.  Gradient descent runs the value form (line-search trials)
-and the gradient form (iterates).  The Newton method runs a third form,
-the Hessian form: the gradient form's statements plus each node's second
-derivatives, and the Jacobian rows of the equalities and active
-inequalities for the 2 rho grad c grad c' term.  Its value and gradient
-are the other forms' bit for bit, so one call per iterate gives all
-three, and Newton runs the value form only for backtracked line-search
-trials.
+Each kernel has one augmented code, compiled once in straight-line pieces,
+the objective and then at most 16 constraints each, which bounds
+compile-time memory.  Each piece is written in three sections: order 0
+adds its terms to the running value (and stores the constraint values
+for ``CnfProblem.constraint_values``), order 1 adds their weighted partials
+to one gradient list in constraint order, skipping a weight of exactly 0,
+and order 2 adds their second derivatives and the Jacobian rows of the
+equalities and active inequalities for the 2 rho grad c grad c' term.  A
+call of order k runs sections 0 to k, so the value, the gradient and the
+Hessian share one compile; each sums in constraint order, so it equals a
+term-by-term sum bit for bit.
+Calls count per order: the first ``expr.COLD_CALLS`` of an order that no
+compiled code serves run on the float evaluator of ``cnfopt.expr``, with
+the same bits and the same errors, and the next compiles the code at the
+highest order called so far.  Gradient descent calls orders 1 (iterates)
+and 0 (line-search trials), so its code compiles once, at order 1; the
+Newton method takes value, gradient and Hessian from one order-2 call per
+iterate and runs its backtracked trials at order 0 on the same code.
 """
 
 from __future__ import annotations
@@ -183,8 +185,9 @@ def augmented_objective(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_
 
 def augmented_hessian(prob, u, v, rho, base=None, wrt=None, ineq_idx=None, eq_idx=None):
     """``hess_fun(z) -> (value, grad, Hessian)`` for the Newton method, from
-    the kernel's Hessian form: ``augmented_objective``'s ``fun(z)`` with the
-    same arguments, bit for bit and with the same errors, and its Hessian."""
+    an order-2 call of the kernel's augmented code: ``augmented_objective``'s
+    ``fun(z)`` with the same arguments, bit for bit and with the same errors,
+    and its Hessian."""
     kernel, flat, mu = _subproblem(prob, u, v, base, wrt, ineq_idx, eq_idx)
 
     def hess_fun(z):

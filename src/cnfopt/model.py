@@ -5,11 +5,13 @@ inequality constraints (<= 0) and equality constraints (= 0), optionally
 carrying the original nonsmooth objective over x alone plus a lift map
 that reconstructs a feasible y from a given x.
 
-Each problem has a kernel (``_kernel``) whose forms give its constraint
-values, their Jacobian rows and the augmented Lagrangian.  A form's
-statements are written once (``_Kernel._assemble``) against the operand
-interface of ``cnfopt.expr``: the float evaluator runs them for the form's
-first ``expr.COLD_CALLS`` calls, and the next call compiles them.
+Each problem has a kernel (``_kernel``) with two codes: the augmented code,
+whose sections give the augmented Lagrangian and the constraint values
+(order 0), its gradient (order 1) and its Hessian (order 2), and the
+Jacobian form, which gives the constraint values with their Jacobian rows.
+Their statements are written once (``_Kernel._assemble``) against the
+operand interface of ``cnfopt.expr``: the float evaluator runs them for a
+code's first ``expr.COLD_CALLS`` calls, and the next call compiles them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from .expr import _RUNTIME, _cache_of, _cold_call, _Emitter, _Evaluator, _sweep
 from .expr import (
     DialectError,
+    DomainError,
     Expr,
     ParseError,
     Point,
@@ -242,35 +245,45 @@ _KERNEL_RUNTIME = {**_RUNTIME, "_outer": _outer}
 # make compile-time memory grow with the problem size
 _PIECE = 16
 
-_HEADS = {"value": "_aval(x, y, mu, rho, a)", "gradient": "_agrad(x, y, mu, rho, a, acc)",
-          "hessian": "_ahess(x, y, mu, rho, a, acc, h, H, jac)",
-          "rows": "_cval(x, y, cv, jac)", "jacobian": "_cjac(x, y, cv, jac)"}
+# the kernel's two codes: the augmented code, whose call of order k runs its
+# sections 0 to k, and the Jacobian form
+_HEADS = {
+    "augmented": "_aug(x, y, mu, rho, a, order=0, cv=None, acc=None, h=None, H=None, jac=None)",
+    "jacobian": "_cjac(x, y, cv, jac)",
+}
 
 
 class _PieceEmitter(_Emitter):
     """The kernel's statements on symbolic operands: the lines of one piece
-    of a form, over the parameters its head (``_HEADS``) names.  ``pairs``
-    maps each Hessian entry (s, t) to its slot of ``h``."""
+    of a code, over the parameters its head (``_HEADS``) names.  ``pairs``
+    maps each Hessian entry (s, t) to its slot of ``h``.  With ``sectioned``
+    each order's lines and statements go to a section of their own, and
+    ``build`` writes the sections in order; without it they run as the
+    sweep writes them."""
 
     rho = "rho"
 
-    def __init__(self, pairs):
+    def __init__(self, pairs, sectioned):
         super().__init__()
         self.pairs = pairs
-        self.indent = "    "
+        if sectioned:
+            self.sections = ([], [], [])
+        self.indent = ["    "] * 3
 
-    def put(self, name, key, value, add=False):
-        """Set ``name``, or its item ``key``, to ``value`` (add it, with
-        ``add``); returns the target."""
-        if key is not None:
+    def put(self, name, key, value, order, add=False):
+        """Set ``name``, or its item or slice ``key``, to ``value`` (add it,
+        with ``add``) in a statement of ``order``; returns the target."""
+        if isinstance(key, slice):
+            name = f"{name}[{key.start}:{key.stop}]"
+        elif key is not None:
             name = f"{name}[{', '.join(map(str, key)) if isinstance(key, tuple) else key}]"
-        self.lines.append(f"{self.indent}{name} {'+=' if add else '='} {value}")
+        self.sections[order].append(f"{self.indent[order]}{name} {'+=' if add else '='} {value}")
         return name
 
     def entry(self, key, value):
         """Add ``value`` to the Hessian entry ``key``."""
         slot = self.pairs.setdefault(key, len(self.pairs))
-        self.lines.append(f"{self.indent}h[{slot}] += {value}")
+        self.sections[2].append(f"{self.indent[2]}h[{slot}] += {value}")
 
     def outer(self, c, u, v):
         """Add an outer product the sweep left whole to H (see ``_outer``)."""
@@ -278,31 +291,46 @@ class _PieceEmitter(_Emitter):
         for d in (u, v) if v is not None else (u,):
             keys = sorted(d)
             args += [f"({', '.join(map(str, keys))},)", f"[{', '.join(d[s] for s in keys)}]"]
-        self.lines.append(f"{self.indent}_outer(H, {', '.join(args)})")
+        self.sections[2].append(f"{self.indent[2]}_outer(H, {', '.join(args)})")
 
-    def when(self, cond):
-        """Open the block of statements that run where ``cond`` holds; it
-        lasts until ``end``.  Every block is written, so this is true."""
-        self.lines.append(f"    if {cond}:")
-        self.indent = "        "
+    def when(self, cond, order):
+        """Open the block of the statements of ``order`` that run where
+        ``cond`` holds; it lasts until ``end``.  Every block is written, so
+        this is true."""
+        self.sections[order].append(f"    if {cond}:")
+        self.indent[order] = "        "
         return True
 
-    def end(self):
-        self.indent = "    "
+    def end(self, order):
+        self.indent[order] = "    "
+
+    given = staticmethod(lambda name: f"{name} is not None")
+    items = staticmethod(lambda values: f"[{', '.join(values)}]")
+
+    def build(self, head, result_expr, runtime=_KERNEL_RUNTIME):
+        """``_Emitter.build`` over the sections in order, each after the
+        first behind a return for the calls of a lower order."""
+        if self.sections[0] is not self.lines:
+            top = max(k for k, lines in enumerate(self.sections) if lines or not k)
+            for k in range(top + 1):
+                if k:
+                    self.lines += [f"    if order < {k}:", f"        return {result_expr}"]
+                self.lines += self.sections[k]
+        return super().build(head, result_expr, runtime)
 
 
 class _PieceEvaluator(_Evaluator):
     """The kernel's statements on floats, over the arguments a compiled
-    piece takes, named as its head (``_HEADS``) names them.  Hessian entries
-    are summed in ``sums``, as a compiled piece sums them in ``h``."""
+    piece takes, under the names its head (``_HEADS``) gives them.  Hessian
+    entries are summed in ``sums``, as compiled pieces sum them in ``h``."""
 
-    def __init__(self, params, args):
-        self.a = None
-        for name, arg in zip(params, args):
-            setattr(self, name, arg)
-        self.sums = {}
+    def __init__(self, x, y, mu=None, rho=0.0, a=0.0, cv=None, acc=None, H=None, jac=None,
+                 sums=None):
+        super().__init__(x, y)
+        self.mu, self.rho, self.a, self.cv = mu, rho, a, cv
+        self.acc, self.H, self.jac, self.sums = acc, H, jac, sums
 
-    def put(self, name, key, value, add=False):
+    def put(self, name, key, value, order, add=False):
         if key is None:
             if add:
                 value = getattr(self, name) + value
@@ -324,23 +352,38 @@ class _PieceEvaluator(_Evaluator):
             args += [tuple(keys), [d[s] for s in keys]]
         _outer(self.H, c, *args)
 
+    def given(self, name):
+        return getattr(self, name) is not None
+
+    items = staticmethod(list)
+
     @staticmethod
-    def when(cond):
+    def when(cond, order):
         return cond
 
     @staticmethod
-    def end():
+    def end(order):
         pass
 
 
 class _Kernel:
-    """The forms of one problem over one column subset and one constraint
+    """The codes of one problem over one column subset and one constraint
     subset (see this module's and ``cnfopt.lagrangian``'s docstrings).
     ``mu`` lists the multipliers of the selected inequalities, then of the
-    selected equalities.  Each form runs on the float evaluator for its first
-    ``expr.COLD_CALLS`` calls and compiles on the next, so a form that runs
-    no more often never pays for compiling, and gradient descent never pays
-    for the Hessian form."""
+    selected equalities.
+
+    The augmented code has three sections.  Order 0 adds each term of A and,
+    given a ``cv`` list, stores each constraint's value; order 1 adds the
+    terms' weighted partials; order 2 their second derivatives and the
+    active Jacobian rows.  A call of order k runs sections 0 to k: ``value``
+    and ``rows`` are of order 0, ``value_and_grad`` of order 1 and
+    ``hessian`` of order 2.  A call at or below the compiled order runs the
+    compiled code.  Above it, the first ``expr.COLD_CALLS`` calls of each
+    order run on the float evaluator, and the next compiles the code at the
+    highest order called so far.  So gradient descent compiles it once, at
+    order 1, and Newton once, at order 2.  The Jacobian form, which
+    ``certify`` runs, is a code of its own and counts its calls the same
+    way."""
 
     def __init__(self, prob, cols, ineq_idx, eq_idx):
         # no reference to prob itself: the kernel is cached on the problem,
@@ -350,18 +393,21 @@ class _Kernel:
         self._width = prob.n + prob.m if cols is None else len(cols)
         self._cons = [(prob.ineqs[i], False) for i in ineq_idx]
         self._cons += [(prob.eqs[j], True) for j in eq_idx]
-        # each form's compiled pieces, once it has compiled
-        self._value_pieces = self._gradient_pieces = self._hessian_pieces = None
-        self._rows_pieces = self._jacobian_pieces = None
-        self._calls = {}  # each form's calls before it compiled
-        self._pairs = {}  # (s, t) -> its slot in the Hessian form's entry list
+        self._no_mu = [0.0] * len(self._cons)  # a rows call's multipliers
+        # the compiled augmented pieces that serve each order, once compiled
+        # at or above it, and the compiled Jacobian form
+        self._pieces = [None, None, None]
+        self._jacobian_pieces = None
+        self._calls = {}  # each order's, and the Jacobian form's, calls not served compiled
+        self._top = 0  # the highest order called
+        self._pairs = {}  # (s, t) -> its slot in the order-2 section's entry list
         self._lower = None
 
     def value(self, vec, mu, rho):
         """A at the flat point ``vec`` (x block, then y block)."""
-        pieces = self._value_pieces
+        pieces = self._pieces[0]
         if pieces is None:
-            pieces = self._warm("value")
+            pieces = self._warm(0)
         x, y = self._blocks(vec)
         a = 0.0
         for piece in pieces:
@@ -370,14 +416,14 @@ class _Kernel:
 
     def value_and_grad(self, vec, mu, rho):
         """(A, partials as a list over the kernel's columns) at ``vec``."""
-        pieces = self._gradient_pieces
+        pieces = self._pieces[1]
         if pieces is None:
-            pieces = self._warm("gradient")
+            pieces = self._warm(1)
         x, y = self._blocks(vec)
         a = 0.0
         acc = [0.0] * self._width
         for piece in pieces:
-            a = piece(x, y, mu, rho, a, acc)
+            a = piece(x, y, mu, rho, a, 1, None, acc)
         return float(a), acc
 
     def hessian(self, vec, mu, rho):
@@ -390,12 +436,12 @@ class _Kernel:
         c_i > 0, which is exact.  A positive multiplier, left by the update on
         constraints that were active, keeps the curvature within mu_i / 2 rho
         below the kink, where a Newton step would see none and run along it."""
-        pieces = self._hessian_pieces
+        pieces = self._pieces[2]
         if pieces is None:
             if self._lower is None:
                 self._lower = np.tril_indices(self._width, -1)
                 self._upper = tuple(ix[:0] for ix in self._lower)  # no slot until compiled
-            pieces = self._warm("hessian")
+            pieces = self._warm(2)
         x, y = self._blocks(vec)
         a = 0.0
         acc = [0.0] * self._width
@@ -404,7 +450,7 @@ class _Kernel:
         jac = np.zeros((len(self._cons), self._width))
         with np.errstate(all="ignore"):  # overflow gives inf, as on floats
             for piece in pieces:
-                a = piece(x, y, mu, rho, a, acc, h, H, jac)
+                a = piece(x, y, mu, rho, a, 2, None, acc, h, H, jac)
             H[self._upper] += h
             if rho:
                 # jac holds the rows of the equalities and active inequalities
@@ -413,15 +459,26 @@ class _Kernel:
         return float(a), acc, H
 
     def rows(self, vec, jac=None):
-        """The selected constraints' values at ``vec``; given ``jac``, of shape
-        (constraints, kernel columns), also their partials, row by row."""
-        pieces = self._rows_pieces if jac is None else self._jacobian_pieces
-        if pieces is None:
-            pieces = self._warm("rows" if jac is None else "jacobian")
+        """The selected constraints' values at ``vec``, from the augmented
+        code at order 0; given ``jac``, of shape (constraints, kernel
+        columns), also their partials, row by row, from the Jacobian form."""
+        if jac is None:
+            pieces = self._pieces[0]
+            if pieces is None:
+                pieces = self._warm(0)
+        else:
+            pieces = self._jacobian_pieces
+            if pieces is None:
+                pieces = self._warm("jacobian")
         x, y = self._blocks(vec)
         cv = [0.0] * len(self._cons)
-        for piece in pieces:
-            piece(x, y, cv, jac)
+        if jac is None:
+            # the first piece is the objective's, which a rows call skips
+            for piece in pieces[1:]:
+                piece(x, y, self._no_mu, 0.0, 0.0, 0, cv)
+        else:
+            for piece in pieces:
+                piece(x, y, cv, jac)
         return np.array(cv)
 
     def _blocks(self, vec):
@@ -430,96 +487,137 @@ class _Kernel:
         flat = vec.tolist()
         return flat[:self._n], flat[self._n:]
 
+    def _groups(self):
+        """The objective (None), then the constraints in runs of _PIECE: the
+        pieces of the augmented code."""
+        return [None] + [range(lo, min(lo + _PIECE, len(self._cons)))
+                         for lo in range(0, len(self._cons), _PIECE)]
+
     def _warm(self, form):
-        """The pieces that run one call of a form not compiled yet: the
-        evaluator's for the form's first ``expr.COLD_CALLS`` calls; then the
-        compiled pieces, kept for every later call."""
+        """The pieces that run one call of ``form`` (an order of the
+        augmented code, or "jacobian") that no compiled code serves: the
+        evaluator's for the form's first ``expr.COLD_CALLS`` such calls;
+        then the code compiled at the highest order called so far (or the
+        Jacobian form), kept for every later call it serves."""
+        if form != "jacobian":
+            self._top = max(self._top, form)
         if _cold_call(self._calls, form):
-            return (self._evaluator_piece(form),)
-        pieces = self._compile(form)
-        setattr(self, f"_{form}_pieces", pieces)
+            return self._evaluator_pieces(form)
+        if form == "jacobian":
+            self._jacobian_pieces = self._compile(form)
+            return self._jacobian_pieces
+        pieces = self._compile(self._top)
+        self._pieces[:self._top + 1] = [pieces] * (self._top + 1)
         return pieces
 
-    def _evaluator_piece(self, form):
-        """One piece that runs every statement of ``form`` on the float
-        evaluator, with the compiled pieces' parameters and result."""
-        params = _HEADS[form].partition("(")[2][:-1].split(", ")
+    def _evaluator_pieces(self, form):
+        """Pieces that run the statements of ``form`` on the float evaluator,
+        with the compiled pieces' parameters and results.  The augmented
+        code's run in the compiled pieces' groups.  A compiled piece runs its
+        order-0 statements first, so where a call of a higher order raises a
+        DomainError, its group runs again at order 0 and raises that order's
+        error if it has one."""
+        if form == "jacobian":
+            def jacobian(x, y, cv, jac):
+                self._assemble(_PieceEvaluator(x, y, cv=cv, jac=jac), form,
+                               range(len(self._cons)))
 
-        def piece(*args):
-            ops = _PieceEvaluator(params, args)
-            if form in ("value", "gradient", "hessian"):
-                self._assemble(ops, form, None)
-            self._assemble(ops, form, range(len(self._cons)))
-            # the entries add to H after every outer product, as ``hessian`` adds h
-            for key, total in ops.sums.items():
-                ops.H[key] += total
-            return ops.a
+            return (jacobian,)
+        sums = {}  # the Hessian entries, summed over the groups as ``h`` sums them
+        groups = self._groups()
 
-        return piece
+        def piece_of(ks):
+            def piece(x, y, mu, rho, a, order=0, cv=None, acc=None, h=None, H=None, jac=None):
+                ops = _PieceEvaluator(x, y, mu, rho, a, cv, acc, H, jac, sums)
+                try:
+                    self._assemble(ops, order, ks)
+                except DomainError:
+                    if order:
+                        self._assemble(_PieceEvaluator(x, y, mu, rho, a), 0, ks)
+                    raise
+                if ks is groups[-1]:
+                    # the entries add to H after every outer product, as ``hessian`` adds h
+                    for key, total in sums.items():
+                        H[key] += total
+                return ops.a
+
+            return piece
+
+        return [piece_of(ks) for ks in groups]
 
     def _compile(self, form):
-        """The compiled pieces of one form: the objective's (not in the rows
-        and Jacobian forms), then one per _PIECE constraints."""
-        augmented = form in ("value", "gradient", "hessian")
-        groups = [None] if augmented else []
-        groups += [range(lo, min(lo + _PIECE, len(self._cons)))
-                   for lo in range(0, len(self._cons), _PIECE)]
+        """The compiled pieces of the augmented code up to the order
+        ``form``, one per group of ``_groups``, or of the Jacobian form, one
+        per _PIECE constraints."""
+        jacobian = form == "jacobian"
+        groups = self._groups()
         pieces = []
-        for ks in groups:
-            em = _PieceEmitter(self._pairs)
+        for ks in groups[1:] if jacobian else groups:
+            em = _PieceEmitter(self._pairs, sectioned=not jacobian)
             self._assemble(em, form, ks)
-            pieces.append(em.build(_HEADS[form], "a" if augmented else "None", _KERNEL_RUNTIME))
-        if form == "hessian":
+            pieces.append(em.build(_HEADS["jacobian" if jacobian else "augmented"],
+                                   "None" if jacobian else "a"))
+        if form == 2:
             self._upper = tuple(np.array(list(self._pairs), dtype=int).reshape(-1, 2).T)
         return pieces
 
     def _assemble(self, ops, form, ks):
-        """The statements of one form on the operand interface ``ops``: the
+        """The statements of one code on the operand interface ``ops``: the
         objective's when ``ks`` is None, else those of the constraints ``ks``.
-        The value and rows forms are the gradient and Jacobian forms over no
-        slots.  The rows and Jacobian forms set each constraint's value and
-        row.  The augmented forms add each term of A and its weighted
-        partials; the Hessian form adds second derivatives, and the rows of
-        its 2 rho grad c grad c'."""
-        second = form == "hessian"
-        pos = {} if form in ("value", "rows") else self._pos
+        ``form`` is an order of the augmented code, whose statements it
+        writes up to that order, or "jacobian".  The augmented code adds each
+        term of A and, behind one guard, stores each constraint's value in a
+        given ``cv`` (order 0); adds the terms' weighted partials (order 1);
+        and adds their second derivatives and the rows of 2 rho grad c grad c'
+        (order 2).  A later section reads the hinge and weight of an earlier
+        one, so each constraint k names its own, ``p<k>`` and ``w<k>``.  The
+        Jacobian form sets each constraint's value and row."""
+        order = 1 if form == "jacobian" else form
+        pos = self._pos if order else {}
         if ks is None:
-            val, grad, hess = _sweep(self._g, ops, self._n, pos, second)
-            ops.put("a", None, val)
+            val, grad, hess = _sweep(self._g, ops, self._n, pos, order == 2)
+            ops.put("a", None, val, 0)
             for s in sorted(grad):
-                ops.put("acc", s, grad[s])
+                ops.put("acc", s, grad[s], 1)
             self._curvature(ops, hess, None)
             return
+        values = []  # the constraints' values, for a given cv
         for k in ks:
             e, is_eq = self._cons[k]
-            c, grad, hess = _sweep(e, ops, self._n, pos, second)
-            if form in ("rows", "jacobian"):
-                ops.put("cv", k, c)
+            c, grad, hess = _sweep(e, ops, self._n, pos, order == 2)
+            if form == "jacobian":
+                ops.put("cv", k, c, 0)
                 for s in sorted(grad):
-                    ops.put("jac", (k, s), grad[s])
+                    ops.put("jac", (k, s), grad[s], 1)
                 continue
-            p = c if is_eq else ops.put("p", None, ops.hinge(c))
+            values.append(c)
+            p = c if is_eq else ops.put(f"p{k}", None, ops.hinge(c), 0)
             mu = ops.var("mu", k)
-            ops.put("a", None, ops.plus(ops.mul(mu, c), ops.mul(ops.rho, p, p)), add=True)
+            ops.put("a", None, ops.plus(ops.mul(mu, c), ops.mul(ops.rho, p, p)), 0, add=True)
             if not grad:
                 continue
             # a zero weight adds nothing, so an overflowing partial cannot
             # turn the sum into nan
-            w = ops.put("w", None, ops.plus(mu, ops.mul(ops.lit(2.0), ops.rho, p)))
-            if ops.when(ops.nonzero(w)):
+            w = ops.put(f"w{k}", None, ops.plus(mu, ops.mul(ops.lit(2.0), ops.rho, p)), 1)
+            if ops.when(ops.nonzero(w), 1):
                 for s in sorted(grad):
-                    ops.put("acc", s, ops.mul(w, ops.group(grad[s])), add=True)
-                self._curvature(ops, hess, w)
-                ops.end()
-            if second:
+                    ops.put("acc", s, ops.mul(w, ops.group(grad[s])), 1, add=True)
+                ops.end(1)
+            if order == 2:
+                if (hess[0] or hess[1]) and ops.when(ops.nonzero(w), 2):
+                    self._curvature(ops, hess, w)
+                    ops.end(2)
                 # the row of an equality, or of an active inequality (see
                 # ``hessian``); with rho = 0 no row counts
                 active = ops.rho if is_eq else ops.positive(
                     ops.plus(mu, ops.mul(ops.lit(2.0), ops.rho, c)))
-                if ops.when(active):
+                if ops.when(active, 2):
                     for s in sorted(grad):
-                        ops.put("jac", (k, s), grad[s])
-                    ops.end()
+                        ops.put("jac", (k, s), grad[s], 2)
+                    ops.end(2)
+        if values and ops.when(ops.given("cv"), 0):
+            ops.put("cv", slice(ks[0], ks[-1] + 1), ops.items(values), 0)
+            ops.end(0)
 
     @staticmethod
     def _curvature(ops, hess, weight):

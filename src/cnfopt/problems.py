@@ -298,9 +298,9 @@ def build_ex8(n=5):
     ineqs = tuple(-y_(i + 1) for i in range(n)) + tuple(
         y_(i + 1) - top for i in range(n)
     )
-    reference = const(n) * max_([abs_(x_(i + 1)) for i in range(n)]) - sum_(
-        [abs_(x_(i + 1)) for i in range(n)]
-    )
+    # max takes two or more arguments; the max of one |x_1| is itself
+    peak = max_([abs_(x_(i + 1)) for i in range(n)]) if n > 1 else abs_(x_(1))
+    reference = const(n) * peak - sum_([abs_(x_(i + 1)) for i in range(n)])
 
     def lift(x):
         t = np.abs(x)

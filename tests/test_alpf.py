@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -329,6 +330,19 @@ class TestDiagnostics:
         gv = np.array([0.3, -2.0])
         hv = np.array([0.4])
         assert infeasibility(gv, hv) == pytest.approx(0.3 + 0.4)
+
+    def test_infeasibility_sums_the_squares_exactly(self):
+        # each norm is the root of the exactly rounded sum of squares, so no
+        # BLAS kernel or summation order changes a bit of it
+        rng = np.random.default_rng(3)
+        gv = rng.normal(size=300) * np.logspace(-9, 3, 300)
+        hv = np.concatenate([[1.0], np.full(1000, 1e-9)])
+        exact = [math.sqrt(float(sum(Fraction(t) ** 2 for t in v)))
+                 for v in (np.maximum(gv, 0.0), hv)]
+        assert infeasibility(gv, hv) == exact[0] + exact[1]
+        assert exact[1] > 1.0  # the small terms count
+        assert infeasibility(gv[::-1], hv[::-1]) == infeasibility(gv, hv)
+        assert infeasibility(np.array([1e200]), np.array([])) == math.inf
 
 
 @pytest.fixture(scope="module")

@@ -275,8 +275,9 @@ class TestOneLinearizationPerCertificate:
     many of its tests run: the objective's gradient once, and every
     constraint's value and gradient from one run of the problem kernel's
     Jacobian form, which runs only inside the matched set.  A form runs on
-    the float evaluator for its first ``expr.COLD_CALLS`` calls, so a
-    one-shot certify compiles no constraint code."""
+    the float evaluator for its first ``expr.COLD_CALLS`` calls, and certify
+    runs each form once (the objective's value form too), so a one-shot
+    certify compiles nothing."""
 
     @pytest.mark.parametrize(
         "entry_id, params, x, verdict",
@@ -296,9 +297,10 @@ class TestOneLinearizationPerCertificate:
         assert cert.verdict == verdict
         assert calls == Counter({id(prob.g): 1})
         assert jacobians == [model._kernel(prob)]
-        # a fresh problem: its rows and Jacobian forms ran once each, on the
-        # evaluator, and compiled nothing
-        assert builds["_cjac"] == builds["_cval"] == 0
+        # a fresh problem: the kernel's rows call and Jacobian form and the
+        # objective's value and gradient forms ran once each, on the
+        # evaluator, and nothing compiled
+        assert not builds
         assert len(reports) == 1
         # the call after the form's cold calls builds its pieces, once
         kernel, vec = model._kernel(prob), prob.lift(x).flat()
@@ -317,7 +319,7 @@ class TestOneLinearizationPerCertificate:
         assert cert.verdict == VERDICT_INCONCLUSIVE
         assert calls == Counter({id(ex5.problem.g): 1})
         assert jacobians == []
-        assert builds["_cjac"] == 0
+        assert not builds
         assert len(reports) == 1
 
     @staticmethod

@@ -219,6 +219,25 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    def test_certify_takes_no_seed(self, capsys):
+        # certify samples nothing, so a seed would be accepted and ignored
+        code, out, err = run_cli(capsys, "certify", "--catalog", "ex5", "--point", "0,0",
+                                 "--seed", "1")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "error: unrecognized arguments: --seed 1\n"
+
+    @pytest.mark.parametrize("command", ["certify", "validate"])
+    def test_one_argument_max_is_a_format_error(self, capsys, tmp_path, command):
+        path = tmp_path / "max.cnf"
+        path.write_text('problem "max"\nvar x 1\naux y 1\nobjective: x[1]^2 + y[1]^2\n'
+                        'reference: max(x[1])\n')
+        argv = ["--point", "1,1"] if command == "certify" else []
+        code, out, err = run_cli(capsys, command, "--problem", str(path), *argv)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "error: line 5: max takes at least two arguments (line 1, column 1)\n"
+
     def test_missing_file_exit_three(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--problem", "/does/not/exist.cnf")
         assert code == EXIT_CONFIG

@@ -256,6 +256,19 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("norm0(x[1])", n=1, m=0)
 
+    @pytest.mark.parametrize("text, col", [("max(x[1])", 1), ("1 + max(x[1] * 2)", 5)])
+    def test_max_takes_at_least_two_arguments(self, text, col):
+        # max of one float is no value: Python's max would iterate it
+        with pytest.raises(ParseError, match="max takes at least two arguments") as err:
+            parse(text, n=1, m=0)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert evaluate(parse("max(x[1], 2)", n=1, m=0), Point([3], [])) == 3.0
+
+    @pytest.mark.parametrize("args", [[], [1.0], [x_(1)]])
+    def test_max_builder_takes_at_least_two_arguments(self, args):
+        with pytest.raises(ValueError, match="max takes at least two arguments"):
+            max_(args)
+
     def test_exponent_must_be_constant(self):
         with pytest.raises(ParseError, match="constant"):
             parse("x[1]^y[1]", n=1, m=1)

@@ -72,6 +72,10 @@ def check(prob, u, v, rho, p, wrt=None, ineq_idx=None, eq_idx=None):
 
     cols = None if wrt is None else tuple(int(f) for f in wrt)
     kernel = _kernel(prob, cols, ineq_idx, eq_idx)
+    if compiled_tier():
+        # the Hessian call compiled the code at order 2, whose leading
+        # sections serve the value and gradient calls below and the oracle's
+        assert kernel._pieces[0] is kernel._pieces[1] is kernel._pieces[2] is not None
     mu = list(u) + list(v)
     want_a, want_acc = same_value_and_partials(kernel, p.flat(), mu, rho)
     # the triple is the gradient form's value and partials, bit for bit, so
@@ -161,7 +165,7 @@ def test_ex8_constant_partials_and_mixed_zero_weights(rho):
     v = rng.normal(size=prob.r)
     check(prob, u, v, rho, p)
     if compiled_tier():
-        assert len(_kernel(prob)._hessian_pieces) == 1 + 3
+        assert len(_kernel(prob)._pieces[2]) == 1 + 3
 
 
 @pytest.mark.parametrize("rho", [37.0, 1e5])
@@ -223,13 +227,13 @@ def test_ex9_n30_whole_and_in_six_blocks(blocks, rho):
     if blocks is None:
         check(prob, [], v, rho, p)
         if compiled_tier():
-            assert "_outer" in _kernel(prob)._hessian_pieces[0].__code__.co_names
+            assert "_outer" in _kernel(prob)._pieces[2][0].__code__.co_names
         return
     for wrt, ineq_idx, eq_idx in BlockPartition.contiguous(prob, blocks).blocks(prob):
         check(prob, [], v[eq_idx], rho, p, wrt=wrt, ineq_idx=ineq_idx, eq_idx=eq_idx)
         kernel = _kernel(prob, tuple(int(f) for f in wrt), ineq_idx, eq_idx)
         if compiled_tier():
-            assert "_outer" not in kernel._hessian_pieces[0].__code__.co_names
+            assert "_outer" not in kernel._pieces[2][0].__code__.co_names
 
 
 @in_both_tiers
@@ -248,7 +252,7 @@ def test_dense_constraint_curvature_as_an_outer_product():
                       eqs=(left * right - 1.0,))
     check(prob, [], [0.7], 37.0, Point(rng.uniform(-1.0, 1.0, 8), rng.uniform(-1.0, 1.0, 8)))
     if compiled_tier():
-        assert "_outer" in _kernel(prob)._hessian_pieces[0].__code__.co_names
+        assert "_outer" in _kernel(prob)._pieces[2][0].__code__.co_names
 
 
 @pytest.mark.parametrize("rho", RHOS)

@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import cnfopt.expr as expr
 import cnfopt.model as model
-from cnfopt.alpf import AlpfConfig, BlockPartition, solve_decomposed
+from cnfopt.alpf import AlpfConfig, BlockPartition, solve_alpf, solve_decomposed
 from cnfopt.expr import DomainError
 from cnfopt.inner import ARMIJO_C, GRADIENT_DESCENT, NEWTON_FD, InnerConfig, minimize
 from cnfopt.problems import build
@@ -322,23 +323,49 @@ def test_domain_error_at_an_accepted_unit_step_propagates():
 
 
 def test_decomposed_newton_compiles_no_gradient_form(monkeypatch):
-    forms = []
+    compiled = []  # (kernel, order) of each compile of an augmented code
     compile_form = model._Kernel._compile
 
     def counting(self, form):
-        forms.append(form)
+        compiled.append((self, form))
         return compile_form(self, form)
 
     monkeypatch.setattr(model._Kernel, "_compile", counting)
-    # every form compiles on its first call, so each that runs compiles
+    # every code compiles on its first call, so each that runs compiles
     monkeypatch.setattr(expr, "COLD_CALLS", 0)
     prob = build("ex9", n=30, lam=1.0).problem
     cfg = AlpfConfig(eps=1e-6, rho0=10.0, growth=10.0, max_outer=10, sigma0=5.0,
                      inner=InnerConfig(method=NEWTON_FD, max_iters=400))
     trace = solve_decomposed(prob, BlockPartition.contiguous(prob, 6), cfg)
     assert trace.status == "approx_stop"
-    assert "gradient" not in forms
-    # each block kernel compiles its Hessian form once; the value form
-    # compiles for the whole problem's records and for blocks that backtracked
-    assert forms.count("hessian") == 6
-    assert 1 <= forms.count("value") < 1 + 6
+    kernels = [kernel for kernel, _ in compiled]
+    assert len(set(kernels)) == len(kernels)  # no kernel compiles twice
+    orders = Counter(order for _, order in compiled)
+    # each block kernel compiles its code once, at order 2, whose leading
+    # sections serve its backtracked trials; the whole problem's compiles
+    # once, at order 0, for the records' constraint values and A.  No code
+    # compiles at order 1, and none for values alone beside a Hessian code
+    assert orders == {2: 6, 0: 1}
+    whole = model._kernel(prob)
+    assert [order for kernel, order in compiled if kernel is whole] == [0]
+
+
+@pytest.mark.parametrize("method, order", [(GRADIENT_DESCENT, 1), (NEWTON_FD, 2)])
+def test_a_solve_compiles_its_kernel_once_at_its_inner_order(monkeypatch, method, order):
+    # gradient descent calls orders 1 and 0 (line-search trials), Newton
+    # orders 2 and 0, and the outer loop order 0 (constraint values and
+    # A): the one kernel compiles once, at the inner method's order
+    compiled = []
+    compile_form = model._Kernel._compile
+
+    def counting(self, form):
+        compiled.append((self, form))
+        return compile_form(self, form)
+
+    monkeypatch.setattr(model._Kernel, "_compile", counting)
+    prob = build("ex7").problem
+    cfg = AlpfConfig(eps=1e-6, rho0=10.0, growth=100.0,
+                     inner=InnerConfig(method=method, max_iters=30000))
+    trace = solve_alpf(prob, cfg)
+    assert trace.status in ("kkt_stop", "approx_stop")
+    assert compiled == [(model._kernel(prob), order)]

@@ -22,7 +22,7 @@ from cnfopt.lagrangian import (
 )
 from cnfopt.model import CnfProblem, check_feasible
 from cnfopt.problems import build, catalog_ids, default_entries
-from tiers import in_both_tiers
+from tiers import cold_calls, in_both_tiers
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +359,45 @@ class TestKernelOracle:
             assert got_val == pytest.approx(want_val, rel=1e-12)
             assert value_fn(p.flat()[cols]) == pytest.approx(want_val, rel=1e-12)
             assert got_grad == pytest.approx(want_grad[cols], rel=1e-12)
+
+
+    @pytest.mark.parametrize("eid,params,blocks", KERNEL_CASES)
+    def test_closures_served_by_the_order_2_code(self, eid, params, blocks):
+        # a code compiled first for a Hessian call serves the value and
+        # gradient closures from its leading sections, with the bits of a
+        # code compiled at order 1 and within rounding of the term-by-term sum
+        served, plain = build(eid, **params).problem, build(eid, **params).problem
+        rng = np.random.default_rng(7)
+        lo, hi = served.box
+        p = Point(rng.uniform(lo, hi, served.n), rng.uniform(lo, hi, served.m))
+        u = with_zeros(rng.uniform(0.0, 2.0, served.s))
+        v = with_zeros(rng.normal(size=served.r))
+        if blocks is None:
+            parts = [(None, range(served.s), range(served.r))]
+        else:
+            parts = BlockPartition.contiguous(served, blocks).blocks(served)
+        with cold_calls(0):
+            for wrt, ineq_idx, eq_idx in parts:
+                ineq_idx, eq_idx = list(ineq_idx), list(eq_idx)
+                cols = np.arange(served.n + served.m) if wrt is None else wrt
+                z = p.flat()[cols]
+                got, want = [], []
+                for prob, out in ((served, got), (plain, want)):
+                    args = (prob, u[ineq_idx], v[eq_idx], 37.0)
+                    block = dict(base=p, wrt=wrt, ineq_idx=ineq_idx, eq_idx=eq_idx)
+                    if prob is served:
+                        augmented_hessian(*args, **block)(z)
+                    fun, value_fn, _ = augmented_objective(*args, **block)
+                    value, grad = fun(z)
+                    out += [value, grad.tobytes(), value_fn(z)]
+                assert got == want
+                kernel = lagrangian_module._kernel(
+                    served, None if wrt is None else tuple(int(f) for f in wrt), ineq_idx, eq_idx)
+                assert kernel._pieces == [kernel._pieces[2]] * 3
+                want_val, want_grad = term_by_term(served, p, u[ineq_idx], v[eq_idx], 37.0,
+                                                   ineq_idx, eq_idx)
+                assert got[0] == pytest.approx(want_val, rel=1e-12)
+                assert np.frombuffer(got[1]) == pytest.approx(want_grad[cols], rel=1e-12)
 
 
 class TestFullSpaceClosures:

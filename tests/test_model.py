@@ -449,27 +449,72 @@ class TestTiers:
             return build_fn(em, head, *args, **kwargs)
 
         monkeypatch.setattr(expr._Emitter, "build", counting_build)
-        prob = build("ex8", n=10).problem  # 40 constraints: three pieces
-        kernel, p = model._kernel(prob), prob.lift(np.linspace(-1.0, 1.0, 10))
+
+        def fresh():
+            # 40 constraints: four augmented pieces, with the objective's,
+            # and three Jacobian pieces
+            return model._kernel(build("ex8", n=10).problem)
+
+        prob = build("ex8", n=10).problem
+        p = prob.lift(np.linspace(-1.0, 1.0, 10))
         vec, mu, rho = p.flat(), [0.5] * 40, 37.0
 
-        def jacobian():
+        def jacobian(kernel):
             jac = np.zeros((40, prob.n + prob.m))
             return kernel.rows(vec, jac).tobytes(), jac.tobytes()
 
-        def hessian():
+        def hessian(kernel):
             a, acc, H = kernel.hessian(vec, mu, rho)
             return a, acc, H.tobytes()
 
+        # each call of the augmented code, with its order
+        calls = {
+            "rows": (lambda kernel: kernel.rows(vec).tobytes(), 0),
+            "value": (lambda kernel: kernel.value(vec, mu, rho), 0),
+            "gradient": (lambda kernel: kernel.value_and_grad(vec, mu, rho), 1),
+            "hessian": (hessian, 2),
+        }
+        # the evaluator's results: every first call runs on it
+        want = {name: run(fresh()) for name, (run, _) in calls.items()}
+        assert not builds
+        for name, (run, order) in calls.items():
+            kernel = fresh()
+            builds.clear()
+            first = [run(kernel) for _ in range(expr.COLD_CALLS)]
+            assert not builds, name
+            last = [run(kernel) for _ in range(4)]
+            # one compile, at the call's order, which serves every call of
+            # that order or below with the evaluator's bits
+            assert builds == {"_aug": 4}, name
+            assert first + last == [want[name]] * len(first + last), name
+            for other, (run_other, below) in calls.items():
+                if below <= order:
+                    assert run_other(kernel) == want[other], (name, other)
+            assert builds == {"_aug": 4}, name
+            assert kernel._pieces[order] is not None
+            assert kernel._pieces[order + 1:] == [None] * (2 - order)
+
+        # gradient descent calls both orders 1 and 0: the code compiles once,
+        # at the highest order called so far, and serves both
+        kernel = fresh()
+        builds.clear()
+        for _ in range(expr.COLD_CALLS):
+            assert calls["gradient"][0](kernel) == want["gradient"]
+        for _ in range(expr.COLD_CALLS):
+            assert calls["value"][0](kernel) == want["value"]
+        assert not builds
+        for _ in range(3):
+            assert calls["value"][0](kernel) == want["value"]
+            assert calls["gradient"][0](kernel) == want["gradient"]
+            assert builds == {"_aug": 4}
+        assert kernel._pieces[0] is kernel._pieces[1] and kernel._pieces[2] is None
+
         forms = {
-            "_cval": (lambda: kernel.rows(vec).tobytes(), 3),
-            "_cjac": (jacobian, 3),
-            "_aval": (lambda: kernel.value(vec, mu, rho), 4),
-            "_agrad": (lambda: kernel.value_and_grad(vec, mu, rho), 4),
-            "_ahess": (hessian, 4),
+            "_cjac": (lambda: jacobian(kernel), 3),
             "_val": (lambda: evaluate(prob.g, p), 1),
             "_grad": (lambda: value_and_gradient(prob.g, p)[1].tobytes(), 1),
         }
+        builds.clear()
         for name, (run, pieces) in forms.items():
             first = [run() for _ in range(expr.COLD_CALLS)]
             assert builds[name] == 0, name
@@ -478,7 +523,51 @@ class TestTiers:
             last += [run() for _ in range(3)]
             assert builds[name] == pieces, name
             assert first + last == [first[0]] * len(first + last), name
-        assert sum(builds.values()) == 20
+        assert sum(builds.values()) == 5
+
+    @pytest.mark.parametrize("make", CONSTRAINT_CASES)
+    def test_a_higher_order_code_serves_each_call_with_its_bits(self, make):
+        # a Hessian call that compiles first compiles the code at order 2;
+        # its leading sections serve the rows, value and gradient calls with
+        # the bits of the evaluator, which runs each call at its own order
+        rng = np.random.default_rng(8)
+        reference, served = make(), make()
+        mu = np.concatenate([rng.uniform(0.0, 2.0, served.s), rng.normal(size=served.r)]).tolist()
+        points = list(_seeded_points(served, per_scale=2))
+        with cold_calls(TIERS["evaluator"]):
+            want = [_every_form(reference, p, mu, 37.0) for p in points]
+        kernel = model._kernel(served)
+        with cold_calls(0):
+            _outcome(lambda: kernel.hessian(points[0].flat(), mu, 37.0))
+            assert kernel._pieces == [kernel._pieces[2]] * 3 and kernel._pieces[2]
+            got = [_every_form(served, p, mu, 37.0) for p in points]
+        assert got == want
+
+    @in_both_tiers
+    def test_a_piece_raises_its_value_errors_before_its_derivative_errors(self):
+        # sqrt's derivative factor is undefined at 0, and a later constraint
+        # divides by zero there.  A compiled piece runs the values of all of
+        # its constraints before any partial, so a gradient or Hessian call
+        # raises the division error when both constraints share a piece, and
+        # the sqrt error when the division lies in a later piece
+        def make(gap):
+            fillers = [x_(3) - float(i) for i in range(gap)]
+            return CnfProblem(name="order", n=3, m=0, g=x_(3) ** 2,
+                              ineqs=(sqrt_(x_(1)) - 1.0, *fillers, 1 / x_(2) - 1.0))
+
+        p = Point([0.0, 0.0, 1.0], [])
+        for gap, derivative in ((0, "division by zero"), (model._PIECE - 2, "division by zero"),
+                                (model._PIECE - 1, "sqrt gradient needs a positive argument")):
+            prob = make(gap)
+            kernel, vec, mu = model._kernel(prob), p.flat(), [0.5] * prob.s
+            for run in (lambda: kernel.value_and_grad(vec, mu, 37.0),
+                        lambda: kernel.hessian(vec, mu, 37.0)):
+                for _ in range(2):  # on the evaluator, then compiled in the shipped tier
+                    with pytest.raises(DomainError, match=derivative):
+                        run()
+            for run in (lambda: kernel.value(vec, mu, 37.0), lambda: kernel.rows(vec)):
+                with pytest.raises(DomainError, match="division by zero"):
+                    run()
 
 
 class TestBuiltinSuiteInvariants:

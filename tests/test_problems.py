@@ -24,6 +24,13 @@ class TestBuild:
             x = alpha * np.array([1, -1, -1, 1, 1.0])
             assert entry.problem.reference(x) == pytest.approx(0.0, abs=1e-12)
 
+    def test_ex8_with_one_coordinate_evaluates_its_reference(self):
+        # max takes two or more arguments, so n = 1 uses the lone |x_1|
+        prob = build("ex8", n=1).problem
+        for x in (0.0, 2.5, -3.0):
+            assert prob.reference([x]) == 0.0
+            assert prob.objective(prob.lift([x])) == 0.0
+
     def test_ex9_reference_matches_reported_row(self):
         # final row of the lam=1 run: two nonzeros with 9*x9 + 10*x10 ~ 20
         entry = build("ex9", n=10, lam=1.0)

@@ -17,14 +17,15 @@ workload the script prints one line per kind of compiled function:
     <workload> <kind> <functions> <lines> <sha256>
 
 where the kinds are ``value`` and ``gradient`` (one expression each),
-``kernel-value``, ``kernel-gradient`` and ``kernel-hessian`` (the pieces of
-the problem kernel's augmented-Lagrangian forms) and ``kernel-rows`` and
-``kernel-jacobian`` (the pieces of its constraint forms: values, and values
-with Jacobian rows), ``lines`` counts every source line,
-``def`` and ``return`` included, and the digest covers the sources in compile
-order.  Two checkouts that print the same line for a kind compiled the same
-functions byte for byte, so a compiler change shows here which code it
-changed and by how many lines.
+``kernel-augmented`` (the pieces of the problem kernel's augmented code,
+whose sections give A and the constraint values, the gradient and the
+Hessian, compiled once up to the highest order called) and
+``kernel-jacobian`` (the pieces of its Jacobian form: constraint values with
+Jacobian rows), ``lines`` counts every source line, ``def`` and ``return``
+included, and the digest covers the sources in compile order.  Two
+checkouts that print the same line for a kind compiled the same functions
+byte for byte, so a compiler change shows here which code it changed and
+by how many lines.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ import cnfopt.expr as expr  # noqa: E402
 import jobs  # noqa: E402
 
 # the kind of each compiled function name
-KINDS = {"_val": "value", "_grad": "gradient", "_aval": "kernel-value",
-         "_agrad": "kernel-gradient", "_ahess": "kernel-hessian", "_cval": "kernel-rows",
+KINDS = {"_val": "value", "_grad": "gradient", "_aug": "kernel-augmented",
          "_cjac": "kernel-jacobian"}
 
 
