@@ -10,7 +10,8 @@ only under a feasible-direction hypothesis that is not machine-checkable
 descent direction; the LP duals are exactly the KKT multipliers.
 
 Every test reads one linearization at the point: the objective gradient
-and the problem kernel's Jacobian form (constraint values and gradients).
+and one order-1 rows call of the problem kernel (constraint values and
+gradients).
 ``certify`` builds it once, and only inside the matched set.
 """
 
@@ -78,8 +79,8 @@ class _Linearization:
 
 
 def _linearize(prob, p, grad_g):
-    """The linearization at p, given the objective gradient there; one run of
-    the kernel's Jacobian form gives every constraint's value and gradient."""
+    """The linearization at p, given the objective gradient there; one rows
+    call of the kernel gives every constraint's value and gradient."""
     jac = np.zeros((prob.s + prob.r, prob.n + prob.m))
     cv = _kernel(prob).rows(p.flat(), jac)
     return _Linearization(grad_g, cv[:prob.s], cv[prob.s:], jac)

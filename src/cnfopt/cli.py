@@ -1,7 +1,8 @@
 """Command-line front end: solve, certify, validate, catalog.
 
 Exit codes: 0 success, 2 solver failure (the loop ended without meeting
-its stopping test), 3 configuration/parse errors.
+its stopping test), 3 configuration/parse errors and evaluations outside
+an expression's domain.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .alpf import (
     trace_to_jsonl,
 )
 from .certificate import certify
-from .expr import Point, norm0_thresholded
+from .expr import DomainError, Point, norm0_thresholded
 from .inner import InnerConfig
 from .model import (
     ProblemFormatError,
@@ -306,7 +307,7 @@ def main(argv=None):
         if args.command == "validate":
             return _cmd_validate(args)
         return _cmd_catalog(args)
-    except CliError as err:
+    except (CliError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -525,7 +525,7 @@ class _Emitter:
     repeated = staticmethod(lambda a, k: "*".join([a] * k))
     recip = staticmethod(lambda b: f"1.0 / {b}")
     call = staticmethod(lambda helper, *args: f"{helper}({', '.join(map(str, args))})")
-    positive = staticmethod(lambda a: f"{a} > 0.0")
+    inactive = staticmethod(lambda a: f"not {a} > 0.0")
     nonzero = staticmethod(lambda a: f"{a} != 0.0")
     hinge = staticmethod(lambda c: f"{c} if {c} > 0.0 else 0.0")
 
@@ -588,7 +588,7 @@ class _Evaluator:
     repeated = staticmethod(lambda a, k: _Evaluator.mul(a, *[a] * (k - 1)))
     recip = staticmethod(lambda b: 1.0 / b)
     call = staticmethod(lambda helper, *args: _RUNTIME[helper](*args))
-    positive = staticmethod(lambda a: a > 0.0)
+    inactive = staticmethod(lambda a: not a > 0.0)
     nonzero = staticmethod(lambda a: a != 0.0)
     hinge = staticmethod(lambda c: c if c > 0.0 else 0.0)
 

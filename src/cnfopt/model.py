@@ -5,13 +5,12 @@ inequality constraints (<= 0) and equality constraints (= 0), optionally
 carrying the original nonsmooth objective over x alone plus a lift map
 that reconstructs a feasible y from a given x.
 
-Each problem has a kernel (``_kernel``) with two codes: the augmented code,
-whose sections give the augmented Lagrangian and the constraint values
-(order 0), its gradient (order 1) and its Hessian (order 2), and the
-Jacobian form, which gives the constraint values with their Jacobian rows.
-Their statements are written once (``_Kernel._assemble``) against the
-operand interface of ``cnfopt.expr``: the float evaluator runs them for a
-code's first ``expr.COLD_CALLS`` calls, and the next call compiles them.
+Each problem has a kernel (``_kernel``) with one code, whose sections give
+the augmented Lagrangian and the constraint values (order 0), its gradient
+and the constraints' Jacobian rows (order 1) and its Hessian (order 2).
+Its statements are written once (``_Kernel._assemble``) against the
+operand interface of ``cnfopt.expr``: the float evaluator runs them for an
+order's first ``expr.COLD_CALLS`` calls, and the next call compiles them.
 """
 
 from __future__ import annotations
@@ -245,29 +244,24 @@ _KERNEL_RUNTIME = {**_RUNTIME, "_outer": _outer}
 # make compile-time memory grow with the problem size
 _PIECE = 16
 
-# the kernel's two codes: the augmented code, whose call of order k runs its
-# sections 0 to k, and the Jacobian form
-_HEADS = {
-    "augmented": "_aug(x, y, mu, rho, a, order=0, cv=None, acc=None, h=None, H=None, jac=None)",
-    "jacobian": "_cjac(x, y, cv, jac)",
-}
+# the head of each piece of the kernel's code, whose call of order k runs
+# its sections 0 to k
+_HEAD = "_aug(x, y, mu, rho, a, order=0, cv=None, acc=None, h=None, H=None, jac=None)"
 
 
 class _PieceEmitter(_Emitter):
     """The kernel's statements on symbolic operands: the lines of one piece
-    of a code, over the parameters its head (``_HEADS``) names.  ``pairs``
-    maps each Hessian entry (s, t) to its slot of ``h``.  With ``sectioned``
-    each order's lines and statements go to a section of their own, and
-    ``build`` writes the sections in order; without it they run as the
-    sweep writes them."""
+    of the code, over the parameters its head (``_HEAD``) names.  ``pairs``
+    maps each Hessian entry (s, t) to its slot of ``h``.  Each order's lines
+    and statements go to a section of their own, and ``build`` writes the
+    sections in order."""
 
     rho = "rho"
 
-    def __init__(self, pairs, sectioned):
+    def __init__(self, pairs):
         super().__init__()
         self.pairs = pairs
-        if sectioned:
-            self.sections = ([], [], [])
+        self.sections = ([], [], [])
         self.indent = ["    "] * 3
 
     def put(self, name, key, value, order, add=False):
@@ -310,18 +304,17 @@ class _PieceEmitter(_Emitter):
     def build(self, head, result_expr, runtime=_KERNEL_RUNTIME):
         """``_Emitter.build`` over the sections in order, each after the
         first behind a return for the calls of a lower order."""
-        if self.sections[0] is not self.lines:
-            top = max(k for k, lines in enumerate(self.sections) if lines or not k)
-            for k in range(top + 1):
-                if k:
-                    self.lines += [f"    if order < {k}:", f"        return {result_expr}"]
-                self.lines += self.sections[k]
+        top = max(k for k, lines in enumerate(self.sections) if lines or not k)
+        for k in range(top + 1):
+            if k:
+                self.lines += [f"    if order < {k}:", f"        return {result_expr}"]
+            self.lines += self.sections[k]
         return super().build(head, result_expr, runtime)
 
 
 class _PieceEvaluator(_Evaluator):
     """The kernel's statements on floats, over the arguments a compiled
-    piece takes, under the names its head (``_HEADS``) gives them.  Hessian
+    piece takes, under the names its head (``_HEAD``) gives them.  Hessian
     entries are summed in ``sums``, as compiled pieces sum them in ``h``."""
 
     def __init__(self, x, y, mu=None, rho=0.0, a=0.0, cv=None, acc=None, H=None, jac=None,
@@ -367,23 +360,23 @@ class _PieceEvaluator(_Evaluator):
 
 
 class _Kernel:
-    """The codes of one problem over one column subset and one constraint
+    """The code of one problem over one column subset and one constraint
     subset (see this module's and ``cnfopt.lagrangian``'s docstrings).
     ``mu`` lists the multipliers of the selected inequalities, then of the
     selected equalities.
 
-    The augmented code has three sections.  Order 0 adds each term of A and,
-    given a ``cv`` list, stores each constraint's value; order 1 adds the
-    terms' weighted partials; order 2 their second derivatives and the
-    active Jacobian rows.  A call of order k runs sections 0 to k: ``value``
-    and ``rows`` are of order 0, ``value_and_grad`` of order 1 and
-    ``hessian`` of order 2.  A call at or below the compiled order runs the
-    compiled code.  Above it, the first ``expr.COLD_CALLS`` calls of each
-    order run on the float evaluator, and the next compiles the code at the
-    highest order called so far.  So gradient descent compiles it once, at
-    order 1, and Newton once, at order 2.  The Jacobian form, which
-    ``certify`` runs, is a code of its own and counts its calls the same
-    way."""
+    The code has three sections.  Order 0 adds each term of A and, given a
+    ``cv`` list, stores each constraint's value; order 1 adds the terms'
+    weighted partials and, given ``jac``, stores each constraint's row of
+    partials; order 2 adds their second derivatives and clears the rows of
+    the inactive inequalities.  A call of order k runs sections 0 to k:
+    ``value`` and ``rows`` are of order 0, ``value_and_grad`` and ``rows``
+    with ``jac`` of order 1, and ``hessian`` of order 2.  A call at or below
+    the compiled order runs the compiled code.  Above it, the first
+    ``expr.COLD_CALLS`` calls of each order run on the float evaluator, and
+    the next compiles the code at the highest order called so far.  So
+    gradient descent compiles it once, at order 1, and Newton once, at
+    order 2."""
 
     def __init__(self, prob, cols, ineq_idx, eq_idx):
         # no reference to prob itself: the kernel is cached on the problem,
@@ -394,11 +387,9 @@ class _Kernel:
         self._cons = [(prob.ineqs[i], False) for i in ineq_idx]
         self._cons += [(prob.eqs[j], True) for j in eq_idx]
         self._no_mu = [0.0] * len(self._cons)  # a rows call's multipliers
-        # the compiled augmented pieces that serve each order, once compiled
-        # at or above it, and the compiled Jacobian form
+        # the compiled pieces that serve each order, once compiled at or above it
         self._pieces = [None, None, None]
-        self._jacobian_pieces = None
-        self._calls = {}  # each order's, and the Jacobian form's, calls not served compiled
+        self._calls = {}  # each order's calls not served compiled
         self._top = 0  # the highest order called
         self._pairs = {}  # (s, t) -> its slot in the order-2 section's entry list
         self._lower = None
@@ -459,26 +450,21 @@ class _Kernel:
         return float(a), acc, H
 
     def rows(self, vec, jac=None):
-        """The selected constraints' values at ``vec``, from the augmented
-        code at order 0; given ``jac``, of shape (constraints, kernel
-        columns), also their partials, row by row, from the Jacobian form."""
-        if jac is None:
-            pieces = self._pieces[0]
-            if pieces is None:
-                pieces = self._warm(0)
-        else:
-            pieces = self._jacobian_pieces
-            if pieces is None:
-                pieces = self._warm("jacobian")
+        """The selected constraints' values at ``vec``, from the code at
+        order 0; given ``jac``, of shape (constraints, kernel columns), also
+        their partials, row by row, at order 1."""
+        order = 0 if jac is None else 1
+        pieces = self._pieces[order]
+        if pieces is None:
+            pieces = self._warm(order)
         x, y = self._blocks(vec)
         cv = [0.0] * len(self._cons)
-        if jac is None:
-            # the first piece is the objective's, which a rows call skips
-            for piece in pieces[1:]:
-                piece(x, y, self._no_mu, 0.0, 0.0, 0, cv)
-        else:
-            for piece in pieces:
-                piece(x, y, cv, jac)
+        # at zero multipliers an overflowing hinge still gives a nan weight,
+        # whose partials go to a list that is dropped
+        acc = [0.0] * self._width if order else None
+        # the first piece is the objective's, which a rows call skips
+        for piece in pieces[1:]:
+            piece(x, y, self._no_mu, 0.0, 0.0, order, cv, acc, None, None, jac)
         return np.array(cv)
 
     def _blocks(self, vec):
@@ -489,40 +475,28 @@ class _Kernel:
 
     def _groups(self):
         """The objective (None), then the constraints in runs of _PIECE: the
-        pieces of the augmented code."""
+        pieces of the code."""
         return [None] + [range(lo, min(lo + _PIECE, len(self._cons)))
                          for lo in range(0, len(self._cons), _PIECE)]
 
-    def _warm(self, form):
-        """The pieces that run one call of ``form`` (an order of the
-        augmented code, or "jacobian") that no compiled code serves: the
-        evaluator's for the form's first ``expr.COLD_CALLS`` such calls;
-        then the code compiled at the highest order called so far (or the
-        Jacobian form), kept for every later call it serves."""
-        if form != "jacobian":
-            self._top = max(self._top, form)
-        if _cold_call(self._calls, form):
-            return self._evaluator_pieces(form)
-        if form == "jacobian":
-            self._jacobian_pieces = self._compile(form)
-            return self._jacobian_pieces
+    def _warm(self, order):
+        """The pieces that run one call of ``order`` that no compiled code
+        serves: the evaluator's for the order's first ``expr.COLD_CALLS``
+        such calls; then the code compiled at the highest order called so
+        far, kept for every later call it serves."""
+        self._top = max(self._top, order)
+        if _cold_call(self._calls, order):
+            return self._evaluator_pieces()
         pieces = self._compile(self._top)
         self._pieces[:self._top + 1] = [pieces] * (self._top + 1)
         return pieces
 
-    def _evaluator_pieces(self, form):
-        """Pieces that run the statements of ``form`` on the float evaluator,
-        with the compiled pieces' parameters and results.  The augmented
-        code's run in the compiled pieces' groups.  A compiled piece runs its
-        order-0 statements first, so where a call of a higher order raises a
-        DomainError, its group runs again at order 0 and raises that order's
-        error if it has one."""
-        if form == "jacobian":
-            def jacobian(x, y, cv, jac):
-                self._assemble(_PieceEvaluator(x, y, cv=cv, jac=jac), form,
-                               range(len(self._cons)))
-
-            return (jacobian,)
+    def _evaluator_pieces(self):
+        """Pieces that run the statements on the float evaluator, with the
+        compiled pieces' groups, parameters and results.  A compiled piece
+        runs its order-0 statements first, so where a call of a higher order
+        raises a DomainError, its group runs again at order 0 and raises that
+        order's error if it has one."""
         sums = {}  # the Hessian entries, summed over the groups as ``h`` sums them
         groups = self._groups()
 
@@ -545,34 +519,29 @@ class _Kernel:
 
         return [piece_of(ks) for ks in groups]
 
-    def _compile(self, form):
-        """The compiled pieces of the augmented code up to the order
-        ``form``, one per group of ``_groups``, or of the Jacobian form, one
-        per _PIECE constraints."""
-        jacobian = form == "jacobian"
-        groups = self._groups()
+    def _compile(self, order):
+        """The compiled pieces of the code up to ``order``, one per group of
+        ``_groups``."""
         pieces = []
-        for ks in groups[1:] if jacobian else groups:
-            em = _PieceEmitter(self._pairs, sectioned=not jacobian)
-            self._assemble(em, form, ks)
-            pieces.append(em.build(_HEADS["jacobian" if jacobian else "augmented"],
-                                   "None" if jacobian else "a"))
-        if form == 2:
+        for ks in self._groups():
+            em = _PieceEmitter(self._pairs)
+            self._assemble(em, order, ks)
+            pieces.append(em.build(_HEAD, "a"))
+        if order == 2:
             self._upper = tuple(np.array(list(self._pairs), dtype=int).reshape(-1, 2).T)
         return pieces
 
-    def _assemble(self, ops, form, ks):
-        """The statements of one code on the operand interface ``ops``: the
-        objective's when ``ks`` is None, else those of the constraints ``ks``.
-        ``form`` is an order of the augmented code, whose statements it
-        writes up to that order, or "jacobian".  The augmented code adds each
-        term of A and, behind one guard, stores each constraint's value in a
-        given ``cv`` (order 0); adds the terms' weighted partials (order 1);
-        and adds their second derivatives and the rows of 2 rho grad c grad c'
-        (order 2).  A later section reads the hinge and weight of an earlier
-        one, so each constraint k names its own, ``p<k>`` and ``w<k>``.  The
-        Jacobian form sets each constraint's value and row."""
-        order = 1 if form == "jacobian" else form
+    def _assemble(self, ops, order, ks):
+        """The statements of the code up to ``order`` on the operand
+        interface ``ops``: the objective's when ``ks`` is None, else those of
+        the constraints ``ks``.  Order 0 adds each term of A and, behind one
+        guard, stores each constraint's value in a given ``cv``; order 1 adds
+        the terms' weighted partials and, behind one guard, stores each
+        constraint's row in a given ``jac``; order 2 adds their second
+        derivatives and then clears the row of each inactive inequality, so
+        ``jac`` holds the rows of 2 rho grad c grad c' (see ``hessian``).  A
+        later section reads the hinge and weight of an earlier one, so each
+        constraint k names its own, ``p<k>`` and ``w<k>``."""
         pos = self._pos if order else {}
         if ks is None:
             val, grad, hess = _sweep(self._g, ops, self._n, pos, order == 2)
@@ -582,20 +551,17 @@ class _Kernel:
             self._curvature(ops, hess, None)
             return
         values = []  # the constraints' values, for a given cv
+        rows = []  # (k, value, partials, is_eq) of each constraint with partials
         for k in ks:
             e, is_eq = self._cons[k]
             c, grad, hess = _sweep(e, ops, self._n, pos, order == 2)
-            if form == "jacobian":
-                ops.put("cv", k, c, 0)
-                for s in sorted(grad):
-                    ops.put("jac", (k, s), grad[s], 1)
-                continue
             values.append(c)
             p = c if is_eq else ops.put(f"p{k}", None, ops.hinge(c), 0)
             mu = ops.var("mu", k)
             ops.put("a", None, ops.plus(ops.mul(mu, c), ops.mul(ops.rho, p, p)), 0, add=True)
             if not grad:
                 continue
+            rows.append((k, c, grad, is_eq))
             # a zero weight adds nothing, so an overflowing partial cannot
             # turn the sum into nan
             w = ops.put(f"w{k}", None, ops.plus(mu, ops.mul(ops.lit(2.0), ops.rho, p)), 1)
@@ -603,21 +569,25 @@ class _Kernel:
                 for s in sorted(grad):
                     ops.put("acc", s, ops.mul(w, ops.group(grad[s])), 1, add=True)
                 ops.end(1)
-            if order == 2:
-                if (hess[0] or hess[1]) and ops.when(ops.nonzero(w), 2):
-                    self._curvature(ops, hess, w)
-                    ops.end(2)
-                # the row of an equality, or of an active inequality (see
-                # ``hessian``); with rho = 0 no row counts
-                active = ops.rho if is_eq else ops.positive(
-                    ops.plus(mu, ops.mul(ops.lit(2.0), ops.rho, c)))
-                if ops.when(active, 2):
-                    for s in sorted(grad):
-                        ops.put("jac", (k, s), grad[s], 2)
-                    ops.end(2)
+            if order == 2 and (hess[0] or hess[1]) and ops.when(ops.nonzero(w), 2):
+                self._curvature(ops, hess, w)
+                ops.end(2)
         if values and ops.when(ops.given("cv"), 0):
             ops.put("cv", slice(ks[0], ks[-1] + 1), ops.items(values), 0)
             ops.end(0)
+        if rows and ops.when(ops.given("jac"), 1):
+            for k, _, grad, _ in rows:
+                for s in sorted(grad):
+                    ops.put("jac", (k, s), grad[s], 1)
+            ops.end(1)
+        if order == 2:
+            # after the row stores, which the evaluator runs as written: an
+            # inequality counts where mu + 2 rho c > 0 (see ``hessian``)
+            for k, c, _, is_eq in rows:
+                if not is_eq and ops.when(ops.inactive(
+                        ops.plus(ops.var("mu", k), ops.mul(ops.lit(2.0), ops.rho, c))), 2):
+                    ops.put("jac", k, ops.lit(0.0), 2)
+                    ops.end(2)
 
     @staticmethod
     def _curvature(ops, hess, weight):

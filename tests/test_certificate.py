@@ -273,10 +273,10 @@ def _alternating(n):
 class TestOneLinearizationPerCertificate:
     """certify builds one feasibility report and one linearization, however
     many of its tests run: the objective's gradient once, and every
-    constraint's value and gradient from one run of the problem kernel's
-    Jacobian form, which runs only inside the matched set.  A form runs on
-    the float evaluator for its first ``expr.COLD_CALLS`` calls, and certify
-    runs each form once (the objective's value form too), so a one-shot
+    constraint's value and gradient from one order-1 rows call of the problem
+    kernel, which runs only inside the matched set.  Each order of a code
+    runs on the float evaluator for its first ``expr.COLD_CALLS`` calls, and
+    certify calls each once (the objective's value form too), so a one-shot
     certify compiles nothing."""
 
     @pytest.mark.parametrize(
@@ -297,21 +297,24 @@ class TestOneLinearizationPerCertificate:
         assert cert.verdict == verdict
         assert calls == Counter({id(prob.g): 1})
         assert jacobians == [model._kernel(prob)]
-        # a fresh problem: the kernel's rows call and Jacobian form and the
+        # a fresh problem: the kernel's rows calls of order 0 and 1 and the
         # objective's value and gradient forms ran once each, on the
         # evaluator, and nothing compiled
         assert not builds
         assert len(reports) == 1
-        # the call after the form's cold calls builds its pieces, once
+        # the call after order 1's cold calls builds the kernel's pieces, the
+        # objective's among them, once, at order 1
         kernel, vec = model._kernel(prob), prob.lift(x).flat()
         jac = np.zeros((prob.s + prob.r, prob.n + prob.m))
         for _ in range(expr.COLD_CALLS - 1):
             kernel.rows(vec, jac)
-        assert builds["_cjac"] == 0
-        pieces = -(-(prob.s + prob.r) // model._PIECE)
+        assert builds["_aug"] == 0
+        pieces = 1 - (-(prob.s + prob.r) // model._PIECE)
         for _ in range(3):
             kernel.rows(vec, jac)
-            assert builds["_cjac"] == pieces > 0
+            assert builds["_aug"] == pieces > 1
+            assert kernel._pieces[0] is kernel._pieces[1] is not None
+            assert kernel._pieces[2] is None
 
     def test_no_constraint_gradient_outside_the_matched_set(self, monkeypatch, ex5):
         calls, jacobians, builds, reports = self._count(monkeypatch)
@@ -325,8 +328,8 @@ class TestOneLinearizationPerCertificate:
     @staticmethod
     def _count(monkeypatch):
         """Count compiled-gradient calls per expression, list the kernels
-        whose Jacobian form runs, and count compiled functions by name and
-        the feasibility reports built by certify."""
+        whose rows call takes a Jacobian, and count compiled functions by
+        name and the feasibility reports built by certify."""
         calls = Counter()
         jacobians = []
         builds = Counter()
@@ -344,7 +347,7 @@ class TestOneLinearizationPerCertificate:
             return counted, slots
 
         def counting_rows(kernel, vec, jac=None):
-            if jac is not None:  # the Jacobian form runs
+            if jac is not None:  # the rows call of order 1 runs
                 jacobians.append(kernel)
             return rows(kernel, vec, jac)
 

@@ -238,6 +238,28 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: line 5: max takes at least two arguments (line 1, column 1)\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the point passes; the stop test's convexity sampling over the
+            # default box reaches x < 0
+            ["solve", "--start=0.5"],
+            ["validate"],
+            ["certify", "--point=-1"],
+        ],
+        ids=["solve", "validate", "certify"],
+    )
+    def test_evaluation_outside_the_domain_exit_three(self, capsys, tmp_path, argv):
+        path = tmp_path / "root.cnf"
+        path.write_text('problem "root"\nvar x 1\naux y 0\nobjective: (x[1]-3)^2\n'
+                        'ineq: 1 - sqrt(x[1])\n')
+        command, *rest = argv
+        code, out, err = run_cli(capsys, command, "--problem", str(path), *rest)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: sqrt of negative value -") and err.count("\n") == 1
+        assert err.endswith(" at line 1, column 5\n")
+
     def test_missing_file_exit_three(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--problem", "/does/not/exist.cnf")
         assert code == EXIT_CONFIG

@@ -232,7 +232,7 @@ def _seeded_points(prob, seed=13, per_scale=4):
 
 
 class TestKernelConstraintForms:
-    """The problem kernel's rows and Jacobian forms against one expression
+    """The problem kernel's rows and Jacobian calls against one expression
     at a time: ``evaluate`` and ``value_and_gradient`` on array points, with
     every form on the float evaluator and with every form compiled."""
 
@@ -451,8 +451,7 @@ class TestTiers:
         monkeypatch.setattr(expr._Emitter, "build", counting_build)
 
         def fresh():
-            # 40 constraints: four augmented pieces, with the objective's,
-            # and three Jacobian pieces
+            # 40 constraints: four pieces, with the objective's
             return model._kernel(build("ex8", n=10).problem)
 
         prob = build("ex8", n=10).problem
@@ -467,11 +466,12 @@ class TestTiers:
             a, acc, H = kernel.hessian(vec, mu, rho)
             return a, acc, H.tobytes()
 
-        # each call of the augmented code, with its order
+        # each call of the kernel's code, with its order
         calls = {
             "rows": (lambda kernel: kernel.rows(vec).tobytes(), 0),
             "value": (lambda kernel: kernel.value(vec, mu, rho), 0),
             "gradient": (lambda kernel: kernel.value_and_grad(vec, mu, rho), 1),
+            "jacobian": (jacobian, 1),
             "hessian": (hessian, 2),
         }
         # the evaluator's results: every first call runs on it
@@ -510,7 +510,6 @@ class TestTiers:
         assert kernel._pieces[0] is kernel._pieces[1] and kernel._pieces[2] is None
 
         forms = {
-            "_cjac": (lambda: jacobian(kernel), 3),
             "_val": (lambda: evaluate(prob.g, p), 1),
             "_grad": (lambda: value_and_gradient(prob.g, p)[1].tobytes(), 1),
         }
@@ -523,13 +522,14 @@ class TestTiers:
             last += [run() for _ in range(3)]
             assert builds[name] == pieces, name
             assert first + last == [first[0]] * len(first + last), name
-        assert sum(builds.values()) == 5
+        assert sum(builds.values()) == 2
 
     @pytest.mark.parametrize("make", CONSTRAINT_CASES)
     def test_a_higher_order_code_serves_each_call_with_its_bits(self, make):
         # a Hessian call that compiles first compiles the code at order 2;
-        # its leading sections serve the rows, value and gradient calls with
-        # the bits of the evaluator, which runs each call at its own order
+        # its leading sections serve the rows, value, gradient and Jacobian
+        # calls with the bits of the evaluator, which runs each call at its
+        # own order
         rng = np.random.default_rng(8)
         reference, served = make(), make()
         mu = np.concatenate([rng.uniform(0.0, 2.0, served.s), rng.normal(size=served.r)]).tolist()
@@ -547,9 +547,9 @@ class TestTiers:
     def test_a_piece_raises_its_value_errors_before_its_derivative_errors(self):
         # sqrt's derivative factor is undefined at 0, and a later constraint
         # divides by zero there.  A compiled piece runs the values of all of
-        # its constraints before any partial, so a gradient or Hessian call
-        # raises the division error when both constraints share a piece, and
-        # the sqrt error when the division lies in a later piece
+        # its constraints before any partial, so a gradient, Hessian or
+        # Jacobian call raises the division error when both constraints share
+        # a piece, and the sqrt error when the division lies in a later piece
         def make(gap):
             fillers = [x_(3) - float(i) for i in range(gap)]
             return CnfProblem(name="order", n=3, m=0, g=x_(3) ** 2,
@@ -560,8 +560,9 @@ class TestTiers:
                                 (model._PIECE - 1, "sqrt gradient needs a positive argument")):
             prob = make(gap)
             kernel, vec, mu = model._kernel(prob), p.flat(), [0.5] * prob.s
+            jac = np.zeros((prob.s, 3))
             for run in (lambda: kernel.value_and_grad(vec, mu, 37.0),
-                        lambda: kernel.hessian(vec, mu, 37.0)):
+                        lambda: kernel.hessian(vec, mu, 37.0), lambda: kernel.rows(vec, jac)):
                 for _ in range(2):  # on the evaluator, then compiled in the shipped tier
                     with pytest.raises(DomainError, match=derivative):
                         run()

@@ -16,16 +16,14 @@ workload the script prints one line per kind of compiled function:
 
     <workload> <kind> <functions> <lines> <sha256>
 
-where the kinds are ``value`` and ``gradient`` (one expression each),
-``kernel-augmented`` (the pieces of the problem kernel's augmented code,
-whose sections give A and the constraint values, the gradient and the
-Hessian, compiled once up to the highest order called) and
-``kernel-jacobian`` (the pieces of its Jacobian form: constraint values with
-Jacobian rows), ``lines`` counts every source line, ``def`` and ``return``
-included, and the digest covers the sources in compile order.  Two
-checkouts that print the same line for a kind compiled the same functions
-byte for byte, so a compiler change shows here which code it changed and
-by how many lines.
+where the kinds are ``value`` and ``gradient`` (one expression each) and
+``kernel-augmented`` (the pieces of the problem kernel's code, whose
+sections give A and the constraint values, the gradient and the Jacobian
+rows, and the Hessian, compiled once up to the highest order called),
+``lines`` counts every source line, ``def`` and ``return`` included, and
+the digest covers the sources in compile order.  Two checkouts that print
+the same line for a kind compiled the same functions byte for byte, so a
+compiler change shows here which code it changed and by how many lines.
 """
 
 from __future__ import annotations
@@ -46,8 +44,7 @@ import cnfopt.expr as expr  # noqa: E402
 import jobs  # noqa: E402
 
 # the kind of each compiled function name
-KINDS = {"_val": "value", "_grad": "gradient", "_aug": "kernel-augmented",
-         "_cjac": "kernel-jacobian"}
+KINDS = {"_val": "value", "_grad": "gradient", "_aug": "kernel-augmented"}
 
 
 def _kind(head):
