@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 
 import numpy as np
@@ -162,11 +163,15 @@ def _summary(entry, trace):
     prob = entry.problem
     rec = trace.final
     p = rec.point
+    verdict = None
     # the point is only e-accurate, so the certificate tolerances scale
-    # with the achieved accuracy rather than the exact-point defaults
-    cert = certify(
-        prob, p, feas_tol=max(1e-6, 10 * rec.e), cert_tol=max(1e-8, 100 * rec.e)
-    )
+    # with the achieved accuracy rather than the exact-point defaults; a
+    # run that did not stop, or whose e is not finite, gets no verdict,
+    # for infinite tolerances would accept any point
+    if trace.status in (STATUS_KKT, STATUS_APPROX) and math.isfinite(rec.e):
+        verdict = certify(
+            prob, p, feas_tol=max(1e-6, 10 * rec.e), cert_tol=max(1e-8, 100 * rec.e)
+        ).verdict
     f_val = prob.reference(p.x) if prob.reference_f is not None else rec.g
     return {
         "x": [float(v) for v in rec.x],
@@ -174,8 +179,18 @@ def _summary(entry, trace):
         "e": rec.e,
         "norm0": norm0_thresholded(rec.x),
         "status": trace.status,
-        "verdict": cert.verdict,
+        "verdict": verdict,
     }
+
+
+def _json_summary(summary):
+    """The summary with each non-finite number as None, which JSON writes as
+    null: NaN and Infinity are not JSON."""
+    def number(v):
+        return v if math.isfinite(v) else None
+
+    return {**summary, "x": [number(v) for v in summary["x"]], "f": number(summary["f"]),
+            "e": number(summary["e"])}
 
 
 def _cmd_solve(args):
@@ -216,18 +231,18 @@ def _cmd_solve(args):
         xs = ", ".join(f"{v:.6f}" for v in summary["x"])
         print(
             f"x = ({xs})  f = {summary['f']:.6g}  e = {summary['e']:.3g}  "
-            f"||x||_0 = {summary['norm0']}  verdict = {summary['verdict']}"
+            f"||x||_0 = {summary['norm0']}  verdict = {summary['verdict'] or 'none'}"
         )
     elif mode == "jsonl":
         sys.stdout.write(trace_to_jsonl(trace))
-        print(json.dumps({"summary": summary}))
+        print(json.dumps({"summary": _json_summary(summary)}))
     else:
         doc = {
             "problem": trace.problem,
             "solver": trace.solver,
             "status": trace.status,
             "records": [rec.to_dict() for rec in trace.records],
-            "summary": summary,
+            "summary": _json_summary(summary),
         }
         print(json.dumps(doc, indent=2))
     return EXIT_OK if trace.status in (STATUS_KKT, STATUS_APPROX) else EXIT_SOLVER

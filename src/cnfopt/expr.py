@@ -529,15 +529,19 @@ class _Emitter:
     nonzero = staticmethod(lambda a: f"{a} != 0.0")
     hinge = staticmethod(lambda c: f"{c} if {c} > 0.0 else 0.0")
 
+    def source(self, head, result_expr):
+        """The text ``build`` compiles: ``def <head>:`` over the emitted
+        lines, returning ``result_expr``."""
+        return "\n".join([f"def {head}:", *self.lines, f"    return {result_expr}"])
+
     def build(self, head, result_expr, runtime=_RUNTIME):
-        """Compile ``def <head>:`` over the emitted lines, returning
-        ``result_expr``; ``head`` is the name and parameter list, and
-        ``runtime`` binds the helper names the lines call."""
+        """Compile ``source``'s text into its function; ``head`` is the name
+        and parameter list, and ``runtime`` binds the helper names the lines
+        call."""
         fname = head.partition("(")[0]
-        src = [f"def {head}:"] + self.lines + [f"    return {result_expr}"]
         namespace = dict(runtime)
         namespace.update(self.consts)
-        code = compile("\n".join(src), f"<cnfopt:{fname}>", "exec")
+        code = compile(self.source(head, result_expr), f"<cnfopt:{fname}>", "exec")
         exec(code, namespace)
         # popped: a function left in its own globals would form a cycle that
         # only a full garbage collection frees, holding its code until then

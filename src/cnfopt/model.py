@@ -11,12 +11,23 @@ and the constraints' Jacobian rows (order 1) and its Hessian (order 2).
 Its statements are written once (``_Kernel._assemble``) against the
 operand interface of ``cnfopt.expr``: the float evaluator runs them for an
 order's first ``expr.COLD_CALLS`` calls, and the next call compiles them.
+
+The compiled code comes in pieces, and a piece's text holds a placeholder
+constant wherever an index goes, so the pieces of one shape have one text:
+the constraints of one block kernel repeat those of the next with other
+subscripts.  Each problem keeps the code compiled for each text in a dict
+of its own, which all its kernels share, and each piece is a function made
+from that code with its own indices swapped in for the placeholders.  So a
+text compiles once per problem, and every piece runs the instructions of
+the code that its own indices would compile to, with the same arithmetic in
+the same order.  Nothing is shared between problems.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from types import FunctionType
 
 import numpy as np
 
@@ -248,13 +259,39 @@ _PIECE = 16
 # its sections 0 to k
 _HEAD = "_aug(x, y, mu, rho, a, order=0, cv=None, acc=None, h=None, H=None, jac=None)"
 
+# a piece's text writes each index as a placeholder constant: the odd
+# integers from here up, numbered by first appearance.  No other constant
+# of the code is one, for its other integers are section orders and int()s
+# of floats, and no float above 2**53 is odd
+_PLACEHOLDER = 2**60 + 1
+
+# the axis of each index of a stored item: k numbers a constraint of the
+# kernel and s a column of its partials (a slot of ``acc``)
+_AXES = {"acc": "s", "cv": "k", "jac": "ks"}
+
+
+def _swapped(consts, values):
+    """The constants ``consts`` of a piece's code with each placeholder,
+    alone, in a tuple or in a slice (a compiler may fold a slice of
+    constants into one), replaced by its index from ``values``."""
+    return tuple(values[(c - _PLACEHOLDER) >> 1] if type(c) is int and c >= _PLACEHOLDER
+                 else _swapped(c, values) if type(c) is tuple
+                 else slice(*_swapped((c.start, c.stop, c.step), values)) if type(c) is slice
+                 else c for c in consts)
+
 
 class _PieceEmitter(_Emitter):
     """The kernel's statements on symbolic operands: the lines of one piece
     of the code, over the parameters its head (``_HEAD``) names.  ``pairs``
     maps each Hessian entry (s, t) to its slot of ``h``.  Each order's lines
     and statements go to a section of their own, and ``build`` writes the
-    sections in order."""
+    sections in order.
+
+    The text holds no index: each ``x[i]``, ``y[j]`` and ``mu[k]``
+    subscript, each key of ``acc``, ``cv``, ``jac`` and ``h`` and each
+    column of an outer product is a placeholder (``index``), so the pieces
+    of one shape have one text.  ``build`` makes each from the one code
+    compiled for its text, with its own indices swapped in as constants."""
 
     rho = "rho"
 
@@ -263,20 +300,33 @@ class _PieceEmitter(_Emitter):
         self.pairs = pairs
         self.sections = ([], [], [])
         self.indent = ["    "] * 3
+        self.indices = {}  # (axis, index) -> its placeholder, in order of appearance
+
+    def index(self, axis, i):
+        """The placeholder's text of the index ``i`` on ``axis``: a variable
+        block, k (a constraint), s (a column) or h (a Hessian slot)."""
+        text = self.indices.get((axis, i))
+        if text is None:
+            text = self.indices[axis, i] = str(_PLACEHOLDER + 2 * len(self.indices))
+        return text
+
+    def var(self, block, i):
+        return f"{block}[{self.index('k' if block == 'mu' else block, i)}]"
 
     def put(self, name, key, value, order, add=False):
         """Set ``name``, or its item or slice ``key``, to ``value`` (add it,
         with ``add``) in a statement of ``order``; returns the target."""
         if isinstance(key, slice):
-            name = f"{name}[{key.start}:{key.stop}]"
+            name = f"{name}[{self.index('k', key.start)}:{self.index('k', key.stop)}]"
         elif key is not None:
-            name = f"{name}[{', '.join(map(str, key)) if isinstance(key, tuple) else key}]"
+            keys = key if isinstance(key, tuple) else (key,)
+            name = f"{name}[{', '.join(map(self.index, _AXES[name], keys))}]"
         self.sections[order].append(f"{self.indent[order]}{name} {'+=' if add else '='} {value}")
         return name
 
     def entry(self, key, value):
         """Add ``value`` to the Hessian entry ``key``."""
-        slot = self.pairs.setdefault(key, len(self.pairs))
+        slot = self.index("h", self.pairs.setdefault(key, len(self.pairs)))
         self.sections[2].append(f"{self.indent[2]}h[{slot}] += {value}")
 
     def outer(self, c, u, v):
@@ -284,7 +334,8 @@ class _PieceEmitter(_Emitter):
         args = [c]
         for d in (u, v) if v is not None else (u,):
             keys = sorted(d)
-            args += [f"({', '.join(map(str, keys))},)", f"[{', '.join(d[s] for s in keys)}]"]
+            args += [f"({', '.join(self.index('s', s) for s in keys)},)",
+                     f"[{', '.join(d[s] for s in keys)}]"]
         self.sections[2].append(f"{self.indent[2]}_outer(H, {', '.join(args)})")
 
     def when(self, cond, order):
@@ -301,15 +352,26 @@ class _PieceEmitter(_Emitter):
     given = staticmethod(lambda name: f"{name} is not None")
     items = staticmethod(lambda values: f"[{', '.join(values)}]")
 
-    def build(self, head, result_expr, runtime=_KERNEL_RUNTIME):
-        """``_Emitter.build`` over the sections in order, each after the
-        first behind a return for the calls of a lower order."""
+    def build(self, head, result_expr, codes):
+        """The piece's function over the sections in order, each after the
+        first behind a return for the calls of a lower order.  Its code is
+        the one ``codes`` keeps for its text, compiled by ``_Emitter.build``
+        on a miss, with the piece's own indices in its constants and its own
+        error locations in its globals."""
         top = max(k for k, lines in enumerate(self.sections) if lines or not k)
         for k in range(top + 1):
             if k:
                 self.lines += [f"    if order < {k}:", f"        return {result_expr}"]
             self.lines += self.sections[k]
-        return super().build(head, result_expr, runtime)
+        text = self.source(head, result_expr)
+        shared = codes.get(text)
+        if shared is None:
+            fn = super().build(head, result_expr, _KERNEL_RUNTIME)
+            shared = codes[text] = (fn.__code__, fn.__defaults__)
+        code, defaults = shared
+        values = [i for _, i in self.indices]
+        code = code.replace(co_consts=_swapped(code.co_consts, values))
+        return FunctionType(code, {**_KERNEL_RUNTIME, **self.consts}, code.co_name, defaults)
 
 
 class _PieceEvaluator(_Evaluator):
@@ -376,12 +438,18 @@ class _Kernel:
     ``expr.COLD_CALLS`` calls of each order run on the float evaluator, and
     the next compiles the code at the highest order called so far.  So
     gradient descent compiles it once, at order 1, and Newton once, at
-    order 2."""
+    order 2.
 
-    def __init__(self, prob, cols, ineq_idx, eq_idx):
-        # no reference to prob itself: the kernel is cached on the problem,
-        # and a cycle would keep both alive until a full garbage collection
+    Compiling emits every piece and compiles only the texts that the
+    problem's dict ``codes`` (text -> code) lacks; see
+    ``_PieceEmitter.build``."""
+
+    def __init__(self, prob, cols, ineq_idx, eq_idx, codes):
+        # no reference to prob itself, or to the cache that holds the
+        # kernel: the kernel is cached on the problem, and a cycle would keep
+        # both alive until a full garbage collection
         self._n, self._g = prob.n, prob.g
+        self._codes = codes  # piece text -> its code, shared by the problem's kernels
         self._pos = None if cols is None else {f: i for i, f in enumerate(cols)}
         self._width = prob.n + prob.m if cols is None else len(cols)
         self._cons = [(prob.ineqs[i], False) for i in ineq_idx]
@@ -526,7 +594,7 @@ class _Kernel:
         for ks in self._groups():
             em = _PieceEmitter(self._pairs)
             self._assemble(em, order, ks)
-            pieces.append(em.build(_HEAD, "a"))
+            pieces.append(em.build(_HEAD, "a", self._codes))
         if order == 2:
             self._upper = tuple(np.array(list(self._pairs), dtype=int).reshape(-1, 2).T)
         return pieces
@@ -541,7 +609,8 @@ class _Kernel:
         derivatives and then clears the row of each inactive inequality, so
         ``jac`` holds the rows of 2 rho grad c grad c' (see ``hessian``).  A
         later section reads the hinge and weight of an earlier one, so each
-        constraint k names its own, ``p<k>`` and ``w<k>``."""
+        constraint names its own, ``p<i>`` and ``w<i>``, by its place i in
+        the piece: pieces of one shape write the same names."""
         pos = self._pos if order else {}
         if ks is None:
             val, grad, hess = _sweep(self._g, ops, self._n, pos, order == 2)
@@ -552,11 +621,11 @@ class _Kernel:
             return
         values = []  # the constraints' values, for a given cv
         rows = []  # (k, value, partials, is_eq) of each constraint with partials
-        for k in ks:
+        for i, k in enumerate(ks):
             e, is_eq = self._cons[k]
             c, grad, hess = _sweep(e, ops, self._n, pos, order == 2)
             values.append(c)
-            p = c if is_eq else ops.put(f"p{k}", None, ops.hinge(c), 0)
+            p = c if is_eq else ops.put(f"p{i}", None, ops.hinge(c), 0)
             mu = ops.var("mu", k)
             ops.put("a", None, ops.plus(ops.mul(mu, c), ops.mul(ops.rho, p, p)), 0, add=True)
             if not grad:
@@ -564,7 +633,7 @@ class _Kernel:
             rows.append((k, c, grad, is_eq))
             # a zero weight adds nothing, so an overflowing partial cannot
             # turn the sum into nan
-            w = ops.put(f"w{k}", None, ops.plus(mu, ops.mul(ops.lit(2.0), ops.rho, p)), 1)
+            w = ops.put(f"w{i}", None, ops.plus(mu, ops.mul(ops.lit(2.0), ops.rho, p)), 1)
             if ops.when(ops.nonzero(w), 1):
                 for s in sorted(grad):
                     ops.put("acc", s, ops.mul(w, ops.group(grad[s])), 1, add=True)
@@ -612,7 +681,7 @@ def _kernel(prob, cols=None, ineq_idx=None, eq_idx=None):
     cache = _cache_of(prob)
     kernel = cache.get(key)
     if kernel is None:
-        kernel = cache[key] = _Kernel(prob, cols, ineq_idx, eq_idx)
+        kernel = cache[key] = _Kernel(prob, cols, ineq_idx, eq_idx, cache.setdefault("codes", {}))
     return kernel
 
 

@@ -137,6 +137,46 @@ class TestSolve:
         assert abs(summary["x"][0]) <= 1e-3
 
 
+class TestSummaryVerdict:
+    """The summary certifies only a run that stopped with a finite e: the
+    certificate's tolerances scale with e, and infinite ones accept any
+    point.  The JSON summaries write non-finite numbers as null."""
+
+    # diverges at the first outer iteration: f is nan and e infinite
+    DIVERGED = ("solve", "--catalog", "ex7", "--start=1e200,1e200", "--max-outer", "3")
+    SUMMARY = {"x": [1e200, 1e200], "f": None, "e": None, "norm0": 2,
+               "status": "inner_failure", "verdict": None}
+
+    def test_jsonl_summary(self, capsys):
+        code, out, _ = run_cli(capsys, *self.DIVERGED, "--output", "jsonl")
+        assert code == EXIT_SOLVER
+        line = out.splitlines()[-1]
+        assert json.loads(line) == {"summary": self.SUMMARY}
+        assert "NaN" not in line and "Infinity" not in line
+
+    def test_json_summary(self, capsys):
+        code, out, _ = run_cli(capsys, *self.DIVERGED, "--output", "json")
+        assert code == EXIT_SOLVER
+        assert json.loads(out)["summary"] == self.SUMMARY
+        # the summary is the document's last field; the records keep their tokens
+        tail = out[out.index('"summary"'):]
+        assert "NaN" not in tail and "Infinity" not in tail
+
+    def test_table_summary(self, capsys):
+        code, out, _ = run_cli(capsys, *self.DIVERGED, "--output", "table")
+        assert code == EXIT_SOLVER
+        assert "certified_global" not in out
+        assert out.splitlines()[-1].endswith("f = nan  e = inf  ||x||_0 = 2  verdict = none")
+
+    def test_a_stopped_run_is_certified(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--catalog", "ex7", "--start", "2,2,2,2,2",
+                               "--output", "jsonl")
+        assert code == EXIT_OK
+        summary = json.loads(out.splitlines()[-1])["summary"]
+        assert summary["status"] == "approx_stop"
+        assert summary["verdict"] == "kkt_point"
+
+
 class TestCertify:
     def test_worked_example(self, capsys):
         code, out, _ = run_cli(

@@ -31,10 +31,11 @@ from cnfopt.model import (
     sample_convexity,
     validate_exactness,
 )
+from cnfopt.alpf import BlockPartition
 from cnfopt.problems import build, catalog_ids, default_entries
 
 import convexity_oracle
-from tiers import TIERS, cold_calls, in_both_tiers
+from tiers import TIERS, cold_calls, compiled_tier, in_both_tiers
 
 
 @pytest.fixture(scope="module")
@@ -322,13 +323,12 @@ def _outcome(run):
         return (type(err), str(err))
 
 
-def _every_form(prob, p, mu, rho):
-    """Each form of the problem's kernel, and each expression's value and
-    gradient, at p: its bits, or its error."""
-    kernel, vec = model._kernel(prob), p.flat()
+def _kernel_forms(kernel, vec, mu, rho):
+    """Each call of ``kernel`` at the flat point ``vec``: its bits, or its
+    error."""
 
     def jacobian():
-        jac = np.zeros((prob.s + prob.r, prob.n + prob.m))
+        jac = np.zeros((len(kernel._cons), kernel._width))
         return kernel.rows(vec, jac).tobytes(), jac.tobytes()
 
     def gradient():
@@ -339,15 +339,23 @@ def _every_form(prob, p, mu, rho):
         a, acc, H = kernel.hessian(vec, mu, rho)
         return float(a).hex(), np.array(acc).tobytes(), H.tobytes()
 
-    def expression(e):
-        value, grad = value_and_gradient(e, p)
-        return float(evaluate(e, p)).hex(), float(value).hex(), grad.tobytes()
-
     forms = {"rows": lambda: kernel.rows(vec).tobytes(), "jacobian": jacobian,
              "value": lambda: float(kernel.value(vec, mu, rho)).hex(),
              "gradient": gradient, "hessian": hessian}
     with np.errstate(all="ignore"):  # overflow gives inf, as on floats
-        got = {name: _outcome(run) for name, run in forms.items()}
+        return {name: _outcome(run) for name, run in forms.items()}
+
+
+def _every_form(prob, p, mu, rho):
+    """Each form of the problem's kernel, and each expression's value and
+    gradient, at p: its bits, or its error."""
+
+    def expression(e):
+        value, grad = value_and_gradient(e, p)
+        return float(evaluate(e, p)).hex(), float(value).hex(), grad.tobytes()
+
+    got = _kernel_forms(model._kernel(prob), p.flat(), mu, rho)
+    with np.errstate(all="ignore"):
         for k, e in enumerate((prob.g, *prob.ineqs, *prob.eqs)):
             got[k] = _outcome(lambda: expression(e))
     return got
@@ -569,6 +577,128 @@ class TestTiers:
             for run in (lambda: kernel.value(vec, mu, 37.0), lambda: kernel.rows(vec)):
                 with pytest.raises(DomainError, match="division by zero"):
                     run()
+
+
+def _kernels(prob, blocks):
+    """The problem's kernel, or with ``blocks`` the kernel of each block of
+    its contiguous partition, as the decomposed loop builds them."""
+    if blocks is None:
+        return [model._kernel(prob)]
+    return [model._kernel(prob, tuple(int(f) for f in cols), ineq_idx, eq_idx)
+            for cols, ineq_idx, eq_idx in BlockPartition.contiguous(prob, blocks).blocks(prob)]
+
+
+def _record_pieces(monkeypatch):
+    """(the piece texts compiled, the texts of the pieces made), from here on."""
+    compiled, made = [], []
+    piece_build = model._PieceEmitter.build
+
+    def counting_compile(source, filename, *args, **kwargs):
+        if filename == "<cnfopt:_aug>":
+            compiled.append(source)
+        return compile(source, filename, *args, **kwargs)
+
+    def recording_build(em, head, result_expr, codes):
+        fn = piece_build(em, head, result_expr, codes)
+        made.append(em.source(head, result_expr))
+        return fn
+
+    monkeypatch.setattr(expr, "compile", counting_compile, raising=False)
+    monkeypatch.setattr(model._PieceEmitter, "build", recording_build)
+    return compiled, made
+
+
+class TestSharedPieceCode:
+    """The pieces of one shape in one problem have one text, which compiles
+    once; each piece's function is made from that code with its own indices
+    swapped in as constants and its own error locations as globals."""
+
+    @pytest.mark.parametrize("entry_id, params, blocks, texts, pieces", [
+        # six block kernels: each has its objective's piece, and one piece
+        # of 15 constraints whose text all six share
+        ("ex9", {"n": 30, "lam": 1.0}, 6, 7, 12),
+        # three constraint pieces of different shapes, and the objective's
+        ("ex8", {"n": 10}, None, 4, 4),
+    ])
+    @in_both_tiers
+    def test_shared_code_gives_the_evaluator_bits(self, monkeypatch, entry_id, params, blocks,
+                                                  texts, pieces):
+        reference, served = (build(entry_id, **params).problem for _ in range(2))
+        points = list(_seeded_points(served, per_scale=2))
+        rng = np.random.default_rng(3)
+        with monkeypatch.context() as patch:
+            compiled, made = _record_pieces(patch)
+            for want_kernel, kernel in zip(_kernels(reference, blocks), _kernels(served, blocks)):
+                mu = rng.uniform(0.0, 2.0, len(kernel._cons)).tolist()
+                # compiled, in that tier, at order 2, whose sections serve every call
+                kernel.hessian(points[0].flat(), mu, 37.0)
+                for p in points:
+                    with cold_calls(TIERS["evaluator"]):
+                        want = _kernel_forms(want_kernel, p.flat(), mu, 37.0)
+                    assert _kernel_forms(kernel, p.flat(), mu, 37.0) == want
+        if compiled_tier():
+            # one compile per distinct text, however many pieces it makes
+            assert len(made) == pieces
+            assert sorted(compiled) == sorted(set(made))
+            assert len(compiled) == texts
+
+    @in_both_tiers
+    def test_each_piece_keeps_its_indices_and_error_locations(self):
+        # one block kernel per constraint: the constraints' pieces have one
+        # text, and the second's reads x[2] and reports its own position
+        prob = CnfProblem(name="roots", n=2, m=0, g=x_(1) ** 2 + x_(2) ** 2,
+                          ineqs=(parse("1 - sqrt(x[1])", n=2), parse("\n  1 - sqrt(x[2])", n=2)))
+        first, second = (model._kernel(prob, (i,), (i,), ()) for i in range(2))
+        for kernel, vec, message in (
+                (first, [-9.0, 4.0], "sqrt of negative value -9.0 at line 1, column 5"),
+                (second, [4.0, -1.0], "sqrt of negative value -1.0 at line 2, column 7")):
+            forms = _kernel_forms(kernel, np.array(vec), [0.5], 37.0)
+            assert forms == dict.fromkeys(forms, (DomainError, message))
+        # and each reads its own coordinate where both are defined
+        vec = np.array([4.0, 9.0])
+        assert first.rows(vec).tolist() == [-1.0] and second.rows(vec).tolist() == [-2.0]
+        if compiled_tier():
+            assert first._codes is second._codes
+            piece, other = first._pieces[2][1], second._pieces[2][1]
+            assert piece.__code__.co_code == other.__code__.co_code
+            assert piece.__code__.co_consts != other.__code__.co_consts
+            assert piece.__globals__["c0"] is not other.__globals__["c0"]
+
+    def test_separate_problems_compile_separately(self, monkeypatch):
+        compiled, made = _record_pieces(monkeypatch)
+        kernels = []
+        with cold_calls(TIERS["compiled"]):
+            for _ in range(2):
+                prob = build("ex9", n=30, lam=1.0).problem
+                kernels.append(_kernels(prob, 6))
+                vec = prob.lift(np.ones(prob.n)).flat()
+                for kernel in kernels[-1]:
+                    kernel.hessian(vec, [0.5] * len(kernel._cons), 37.0)
+        assert len(made) == 24 and len(compiled) == 14 and len(set(compiled)) == 7
+        first, second = ({id(kernel._codes) for kernel in ks} for ks in kernels)
+        assert len(first) == len(second) == 1 and first != second
+        codes = [{id(code) for code, _ in ks[0]._codes.values()} for ks in kernels]
+        assert len(codes[0]) == len(codes[1]) == 7 and not codes[0] & codes[1]
+        for kernel in kernels[0] + kernels[1]:
+            for piece in kernel._pieces[2]:
+                code, scope = piece.__code__, piece.__globals__
+                # indices are constants, not names: each name a piece loads is a
+                # runtime helper or an error location, and no placeholder is left
+                assert set(code.co_names) <= scope.keys()
+                locations = scope.keys() - model._KERNEL_RUNTIME.keys()
+                assert all(re.fullmatch(r"c\d+", name) for name in locations)
+                assert max(_int_constants(code.co_consts)) < model._PLACEHOLDER
+
+
+def _int_constants(consts):
+    """The integer constants of a code, those in tuples and slices included."""
+    for c in consts:
+        if type(c) is tuple:
+            yield from _int_constants(c)
+        elif type(c) is slice:
+            yield from _int_constants((c.start, c.stop, c.step))
+        elif type(c) is int:
+            yield c
 
 
 class TestBuiltinSuiteInvariants:

@@ -7,22 +7,27 @@ The seed defaults to ``jobs.DEFAULT_SEED`` (1).
 Run from anywhere; cnfopt is imported from this checkout's ``src/`` and the
 job lists from ``perfbench/jobs.py``, which is only read.  Every job of the
 four workloads runs once, in order, with ``expr._Emitter.build`` wrapped to
-record the source of each function it compiles.  A form runs on the float
-evaluator for its first ``expr.COLD_CALLS`` calls and compiles on the next,
-so the census counts only the forms called more than ``COLD_CALLS`` times; a
-copy of the tree with ``COLD_CALLS = 0`` compiles every form that runs, and
-its census shows the code the emitter writes for all of them.  For each
-workload the script prints one line per kind of compiled function:
+record the source of each text it compiles and ``model._PieceEmitter.build``
+to count the kernel pieces it makes.  A form runs on the float evaluator for
+its first ``expr.COLD_CALLS`` calls and compiles on the next, so the census
+counts only the forms called more than ``COLD_CALLS`` times; a copy of the
+tree with ``COLD_CALLS = 0`` compiles every form that runs, and its census
+shows the code the emitter writes for all of them.  For each workload the
+script prints one line per kind of compiled function:
 
-    <workload> <kind> <functions> <lines> <sha256>
+    <workload> <kind> <texts> <instances> <lines> <sha256>
 
 where the kinds are ``value`` and ``gradient`` (one expression each) and
 ``kernel-augmented`` (the pieces of the problem kernel's code, whose
 sections give A and the constraint values, the gradient and the Jacobian
-rows, and the Hessian, compiled once up to the highest order called),
-``lines`` counts every source line, ``def`` and ``return`` included, and
-the digest covers the sources in compile order.  Two checkouts that print
-the same line for a kind compiled the same functions byte for byte, so a
+rows, and the Hessian, compiled once up to the highest order called).
+``texts`` counts the texts compiled and ``instances`` the functions made
+from them: one per value or gradient text, and for the kernel one per
+piece, for the pieces of one shape in one problem share one compiled text
+(their indices are constants swapped into its code).  ``lines`` counts
+every source line of the compiled texts, ``def`` and ``return`` included,
+and the digest covers those texts in compile order.  Two checkouts that
+print the same line for a kind compiled the same texts byte for byte, so a
 compiler change shows here which code it changed and by how many lines.
 """
 
@@ -41,6 +46,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import cnfopt.expr as expr  # noqa: E402
+import cnfopt.model as model  # noqa: E402
 import jobs  # noqa: E402
 
 # the kind of each compiled function name
@@ -59,18 +65,26 @@ def main(argv=None):
     ap.add_argument("seed", type=int, nargs="?", default=jobs.DEFAULT_SEED)
     seed = ap.parse_args(argv).seed
     sources = {kind: [] for kind in KINDS.values()}
-    build = expr._Emitter.build
+    instances = dict.fromkeys(KINDS.values(), 0)
+    build, piece_build = expr._Emitter.build, model._PieceEmitter.build
 
     def recording_build(self, head, result_expr, runtime=expr._RUNTIME):
-        # the text build compiles: the head, the emitted lines, the return
-        src = "\n".join([f"def {head}:", *self.lines, f"    return {result_expr}"])
-        sources[_kind(head)].append(src)
+        kind = _kind(head)
+        sources[kind].append(self.source(head, result_expr))
+        if not isinstance(self, model._PieceEmitter):  # counted as a piece below
+            instances[kind] += 1
         return build(self, head, result_expr, runtime)
 
+    def counting_piece_build(self, head, result_expr, codes):
+        instances[_kind(head)] += 1
+        return piece_build(self, head, result_expr, codes)
+
     expr._Emitter.build = recording_build
+    model._PieceEmitter.build = counting_piece_build
     for workload in jobs.WORKLOADS:
         for kind in sources:
             sources[kind].clear()
+            instances[kind] = 0
         for job in jobs.make_workload(workload, seed):
             try:
                 job.run()
@@ -80,7 +94,7 @@ def main(argv=None):
             text = "\n".join(sources[kind])
             lines = sum(src.count("\n") + 1 for src in sources[kind])
             digest = hashlib.sha256(text.encode()).hexdigest()
-            print(workload, kind, len(sources[kind]), lines, digest, flush=True)
+            print(workload, kind, len(sources[kind]), instances[kind], lines, digest, flush=True)
 
 
 if __name__ == "__main__":
