@@ -262,7 +262,7 @@ _HEAD = "_aug(x, y, mu, rho, a, order=0, cv=None, acc=None, h=None, H=None, jac=
 # a piece's text writes each index as a placeholder constant: the odd
 # integers from here up, numbered by first appearance.  No other constant
 # of the code is one, for its other integers are section orders and int()s
-# of floats, and no float above 2**53 is odd
+# of floats (an exponent may be 1e19), and no float above 2**53 is odd
 _PLACEHOLDER = 2**60 + 1
 
 # the axis of each index of a stored item: k numbers a constraint of the
@@ -274,7 +274,7 @@ def _swapped(consts, values):
     """The constants ``consts`` of a piece's code with each placeholder,
     alone, in a tuple or in a slice (a compiler may fold a slice of
     constants into one), replaced by its index from ``values``."""
-    return tuple(values[(c - _PLACEHOLDER) >> 1] if type(c) is int and c >= _PLACEHOLDER
+    return tuple(values[(c - _PLACEHOLDER) >> 1] if type(c) is int and c >= _PLACEHOLDER and c & 1
                  else _swapped(c, values) if type(c) is tuple
                  else slice(*_swapped((c.start, c.stop, c.step), values)) if type(c) is slice
                  else c for c in consts)

@@ -664,6 +664,32 @@ class TestSharedPieceCode:
             assert piece.__code__.co_consts != other.__code__.co_consts
             assert piece.__globals__["c0"] is not other.__globals__["c0"]
 
+    @pytest.mark.parametrize("source", ["1 - x[{}]^1e19", "x[{}]^2e18 - 1"])
+    @in_both_tiers
+    def test_huge_integer_exponents_stay_constants(self, source):
+        # an integer power writes int() of its exponent, here an even
+        # constant of 2**60 or more: above the first placeholder, yet none
+        def problem():
+            return CnfProblem(name="huge", n=2, m=0, g=x_(1) ** 2 + x_(2) ** 2,
+                              ineqs=tuple(parse(source.format(i), n=2) for i in (1, 2)))
+
+        reference, served = problem(), problem()
+        kernels = [model._kernel(served, (i,), (i,), ()) for i in range(2)]
+        for i, kernel in enumerate(kernels):
+            want_kernel = model._kernel(reference, (i,), (i,), ())
+            # compiled, in that tier, at order 2, whose sections serve every call
+            with np.errstate(all="ignore"):
+                kernel.hessian(np.array([0.5, 0.5]), [0.5], 37.0)
+            for vec in ([0.5, 0.5], [1.0, -1.0], [2.0, 0.5], [-0.5, 3.0]):
+                with cold_calls(TIERS["evaluator"]):
+                    want = _kernel_forms(want_kernel, np.array(vec), [0.5], 37.0)
+                assert _kernel_forms(kernel, np.array(vec), [0.5], 37.0) == want
+        if compiled_tier():
+            first, second = (kernel._pieces[2][1].__code__ for kernel in kernels)
+            assert kernels[0]._codes is kernels[1]._codes
+            assert first.co_code == second.co_code and first.co_consts != second.co_consts
+            assert max(_int_constants(first.co_consts)) >= model._PLACEHOLDER
+
     def test_separate_problems_compile_separately(self, monkeypatch):
         compiled, made = _record_pieces(monkeypatch)
         kernels = []
