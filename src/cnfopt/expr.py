@@ -375,17 +375,19 @@ def value_and_gradient(e, p):
 # Compiling a form costs about 4 to 8 runs of it on the evaluator, and a
 # compiled run costs a small fraction of one.  So each form
 # (``compiled_value``, ``compiled_gradient`` and the problem kernel's codes
-# in cnfopt.model) counts its calls: the first COLD_CALLS run on the
-# evaluator, and the next one compiles the form, which is cached and serves
-# every later call.  A form that runs once, as each of a certificate's
-# does, is never compiled; a hot form pays COLD_CALLS evaluator runs on top
-# of its compile.
+# in cnfopt.model) counts its calls by order: the first COLD_CALLS[k] calls
+# of order k run on the evaluator, and the next one compiles the form,
+# which is cached and serves every later call.  A form that runs once, as
+# each of a certificate's does, is never compiled; a hot form pays its
+# order's evaluator runs on top of its compile.
 
-# calls of a form that run on the evaluator before the form compiles.  In a
-# sweep of 1, 2, 4 and 8 over the four benchmark workloads (CHANGES.md) the
-# certify pass fell by half at every value, and the solver workloads, whose
-# hot Hessian and value forms pay every cold call, were fastest at 1
-COLD_CALLS = 1
+# calls of a form of each order (value, gradient, Hessian) that run on the
+# evaluator before the form compiles.  In a sweep of 1, 2, 4 and 8 for
+# every order (CHANGES.md) the certify pass fell by half at every value, and
+# the solver workloads, whose hot forms pay every cold call, were fastest at
+# 1.  Only Newton's method calls order 2, and it calls again at once (at its
+# first unit trial), so a Hessian call compiles at the first
+COLD_CALLS = (1, 1, 0)
 
 
 def _rt_div(a, b, loc):
@@ -796,23 +798,25 @@ def _cache_of(e):
     return cache
 
 
-def _cold_call(counts, key):
-    """Count one call of the form ``key`` not compiled yet: true while it is
-    one of the form's first COLD_CALLS, which run on the evaluator."""
+def _cold_call(counts, key, order):
+    """Count one call of the form ``key`` of ``order`` not compiled yet: true
+    while it is one of the form's first COLD_CALLS[order], which run on the
+    evaluator."""
     calls = counts[key] = counts.get(key, 0) + 1
-    return calls <= COLD_CALLS
+    return calls <= COLD_CALLS[order]
 
 
-def _cold(cache, key, run, build):
-    """The function of a form while it is cold.  Each call counts; the first
-    COLD_CALLS return ``run(x, y)``, and the next one compiles ``build()``
-    into ``cache[key]``, which serves it and every later call.  Nothing
-    stored on the node refers to this function, so no cycle holds the tree."""
+def _cold(cache, key, order, run, build):
+    """The function of a form of ``order`` while it is cold.  Each call
+    counts; the first COLD_CALLS[order] return ``run(x, y)``, and the next
+    one compiles ``build()`` into ``cache[key]``, which serves it and every
+    later call.  Nothing stored on the node refers to this function, so no
+    cycle holds the tree."""
 
     def cold(x, y):
         fn = cache.get(key)
         if fn is None:
-            if _cold_call(cache, ("calls", key)):
+            if _cold_call(cache, ("calls", key), order):
                 return run(x, y)
             fn = cache[key] = build()
         return fn(x, y)
@@ -822,7 +826,7 @@ def _cold(cache, key, run, build):
 
 def compiled_value(e):
     """fn(x, y) -> float for this tree: on the evaluator for the tree's
-    first COLD_CALLS evaluations, then compiled once and cached."""
+    first COLD_CALLS[0] evaluations, then compiled once and cached."""
     cache = _cache_of(e)
     fn = cache.get("value")
     if fn is None:
@@ -830,7 +834,7 @@ def compiled_value(e):
             em = _Emitter()
             return em.build("_val(x, y)", _sweep(e, em, 0, {})[0])
 
-        fn = _cold(cache, "value", lambda x, y: _sweep(e, _Evaluator(x, y), 0, {})[0], build)
+        fn = _cold(cache, "value", 0, lambda x, y: _sweep(e, _Evaluator(x, y), 0, {})[0], build)
     return fn
 
 
@@ -862,7 +866,7 @@ def compiled_gradient(e, n, m):
             return em.build("_grad(x, y)",
                             f"({val}, ({partials}{',' if len(slots) == 1 else ''}))")
 
-        fn = _cold(cache, key, run, build)
+        fn = _cold(cache, key, 1, run, build)
     return fn, cache[("slots", n, m)]
 
 

@@ -171,13 +171,13 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, hess_fun=None):
             t = INIT_STEP
             slope = float(g @ d)
         else:
-            d = -g
+            # the direction is -g, and z - t*g is z + t*(-g) exactly
             t = trial
             slope = -float(gg)  # g @ -g: negation is exact
 
         accepted = False
         while t >= _MIN_STEP:
-            zt = z + t * d
+            zt = z + t * d if newton else z - t * g
             # at: Newton's triple at the unit trial point, or the DomainError
             # it raised there, which only an accepted step raises again
             if newton and t == INIT_STEP:

@@ -26,13 +26,14 @@ inactive inequalities for the 2 rho grad c grad c' term.  A call of order
 k runs sections 0 to k, so the value, the gradient and the Hessian share
 one compile; each sums in constraint order, so it equals a term-by-term
 sum bit for bit.
-Calls count per order: the first ``expr.COLD_CALLS`` of an order that no
-compiled code serves run on the float evaluator of ``cnfopt.expr``, with
-the same bits and the same errors, and the next compiles the code at the
-highest order called so far.  Gradient descent calls orders 1 (iterates)
-and 0 (line-search trials), so its code compiles once, at order 1; the
-Newton method takes value, gradient and Hessian from one order-2 call per
-iterate and runs its backtracked trials at order 0 on the same code.
+Calls count per order: the first ``expr.COLD_CALLS[k]`` calls of order k
+that no compiled code serves run on the float evaluator of ``cnfopt.expr``,
+with the same bits and the same errors, and the next compiles the code at
+the highest order called so far.  Gradient descent calls orders 1
+(iterates) and 0 (line-search trials), so its code compiles once, at order
+1; the Newton method takes value, gradient and Hessian from one order-2
+call per iterate, whose count is 0, so its first call compiles the code,
+and runs its backtracked trials at order 0 on the same code.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .expr import Point
 # only the benchmark's tracer uses these here: it patches both names on this module
 from .expr import compiled_gradient, compiled_value  # noqa: F401
 from .inner import InnerConfig, InnerResult, minimize
-from .model import _kernel, midpoint_convexity_violations
+from .model import _kernel, midpoint_convex
 
 V_FREE = "v_free"
 V_NONNEG = "v_nonneg"
@@ -123,11 +124,12 @@ def augmented_gradient(prob, p, mult, rho):
     return np.array(_kernel(prob).value_and_grad(p.flat(), _mu(mult.u, mult.v), rho)[1])
 
 
-def lagrangian_convexity_violations(prob, u, v, pairs, seed):
-    """Sampled midpoint-convexity violations of L(., u, v) over the
-    problem box (see ``midpoint_convexity_violations``)."""
+def lagrangian_sampled_convex(prob, u, v, pairs, seed):
+    """Whether L(., u, v) passes the sampled midpoint-convexity check over
+    the problem box (see ``model.midpoint_convex``), which stops at the
+    first violating pair."""
     kernel, mu = _kernel(prob), _mu(u, v)
-    return midpoint_convexity_violations(
+    return midpoint_convex(
         lambda vec: kernel.value(vec, mu, 0.0),
         prob.n + prob.m,
         prob.box,
@@ -231,7 +233,7 @@ def dual_value(prob, mult, inner_cfg=None, start=None, seed=0):
     hess_fun = augmented_hessian(prob, mult.u, mult.v, 0.0, base=start)
     res = minimize(fun, start.flat(), cfg, value_fn=value_fn, hess_fun=hess_fun)
 
-    local = lagrangian_convexity_violations(prob, mult.u, mult.v, _CONVEXITY_PAIRS, seed) > 0
+    local = not lagrangian_sampled_convex(prob, mult.u, mult.v, _CONVEXITY_PAIRS, seed)
     if res.status == "diverged":
         return DualValue("unbounded_below", None, local, res)
     if res.status == "converged":

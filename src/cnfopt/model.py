@@ -9,8 +9,9 @@ Each problem has a kernel (``_kernel``) with one code, whose sections give
 the augmented Lagrangian and the constraint values (order 0), its gradient
 and the constraints' Jacobian rows (order 1) and its Hessian (order 2).
 Its statements are written once (``_Kernel._assemble``) against the
-operand interface of ``cnfopt.expr``: the float evaluator runs them for an
-order's first ``expr.COLD_CALLS`` calls, and the next call compiles them.
+operand interface of ``cnfopt.expr``: the float evaluator runs them for the
+first ``expr.COLD_CALLS[k]`` calls of order k, and the next call compiles
+them.  A Hessian call, whose count is 0, compiles them at once.
 
 The compiled code comes in pieces, and a piece's text holds a placeholder
 constant wherever an index goes, so the pieces of one shape have one text:
@@ -206,9 +207,20 @@ def midpoint_convexity_violations(fn, dim, box, pairs, seed, tol=CONVEXITY_TOL):
     A sampled necessary condition for convexity of fn over the box; cheap
     and catches sign mistakes, but no proof.
     """
+    return sum(_violating_pairs(fn, dim, box, pairs, seed, tol))
+
+
+def midpoint_convex(fn, dim, box, pairs, seed, tol=CONVEXITY_TOL):
+    """``midpoint_convexity_violations(...) == 0``, with the same pairs and
+    calls up to the first violating pair, where it stops."""
+    return not any(_violating_pairs(fn, dim, box, pairs, seed, tol))
+
+
+def _violating_pairs(fn, dim, box, pairs, seed, tol):
+    """Yield True for each sampled pair that violates midpoint convexity, as
+    soon as it is found."""
     lo, hi = box
     rng = np.random.default_rng(seed)
-    bad = 0
     # a draw of k pairs takes the stream that drawing a, then b, pair by
     # pair would; a bounded k keeps memory independent of the pair count
     for start in range(0, pairs, _DRAW_PAIRS):
@@ -218,8 +230,7 @@ def midpoint_convexity_violations(fn, dim, box, pairs, seed, tol=CONVEXITY_TOL):
             over = fn(mid) > 0.5 * (fn(a) + fn(b)) + tol
             # a float fn's bool skips numpy's any(), which costs as much as fn
             if over.any() if isinstance(over, np.ndarray) else over:
-                bad += 1
-    return bad
+                yield True
 
 
 def sample_convexity(prob, samples=500, seed=0, box=None):
@@ -241,14 +252,32 @@ def _outer(H, c, cols, u, vcols=None, v=None):
     """Add c (u v' + v u') to H over ``cols`` x ``vcols``, or c u u' when v is
     None: an outer product the emitter left whole (``expr.OUTER_ENTRIES``)."""
     if v is None:
-        H[np.ix_(cols, cols)] += c * np.outer(u, u)
+        H[_block(cols, cols)] += c * np.outer(u, u)
     else:
         block = c * np.outer(u, v)
-        H[np.ix_(cols, vcols)] += block
-        H[np.ix_(vcols, cols)] += block.T
+        H[_block(cols, vcols)] += block
+        H[_block(vcols, cols)] += block.T
+
+
+def _block(rows, cols):
+    """The index of H's block ``rows`` x ``cols``: a slice on each axis where
+    both run lo, lo + 1, ..., else ``np.ix_``.  A slice adds to H in place,
+    where index arrays gather and scatter the same entries."""
+    r, c = _span(rows), _span(cols)
+    return np.ix_(rows, cols) if r is None or c is None else (r, c)
+
+
+def _span(cols):
+    """The slice of the tuple ``cols`` if it runs lo, lo + 1, ..., else None."""
+    lo = cols[0]
+    return slice(lo, lo + len(cols)) if cols == tuple(range(lo, lo + len(cols))) else None
 
 
 _KERNEL_RUNTIME = {**_RUNTIME, "_outer": _outer}
+
+# the Hessian slots of a code not compiled at order 2: the evaluator adds
+# its entries to H itself
+_NO_SLOTS = np.zeros(0, dtype=int)
 
 # a kernel piece holds at most this many constraints, and the objective
 # has a piece of its own: one straight-line function over everything would
@@ -435,10 +464,10 @@ class _Kernel:
     ``value`` and ``rows`` are of order 0, ``value_and_grad`` and ``rows``
     with ``jac`` of order 1, and ``hessian`` of order 2.  A call at or below
     the compiled order runs the compiled code.  Above it, the first
-    ``expr.COLD_CALLS`` calls of each order run on the float evaluator, and
+    ``expr.COLD_CALLS[k]`` calls of order k run on the float evaluator, and
     the next compiles the code at the highest order called so far.  So
     gradient descent compiles it once, at order 1, and Newton once, at
-    order 2.
+    order 2, on its first Hessian call.
 
     Compiling emits every piece and compiles only the texts that the
     problem's dict ``codes`` (text -> code) lacks; see
@@ -460,7 +489,8 @@ class _Kernel:
         self._calls = {}  # each order's calls not served compiled
         self._top = 0  # the highest order called
         self._pairs = {}  # (s, t) -> its slot in the order-2 section's entry list
-        self._lower = None
+        self._slots = _NO_SLOTS  # the flat index in H of each slot, once compiled
+        self._lower = None  # the strict lower triangle of H, a mask
 
     def value(self, vec, mu, rho):
         """A at the flat point ``vec`` (x block, then y block)."""
@@ -498,8 +528,7 @@ class _Kernel:
         pieces = self._pieces[2]
         if pieces is None:
             if self._lower is None:
-                self._lower = np.tril_indices(self._width, -1)
-                self._upper = tuple(ix[:0] for ix in self._lower)  # no slot until compiled
+                self._lower = np.tri(self._width, k=-1, dtype=bool)
             pieces = self._warm(2)
         x, y = self._blocks(vec)
         a = 0.0
@@ -510,11 +539,11 @@ class _Kernel:
         with np.errstate(all="ignore"):  # overflow gives inf, as on floats
             for piece in pieces:
                 a = piece(x, y, mu, rho, a, 2, None, acc, h, H, jac)
-            H[self._upper] += h
+            H.reshape(-1)[self._slots] += h  # one index array: faster than (s, t) pairs
             if rho:
                 # jac holds the rows of the equalities and active inequalities
                 H += (2.0 * rho) * (jac.T @ jac)
-        H[self._lower] = H.T[self._lower]
+        np.copyto(H, H.T, where=self._lower)
         return float(a), acc, H
 
     def rows(self, vec, jac=None):
@@ -549,11 +578,11 @@ class _Kernel:
 
     def _warm(self, order):
         """The pieces that run one call of ``order`` that no compiled code
-        serves: the evaluator's for the order's first ``expr.COLD_CALLS``
-        such calls; then the code compiled at the highest order called so
-        far, kept for every later call it serves."""
+        serves: the evaluator's for the order's first
+        ``expr.COLD_CALLS[order]`` such calls; then the code compiled at the
+        highest order called so far, kept for every later call it serves."""
         self._top = max(self._top, order)
-        if _cold_call(self._calls, order):
+        if _cold_call(self._calls, order, order):
             return self._evaluator_pieces()
         pieces = self._compile(self._top)
         self._pieces[:self._top + 1] = [pieces] * (self._top + 1)
@@ -596,7 +625,7 @@ class _Kernel:
             self._assemble(em, order, ks)
             pieces.append(em.build(_HEAD, "a", self._codes))
         if order == 2:
-            self._upper = tuple(np.array(list(self._pairs), dtype=int).reshape(-1, 2).T)
+            self._slots = np.array([s * self._width + t for s, t in self._pairs], dtype=int)
         return pieces
 
     def _assemble(self, ops, order, ks):

@@ -274,9 +274,9 @@ class TestOneLinearizationPerCertificate:
     """certify builds one feasibility report and one linearization, however
     many of its tests run: the objective's gradient once, and every
     constraint's value and gradient from one order-1 rows call of the problem
-    kernel, which runs only inside the matched set.  Each order of a code
-    runs on the float evaluator for its first ``expr.COLD_CALLS`` calls, and
-    certify calls each once (the objective's value form too), so a one-shot
+    kernel, which runs only inside the matched set.  Orders 0 and 1 of a code
+    run on the float evaluator for their first ``expr.COLD_CALLS[k]`` calls,
+    and certify calls each once (the objective's value form too), so a one-shot
     certify compiles nothing."""
 
     @pytest.mark.parametrize(
@@ -306,7 +306,7 @@ class TestOneLinearizationPerCertificate:
         # objective's among them, once, at order 1
         kernel, vec = model._kernel(prob), prob.lift(x).flat()
         jac = np.zeros((prob.s + prob.r, prob.n + prob.m))
-        for _ in range(expr.COLD_CALLS - 1):
+        for _ in range(expr.COLD_CALLS[1] - 1):
             kernel.rows(vec, jac)
         assert builds["_aug"] == 0
         pieces = 1 - (-(prob.s + prob.r) // model._PIECE)

@@ -332,7 +332,7 @@ def test_decomposed_newton_compiles_no_gradient_form(monkeypatch):
 
     monkeypatch.setattr(model._Kernel, "_compile", counting)
     # every code compiles on its first call, so each that runs compiles
-    monkeypatch.setattr(expr, "COLD_CALLS", 0)
+    monkeypatch.setattr(expr, "COLD_CALLS", (0, 0, 0))
     prob = build("ex9", n=30, lam=1.0).problem
     cfg = AlpfConfig(eps=1e-6, rho0=10.0, growth=10.0, max_outer=10, sigma0=5.0,
                      inner=InnerConfig(method=NEWTON_FD, max_iters=400))

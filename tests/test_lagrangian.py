@@ -22,7 +22,7 @@ from cnfopt.lagrangian import (
 )
 from cnfopt.model import CnfProblem, check_feasible
 from cnfopt.problems import build, catalog_ids, default_entries
-from tiers import cold_calls, in_both_tiers
+from tiers import TIERS, cold_calls, in_both_tiers
 
 
 @pytest.fixture(scope="module")
@@ -376,7 +376,7 @@ class TestKernelOracle:
             parts = [(None, range(served.s), range(served.r))]
         else:
             parts = BlockPartition.contiguous(served, blocks).blocks(served)
-        with cold_calls(0):
+        with cold_calls(TIERS["compiled"]):
             for wrt, ineq_idx, eq_idx in parts:
                 ineq_idx, eq_idx = list(ineq_idx), list(eq_idx)
                 cols = np.arange(served.n + served.m) if wrt is None else wrt

@@ -169,6 +169,36 @@ class TestSampleConvexity:
                 counts.add(got)
         assert len(counts) > 2  # the pairs did not all agree
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_the_convex_check_stops_at_its_first_violating_pair(self, dim):
+        """``midpoint_convex`` is ``midpoint_convexity_violations(...) == 0``
+        and calls ``fn`` at the count's points, in its order, up to the end
+        of the first violating pair, and not after it."""
+
+        def recording(calls, f):
+            def fn(z):
+                calls.append(np.array(z))
+                return f(z)
+            return fn
+
+        functions = {"convex": lambda z: float(z @ z), "concave": lambda z: -float(z @ z),
+                     "wavy": lambda z: np.sin(3.0 * z).sum()}
+        for name, f in functions.items():
+            for seed in range(3):
+                args = (dim, (-2.0, 2.0), 60, seed)
+                got_calls, want_calls = [], []
+                convex = model.midpoint_convex(recording(got_calls, f), *args)
+                count = midpoint_convexity_violations(recording(want_calls, f), *args)
+                assert convex == (count == 0) == (name == "convex")
+                # the number of pairs up to and with the first violating one
+                first = next((k for k in range(1, 61) if midpoint_convexity_violations(
+                    f, dim, (-2.0, 2.0), k, seed)), 60)
+                assert len(got_calls) == 3 * first
+                for z_got, z_want in zip(got_calls, want_calls):
+                    assert z_got.tobytes() == z_want.tobytes()
+                if name == "concave":
+                    assert first == 1
+
     @pytest.mark.parametrize("pairs", [-1, 2 * model._DRAW_PAIRS + 3])
     def test_pair_counts_past_one_draw(self, pairs):
         """A count the ``validate --samples`` flag can pass spans several
@@ -391,8 +421,8 @@ _DOMAIN_POINTS = [Point(x, [0.5]) for x in (
 
 
 class TestTiers:
-    """A form's first ``expr.COLD_CALLS`` calls run on the float evaluator,
-    and the next compiles it.  Both tiers give the same bits, and raise the
+    """A form's first ``expr.COLD_CALLS[k]`` calls of order k run on the float
+    evaluator, and the next compiles it.  Both tiers give the same bits, and raise the
     same errors with the same text."""
 
     @pytest.mark.parametrize("rho", [0.0, 37.0])
@@ -448,7 +478,9 @@ class TestTiers:
         assert str(info.value) == "division by zero at line 1, column 6"
 
     def test_call_after_the_cold_calls_compiles_each_form_once(self, monkeypatch):
-        assert expr.COLD_CALLS >= 1  # the shipped tier runs on the evaluator first
+        # the shipped counts: values and gradients run on the evaluator
+        # first, and a Hessian call compiles at once
+        assert expr.COLD_CALLS[0] >= 1 and expr.COLD_CALLS[1] >= 1 and expr.COLD_CALLS[2] == 0
         builds = Counter()
         build_fn = expr._Emitter.build
 
@@ -482,14 +514,17 @@ class TestTiers:
             "jacobian": (jacobian, 1),
             "hessian": (hessian, 2),
         }
-        # the evaluator's results: every first call runs on it
-        want = {name: run(fresh()) for name, (run, _) in calls.items()}
+        # the evaluator's results
+        with cold_calls(TIERS["evaluator"]):
+            want = {name: run(fresh()) for name, (run, _) in calls.items()}
         assert not builds
         for name, (run, order) in calls.items():
             kernel = fresh()
             builds.clear()
-            first = [run(kernel) for _ in range(expr.COLD_CALLS)]
+            first = [run(kernel) for _ in range(expr.COLD_CALLS[order])]
             assert not builds, name
+            # the Hessian's first call is the one that compiles
+            assert (first == []) == (order == 2), name
             last = [run(kernel) for _ in range(4)]
             # one compile, at the call's order, which serves every call of
             # that order or below with the evaluator's bits
@@ -506,9 +541,9 @@ class TestTiers:
         # at the highest order called so far, and serves both
         kernel = fresh()
         builds.clear()
-        for _ in range(expr.COLD_CALLS):
+        for _ in range(expr.COLD_CALLS[1]):
             assert calls["gradient"][0](kernel) == want["gradient"]
-        for _ in range(expr.COLD_CALLS):
+        for _ in range(expr.COLD_CALLS[0]):
             assert calls["value"][0](kernel) == want["value"]
         assert not builds
         for _ in range(3):
@@ -518,19 +553,48 @@ class TestTiers:
         assert kernel._pieces[0] is kernel._pieces[1] and kernel._pieces[2] is None
 
         forms = {
-            "_val": (lambda: evaluate(prob.g, p), 1),
+            "_val": (lambda: evaluate(prob.g, p), 0),
             "_grad": (lambda: value_and_gradient(prob.g, p)[1].tobytes(), 1),
         }
         builds.clear()
-        for name, (run, pieces) in forms.items():
-            first = [run() for _ in range(expr.COLD_CALLS)]
+        for name, (run, order) in forms.items():
+            first = [run() for _ in range(expr.COLD_CALLS[order])]
             assert builds[name] == 0, name
             last = [run()]
-            assert builds[name] == pieces, name
+            assert builds[name] == 1, name
             last += [run() for _ in range(3)]
-            assert builds[name] == pieces, name
+            assert builds[name] == 1, name
             assert first + last == [first[0]] * len(first + last), name
         assert sum(builds.values()) == 2
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_each_order_runs_its_cold_calls_on_the_evaluator(self, monkeypatch, order):
+        # a value or gradient call runs on the evaluator for the order's
+        # first COLD_CALLS[k] calls; a Hessian call compiles at the first
+        runs, compiled = [], []
+        run_pieces, compile_code = model._Kernel._evaluator_pieces, model._Kernel._compile
+
+        def counting_run(kernel):
+            runs.append(kernel)
+            return run_pieces(kernel)
+
+        def counting_compile(kernel, top):
+            compiled.append(top)
+            return compile_code(kernel, top)
+
+        monkeypatch.setattr(model._Kernel, "_evaluator_pieces", counting_run)
+        monkeypatch.setattr(model._Kernel, "_compile", counting_compile)
+        prob = build("ex8", n=10).problem
+        kernel = model._kernel(prob)
+        vec, mu = prob.lift(np.linspace(-1.0, 1.0, 10)).flat(), [0.5] * 40
+        call = (kernel.value, kernel.value_and_grad, kernel.hessian)[order]
+        for _ in range(expr.COLD_CALLS[order]):
+            call(vec, mu, 37.0)
+        assert len(runs) == expr.COLD_CALLS[order] and compiled == []
+        for _ in range(3):
+            call(vec, mu, 37.0)
+        assert len(runs) == expr.COLD_CALLS[order] and compiled == [order]
+        assert (runs == []) == (order == 2)
 
     @pytest.mark.parametrize("make", CONSTRAINT_CASES)
     def test_a_higher_order_code_serves_each_call_with_its_bits(self, make):
@@ -545,7 +609,7 @@ class TestTiers:
         with cold_calls(TIERS["evaluator"]):
             want = [_every_form(reference, p, mu, 37.0) for p in points]
         kernel = model._kernel(served)
-        with cold_calls(0):
+        with cold_calls(TIERS["compiled"]):
             _outcome(lambda: kernel.hessian(points[0].flat(), mu, 37.0))
             assert kernel._pieces == [kernel._pieces[2]] * 3 and kernel._pieces[2]
             got = [_every_form(served, p, mu, 37.0) for p in points]
@@ -571,7 +635,9 @@ class TestTiers:
             jac = np.zeros((prob.s, 3))
             for run in (lambda: kernel.value_and_grad(vec, mu, 37.0),
                         lambda: kernel.hessian(vec, mu, 37.0), lambda: kernel.rows(vec, jac)):
-                for _ in range(2):  # on the evaluator, then compiled in the shipped tier
+                # the first and second calls: in the shipped tier, on the
+                # evaluator and then compiled, or a Hessian's both compiled
+                for _ in range(2):
                     with pytest.raises(DomainError, match=derivative):
                         run()
             for run in (lambda: kernel.value(vec, mu, 37.0), lambda: kernel.rows(vec)):
@@ -606,6 +672,69 @@ def _record_pieces(monkeypatch):
     monkeypatch.setattr(expr, "compile", counting_compile, raising=False)
     monkeypatch.setattr(model._PieceEmitter, "build", recording_build)
     return compiled, made
+
+
+def _outer_by_index_arrays(H, c, cols, u, vcols=None, v=None):
+    """``model._outer`` as it was written over ``np.ix_`` alone."""
+    if v is None:
+        H[np.ix_(cols, cols)] += c * np.outer(u, u)
+    else:
+        block = c * np.outer(u, v)
+        H[np.ix_(cols, vcols)] += block
+        H[np.ix_(vcols, cols)] += block.T
+
+
+class TestHessianAssembly:
+    """The Hessian adds outer products over slices where their columns are
+    contiguous, and copies its upper triangle to the lower one under a mask,
+    with the bits of index arrays."""
+
+    @pytest.mark.parametrize("cols, vcols", [
+        ((2, 3, 4), None),
+        ((5,), None),
+        ((0, 2, 5), None),
+        ((0, 1), (4, 5, 6)),  # both contiguous, apart
+        ((1, 2, 3), (2, 3, 4)),  # both contiguous, overlapping
+        ((1, 2, 3), (0, 4, 6)),  # mixed
+        ((0, 3), (3, 4, 5)),  # mixed, overlapping
+        ((1, 3, 5), (2, 3, 6)),  # neither
+        ((1, 3, 2, 4), None),  # from 1 to 4, not in order
+        ((1, 3, 2, 4), (5, 6)),
+    ])
+    def test_outer_gives_the_bits_of_index_arrays(self, cols, vcols):
+        rng = np.random.default_rng(11)
+        sliced = all(c == tuple(range(c[0], c[0] + len(c))) for c in (cols, vcols or cols))
+        assert isinstance(model._block(cols, vcols or cols)[0], slice) == sliced
+        for entries in ("finite", "inf"):
+            H = rng.normal(size=(7, 7))
+            args = [cols, rng.normal(size=len(cols)).tolist()]
+            if vcols is not None:
+                args += [vcols, rng.normal(size=len(vcols)).tolist()]
+            if entries == "inf":
+                H[3, 4] = -np.inf
+                args[1][0] = np.inf  # inf * 0 makes a nan
+                args[-1][-1] = 0.0
+            for c in (0.5, -3.0, 0.0):
+                got, want = H.copy(), H.copy()
+                with np.errstate(all="ignore"):
+                    model._outer(got, c, *args)
+                    _outer_by_index_arrays(want, c, *args)
+                assert got.tobytes() == want.tobytes(), (entries, c)
+
+    @pytest.mark.parametrize("make", CONSTRAINT_CASES)
+    @in_both_tiers
+    def test_lower_triangle_equals_the_upper(self, make):
+        prob = make()
+        kernel = model._kernel(prob)
+        rng = np.random.default_rng(4)
+        mu = np.concatenate([rng.uniform(0.0, 2.0, prob.s), rng.normal(size=prob.r)]).tolist()
+        for p in _seeded_points(prob, per_scale=2):
+            try:
+                with np.errstate(all="ignore"):  # overflow gives inf and nan entries
+                    H = kernel.hessian(p.flat(), mu, 37.0)[2]
+            except DomainError:
+                continue
+            assert H.tobytes() == np.ascontiguousarray(H.T).tobytes()
 
 
 class TestSharedPieceCode:

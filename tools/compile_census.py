@@ -7,11 +7,13 @@ The seed defaults to ``jobs.DEFAULT_SEED`` (1).
 Run from anywhere; cnfopt is imported from this checkout's ``src/`` and the
 job lists from ``perfbench/jobs.py``, which is only read.  Every job of the
 four workloads runs once, in order, with ``expr._Emitter.build`` wrapped to
-record the source of each text it compiles and ``model._PieceEmitter.build``
-to count the kernel pieces it makes.  A form runs on the float evaluator for
-its first ``expr.COLD_CALLS`` calls and compiles on the next, so the census
-counts only the forms called more than ``COLD_CALLS`` times; a copy of the
-tree with ``COLD_CALLS = 0`` compiles every form that runs, and its census
+record the source of each text it compiles, ``model._PieceEmitter.build``
+to count the kernel pieces it makes and ``model._Kernel._warm`` to count the
+kernel calls that run on the float evaluator.  A form runs on the evaluator
+for its first ``expr.COLD_CALLS[k]`` calls of order k (1 for values and
+gradients, 0 for Hessians) and compiles on the next, so the census counts
+only the forms called more often; a copy of the tree with
+``COLD_CALLS = (0, 0, 0)`` compiles every form that runs, and its census
 shows the code the emitter writes for all of them.  For each workload the
 script prints one line per kind of compiled function:
 
@@ -29,6 +31,12 @@ every source line of the compiled texts, ``def`` and ``return`` included,
 and the digest covers those texts in compile order.  Two checkouts that
 print the same line for a kind compiled the same texts byte for byte, so a
 compiler change shows here which code it changed and by how many lines.
+Then it prints one line of the kernel calls that ran on the evaluator:
+
+    <workload> kernel-evaluator <order 0> <order 1> <order 2>
+
+counting each call by its order: values and constraint values, gradients
+and Jacobian rows, Hessians.  Like the other lines, it repeats exactly.
 """
 
 from __future__ import annotations
@@ -66,7 +74,8 @@ def main(argv=None):
     seed = ap.parse_args(argv).seed
     sources = {kind: [] for kind in KINDS.values()}
     instances = dict.fromkeys(KINDS.values(), 0)
-    build, piece_build = expr._Emitter.build, model._PieceEmitter.build
+    evaluator_runs = [0, 0, 0]
+    build, piece_build, warm = expr._Emitter.build, model._PieceEmitter.build, model._Kernel._warm
 
     def recording_build(self, head, result_expr, runtime=expr._RUNTIME):
         kind = _kind(head)
@@ -79,12 +88,20 @@ def main(argv=None):
         instances[_kind(head)] += 1
         return piece_build(self, head, result_expr, codes)
 
+    def counting_warm(self, order):
+        pieces = warm(self, order)
+        if self._pieces[order] is None:  # no code compiled: the evaluator's pieces
+            evaluator_runs[order] += 1
+        return pieces
+
     expr._Emitter.build = recording_build
     model._PieceEmitter.build = counting_piece_build
+    model._Kernel._warm = counting_warm
     for workload in jobs.WORKLOADS:
         for kind in sources:
             sources[kind].clear()
             instances[kind] = 0
+        evaluator_runs[:] = [0, 0, 0]
         for job in jobs.make_workload(workload, seed):
             try:
                 job.run()
@@ -95,6 +112,7 @@ def main(argv=None):
             lines = sum(src.count("\n") + 1 for src in sources[kind])
             digest = hashlib.sha256(text.encode()).hexdigest()
             print(workload, kind, len(sources[kind]), instances[kind], lines, digest, flush=True)
+        print(workload, "kernel-evaluator", *evaluator_runs, flush=True)
 
 
 if __name__ == "__main__":
