@@ -320,10 +320,13 @@ def is_smooth(e):
 
 
 def require_smooth(e):
-    """Raise DialectError at the first nonsmooth node in preorder."""
-    for node in walk(e):
+    """Raise DialectError at the first nonsmooth node in preorder; returns
+    ``walk(e)``, the nodes it checked."""
+    nodes = walk(e)
+    for node in nodes:
         if _nonsmooth(node):
             raise _dialect_error(node)
+    return nodes
 
 
 def gradient(e, p):

@@ -129,81 +129,84 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, hess_fun=None):
     full = hess_fun if newton else fun
     value_of = value_fn if value_fn is not None else (lambda z: full(z)[0])
 
-    z = np.asarray(start, dtype=float).copy()
-    if newton:
-        f, g, H = hess_fun(z)
-    else:
-        f, g = fun(z)
-    tol = cfg.grad_tol * max(1.0, abs(f))
-    trial = INIT_STEP
-    window_best = np.inf
-    prev_window_best = np.inf
-    window_count = 0
-    window_f0 = f
-
-    # the last pass only checks the final iterate
-    for it in range(cfg.max_iters + 1):
-        # sqrt of a dot product is what np.linalg.norm computes for a 1-D
-        # float array, without its dispatch cost
-        gg = g.dot(g)
-        gnorm = math.sqrt(gg)
-        if gnorm <= tol:
-            return InnerResult(z, f, gnorm, "converged", it)
-        if f < VALUE_FLOOR or math.sqrt(z.dot(z)) > POINT_NORM_CAP:
-            return InnerResult(z, f, gnorm, "diverged", it)
-        if it == cfg.max_iters:
-            return InnerResult(z, f, gnorm, "max_iters", it)
-        window_best = min(window_best, gnorm)
-        window_count += 1
-        if window_count >= _PLATEAU_WINDOW:
-            no_gnorm_progress = window_best > _PLATEAU_FACTOR * prev_window_best
-            noise_level = (window_f0 - f) <= _NOISE_DECREASE * max(1.0, abs(f))
-            if no_gnorm_progress and noise_level:
-                return InnerResult(z, f, gnorm, "stalled", it)
-            prev_window_best = window_best
-            window_best = np.inf
-            window_count = 0
-            window_f0 = f
-
-        # both directions descend: slope < 0 here (a NaN slope fails Armijo)
+    # a diverging run overflows to inf, in the norm cap's dot product among
+    # others, and the cap reads inf as outside its ball
+    with np.errstate(over="ignore"):
+        z = np.asarray(start, dtype=float).copy()
         if newton:
-            d = _newton_direction(H, g)
-            t = INIT_STEP
-            slope = float(g @ d)
+            f, g, H = hess_fun(z)
         else:
-            # the direction is -g, and z - t*g is z + t*(-g) exactly
-            t = trial
-            slope = -float(gg)  # g @ -g: negation is exact
-
-        accepted = False
-        while t >= _MIN_STEP:
-            zt = z + t * d if newton else z - t * g
-            # at: Newton's triple at the unit trial point, or the DomainError
-            # it raised there, which only an accepted step raises again
-            if newton and t == INIT_STEP:
-                try:
-                    at = hess_fun(zt)
-                    ft = at[0]
-                except DomainError as err:
-                    at, ft = err, value_of(zt)
-            else:
-                at, ft = None, value_of(zt)
-            if ft <= f + ARMIJO_C * t * slope:
-                accepted = True
-                break
-            t *= BACKTRACK
-        if not accepted or ft >= f:
-            # rounding prevents any further decrease: either no trial step
-            # passed, or the largest one that did left f bit-for-bit equal
-            return InnerResult(z, f, gnorm, "stalled", it)
-
-        z = zt
-        if not newton:
             f, g = fun(z)
-            trial = min(t * 2.0, 1e16)
-        elif isinstance(at, DomainError):
-            raise at
-        else:
-            f, g, H = at if at is not None else hess_fun(z)
-        if callback is not None:
-            callback(z, f, t, slope)
+        tol = cfg.grad_tol * max(1.0, abs(f))
+        trial = INIT_STEP
+        window_best = np.inf
+        prev_window_best = np.inf
+        window_count = 0
+        window_f0 = f
+
+        # the last pass only checks the final iterate
+        for it in range(cfg.max_iters + 1):
+            # sqrt of a dot product is what np.linalg.norm computes for a 1-D
+            # float array, without its dispatch cost
+            gg = g.dot(g)
+            gnorm = math.sqrt(gg)
+            if gnorm <= tol:
+                return InnerResult(z, f, gnorm, "converged", it)
+            if f < VALUE_FLOOR or math.sqrt(z.dot(z)) > POINT_NORM_CAP:
+                return InnerResult(z, f, gnorm, "diverged", it)
+            if it == cfg.max_iters:
+                return InnerResult(z, f, gnorm, "max_iters", it)
+            window_best = min(window_best, gnorm)
+            window_count += 1
+            if window_count >= _PLATEAU_WINDOW:
+                no_gnorm_progress = window_best > _PLATEAU_FACTOR * prev_window_best
+                noise_level = (window_f0 - f) <= _NOISE_DECREASE * max(1.0, abs(f))
+                if no_gnorm_progress and noise_level:
+                    return InnerResult(z, f, gnorm, "stalled", it)
+                prev_window_best = window_best
+                window_best = np.inf
+                window_count = 0
+                window_f0 = f
+
+            # both directions descend: slope < 0 here (a NaN slope fails Armijo)
+            if newton:
+                d = _newton_direction(H, g)
+                t = INIT_STEP
+                slope = float(g @ d)
+            else:
+                # the direction is -g, and z - t*g is z + t*(-g) exactly
+                t = trial
+                slope = -float(gg)  # g @ -g: negation is exact
+
+            accepted = False
+            while t >= _MIN_STEP:
+                zt = z + t * d if newton else z - t * g
+                # at: Newton's triple at the unit trial point, or the DomainError
+                # it raised there, which only an accepted step raises again
+                if newton and t == INIT_STEP:
+                    try:
+                        at = hess_fun(zt)
+                        ft = at[0]
+                    except DomainError as err:
+                        at, ft = err, value_of(zt)
+                else:
+                    at, ft = None, value_of(zt)
+                if ft <= f + ARMIJO_C * t * slope:
+                    accepted = True
+                    break
+                t *= BACKTRACK
+            if not accepted or ft >= f:
+                # rounding prevents any further decrease: either no trial step
+                # passed, or the largest one that did left f bit-for-bit equal
+                return InnerResult(z, f, gnorm, "stalled", it)
+
+            z = zt
+            if not newton:
+                f, g = fun(z)
+                trial = min(t * 2.0, 1e16)
+            elif isinstance(at, DomainError):
+                raise at
+            else:
+                f, g, H = at if at is not None else hess_fun(z)
+            if callback is not None:
+                callback(z, f, t, slope)

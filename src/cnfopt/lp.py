@@ -4,10 +4,14 @@ Free variables are split into nonnegative pairs and inequality rows get
 slacks.  The simplex starts from a crash basis: an inequality row whose
 right-hand side is already nonnegative starts with its slack basic, and
 only the rows flipped to b >= 0 and the equality rows get an artificial
-column.  Phase 1 prices those artificials alone, so a program feasible at
-its slack basis (the one-sided certificate program at a feasible point)
-takes no phase-1 pivot.  Bland's rule is always on because the
-certificate programs are heavily degenerate (many zero right-hand sides).
+column.  Phase 1 prices those artificials alone, and runs only when one
+of them starts positive: a start whose artificials are all 0 is already at
+the phase-1 optimum 0 (Chvatal, Linear Programming, 1983, ch. 8), and its
+artificials leave by the drive-out pivots before phase 2.  So neither the
+one-sided certificate program at a feasible point (no artificial) nor the
+equality-variant one (equality rows with b = 0) takes a phase-1 pivot.
+Bland's rule is always on because the certificate programs are heavily
+degenerate (many zero right-hand sides).
 
 Row multipliers are returned alongside the primal solution: ``duals_ub``
 are the nonnegative multipliers of the A_ub d <= b_ub rows and
@@ -112,7 +116,7 @@ def _d_from_z(z, k):
 def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
     # only rows with a nonzero in the pivot column change
-    for r in np.flatnonzero(T[:, col]):
+    for r in T[:, col].nonzero()[0]:
         if r != row:
             T[r] -= T[r, col] * T[row]
     basis[row] = col
@@ -128,14 +132,14 @@ def _bland_iterate(T, basis, costs, ncols, pivots_used):
         # the rounding of large tableau entries and can cross the tolerance
         rc = costs[:ncols] - costs[basis] @ T[:, :ncols]
         rc[basis[basis < ncols]] = 0.0
-        below = np.flatnonzero(rc < -REDUCED_COST_TOL)
+        below = (rc < -REDUCED_COST_TOL).nonzero()[0]
         if not below.size:
             return "optimal", pivots_used
         entering = int(below[0])
         col = T[:, entering]
         leave_row = -1
         best_ratio = np.inf
-        for r in np.flatnonzero(col > PIVOT_TOL):
+        for r in (col > PIVOT_TOL).nonzero()[0]:
             ratio = T[r, -1] / col[r]
             if ratio < best_ratio - PIVOT_TOL or (
                 abs(ratio - best_ratio) <= PIVOT_TOL
@@ -191,22 +195,25 @@ def solve_lp(lp):
     basis[art_rows] = ncols + np.arange(nart)
     init_cols = basis.copy()
 
-    # phase 1 prices the artificials alone; with none it takes no pivot
-    phase1_costs = np.zeros(ncols + nart)
-    phase1_costs[ncols:] = 1.0
-    status, pivots = _bland_iterate(T, basis, phase1_costs, ncols, 0)
-    if status != "optimal":
-        raise SimplexError("phase 1 cannot be unbounded")
-    phase1_value = float(phase1_costs[basis] @ T[:, -1])
-    feas_tol = 1e-8 * max(1.0, float(np.abs(b).max()))
-    if phase1_value > feas_tol:
-        return LpSolution(status="infeasible", phase1_value=phase1_value)
+    # phase 1 prices the artificials alone; a start with every artificial
+    # at 0 is at its optimum already
+    pivots = 0
+    if T[art_rows, -1].any():
+        phase1_costs = np.zeros(ncols + nart)
+        phase1_costs[ncols:] = 1.0
+        status, pivots = _bland_iterate(T, basis, phase1_costs, ncols, 0)
+        if status != "optimal":
+            raise SimplexError("phase 1 cannot be unbounded")
+        phase1_value = float(phase1_costs[basis] @ T[:, -1])
+        feas_tol = 1e-8 * max(1.0, float(np.abs(b).max()))
+        if phase1_value > feas_tol:
+            return LpSolution(status="infeasible", phase1_value=phase1_value)
 
     # drive any zero-valued artificials out of the basis where possible
     nonbasic = np.ones(ncols, dtype=bool)
     nonbasic[basis[basis < ncols]] = False
-    for r in np.flatnonzero(basis >= ncols):
-        cand = np.flatnonzero(nonbasic & (np.abs(T[r, :ncols]) > PIVOT_TOL))
+    for r in (basis >= ncols).nonzero()[0]:
+        cand = (nonbasic & (np.abs(T[r, :ncols]) > PIVOT_TOL)).nonzero()[0]
         if cand.size:
             nonbasic[cand[0]] = False
             _pivot(T, basis, r, cand[0])

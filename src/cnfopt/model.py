@@ -88,8 +88,7 @@ class CnfProblem:
         if not -math.inf < self.box[0] < self.box[1] < math.inf:
             raise ValueError("box must be finite with lo < hi")
         for e in (self.g, *self.ineqs, *self.eqs):
-            require_smooth(e)
-            self._check_indices(walk(e))
+            self._check_indices(require_smooth(e))
         if self.reference_f is not None:
             nodes = walk(self.reference_f)
             self._check_indices(nodes)

@@ -3,9 +3,11 @@
 ``enumerate_vertices_oracle`` enumerates every basis of the standardized
 system, so it only reaches a handful of columns.  ``scalar_simplex`` is
 ``solve_lp``'s two-phase Bland simplex written one column and one row at a
-time; the two must take the same pivots and return the same numbers.  Its
-``crash=False`` option keeps the all-artificial start, which gives every
-row an artificial column, as a second reference for the crash start.
+time; the two must take the same pivots and return the same numbers, and
+both skip phase 1 when every artificial starts at 0.  Its ``crash=False``
+option keeps the textbook all-artificial start, which gives every row an
+artificial column and always runs phase 1, as a second reference for the
+crash start.
 """
 
 import numpy as np
@@ -169,7 +171,8 @@ def starting_tableau(lp, crash=True):
 def scalar_simplex(lp, crash=True):
     """The reference two-phase simplex from ``starting_tableau(lp, crash)``;
     returns (LpSolution, pivots), where pivots counts every pivot, those
-    that drive artificials out included."""
+    that drive artificials out included.  From the crash start, phase 1
+    runs only when some artificial starts positive, as in ``solve_lp``."""
     k = lp.nvars
     mu = lp.b_ub.shape[0]
     mrows = mu + lp.b_eq.shape[0]
@@ -182,14 +185,18 @@ def scalar_simplex(lp, crash=True):
     init_cols = list(basis)  # an identity, so they carry the basis inverse
     structural = list(range(ncols))
 
-    phase1_costs = np.zeros(ncols + nart)
-    phase1_costs[ncols:] = 1.0
-    status, pivots = _scalar_bland_iterate(T, basis, phase1_costs, structural, 0)
-    if status != "optimal":
-        raise SimplexError("phase 1 cannot be unbounded")
-    phase1_value = float(phase1_costs[basis] @ T[:, -1])
-    if phase1_value > 1e-8 * max(1.0, float(np.abs(b).max())):
-        return LpSolution(status="infeasible", phase1_value=phase1_value), pivots
+    # the crash start skips phase 1 when every artificial starts at 0, its
+    # phase-1 optimum; the all-artificial start always runs it
+    pivots = 0
+    if not crash or any(T[r, -1] != 0.0 for r in range(mrows) if basis[r] >= ncols):
+        phase1_costs = np.zeros(ncols + nart)
+        phase1_costs[ncols:] = 1.0
+        status, pivots = _scalar_bland_iterate(T, basis, phase1_costs, structural, 0)
+        if status != "optimal":
+            raise SimplexError("phase 1 cannot be unbounded")
+        phase1_value = float(phase1_costs[basis] @ T[:, -1])
+        if phase1_value > 1e-8 * max(1.0, float(np.abs(b).max())):
+            return LpSolution(status="infeasible", phase1_value=phase1_value), pivots
 
     for r in range(mrows):
         if basis[r] >= ncols:

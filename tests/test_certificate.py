@@ -422,6 +422,39 @@ class TestDirectionLpOracle:
             if ours.status == "optimal":
                 assert ours.objective == pytest.approx(ref.fun, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "entry_id, params, x",
+        [
+            ("ex9", {"n": 10, "lam": 1.0}, _sparse_ex9_point(10)),
+            ("ex9", {"n": 30, "lam": 1.0}, _sparse_ex9_point(30)),
+            ("ex8", {"n": 10}, np.linspace(0.5, 2.0, 10) * _alternating(10)),
+            ("ex8", {"n": 30}, np.linspace(0.5, 2.0, 30) * _alternating(30)),
+        ],
+    )
+    def test_equality_variant_skips_phase_one(self, monkeypatch, entry_id, params, x):
+        # its equality rows have b = 0, so every artificial starts at the
+        # phase-1 optimum 0 and the one Bland run is phase 2's
+        optimize = pytest.importorskip("scipy.optimize")
+        prob = build(entry_id, **params).problem
+        p = prob.lift(x)
+        lp = certificate._direction_lp(certificate._linearize(prob, p, gradient(prob.g, p)), CNP0_EQ)
+        assert lp.b_eq.size and not lp.b_eq.any()
+        calls = []
+        iterate = lp_module._bland_iterate
+
+        def recording(*args):
+            calls.append(args)
+            return iterate(*args)
+
+        monkeypatch.setattr(lp_module, "_bland_iterate", recording)
+        ours = lp_module.solve_lp(lp)
+        assert len(calls) == 1
+        ref = optimize.linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
+                               bounds=(None, None), method="highs")
+        assert ours.status == {0: "optimal", 3: "unbounded"}[ref.status]
+        if ours.status == "optimal":
+            assert ours.objective == pytest.approx(ref.fun, abs=1e-9)
+
     @pytest.mark.parametrize("entry_id, params, x", CASES)
     def test_certificate_matches_the_scalar_simplex(self, monkeypatch, entry_id, params, x):
         # the scalar reference prices one column at a time; the certificate,

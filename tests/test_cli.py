@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,14 @@ class TestSummaryVerdict:
         assert code == EXIT_SOLVER
         assert "certified_global" not in out
         assert out.splitlines()[-1].endswith("f = nan  e = inf  ||x||_0 = 2  verdict = none")
+
+    def test_diverging_run_warns_nothing(self, capsys):
+        # the diverging iterate overflows the inner solver's norm cap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, *self.DIVERGED, "--output", "jsonl")
+        assert code == EXIT_SOLVER
+        assert json.loads(out.splitlines()[-1]) == {"summary": self.SUMMARY}
 
     def test_a_stopped_run_is_certified(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--catalog", "ex7", "--start", "2,2,2,2,2",

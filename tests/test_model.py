@@ -888,6 +888,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="out of range"):
             CnfProblem(name="bad", n=1, m=0, g=x_(2) ** 2)
 
+    def test_smoothness_checked_before_index_ranges(self):
+        from cnfopt.expr import abs_
+
+        # x[2] is out of range, and first in preorder in the second tree;
+        # the nonsmooth abs is still the error
+        for bad in (abs_(x_(2)), x_(2) + abs_(x_(1))):
+            with pytest.raises(DialectError, match="nonsmooth node 'abs'"):
+                CnfProblem(name="bad", n=1, m=0, g=x_(1), ineqs=(bad,))
+
 
 SAMPLE_TEXT = """\
 # toy lifted problem
