@@ -9,9 +9,9 @@ only under a feasible-direction hypothesis that is not machine-checkable
 (the verdict says so).  A nonnegative LP optimum means no first-order
 descent direction; the LP duals are exactly the KKT multipliers.
 
-Every test reads one linearization at the point: the objective gradient
-and one order-1 rows call of the problem kernel (constraint values and
-gradients).
+Every test reads one linearization at the point: the objective gradient,
+from one order-1 call of the problem's kernel over no constraints, and one
+order-1 rows call of its whole kernel (constraint values and gradients).
 ``certify`` builds it once, and only inside the matched set.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .expr import Point, gradient, value_and_gradient
+from .expr import Point
 from .lagrangian import V_NONNEG, Multipliers, lagrangian
 from .lp import LpProblem, solve_lp
 from .model import _kernel, check_feasible
@@ -76,6 +76,13 @@ class _Linearization:
     gv: np.ndarray
     hv: np.ndarray
     jac: np.ndarray
+
+
+def _objective_gradient(prob, p):
+    """(g, grad g) at p, from one order-1 call of the problem's kernel over
+    no constraints."""
+    value, acc = _kernel(prob, ineq_idx=(), eq_idx=()).value_and_grad(p.flat(), [], 0.0)
+    return value, np.array(acc)
 
 
 def _linearize(prob, p, grad_g):
@@ -141,7 +148,7 @@ def _lp_test(lin, variant, cert_tol):
 def _matched_lp_test(prob, p, variant, feas_tol, cert_tol):
     """The direction test at p, which must lie in the matched set."""
     rep = check_feasible(prob, p, tol=feas_tol)
-    g_value, grad_g = value_and_gradient(prob.g, p)
+    g_value, grad_g = _objective_gradient(prob, p)
     reason = _outside_matched_set(rep, g_value, feas_tol)
     if reason is not None:
         raise CertificateError(reason)
@@ -183,12 +190,13 @@ def kkt_residual(prob, p, u, v, variant=CNP_INEQ):
     if u.shape != (prob.s,) or v.shape != (prob.r,):
         raise ValueError("multiplier lengths must match the constraint counts")
     prob.check_point(p)
-    return _kkt_residual(_linearize(prob, p, gradient(prob.g, p)), u, v, variant)
+    return _kkt_residual(_linearize(prob, p, _objective_gradient(prob, p)[1]), u, v, variant)
 
 
 def grad_zero_test(prob, p, tol=CERT_TOL):
     """Zero objective gradient at a feasible point certifies optimality."""
-    return float(np.linalg.norm(gradient(prob.g, p))) <= tol
+    prob.check_point(p)
+    return float(np.linalg.norm(_objective_gradient(prob, p)[1])) <= tol
 
 
 def saddle_check(prob, p, mult, samples=500, seed=0, tol=1e-8):
@@ -266,9 +274,9 @@ def certify(prob, p, feas_tol=1e-6, cert_tol=CERT_TOL):
     """
     prob.check_point(p)
     rep = check_feasible(prob, p, tol=feas_tol)
-    # the gradient form's value is the value form's, bit for bit: the
-    # objective's value form runs once, for the report's exactness gap
-    g_value, grad_g = value_and_gradient(prob.g, p)
+    # the kernel's order-1 value is its order-0 value in the report's
+    # exactness gap, bit for bit
+    g_value, grad_g = _objective_gradient(prob, p)
     grad_norm = float(np.linalg.norm(grad_g))
     if _outside_matched_set(rep, g_value, feas_tol) is not None:
         return Certificate(p, rep, grad_norm, None, None, None, VERDICT_INCONCLUSIVE)

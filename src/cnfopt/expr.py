@@ -240,14 +240,12 @@ def _where(e):
 
 class _Where:
     """A node's error location, printed only when an error message needs it:
-    a node with no source position prints its whole subtree.  Holds a copy of
-    the node without its compile cache, so code compiled and cached on a node
-    never refers back to it."""
+    a node with no source position prints its whole subtree."""
 
     __slots__ = ("node",)
 
     def __init__(self, e):
-        self.node = Expr(e.kind, e.value, e.block, e.index, e.children, e.pos)
+        self.node = e
 
     def __str__(self):
         return _where(self.node)
@@ -257,9 +255,9 @@ def evaluate(e, p):
     """Evaluate the tree at a point.  Raises DomainError for division by
     zero, sqrt of a negative, or a fractional power of a negative base;
     arithmetic overflow yields +/-inf so that line searches can probe
-    large trial steps.  The value form runs on float lists, on the evaluator
-    or compiled, so a message shows a value as a Python float, as the
-    problem kernel's do."""
+    large trial steps.  The value form runs on the float evaluator over
+    float lists, as a problem kernel does, so a message shows a value as a
+    Python float, as the kernel's do."""
     return compiled_value(e)(p.x.tolist(), p.y.tolist())
 
 
@@ -337,13 +335,13 @@ def gradient(e, p):
 
 def value_and_gradient(e, p):
     """One forward pass returning (value, gradient over all n+m flat
-    coordinates).  Nonsmooth nodes raise DialectError."""
-    n, m = p.x.shape[0], p.y.shape[0]
-    fn, slots = compiled_gradient(e, n, m)
+    coordinates).  Nonsmooth nodes raise DialectError before anything is
+    evaluated."""
+    fn, width = compiled_gradient(e, p.n, p.m)
     value, partials = fn(p.x.tolist(), p.y.tolist())
-    grad = np.zeros(n + m)
-    if slots.size:
-        grad[slots] = partials
+    grad = np.zeros(width)
+    for slot, partial in partials.items():
+        grad[slot] = partial
     return (value, grad)
 
 
@@ -358,7 +356,8 @@ def value_and_gradient(e, p):
 #
 # - _Emitter runs the rules on symbolic operands.  An operand is the text
 #   of a Python expression, and naming one (``let``) writes it as a line of
-#   straight-line code, which compiles into a form's function.
+#   straight-line code, which cnfopt.model compiles into a problem kernel's
+#   code.
 # - _Evaluator runs them on floats.  Each operation computes at once and
 #   calls the runtime helpers the compiled lines call, in the same order,
 #   so it returns the compiled function's bits and raises its errors.
@@ -375,17 +374,20 @@ def value_and_gradient(e, p):
 # the first k + 1 sections of one compiled code (Griewank & Walther, ch. 3:
 # a derivative code computes the function's values first).
 #
-# Compiling a form costs about 4 to 8 runs of it on the evaluator, and a
-# compiled run costs a small fraction of one.  So each form
-# (``compiled_value``, ``compiled_gradient`` and the problem kernel's codes
-# in cnfopt.model) counts its calls by order: the first COLD_CALLS[k] calls
-# of order k run on the evaluator, and the next one compiles the form,
-# which is cached and serves every later call.  A form that runs once, as
-# each of a certificate's does, is never compiled; a hot form pays its
-# order's evaluator runs on top of its compile.
+# The problem kernels are the only compiled form: a problem's objective,
+# its reference objective and its augmented Lagrangian are each a kernel.
+# A bare tree's ``evaluate``, ``gradient`` and ``value_and_gradient`` run on
+# the evaluator alone; they are the reference forms that tests hold the
+# kernels to.  Compiling a kernel costs about 4 to 8 runs of it on the
+# evaluator, and a compiled run costs a small fraction of one.  So a kernel
+# counts its calls by order: the first COLD_CALLS[k] calls of order k run on
+# the evaluator, and the next one compiles its code, which is cached and
+# serves every later call.  A kernel that runs once, as each of a
+# certificate's does, is never compiled; a hot one pays its order's
+# evaluator runs on top of its compile.
 
-# calls of a form of each order (value, gradient, Hessian) that run on the
-# evaluator before the form compiles.  In a sweep of 1, 2, 4 and 8 for
+# calls of a kernel of each order (value, gradient, Hessian) that run on the
+# evaluator before its code compiles.  In a sweep of 1, 2, 4 and 8 for
 # every order (CHANGES.md) the certify pass fell by half at every value, and
 # the solver workloads, whose hot forms pay every cold call, were fastest at
 # 1.  Only Newton's method calls order 2, and it calls again at once (at its
@@ -471,18 +473,15 @@ def _lit(v):
 class _Emitter:
     """The operand interface on symbolic operands: each operation returns
     the text of a Python expression, and ``let`` writes one as a line of
-    its own.  ``build`` compiles the lines into a function.
+    its own.  ``model._PieceEmitter`` compiles the lines into a kernel piece.
 
     Each line has an order: 0 for a value, 1 for a partial derivative, 2
-    for a second derivative.  ``sections[k]`` takes the lines of order k;
-    here all three are ``lines``, so the lines run as the sweep writes
-    them (``model._PieceEmitter`` keeps them apart)."""
+    for a second derivative, and ``sections[k]`` takes the lines of order k."""
 
     one = "1.0"  # the unit partial of a variable, which a product leaves out
 
     def __init__(self):
-        self.lines = []
-        self.sections = (self.lines,) * 3
+        self.sections = ([], [], [])
         self.counter = 0
         self.consts = {}
 
@@ -533,24 +532,6 @@ class _Emitter:
     inactive = staticmethod(lambda a: f"not {a} > 0.0")
     nonzero = staticmethod(lambda a: f"{a} != 0.0")
     hinge = staticmethod(lambda c: f"{c} if {c} > 0.0 else 0.0")
-
-    def source(self, head, result_expr):
-        """The text ``build`` compiles: ``def <head>:`` over the emitted
-        lines, returning ``result_expr``."""
-        return "\n".join([f"def {head}:", *self.lines, f"    return {result_expr}"])
-
-    def build(self, head, result_expr, runtime=_RUNTIME):
-        """Compile ``source``'s text into its function; ``head`` is the name
-        and parameter list, and ``runtime`` binds the helper names the lines
-        call."""
-        fname = head.partition("(")[0]
-        namespace = dict(runtime)
-        namespace.update(self.consts)
-        code = compile(self.source(head, result_expr), f"<cnfopt:{fname}>", "exec")
-        exec(code, namespace)
-        # popped: a function left in its own globals would form a cycle that
-        # only a full garbage collection frees, holding its code until then
-        return namespace.pop(fname)
 
 
 class _Evaluator:
@@ -791,86 +772,28 @@ def _node_rule(e, parts, ops, n, pos, second):
     raise ExprError(f"unknown node kind {k!r}")
 
 
-def _cache_of(e):
-    # memoization only; concurrent first-time compiles race benignly
-    # (both produce equivalent functions, last write wins)
-    cache = e.__dict__.get("_compiled")
-    if cache is None:
-        cache = {}
-        object.__setattr__(e, "_compiled", cache)
-    return cache
-
-
-def _cold_call(counts, key, order):
-    """Count one call of the form ``key`` of ``order`` not compiled yet: true
-    while it is one of the form's first COLD_CALLS[order], which run on the
-    evaluator."""
-    calls = counts[key] = counts.get(key, 0) + 1
-    return calls <= COLD_CALLS[order]
-
-
-def _cold(cache, key, order, run, build):
-    """The function of a form of ``order`` while it is cold.  Each call
-    counts; the first COLD_CALLS[order] return ``run(x, y)``, and the next
-    one compiles ``build()`` into ``cache[key]``, which serves it and every
-    later call.  Nothing stored on the node refers to this function, so no
-    cycle holds the tree."""
-
-    def cold(x, y):
-        fn = cache.get(key)
-        if fn is None:
-            if _cold_call(cache, ("calls", key), order):
-                return run(x, y)
-            fn = cache[key] = build()
-        return fn(x, y)
-
-    return cold
+def _cold_call(counts, order):
+    """Count one call of ``order`` that no compiled code serves in
+    ``counts``, a count per order: true while it is one of the first
+    COLD_CALLS[order], which run on the evaluator."""
+    counts[order] += 1
+    return counts[order] <= COLD_CALLS[order]
 
 
 def compiled_value(e):
-    """fn(x, y) -> float for this tree: on the evaluator for the tree's
-    first COLD_CALLS[0] evaluations, then compiled once and cached."""
-    cache = _cache_of(e)
-    fn = cache.get("value")
-    if fn is None:
-        def build():
-            em = _Emitter()
-            return em.build("_val(x, y)", _sweep(e, em, 0, {})[0])
-
-        fn = _cold(cache, "value", 0, lambda x, y: _sweep(e, _Evaluator(x, y), 0, {})[0], build)
-    return fn
+    """fn(x, y) -> float: the tree's value on the float evaluator, over the
+    point's blocks as lists of floats."""
+    return lambda x, y: _sweep(e, _Evaluator(x, y), 0, {})[0]
 
 
 def compiled_gradient(e, n, m):
-    """(fn, slots) with fn(x, y) -> (value, partials aligned with slots),
-    the flat coordinates (x[i] -> i, y[j] -> n + j) the tree depends on,
-    sorted for determinism.  Like ``compiled_value``'s, fn runs on the
-    evaluator until it compiles; a nonsmooth tree raises DialectError here,
-    before anything is evaluated."""
-    cache = _cache_of(e)
-    key = ("grad", n, m)
-    fn = cache.get(key)
-    if fn is None:
-        slots = cache.get(("slots", n, m))
-        if slots is None:
-            # the symbolic sweep finds which partials exist and, as the
-            # compiled form would, rejects a nonsmooth node
-            grad = _sweep(e, _Emitter(), n, None)[1]
-            slots = cache[("slots", n, m)] = np.array(sorted(grad), dtype=int)
-
-        def run(x, y):
-            val, grad, _ = _sweep(e, _Evaluator(x, y), n, None)
-            return (val, tuple(grad[s] for s in slots.tolist()))
-
-        def build():
-            em = _Emitter()
-            val, grad, _ = _sweep(e, em, n, None)
-            partials = ", ".join(grad[s] for s in slots)
-            return em.build("_grad(x, y)",
-                            f"({val}, ({partials}{',' if len(slots) == 1 else ''}))")
-
-        fn = _cold(cache, key, 1, run, build)
-    return fn, cache[("slots", n, m)]
+    """(fn, width) with fn(x, y) -> (value, {flat coordinate: partial}) on
+    the float evaluator, over the width n + m flat coordinates (x[i] -> i,
+    y[j] -> n + j); a coordinate the tree does not depend on has no partial.
+    A nonsmooth tree raises DialectError here, before anything is
+    evaluated."""
+    require_smooth(e)
+    return (lambda x, y: _sweep(e, _Evaluator(x, y), n, None)[:2]), n + m
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Point
-# only the benchmark's tracer uses these here: it patches both names on this module
+# the bare-tree evaluator forms: only the benchmark's tracer uses them here,
+# and it patches both names on this module
 from .expr import compiled_gradient, compiled_value  # noqa: F401
 from .inner import InnerConfig, InnerResult, minimize
 from .model import _kernel, midpoint_convex

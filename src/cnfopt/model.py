@@ -8,7 +8,11 @@ that reconstructs a feasible y from a given x.
 Each problem has a kernel (``_kernel``) with one code, whose sections give
 the augmented Lagrangian and the constraint values (order 0), its gradient
 and the constraints' Jacobian rows (order 1) and its Hessian (order 2).
-Its statements are written once (``_Kernel._assemble``) against the
+The kernels are the only compiled form of a problem: its objective g and
+its gradient come from the kernel over no constraints (``objective``, the
+certificates), and its reference objective from a kernel over
+``reference_f`` that only runs at order 0 (``reference``).
+Their statements are written once (``_Kernel._assemble``) against the
 operand interface of ``cnfopt.expr``: the float evaluator runs them for the
 first ``expr.COLD_CALLS[k]`` calls of order k, and the next call compiles
 them.  A Hessian call, whose count is 0, compiles them at once.
@@ -32,14 +36,13 @@ from types import FunctionType
 
 import numpy as np
 
-from .expr import _RUNTIME, _cache_of, _cold_call, _Emitter, _Evaluator, _sweep
+from .expr import _RUNTIME, _cold_call, _Emitter, _Evaluator, _sweep
 from .expr import (
     DialectError,
     DomainError,
     Expr,
     ParseError,
     Point,
-    evaluate,
     parse,
     pretty,
     require_smooth,
@@ -120,12 +123,18 @@ class CnfProblem:
             )
 
     def objective(self, p):
-        return evaluate(self.g, p)
+        """g at the point p, from the kernel over no constraints."""
+        self.check_point(p)
+        return _kernel(self, ineq_idx=(), eq_idx=()).value(p.flat(), [], 0.0)
 
     def reference(self, x):
+        """The reference objective at x, of shape (n,), from its kernel."""
         if self.reference_f is None:
             raise ValueError(f"problem {self.name!r} has no reference objective")
-        return evaluate(self.reference_f, Point(x, np.zeros(self.m)))
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError(f"x has shape {x.shape}, expected ({self.n},)")
+        return _kernel(self, ineq_idx=(), eq_idx=(), objective="reference_f").value(x, [], 0.0)
 
     def lift(self, x):
         """Point (x, lift_map(x)); requires a lift map."""
@@ -237,10 +246,10 @@ def sample_convexity(prob, samples=500, seed=0, box=None):
     objective and each constraint); returns the number of violating pairs."""
     if samples <= 0:
         raise ValueError("samples must be positive")
-    kernel = _kernel(prob)
+    kernel, objective = _kernel(prob), _kernel(prob, ineq_idx=(), eq_idx=())
 
     def values(vec):
-        return np.array([prob.objective(Point.from_flat(vec, prob.n, prob.m)), *kernel.rows(vec)])
+        return np.array([objective.value(vec, [], 0.0), *kernel.rows(vec)])
 
     return midpoint_convexity_violations(
         values, prob.n + prob.m, box if box is not None else prob.box, samples, seed
@@ -326,7 +335,6 @@ class _PieceEmitter(_Emitter):
     def __init__(self, pairs):
         super().__init__()
         self.pairs = pairs
-        self.sections = ([], [], [])
         self.indent = ["    "] * 3
         self.indices = {}  # (axis, index) -> its placeholder, in order of appearance
 
@@ -380,21 +388,31 @@ class _PieceEmitter(_Emitter):
     given = staticmethod(lambda name: f"{name} is not None")
     items = staticmethod(lambda values: f"[{', '.join(values)}]")
 
-    def build(self, head, result_expr, codes):
-        """The piece's function over the sections in order, each after the
-        first behind a return for the calls of a lower order.  Its code is
-        the one ``codes`` keeps for its text, compiled by ``_Emitter.build``
-        on a miss, with the piece's own indices in its constants and its own
-        error locations in its globals."""
-        top = max(k for k, lines in enumerate(self.sections) if lines or not k)
+    def source(self, head, result_expr):
+        """The piece's text: ``def <head>:`` over the sections in order, each
+        after the first behind a return for the calls of a lower order."""
+        lines = [f"def {head}:"]
+        top = max(k for k, section in enumerate(self.sections) if section or not k)
         for k in range(top + 1):
             if k:
-                self.lines += [f"    if order < {k}:", f"        return {result_expr}"]
-            self.lines += self.sections[k]
+                lines += [f"    if order < {k}:", f"        return {result_expr}"]
+            lines += self.sections[k]
+        return "\n".join([*lines, f"    return {result_expr}"])
+
+    def build(self, head, result_expr, codes):
+        """The piece's function, named and called as ``head`` says.  Its code
+        is the one ``codes`` keeps for its text, compiled on a miss, with the
+        piece's own indices in its constants and its own error locations in
+        its globals."""
         text = self.source(head, result_expr)
         shared = codes.get(text)
         if shared is None:
-            fn = super().build(head, result_expr, _KERNEL_RUNTIME)
+            fname = head.partition("(")[0]
+            namespace = {}
+            exec(compile(text, f"<cnfopt:{fname}>", "exec"), namespace)
+            # popped: a function left in its own globals would form a cycle
+            # that only a full garbage collection frees
+            fn = namespace.pop(fname)
             shared = codes[text] = (fn.__code__, fn.__defaults__)
         code, defaults = shared
         values = [i for _, i in self.indices]
@@ -450,7 +468,8 @@ class _PieceEvaluator(_Evaluator):
 
 
 class _Kernel:
-    """The code of one problem over one column subset and one constraint
+    """The code of one problem over one objective tree ``g`` (its own
+    objective or its reference), one column subset and one constraint
     subset (see this module's and ``cnfopt.lagrangian``'s docstrings).
     ``mu`` lists the multipliers of the selected inequalities, then of the
     selected equalities.
@@ -472,11 +491,11 @@ class _Kernel:
     problem's dict ``codes`` (text -> code) lacks; see
     ``_PieceEmitter.build``."""
 
-    def __init__(self, prob, cols, ineq_idx, eq_idx, codes):
+    def __init__(self, g, prob, cols, ineq_idx, eq_idx, codes):
         # no reference to prob itself, or to the cache that holds the
         # kernel: the kernel is cached on the problem, and a cycle would keep
         # both alive until a full garbage collection
-        self._n, self._g = prob.n, prob.g
+        self._n, self._g = prob.n, g
         self._codes = codes  # piece text -> its code, shared by the problem's kernels
         self._pos = None if cols is None else {f: i for i, f in enumerate(cols)}
         self._width = prob.n + prob.m if cols is None else len(cols)
@@ -485,7 +504,7 @@ class _Kernel:
         self._no_mu = [0.0] * len(self._cons)  # a rows call's multipliers
         # the compiled pieces that serve each order, once compiled at or above it
         self._pieces = [None, None, None]
-        self._calls = {}  # each order's calls not served compiled
+        self._calls = [0, 0, 0]  # each order's calls not served compiled
         self._top = 0  # the highest order called
         self._pairs = {}  # (s, t) -> its slot in the order-2 section's entry list
         self._slots = _NO_SLOTS  # the flat index in H of each slot, once compiled
@@ -581,7 +600,7 @@ class _Kernel:
         ``expr.COLD_CALLS[order]`` such calls; then the code compiled at the
         highest order called so far, kept for every later call it serves."""
         self._top = max(self._top, order)
-        if _cold_call(self._calls, order, order):
+        if _cold_call(self._calls, order):
             return self._evaluator_pieces()
         pieces = self._compile(self._top)
         self._pieces[:self._top + 1] = [pieces] * (self._top + 1)
@@ -697,19 +716,21 @@ class _Kernel:
             ops.outer(c if weight is None else ops.mul(weight, c), u, v)
 
 
-def _kernel(prob, cols=None, ineq_idx=None, eq_idx=None):
+def _kernel(prob, cols=None, ineq_idx=None, eq_idx=None, objective="g"):
     """The kernel of ``prob`` over the flat columns ``cols`` (all when None)
-    and the given constraint subsets (all when None), cached on the problem
-    like compiled expressions are cached on their nodes."""
-    if cols == tuple(range(prob.n + prob.m)):
+    and the given constraint subsets (all when None), with the objective
+    tree the problem holds in its field ``objective``, cached on the
+    problem."""
+    if cols is not None and cols == tuple(range(prob.n + prob.m)):
         cols = None  # every column in order is the whole-problem kernel
     ineq_idx = tuple(range(prob.s) if ineq_idx is None else ineq_idx)
     eq_idx = tuple(range(prob.r) if eq_idx is None else eq_idx)
-    key = ("augmented", cols, ineq_idx, eq_idx)
-    cache = _cache_of(prob)
+    key = (objective, cols, ineq_idx, eq_idx)
+    cache = prob.__dict__.setdefault("_kernels", {})  # past the frozen dataclass's guard
     kernel = cache.get(key)
     if kernel is None:
-        kernel = cache[key] = _Kernel(prob, cols, ineq_idx, eq_idx, cache.setdefault("codes", {}))
+        kernel = cache[key] = _Kernel(getattr(prob, objective), prob, cols, ineq_idx, eq_idx,
+                                      cache.setdefault("codes", {}))
     return kernel
 
 

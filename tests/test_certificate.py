@@ -272,12 +272,13 @@ def _alternating(n):
 
 class TestOneLinearizationPerCertificate:
     """certify builds one feasibility report and one linearization, however
-    many of its tests run: the objective's gradient once, and every
-    constraint's value and gradient from one order-1 rows call of the problem
-    kernel, which runs only inside the matched set.  Orders 0 and 1 of a code
-    run on the float evaluator for their first ``expr.COLD_CALLS[k]`` calls,
-    and certify calls each once (the objective's value form too), so a one-shot
-    certify compiles nothing."""
+    many of its tests run: the objective's gradient from one order-1 call of
+    the kernel over no constraints, and every constraint's value and gradient
+    from one order-1 rows call of the problem kernel, which runs only inside
+    the matched set.  Orders 0 and 1 of a code run on the float evaluator for
+    their first ``expr.COLD_CALLS[k]`` calls, and certify calls each once
+    (the objective's and the reference's order 0 too), so a one-shot certify
+    compiles nothing."""
 
     @pytest.mark.parametrize(
         "entry_id, params, x, verdict",
@@ -295,11 +296,12 @@ class TestOneLinearizationPerCertificate:
         calls, jacobians, builds, reports = self._count(monkeypatch)
         cert = certify(prob, prob.lift(x))
         assert cert.verdict == verdict
-        assert calls == Counter({id(prob.g): 1})
+        assert calls == Counter({model._kernel(prob, ineq_idx=(), eq_idx=()): 1})
         assert jacobians == [model._kernel(prob)]
-        # a fresh problem: the kernel's rows calls of order 0 and 1 and the
-        # objective's value and gradient forms ran once each, on the
-        # evaluator, and nothing compiled
+        # a fresh problem: the kernel's rows calls of order 0 and 1, the
+        # objective kernel's calls of order 0 and 1 and the reference
+        # kernel's of order 0 ran once each, on the evaluator, and nothing
+        # compiled
         assert not builds
         assert len(reports) == 1
         # the call after order 1's cold calls builds the kernel's pieces, the
@@ -320,48 +322,43 @@ class TestOneLinearizationPerCertificate:
         calls, jacobians, builds, reports = self._count(monkeypatch)
         cert = certify(ex5.problem, Point([1, 1], [0, 0, 0, 0]))
         assert cert.verdict == VERDICT_INCONCLUSIVE
-        assert calls == Counter({id(ex5.problem.g): 1})
+        assert calls == Counter({model._kernel(ex5.problem, ineq_idx=(), eq_idx=()): 1})
         assert jacobians == []
         assert not builds
         assert len(reports) == 1
 
     @staticmethod
     def _count(monkeypatch):
-        """Count compiled-gradient calls per expression, list the kernels
-        whose rows call takes a Jacobian, and count compiled functions by
-        name and the feasibility reports built by certify."""
+        """Count the gradient calls per kernel, list the kernels whose rows
+        call takes a Jacobian, and count the texts compiled by function name
+        and the feasibility reports built by certify."""
         calls = Counter()
         jacobians = []
         builds = Counter()
         reports = []
-        compiled, check = expr.compiled_gradient, certificate.check_feasible
-        rows, build_fn = model._Kernel.rows, expr._Emitter.build
+        gradient, check = model._Kernel.value_and_grad, certificate.check_feasible
+        rows = model._Kernel.rows
 
-        def counting_gradient(e, *args):
-            fn, slots = compiled(e, *args)
-
-            def counted(*xy):
-                calls[id(e)] += 1
-                return fn(*xy)
-
-            return counted, slots
+        def counting_gradient(kernel, *args):
+            calls[kernel] += 1
+            return gradient(kernel, *args)
 
         def counting_rows(kernel, vec, jac=None):
             if jac is not None:  # the rows call of order 1 runs
                 jacobians.append(kernel)
             return rows(kernel, vec, jac)
 
-        def counting_build(em, head, *args, **kwargs):
-            builds[head.partition("(")[0]] += 1
-            return build_fn(em, head, *args, **kwargs)
+        def counting_compile(source, filename, *args, **kwargs):
+            builds[filename.removeprefix("<cnfopt:").removesuffix(">")] += 1
+            return compile(source, filename, *args, **kwargs)
 
         def counting_check(*args, **kwargs):
             reports.append(check(*args, **kwargs))
             return reports[-1]
 
-        monkeypatch.setattr(expr, "compiled_gradient", counting_gradient)
+        monkeypatch.setattr(model._Kernel, "value_and_grad", counting_gradient)
         monkeypatch.setattr(model._Kernel, "rows", counting_rows)
-        monkeypatch.setattr(expr._Emitter, "build", counting_build)
+        monkeypatch.setattr(model, "compile", counting_compile, raising=False)
         monkeypatch.setattr(certificate, "check_feasible", counting_check)
         return calls, jacobians, builds, reports
 

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import weakref
@@ -8,7 +7,8 @@ import pytest
 
 import cnfopt.expr as expr_module
 import expr_oracle
-from tiers import compiled_tier, in_both_tiers
+from tiers import TIERS, cold_calls, compiled_tier, in_both_tiers
+from cnfopt import certificate, model
 from cnfopt.expr import (
     DialectError,
     DomainError,
@@ -18,7 +18,6 @@ from cnfopt.expr import (
     MAX_NESTING,
     abs_,
     compiled_gradient,
-    compiled_value,
     const,
     evaluate,
     gradient,
@@ -34,6 +33,22 @@ from cnfopt.expr import (
     x_,
     y_,
 )
+from cnfopt.model import CnfProblem
+
+
+def served(e, p):
+    """The tree's value from a problem kernel: a fresh problem's objective
+    kernel for a smooth tree, else its reference kernel (the tree must then
+    read x alone)."""
+    if is_smooth(e):
+        return CnfProblem(name="served", n=p.n, m=p.m, g=e).objective(p)
+    return CnfProblem(name="served", n=p.n, m=p.m, g=const(0.0), reference_f=e).reference(p.x)
+
+
+def served_gradient(e, p):
+    """(value, gradient) of the smooth tree from a fresh problem's objective
+    kernel, as the certificates read it."""
+    return certificate._objective_gradient(CnfProblem(name="served", n=p.n, m=p.m, g=e), p)
 
 
 def fd_gradient(e, p, h=1e-6):
@@ -145,7 +160,7 @@ class TestGradient:
         with pytest.raises(DialectError):
             gradient(x_(1) ** 1.5, Point([1], []))
 
-    # built in each test, since forms and their call counts are cached on the tree
+    # each tree with its value at x = 4
     NONSMOOTH = [
         (lambda: abs_(x_(1) - 6), 2.0),
         (lambda: max_([x_(1), 2 * x_(1)]), 8.0),
@@ -157,15 +172,19 @@ class TestGradient:
                              ids=["abs", "max", "norm0", "fractional-power"])
     @in_both_tiers
     def test_emitter_rejects_nonsmooth_nodes(self, make, want):
-        # no require_smooth in front: the symbolic sweep itself refuses,
-        # while the value form of the same tree still evaluates
+        # the gradient forms refuse the tree before evaluating it, and the
+        # symbolic sweep itself refuses it wherever partials are asked for,
+        # while the value forms, bare and in a reference kernel, evaluate it
         e = make()
         p = Point([4.0], [])
         with pytest.raises(DialectError):
             value_and_gradient(e, p)
         with pytest.raises(DialectError):
             compiled_gradient(e, 1, 0)
+        with pytest.raises(DialectError):
+            expr_module._sweep(e, expr_module._Emitter(), 1, None)
         assert evaluate(e, p) == want
+        assert served(e, p) == want  # compiled, in that tier, at order 0
 
     def test_matches_finite_differences_random(self):
         rng = np.random.default_rng(7)
@@ -462,6 +481,7 @@ class TestCompiledAgainstReference:
             e = random_smooth_tree(rng, int(rng.integers(1, 5)), 2, 2)
             p = Point(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2))
             assert evaluate(e, p) == pytest.approx(ref_eval(e, p), rel=1e-12, abs=1e-12)
+            assert served(e, p) == evaluate(e, p)
 
     @in_both_tiers
     def test_gradients_match_interpreter(self):
@@ -473,6 +493,8 @@ class TestCompiledAgainstReference:
             got_v, got_g = value_and_gradient(e, p)
             assert got_v == pytest.approx(want_v, rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(got_g, want_g, rtol=1e-10, atol=1e-12)
+            kernel_v, kernel_g = served_gradient(e, p)
+            assert kernel_v == got_v and kernel_g.tobytes() == got_g.tobytes()
 
     @in_both_tiers
     def test_reference_dialect_values_match(self):
@@ -481,6 +503,7 @@ class TestCompiledAgainstReference:
         for _ in range(50):
             p = Point(rng.uniform(-2, 2, 2), [])
             assert evaluate(e, p) == pytest.approx(ref_eval(e, p), rel=1e-12)
+            assert served(e, p) == evaluate(e, p)
 
     @in_both_tiers
     def test_deep_chain_compiles(self):
@@ -497,11 +520,13 @@ class TestCompiledAgainstReference:
             e = e + x_(1) * x_(1)
         assert evaluate(e, p) == 0.5 + 5000 * 0.25
         assert gradient(e, p)[0] == 1 + 5000 * 2 * 0.5
+        assert served_gradient(e, p)[1][0] == 1 + 5000 * 2 * 0.5
         # built with no source positions, so each of these binds the text of
         # the whole chain as its error location
-        assert evaluate(e**4, p) == (0.5 + 5000 * 0.25) ** 4
-        assert evaluate(e / 2.0, p) == (0.5 + 5000 * 0.25) / 2.0
-        assert evaluate(sqrt_(e), p) == math.sqrt(0.5 + 5000 * 0.25)
+        for run in (evaluate, served):
+            assert run(e**4, p) == (0.5 + 5000 * 0.25) ** 4
+            assert run(e / 2.0, p) == (0.5 + 5000 * 0.25) / 2.0
+            assert run(sqrt_(e), p) == math.sqrt(0.5 + 5000 * 0.25)
 
 
 class TestConcurrentReads:
@@ -513,16 +538,18 @@ class TestConcurrentReads:
         reference = parse(text, n=2, m=1)
         want = evaluate(reference, p)
         want_g = gradient(reference, p)
-        # a separate identical tree whose first-time compilation happens
-        # concurrently in the workers
+        # a separate identical tree, and a problem over it whose kernels
+        # compile concurrently in the workers
         e = parse(text, n=2, m=1)
+        prob = CnfProblem(name="shared", n=2, m=1, g=e)
         failures = []
 
         def worker():
             try:
                 for _ in range(200):
-                    assert evaluate(e, p) == want
+                    assert evaluate(e, p) == prob.objective(p) == want
                     assert np.array_equal(gradient(e, p), want_g)
+                    assert np.array_equal(certificate._objective_gradient(prob, p)[1], want_g)
             except Exception as err:  # surfaced in the main thread
                 failures.append(err)
 
@@ -605,32 +632,41 @@ class TestIntegerPower:
                             assert type(got) is type(want)
                             assert _same_float(got, want), (v, k)
 
+    @staticmethod
+    def compiled_names(e):
+        """The names that the compiled code of the smooth tree loads, read
+        off the piece of a problem's objective kernel, compiled on its first
+        call."""
+        prob = CnfProblem(name="power", n=1, m=0, g=e)
+        prob.objective(Point([1.0], []))
+        return model._kernel(prob, ineq_idx=(), eq_idx=())._pieces[0][0].__code__.co_names
+
     @pytest.mark.parametrize("k", [4, 5, 6, 7])
     @in_both_tiers
     def test_compiled_powers_use_it_and_keep_their_values(self, k):
         e = x_(1) ** k
         if compiled_tier():
-            evaluate(e, Point([1.0], []))  # compiles on its first call
-            assert "_ipw" in compiled_value(e).__code__.co_names
-            assert "_pw" not in compiled_value(e).__code__.co_names
+            assert "_ipw" in self.compiled_names(e)
+            assert "_pw" not in self.compiled_names(e)
         with np.errstate(all="ignore"):
             for v in POWER_BASES:
                 p = Point([v], [])
                 want = expr_oracle.checked_pow(v, float(k), "loc")
                 assert _same_float(evaluate(e, p), want)
+                assert _same_float(served(e, p), want)
                 want = k * expr_oracle.checked_pow(v, float(k - 1), "loc")
                 assert _same_float(gradient(e, p)[0], want)
+                assert _same_float(served_gradient(e, p)[1][0], want)
 
     @in_both_tiers
     def test_other_powers_keep_their_checks(self):
         if compiled_tier():
-            e = x_(1) ** -4
-            evaluate(e, Point([1.0], []))  # compiles on its first call
-            assert "_pw" in compiled_value(e).__code__.co_names
-        with pytest.raises(DomainError, match="zero raised to negative power"):
-            evaluate(x_(1) ** -4, Point([0.0], []))
-        with pytest.raises(DomainError, match="fractional power"):
-            evaluate(x_(1) ** 4.5, Point([-1.0], []))
+            assert "_pw" in self.compiled_names(x_(1) ** -4)
+        for run in (evaluate, served):
+            with pytest.raises(DomainError, match="zero raised to negative power"):
+                run(x_(1) ** -4, Point([0.0], []))
+            with pytest.raises(DomainError, match="fractional power"):
+                run(x_(1) ** 4.5, Point([-1.0], []))
 
 
 def _halving_chain(levels):
@@ -642,8 +678,8 @@ def _halving_chain(levels):
 
 class TestLazyErrorLocations:
     """A node's error location is printed only when its DomainError is
-    raised, with the same text as before, and compiled code holds no
-    reference back to the tree it is cached on."""
+    raised, with the same text as before, and a problem kernel's compiled
+    code holds no reference back to the problem it is cached on."""
 
     @in_both_tiers
     def test_compiling_prints_nothing(self, monkeypatch):
@@ -653,10 +689,12 @@ class TestLazyErrorLocations:
         e = _halving_chain(2000)
         p = Point([3.0], [])
         # 1 + 2^-k for k = 0, 1, ...; exactly 1 once 2^-k falls below rounding
-        assert evaluate(e, p) == 1.0
-        assert gradient(e, p)[0] == 0.0  # 2^-2000 underflows
+        assert evaluate(e, p) == served(e, p) == 1.0
+        # 2^-2000 underflows
+        assert gradient(e, p)[0] == served_gradient(e, p)[1][0] == 0.0
         other = sqrt_(x_(1)) + x_(1) ** -2 + abs_(x_(1)) ** 1.5
         assert evaluate(other, Point([4.0], [])) == 2.0 + 1.0 / 16.0 + 8.0
+        assert served(other, Point([4.0], [])) == 2.0 + 1.0 / 16.0 + 8.0
         assert printed == []
 
     MESSAGES = [
@@ -672,9 +710,8 @@ class TestLazyErrorLocations:
     @pytest.mark.parametrize("e, x, message", MESSAGES)
     @in_both_tiers
     def test_messages_are_unchanged(self, e, x, message):
-        for run in (evaluate, gradient):
-            # a copy of the root, on which no form is cached yet
-            tree = parse(e, n=1) if isinstance(e, str) else dataclasses.replace(e)
+        tree = parse(e, n=1) if isinstance(e, str) else e
+        for run in (evaluate, gradient, served, served_gradient):
             with pytest.raises(DomainError) as info:
                 run(tree, Point([x], []))
             assert str(info.value) == message
@@ -685,27 +722,37 @@ class TestLazyErrorLocations:
         want = [(sqrt_(x_(1) - 1.0), "in 'sqrt(x[1] - 1)'"),
                 (parse("sqrt(x[1] - 1)", n=1), "at line 1, column 1")]
         for e, where in want:
-            with pytest.raises(DomainError) as info:
-                gradient(e, Point([1.0], []))
-            assert str(info.value) == f"sqrt gradient needs a positive argument {where}"
+            for run in (gradient, served_gradient):
+                with pytest.raises(DomainError) as info:
+                    run(e, Point([1.0], []))
+                assert str(info.value) == f"sqrt gradient needs a positive argument {where}"
 
     @pytest.mark.parametrize("build", [
         lambda: x_(1) / x_(2),
         lambda: sqrt_(x_(1) + x_(2)),
         lambda: (x_(1) - x_(2)) ** -2,
     ], ids=["div", "sqrt", "negative-power"])
-    @in_both_tiers
     def test_compiled_tree_is_freed_without_the_collector(self, build):
-        p = Point([1.0, 2.0], [])
+        # a problem whose augmented, objective and reference kernels have all
+        # compiled goes, with its trees, as soon as it is dropped: its kernels
+        # bind the trees' error locations, and nothing refers back to it
+        p = Point([1.0, 2.0], [0.5])
         gc.disable()
         try:
-            for compile_it in (lambda e: evaluate(e, p), lambda e: gradient(e, p)):
-                e = build()
-                compile_it(e)
-                assert e.__dict__["_compiled"]
-                dropped = weakref.ref(e)
-                del e
-                assert dropped() is None
+            with cold_calls(TIERS["compiled"]):
+                prob = CnfProblem(name="freed", n=2, m=1, g=build() + y_(1) ** 2,
+                                  ineqs=(build() - y_(1),), reference_f=abs_(build()))
+                prob.objective(p)
+                prob.reference(p.x)
+                model._kernel(prob).value_and_grad(p.flat(), [0.5], 1.0)
+            kernels = [model._kernel(prob), model._kernel(prob, ineq_idx=(), eq_idx=()),
+                       model._kernel(prob, ineq_idx=(), eq_idx=(), objective="reference_f")]
+            assert all(kernel._pieces[0] for kernel in kernels)
+            assert len(set(kernels)) == 3
+            nodes = walk(prob.g) + walk(prob.ineqs[0]) + walk(prob.reference_f)
+            dropped = [weakref.ref(prob)] + [weakref.ref(node) for node in nodes]
+            del prob, kernels, nodes
+            assert [ref() for ref in dropped] == [None] * len(dropped)
         finally:
             gc.enable()
 

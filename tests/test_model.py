@@ -1,19 +1,22 @@
 import math
 import re
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
 
 import cnfopt.expr as expr
+from cnfopt import certificate
 from cnfopt.expr import (
     DialectError,
     DomainError,
     ExprError,
     Point,
+    abs_,
     const,
     evaluate,
+    max_,
+    norm0_,
     parse,
     sqrt_,
     value_and_gradient,
@@ -229,7 +232,7 @@ class TestSampleConvexity:
 # a problem whose constraints reach every runtime helper a smooth tree can
 # call: division, sqrt and its derivative, integer powers above 3 and a
 # negative power; built fresh for each test, like every problem of the
-# cases below, since forms and their call counts are cached on the trees
+# cases below, since kernels and their call counts are cached on the problem
 def _helpers():
     return CnfProblem(
         name="helpers", n=2, m=1, g=x_(1) ** 2,
@@ -463,7 +466,7 @@ class TestTiers:
 
     @in_both_tiers
     def test_a_dialect_error_comes_before_a_domain_error(self):
-        # the symbolic sweep refuses the nonsmooth node before anything is
+        # the gradient form refuses the nonsmooth node before anything is
         # evaluated, where evaluating bottom up would divide by zero first
         e = parse("abs(1/x[1]) + x[2]", n=2)
         p = Point([0.0, 1.0], [])
@@ -481,14 +484,7 @@ class TestTiers:
         # the shipped counts: values and gradients run on the evaluator
         # first, and a Hessian call compiles at once
         assert expr.COLD_CALLS[0] >= 1 and expr.COLD_CALLS[1] >= 1 and expr.COLD_CALLS[2] == 0
-        builds = Counter()
-        build_fn = expr._Emitter.build
-
-        def counting_build(em, head, *args, **kwargs):
-            builds[head.partition("(")[0]] += 1
-            return build_fn(em, head, *args, **kwargs)
-
-        monkeypatch.setattr(expr._Emitter, "build", counting_build)
+        builds, _ = _record_pieces(monkeypatch)  # the texts compiled
 
         def fresh():
             # 40 constraints: four pieces, with the objective's
@@ -528,12 +524,12 @@ class TestTiers:
             last = [run(kernel) for _ in range(4)]
             # one compile, at the call's order, which serves every call of
             # that order or below with the evaluator's bits
-            assert builds == {"_aug": 4}, name
+            assert len(builds) == 4, name
             assert first + last == [want[name]] * len(first + last), name
             for other, (run_other, below) in calls.items():
                 if below <= order:
                     assert run_other(kernel) == want[other], (name, other)
-            assert builds == {"_aug": 4}, name
+            assert len(builds) == 4, name
             assert kernel._pieces[order] is not None
             assert kernel._pieces[order + 1:] == [None] * (2 - order)
 
@@ -549,23 +545,29 @@ class TestTiers:
         for _ in range(3):
             assert calls["value"][0](kernel) == want["value"]
             assert calls["gradient"][0](kernel) == want["gradient"]
-            assert builds == {"_aug": 4}
+            assert len(builds) == 4
         assert kernel._pieces[0] is kernel._pieces[1] and kernel._pieces[2] is None
 
+        # the kernels over the objective alone and over the reference: one
+        # piece each, whose one text compiles once, after the cold calls
+        def gradient(served):
+            return model._kernel(served, ineq_idx=(), eq_idx=()).value_and_grad(vec, [], 0.0)
+
         forms = {
-            "_val": (lambda: evaluate(prob.g, p), 0),
-            "_grad": (lambda: value_and_gradient(prob.g, p)[1].tobytes(), 1),
+            "objective": (lambda served: served.objective(p), 0),
+            "gradient": (gradient, 1),
+            "reference": (lambda served: served.reference(p.x), 0),
         }
-        builds.clear()
         for name, (run, order) in forms.items():
-            first = [run() for _ in range(expr.COLD_CALLS[order])]
-            assert builds[name] == 0, name
-            last = [run()]
-            assert builds[name] == 1, name
-            last += [run() for _ in range(3)]
-            assert builds[name] == 1, name
+            served = build("ex8", n=10).problem
+            builds.clear()
+            first = [run(served) for _ in range(expr.COLD_CALLS[order])]
+            assert not builds, name
+            last = [run(served)]
+            assert len(builds) == 1, name
+            last += [run(served) for _ in range(3)]
+            assert len(builds) == 1, name
             assert first + last == [first[0]] * len(first + last), name
-        assert sum(builds.values()) == 2
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_each_order_runs_its_cold_calls_on_the_evaluator(self, monkeypatch, order):
@@ -645,6 +647,121 @@ class TestTiers:
                     run()
 
 
+# a reference of every nonsmooth kind, with a fractional power whose
+# negative base raises, and an objective whose sqrt is defined at 0, where
+# its derivative is not and the division after it is not either
+_NONSMOOTH_TEXT = """problem "nonsmooth"
+var x 3
+aux y 1
+objective: sqrt(x[1]) + 1/x[2] + y[1]^2
+ineq: x[3] - y[1]
+reference: abs(x[1] - 1) + max(x[1], x[2], 0.5) + 2*norm0(x) + x[3]^1.5
+"""
+# each raises in a value form, in the gradient only (sqrt's derivative at 0),
+# in the value before the gradient, or not at all
+_NONSMOOTH_POINTS = [Point(x, [0.5]) for x in (
+    [-1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, -1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+    [2.0, -3.0, 4.0],
+)]
+
+
+def _nonsmooth_builder():
+    """``_NONSMOOTH_TEXT``'s problem from the builders, located by the
+    printed subtree."""
+    return CnfProblem(name="nonsmooth", n=3, m=1, g=sqrt_(x_(1)) + 1 / x_(2) + y_(1) ** 2,
+                      ineqs=(x_(3) - y_(1),),
+                      reference_f=abs_(x_(1) - 1.0) + max_([x_(1), x_(2), 0.5])
+                      + 2.0 * norm0_("x") + x_(3) ** 1.5)
+
+
+# each problem, and the points past the seeded ones that reach its checked
+# runtime helpers
+OBJECTIVE_CASES = [pytest.param(case.values[0], [], id=case.id) for case in CONSTRAINT_CASES]
+OBJECTIVE_CASES += [
+    pytest.param(lambda: load_problem(_DOMAIN_TEXT), _DOMAIN_POINTS, id="domains"),
+    pytest.param(lambda: load_problem(_NONSMOOTH_TEXT), _NONSMOOTH_POINTS, id="nonsmooth-text"),
+    pytest.param(_nonsmooth_builder, _NONSMOOTH_POINTS, id="nonsmooth-builder"),
+]
+
+
+def _objective_forms(prob, p):
+    """(the objective, its certificate gradient and the reference at p as
+    the problem's kernels serve them, the same from the bare-tree evaluator
+    forms): each form's bits, or its error.  A kernel piece runs its values
+    before any partial, so a value error comes before a derivative error, as
+    ``evaluate`` before ``value_and_gradient``."""
+
+    def gradient(value, grad):
+        return float(prob.objective(p)).hex(), float(value).hex(), np.asarray(grad).tobytes()
+
+    def tree_gradient():
+        value = evaluate(prob.g, p)
+        return (float(value).hex(), *gradient(*value_and_gradient(prob.g, p))[1:])
+
+    served = {"objective": lambda: float(prob.objective(p)).hex(),
+              "gradient": lambda: gradient(*certificate._objective_gradient(prob, p))}
+    tree = {"objective": lambda: float(evaluate(prob.g, p)).hex(), "gradient": tree_gradient}
+    if prob.reference_f is not None:
+        served["reference"] = lambda: float(prob.reference(p.x)).hex()
+        tree["reference"] = lambda: float(evaluate(prob.reference_f, Point(p.x, []))).hex()
+    with np.errstate(all="ignore"):
+        return ({name: _outcome(run) for name, run in served.items()},
+                {name: _outcome(run) for name, run in tree.items()})
+
+
+class TestObjectiveKernels:
+    """The objective, its gradient as the certificates read it and the
+    reference, from the problem's kernels over no constraints, against the
+    bare-tree evaluator forms of ``cnfopt.expr``: the same bits, and the same
+    error text, with every kernel on the float evaluator and with every
+    kernel compiled."""
+
+    @pytest.mark.parametrize("make, extra", OBJECTIVE_CASES)
+    @in_both_tiers
+    def test_kernels_give_the_evaluator_forms(self, make, extra):
+        prob = make()
+        raised = []
+        for p in [*_seeded_points(prob), *extra]:
+            got, want = _objective_forms(prob, p)
+            assert got == want, p
+            raised += [v[1] for v in got.values() if v[0] is DomainError]
+        if extra:
+            assert raised
+        if compiled_tier():
+            # compiled on their first calls: a nonsmooth reference at order 0
+            assert model._kernel(prob, ineq_idx=(), eq_idx=())._pieces[1]
+            if prob.reference_f is not None:
+                reference = model._kernel(prob, ineq_idx=(), eq_idx=(), objective="reference_f")
+                assert reference._pieces[0]
+
+    @pytest.mark.parametrize("make", [lambda: load_problem(_NONSMOOTH_TEXT), _nonsmooth_builder],
+                             ids=["text", "builder"])
+    @in_both_tiers
+    def test_every_checked_helper_raises(self, make):
+        # at its points the nonsmooth problem reaches each checked helper
+        # of its objective and its reference
+        prob = make()
+        raised = [v[1] for p in _NONSMOOTH_POINTS for v in _objective_forms(prob, p)[0].values()
+                  if v[0] is DomainError]
+        for message in ("division by zero", "sqrt of negative value -1.0",
+                        "sqrt gradient needs a positive argument",
+                        "fractional power 1.5 of negative base -1.0"):
+            assert any(m.startswith(message) for m in raised), message
+
+    def test_points_must_match_the_problem(self):
+        prob = build("ex7").problem
+        with pytest.raises(ValueError, match="do not match problem"):
+            prob.objective(Point(np.ones(3), np.ones(5)))
+        with pytest.raises(ValueError, match="do not match problem"):
+            prob.objective(Point(np.ones(1), np.ones(4)))
+        with pytest.raises(ValueError, match="do not match problem"):
+            certificate.grad_zero_test(prob, Point(np.ones(3), np.ones(2)))
+        for x in ([1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match=r"x has shape .*, expected \(2,\)"):
+                prob.reference(x)
+        assert prob.reference([1.0, 2.0]) == evaluate(prob.reference_f, Point([1.0, 2.0], []))
+
+
 def _kernels(prob, blocks):
     """The problem's kernel, or with ``blocks`` the kernel of each block of
     its contiguous partition, as the decomposed loop builds them."""
@@ -669,7 +786,7 @@ def _record_pieces(monkeypatch):
         made.append(em.source(head, result_expr))
         return fn
 
-    monkeypatch.setattr(expr, "compile", counting_compile, raising=False)
+    monkeypatch.setattr(model, "compile", counting_compile, raising=False)
     monkeypatch.setattr(model._PieceEmitter, "build", recording_build)
     return compiled, made
 

@@ -26,11 +26,11 @@ def _assigned(path, name):
 
 
 def test_compile_census_names_every_compiled_head():
-    # every kernel form, and the per-expression value and gradient functions
-    # of cnfopt.expr; a form missing here would stop the census with
-    # "unknown compiled function" instead of failing this test
+    # the kernel pieces, the one compiled function; a head missing here
+    # would stop the census with "unknown compiled function" instead of
+    # failing this test
     kinds = _assigned(os.path.join(TOOLS, "compile_census.py"), "KINDS")
-    heads = {_HEAD.partition("(")[0], "_val", "_grad"}
+    heads = {_HEAD.partition("(")[0]}
     assert set(kinds) == heads
     assert len(set(kinds.values())) == len(kinds)
 

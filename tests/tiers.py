@@ -1,12 +1,12 @@
 """Run tests in each tier of the compiled forms.
 
-A form of ``cnfopt.expr`` or of a problem kernel runs on the float evaluator
-for its first ``expr.COLD_CALLS[k]`` calls of order k and compiles on the
-next.  A test
-decorated with ``in_both_tiers`` runs twice: once with every form on the
-evaluator, and once with every form compiled on its first call.  Forms and
-their call counts are cached on the trees and problems, so such a test
-builds them in its body.
+A problem kernel, the one compiled form, runs on the float evaluator for
+its first ``expr.COLD_CALLS[k]`` calls of order k and compiles on the next;
+a bare tree's forms of ``cnfopt.expr`` always run on the evaluator.  A test
+decorated with ``in_both_tiers`` runs twice: once with every kernel on the
+evaluator, and once with every kernel compiled on its first call.  Kernels
+and their call counts are cached on the problems, so such a test builds
+them in its body.
 """
 
 import contextlib

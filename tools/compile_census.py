@@ -6,37 +6,37 @@ The seed defaults to ``jobs.DEFAULT_SEED`` (1).
 
 Run from anywhere; cnfopt is imported from this checkout's ``src/`` and the
 job lists from ``perfbench/jobs.py``, which is only read.  Every job of the
-four workloads runs once, in order, with ``expr._Emitter.build`` wrapped to
-record the source of each text it compiles, ``model._PieceEmitter.build``
-to count the kernel pieces it makes and ``model._Kernel._warm`` to count the
-kernel calls that run on the float evaluator.  A form runs on the evaluator
-for its first ``expr.COLD_CALLS[k]`` calls of order k (1 for values and
-gradients, 0 for Hessians) and compiles on the next, so the census counts
-only the forms called more often; a copy of the tree with
-``COLD_CALLS = (0, 0, 0)`` compiles every form that runs, and its census
+four workloads runs once, in order, with ``model._PieceEmitter.build``
+wrapped to count the kernel pieces it makes and to record the source of
+each text it compiles, and ``model._Kernel._warm`` to count the kernel calls
+that run on the float evaluator.  The problem kernels are the only compiled
+form: a problem's augmented Lagrangian, its objective alone and its
+reference objective each have one.  A kernel runs on the evaluator for its
+first ``expr.COLD_CALLS[k]`` calls of order k (1 for values and gradients,
+0 for Hessians) and compiles on the next, so the census counts only the
+kernels called more often; a copy of the tree with
+``COLD_CALLS = (0, 0, 0)`` compiles every kernel that runs, and its census
 shows the code the emitter writes for all of them.  For each workload the
-script prints one line per kind of compiled function:
+script prints one line of the compiled kernel pieces:
 
-    <workload> <kind> <texts> <instances> <lines> <sha256>
+    <workload> kernel-augmented <texts> <instances> <lines> <sha256>
 
-where the kinds are ``value`` and ``gradient`` (one expression each) and
-``kernel-augmented`` (the pieces of the problem kernel's code, whose
-sections give A and the constraint values, the gradient and the Jacobian
-rows, and the Hessian, compiled once up to the highest order called).
-``texts`` counts the texts compiled and ``instances`` the functions made
-from them: one per value or gradient text, and for the kernel one per
-piece, for the pieces of one shape in one problem share one compiled text
-(their indices are constants swapped into its code).  ``lines`` counts
-every source line of the compiled texts, ``def`` and ``return`` included,
-and the digest covers those texts in compile order.  Two checkouts that
-print the same line for a kind compiled the same texts byte for byte, so a
-compiler change shows here which code it changed and by how many lines.
+``texts`` counts the texts compiled and ``instances`` the pieces made from
+them, for the pieces of one shape in one problem share one compiled text
+(their indices are constants swapped into its code).  Each kernel's code
+has sections that give its value and the constraint values, its gradient
+and the Jacobian rows, and its Hessian, and compiles once, up to the
+highest order called.  ``lines`` counts every source line of the compiled
+texts, ``def`` and ``return`` included, and the digest covers those texts
+in compile order.  Two checkouts that print the same line compiled the same
+texts byte for byte, so a compiler change shows here which code it changed
+and by how many lines.
 Then it prints one line of the kernel calls that ran on the evaluator:
 
     <workload> kernel-evaluator <order 0> <order 1> <order 2>
 
 counting each call by its order: values and constraint values, gradients
-and Jacobian rows, Hessians.  Like the other lines, it repeats exactly.
+and Jacobian rows, Hessians.  Like the first line, it repeats exactly.
 """
 
 from __future__ import annotations
@@ -53,12 +53,11 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import cnfopt.expr as expr  # noqa: E402
 import cnfopt.model as model  # noqa: E402
 import jobs  # noqa: E402
 
 # the kind of each compiled function name
-KINDS = {"_val": "value", "_grad": "gradient", "_aug": "kernel-augmented"}
+KINDS = {"_aug": "kernel-augmented"}
 
 
 def _kind(head):
@@ -75,18 +74,16 @@ def main(argv=None):
     sources = {kind: [] for kind in KINDS.values()}
     instances = dict.fromkeys(KINDS.values(), 0)
     evaluator_runs = [0, 0, 0]
-    build, piece_build, warm = expr._Emitter.build, model._PieceEmitter.build, model._Kernel._warm
+    piece_build, warm = model._PieceEmitter.build, model._Kernel._warm
 
-    def recording_build(self, head, result_expr, runtime=expr._RUNTIME):
+    def recording_build(self, head, result_expr, codes):
         kind = _kind(head)
-        sources[kind].append(self.source(head, result_expr))
-        if not isinstance(self, model._PieceEmitter):  # counted as a piece below
-            instances[kind] += 1
-        return build(self, head, result_expr, runtime)
-
-    def counting_piece_build(self, head, result_expr, codes):
-        instances[_kind(head)] += 1
-        return piece_build(self, head, result_expr, codes)
+        instances[kind] += 1
+        known = len(codes)
+        piece = piece_build(self, head, result_expr, codes)
+        if len(codes) > known:  # the piece's text compiled
+            sources[kind].append(self.source(head, result_expr))
+        return piece
 
     def counting_warm(self, order):
         pieces = warm(self, order)
@@ -94,8 +91,7 @@ def main(argv=None):
             evaluator_runs[order] += 1
         return pieces
 
-    expr._Emitter.build = recording_build
-    model._PieceEmitter.build = counting_piece_build
+    model._PieceEmitter.build = recording_build
     model._Kernel._warm = counting_warm
     for workload in jobs.WORKLOADS:
         for kind in sources:
