@@ -52,7 +52,6 @@ class AlpfConfig:
     max_outer: int = 50
     inner: InnerConfig = field(default_factory=InnerConfig)
     start: Point | None = None
-    seed: int = 0
     sigma0: float | None = None  # decomposition penalty start; defaults to 2*rho0
 
     def __post_init__(self):
@@ -66,9 +65,6 @@ class AlpfConfig:
             raise ValueError("start must have finite coordinates")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        # it seeds numpy generators, which take no negative seed
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -114,9 +110,6 @@ class AlpfTrace:
     def final(self):
         return self.records[-1]
 
-    def final_point(self):
-        return self.final.point
-
 
 def update_multipliers(u, v, gv, hv, rho):
     """One multiplier step from stored constraint values: the two-case
@@ -153,7 +146,8 @@ _MAX_CAPPED_STREAK = 2
 # the inner status an iteration records is its worst block status
 _CYCLE_PRECEDENCE = ("diverged", "max_iters", "stalled", "converged")
 
-# sampled midpoint pairs of the KKT stop's convexity check
+# sampled midpoint pairs of the KKT stop's convexity check, whose sample at
+# iteration k is seeded with k, so a solve depends on its inputs alone
 _CONVEXITY_PAIRS = 200
 
 
@@ -219,7 +213,7 @@ def _outer_loop(prob, cfg, solver, partition=None):
             np.max(np.abs(u * gv), initial=0.0) <= cfg.eps
             and np.max(gv, initial=0.0) <= cfg.eps
             and np.max(np.abs(hv), initial=0.0) <= cfg.eps
-            and _lagrangian_sampled_convex(prob, u, v, _CONVEXITY_PAIRS, cfg.seed + k)
+            and _lagrangian_sampled_convex(prob, u, v, _CONVEXITY_PAIRS, k)
         ):
             status = STATUS_KKT
             break

@@ -231,8 +231,7 @@ class Certificate:
     feasibility: object
     grad_norm_of_g: float
     lp_test: LpTestResult | None
-    kkt: KktResidual | None
-    multipliers: tuple | None  # (u, v) backing the kkt residuals
+    kkt: KktResidual | None  # of the multipliers of lp_test, when it certified
     verdict: str
 
     def to_dict(self):
@@ -245,10 +244,9 @@ class Certificate:
             }
         kkt_part = None
         if self.kkt is not None:
-            u, v = self.multipliers
             kkt_part = {
-                "u": list(map(float, u)),
-                "v": list(map(float, v)),
+                "u": list(map(float, self.lp_test.u)),
+                "v": list(map(float, self.lp_test.v)),
                 **self.kkt.to_dict(),
             }
         return {
@@ -279,14 +277,14 @@ def certify(prob, p, feas_tol=1e-6, cert_tol=CERT_TOL):
     g_value, grad_g = _objective_gradient(prob, p)
     grad_norm = float(np.linalg.norm(grad_g))
     if _outside_matched_set(rep, g_value, feas_tol) is not None:
-        return Certificate(p, rep, grad_norm, None, None, None, VERDICT_INCONCLUSIVE)
+        return Certificate(p, rep, grad_norm, None, None, VERDICT_INCONCLUSIVE)
     if grad_norm <= cert_tol:
-        return Certificate(p, rep, grad_norm, None, None, None, VERDICT_GLOBAL)
+        return Certificate(p, rep, grad_norm, None, None, VERDICT_GLOBAL)
 
     lin = _linearize(prob, p, grad_g)
     for variant, verdict in ((CNP_INEQ, VERDICT_GLOBAL), (CNP0_EQ, VERDICT_KKT)):
         test = _lp_test(lin, variant, cert_tol)
         if test.certified:
             res = _kkt_residual(lin, test.u, test.v, variant)
-            return Certificate(p, rep, grad_norm, test, res, (test.u, test.v), verdict)
-    return Certificate(p, rep, grad_norm, test, None, None, VERDICT_INCONCLUSIVE)
+            return Certificate(p, rep, grad_norm, test, res, verdict)
+    return Certificate(p, rep, grad_norm, test, None, VERDICT_INCONCLUSIVE)

@@ -65,9 +65,9 @@ def _build_parser():
         p.add_argument("--i", dest="I", type=int, help="sample count for the multi-class entry")
         p.add_argument("--b", type=float, help="target scalar for the 0-norm fit entry")
 
-    solve = sub.add_parser("solve", help="run a solver and print the iteration trace")
+    solve = sub.add_parser("solve", help="run a solver and print the iteration trace, "
+                                         "which its inputs alone decide")
     add_source(solve)
-    solve.add_argument("--seed", type=int, default=0, help="seed of the stop test's sampling")
     solve.add_argument("--solver", choices=["alpf", "penalty", "decomposed"], default="alpf")
     solve.add_argument("--eps", type=float, default=1e-6)
     solve.add_argument("--rho0", type=float, default=10.0)
@@ -210,7 +210,6 @@ def _cmd_solve(args):
             max_outer=args.max_outer,
             inner=inner,
             start=_resolve_start(args, entry),
-            seed=args.seed,
             sigma0=args.sigma0,
         )
         if args.solver == "decomposed":

@@ -346,7 +346,7 @@ def value_and_gradient(e, p):
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation
+# evaluation rules
 #
 # Each node kind has one rule, _node_rule, for its value and its partial
 # derivatives and, asked for it, its Hessian, forward over forward
@@ -374,25 +374,9 @@ def value_and_gradient(e, p):
 # the first k + 1 sections of one compiled code (Griewank & Walther, ch. 3:
 # a derivative code computes the function's values first).
 #
-# The problem kernels are the only compiled form: a problem's objective,
-# its reference objective and its augmented Lagrangian are each a kernel.
 # A bare tree's ``evaluate``, ``gradient`` and ``value_and_gradient`` run on
 # the evaluator alone; they are the reference forms that tests hold the
-# kernels to.  Compiling a kernel costs about 4 to 8 runs of it on the
-# evaluator, and a compiled run costs a small fraction of one.  So a kernel
-# counts its calls by order: the first COLD_CALLS[k] calls of order k run on
-# the evaluator, and the next one compiles its code, which is cached and
-# serves every later call.  A kernel that runs once, as each of a
-# certificate's does, is never compiled; a hot one pays its order's
-# evaluator runs on top of its compile.
-
-# calls of a kernel of each order (value, gradient, Hessian) that run on the
-# evaluator before its code compiles.  In a sweep of 1, 2, 4 and 8 for
-# every order (CHANGES.md) the certify pass fell by half at every value, and
-# the solver workloads, whose hot forms pay every cold call, were fastest at
-# 1.  Only Newton's method calls order 2, and it calls again at once (at its
-# first unit trial), so a Hessian call compiles at the first
-COLD_CALLS = (1, 1, 0)
+# problem kernels of cnfopt.model to.
 
 
 def _rt_div(a, b, loc):
@@ -529,7 +513,6 @@ class _Emitter:
     repeated = staticmethod(lambda a, k: "*".join([a] * k))
     recip = staticmethod(lambda b: f"1.0 / {b}")
     call = staticmethod(lambda helper, *args: f"{helper}({', '.join(map(str, args))})")
-    inactive = staticmethod(lambda a: f"not {a} > 0.0")
     nonzero = staticmethod(lambda a: f"{a} != 0.0")
     hinge = staticmethod(lambda c: f"{c} if {c} > 0.0 else 0.0")
 
@@ -578,7 +561,6 @@ class _Evaluator:
     repeated = staticmethod(lambda a, k: _Evaluator.mul(a, *[a] * (k - 1)))
     recip = staticmethod(lambda b: 1.0 / b)
     call = staticmethod(lambda helper, *args: _RUNTIME[helper](*args))
-    inactive = staticmethod(lambda a: not a > 0.0)
     nonzero = staticmethod(lambda a: a != 0.0)
     hinge = staticmethod(lambda c: c if c > 0.0 else 0.0)
 
@@ -665,8 +647,8 @@ def _chain(ops, e, va, val, loc, order, factor=None):
 def _node_rule(e, parts, ops, n, pos, second):
     """One node's (value, partials, Hessian) on ``ops``, given its
     children's; a nonsmooth node raises DialectError in any form but the
-    value form.  Each line it names carries its order (see "compiled
-    evaluation" above).  Only value lines and sqrt's derivative factor
+    value form.  Each line it names carries its order (see "evaluation
+    rules" above).  Only value lines and sqrt's derivative factor
     (order 1) can raise a DomainError."""
     k = e.kind
     if k == "var":
@@ -770,14 +752,6 @@ def _node_rule(e, parts, ops, n, pos, second):
     if k == "norm0":
         return (ops.let(ops.call("_n0", ops.block(e.block)), 0), {}, _NO_HESS)
     raise ExprError(f"unknown node kind {k!r}")
-
-
-def _cold_call(counts, order):
-    """Count one call of ``order`` that no compiled code serves in
-    ``counts``, a count per order: true while it is one of the first
-    COLD_CALLS[order], which run on the evaluator."""
-    counts[order] += 1
-    return counts[order] <= COLD_CALLS[order]
 
 
 def compiled_value(e):

@@ -21,12 +21,12 @@ to the running value (and stores the constraint values for
 ``CnfProblem.constraint_values``), order 1 adds their weighted partials
 to one gradient list in constraint order, skipping a weight of exactly 0
 (and stores the constraints' Jacobian rows, which the certificates read),
-and order 2 adds their second derivatives and clears the rows of the
-inactive inequalities for the 2 rho grad c grad c' term.  A call of order
-k runs sections 0 to k, so the value, the gradient and the Hessian share
-one compile; each sums in constraint order, so it equals a term-by-term
-sum bit for bit.
-Calls count per order: the first ``expr.COLD_CALLS[k]`` calls of order k
+and order 2 adds their second derivatives; the Hessian call keeps the
+rows of the active constraints for the 2 rho grad c grad c' term.  A call
+of order k runs sections 0 to k, so the value, the gradient and the Hessian
+share one compile; each sums in constraint order, so it equals a
+term-by-term sum bit for bit.
+Calls count per order: the first ``model.COLD_CALLS[k]`` calls of order k
 that no compiled code serves run on the float evaluator of ``cnfopt.expr``,
 with the same bits and the same errors, and the next compiles the code at
 the highest order called so far.  Gradient descent calls orders 1
@@ -221,20 +221,22 @@ class DualValue:
 _CONVEXITY_PAIRS = 100
 
 
-def dual_value(prob, mult, inner_cfg=None, start=None, seed=0):
+def dual_value(prob, mult, inner_cfg=None, start=None):
     """theta(u, v): minimize the Lagrangian over (x, y) from ``start``
     (problem default when omitted).  A diverging inner solve is reported
     as unbounded_below and a converged one as finite; an inner solve that
     ends without converging, ``stalled`` at its numerical floor or capped
-    at ``max_iters``, is a distinct "failed" status."""
+    at ``max_iters``, is a distinct "failed" status.  The convexity check
+    draws a fixed sample, so theta depends on its inputs alone."""
     _check_mult(prob, mult)
     cfg = inner_cfg if inner_cfg is not None else InnerConfig()
     start = start if start is not None else prob.default_start()
+    prob.check_point(start)
     fun, value_fn, to_point = augmented_objective(prob, mult.u, mult.v, 0.0, base=start)
     hess_fun = augmented_hessian(prob, mult.u, mult.v, 0.0, base=start)
     res = minimize(fun, start.flat(), cfg, value_fn=value_fn, hess_fun=hess_fun)
 
-    local = not lagrangian_sampled_convex(prob, mult.u, mult.v, _CONVEXITY_PAIRS, seed)
+    local = not lagrangian_sampled_convex(prob, mult.u, mult.v, _CONVEXITY_PAIRS, 0)
     if res.status == "diverged":
         return DualValue("unbounded_below", None, local, res)
     if res.status == "converged":

@@ -14,7 +14,7 @@ certificates), and its reference objective from a kernel over
 ``reference_f`` that only runs at order 0 (``reference``).
 Their statements are written once (``_Kernel._assemble``) against the
 operand interface of ``cnfopt.expr``: the float evaluator runs them for the
-first ``expr.COLD_CALLS[k]`` calls of order k, and the next call compiles
+first ``COLD_CALLS[k]`` calls of order k, and the next call compiles
 them.  A Hessian call, whose count is 0, compiles them at once.
 
 The compiled code comes in pieces, and a piece's text holds a placeholder
@@ -36,7 +36,7 @@ from types import FunctionType
 
 import numpy as np
 
-from .expr import _RUNTIME, _cold_call, _Emitter, _Evaluator, _sweep
+from .expr import _RUNTIME, _Emitter, _Evaluator, _sweep
 from .expr import (
     DialectError,
     DomainError,
@@ -192,6 +192,8 @@ def check_feasible(prob, p, tol=1e-8):
 
 def validate_exactness(prob, samples=1000, seed=0):
     """Max |g(x, lift(x)) - f(x)| over random x drawn from the problem box."""
+    if samples <= 0:
+        raise ValueError("samples must be positive")
     if prob.lift_map is None or prob.reference_f is None:
         raise ValueError("exactness validation needs both lift_map and reference_f")
     rng = np.random.default_rng(seed)
@@ -282,6 +284,19 @@ def _span(cols):
 
 
 _KERNEL_RUNTIME = {**_RUNTIME, "_outer": _outer}
+
+# Compiling a kernel costs about 4 to 8 runs of it on the evaluator, and a
+# compiled run costs a small fraction of one.  So a kernel counts its calls
+# by order: the first COLD_CALLS[k] calls of order k run on the evaluator,
+# and the next one compiles its code, which serves every later call.  A
+# kernel that runs once, as each of a certificate's does, is never
+# compiled; a hot one pays its order's evaluator runs on top of its compile.
+# In a sweep of 1, 2, 4 and 8 for every order (CHANGES.md) the certify pass
+# fell by half at every value, and the solver workloads, whose hot forms pay
+# every cold call, were fastest at 1.  Only Newton's method calls order 2,
+# and it calls again at once (at its first unit trial), so a Hessian call
+# compiles at the first
+COLD_CALLS = (1, 1, 0)
 
 # the Hessian slots of a code not compiled at order 2: the evaluator adds
 # its entries to H itself
@@ -388,31 +403,31 @@ class _PieceEmitter(_Emitter):
     given = staticmethod(lambda name: f"{name} is not None")
     items = staticmethod(lambda values: f"[{', '.join(values)}]")
 
-    def source(self, head, result_expr):
-        """The piece's text: ``def <head>:`` over the sections in order, each
-        after the first behind a return for the calls of a lower order."""
-        lines = [f"def {head}:"]
+    def source(self):
+        """The piece's text: ``def <_HEAD>:`` over the sections in order,
+        each after the first behind a return of ``a`` for the calls of a
+        lower order."""
+        lines = [f"def {_HEAD}:"]
         top = max(k for k, section in enumerate(self.sections) if section or not k)
         for k in range(top + 1):
             if k:
-                lines += [f"    if order < {k}:", f"        return {result_expr}"]
+                lines += [f"    if order < {k}:", "        return a"]
             lines += self.sections[k]
-        return "\n".join([*lines, f"    return {result_expr}"])
+        return "\n".join([*lines, "    return a"])
 
-    def build(self, head, result_expr, codes):
-        """The piece's function, named and called as ``head`` says.  Its code
-        is the one ``codes`` keeps for its text, compiled on a miss, with the
+    def build(self, codes):
+        """The piece's function, called as ``_HEAD`` says.  Its code is the
+        one ``codes`` keeps for its text, compiled on a miss, with the
         piece's own indices in its constants and its own error locations in
         its globals."""
-        text = self.source(head, result_expr)
+        text = self.source()
         shared = codes.get(text)
         if shared is None:
-            fname = head.partition("(")[0]
             namespace = {}
-            exec(compile(text, f"<cnfopt:{fname}>", "exec"), namespace)
+            exec(compile(text, "<cnfopt:_aug>", "exec"), namespace)
             # popped: a function left in its own globals would form a cycle
             # that only a full garbage collection frees
-            fn = namespace.pop(fname)
+            fn = namespace.pop("_aug")
             shared = codes[text] = (fn.__code__, fn.__defaults__)
         code, defaults = shared
         values = [i for _, i in self.indices]
@@ -477,15 +492,14 @@ class _Kernel:
     The code has three sections.  Order 0 adds each term of A and, given a
     ``cv`` list, stores each constraint's value; order 1 adds the terms'
     weighted partials and, given ``jac``, stores each constraint's row of
-    partials; order 2 adds their second derivatives and clears the rows of
-    the inactive inequalities.  A call of order k runs sections 0 to k:
-    ``value`` and ``rows`` are of order 0, ``value_and_grad`` and ``rows``
-    with ``jac`` of order 1, and ``hessian`` of order 2.  A call at or below
-    the compiled order runs the compiled code.  Above it, the first
-    ``expr.COLD_CALLS[k]`` calls of order k run on the float evaluator, and
-    the next compiles the code at the highest order called so far.  So
-    gradient descent compiles it once, at order 1, and Newton once, at
-    order 2, on its first Hessian call.
+    partials; order 2 adds their second derivatives.  A call of order k
+    runs sections 0 to k: ``value`` and ``rows`` are of order 0,
+    ``value_and_grad`` and ``rows`` with ``jac`` of order 1, and
+    ``hessian`` of order 2.  A call at or below the compiled order runs the
+    compiled code.  Above it, the first ``COLD_CALLS[k]`` calls of order k
+    run on the float evaluator, and the next compiles the code at the
+    highest order called so far.  So gradient descent compiles it once, at
+    order 1, and Newton once, at order 2, on its first Hessian call.
 
     Compiling emits every piece and compiles only the texts that the
     problem's dict ``codes`` (text -> code) lacks; see
@@ -501,6 +515,7 @@ class _Kernel:
         self._width = prob.n + prob.m if cols is None else len(cols)
         self._cons = [(prob.ineqs[i], False) for i in ineq_idx]
         self._cons += [(prob.eqs[j], True) for j in eq_idx]
+        self._ineqs = len(ineq_idx)  # the first rows of cv and jac
         self._no_mu = [0.0] * len(self._cons)  # a rows call's multipliers
         # the compiled pieces that serve each order, once compiled at or above it
         self._pieces = [None, None, None]
@@ -542,7 +557,9 @@ class _Kernel:
         multiplier-shifted hinge max(c_i + mu_i / 2 rho, 0)): at mu_i = 0 where
         c_i > 0, which is exact.  A positive multiplier, left by the update on
         constraints that were active, keeps the curvature within mu_i / 2 rho
-        below the kink, where a Newton step would see none and run along it."""
+        below the kink, where a Newton step would see none and run along it.
+        The pieces store every constraint's value in ``cv`` and row in
+        ``jac``, and the rows of the other inequalities are cleared here."""
         pieces = self._pieces[2]
         if pieces is None:
             if self._lower is None:
@@ -554,12 +571,16 @@ class _Kernel:
         h = [0.0] * len(self._pairs)
         H = np.zeros((self._width, self._width))
         jac = np.zeros((len(self._cons), self._width))
+        s = self._ineqs
+        cv = [0.0] * len(self._cons) if s and rho else None  # read only to clear rows
         with np.errstate(all="ignore"):  # overflow gives inf, as on floats
             for piece in pieces:
-                a = piece(x, y, mu, rho, a, 2, None, acc, h, H, jac)
+                a = piece(x, y, mu, rho, a, 2, cv, acc, h, H, jac)
             H.reshape(-1)[self._slots] += h  # one index array: faster than (s, t) pairs
             if rho:
-                # jac holds the rows of the equalities and active inequalities
+                # mu + 2 rho c in the order a float would take it; nan is not > 0
+                if s:
+                    jac[:s][~(np.array(mu[:s]) + 2.0 * rho * np.array(cv[:s]) > 0.0)] = 0.0
                 H += (2.0 * rho) * (jac.T @ jac)
         np.copyto(H, H.T, where=self._lower)
         return float(a), acc, H
@@ -597,10 +618,11 @@ class _Kernel:
     def _warm(self, order):
         """The pieces that run one call of ``order`` that no compiled code
         serves: the evaluator's for the order's first
-        ``expr.COLD_CALLS[order]`` such calls; then the code compiled at the
+        ``COLD_CALLS[order]`` such calls; then the code compiled at the
         highest order called so far, kept for every later call it serves."""
         self._top = max(self._top, order)
-        if _cold_call(self._calls, order):
+        self._calls[order] += 1
+        if self._calls[order] <= COLD_CALLS[order]:
             return self._evaluator_pieces()
         pieces = self._compile(self._top)
         self._pieces[:self._top + 1] = [pieces] * (self._top + 1)
@@ -641,7 +663,7 @@ class _Kernel:
         for ks in self._groups():
             em = _PieceEmitter(self._pairs)
             self._assemble(em, order, ks)
-            pieces.append(em.build(_HEAD, "a", self._codes))
+            pieces.append(em.build(self._codes))
         if order == 2:
             self._slots = np.array([s * self._width + t for s, t in self._pairs], dtype=int)
         return pieces
@@ -653,8 +675,7 @@ class _Kernel:
         guard, stores each constraint's value in a given ``cv``; order 1 adds
         the terms' weighted partials and, behind one guard, stores each
         constraint's row in a given ``jac``; order 2 adds their second
-        derivatives and then clears the row of each inactive inequality, so
-        ``jac`` holds the rows of 2 rho grad c grad c' (see ``hessian``).  A
+        derivatives (``hessian`` picks the rows of 2 rho grad c grad c').  A
         later section reads the hinge and weight of an earlier one, so each
         constraint names its own, ``p<i>`` and ``w<i>``, by its place i in
         the piece: pieces of one shape write the same names."""
@@ -667,7 +688,7 @@ class _Kernel:
             self._curvature(ops, hess, None)
             return
         values = []  # the constraints' values, for a given cv
-        rows = []  # (k, value, partials, is_eq) of each constraint with partials
+        rows = []  # (k, partials) of each constraint with partials
         for i, k in enumerate(ks):
             e, is_eq = self._cons[k]
             c, grad, hess = _sweep(e, ops, self._n, pos, order == 2)
@@ -677,7 +698,7 @@ class _Kernel:
             ops.put("a", None, ops.plus(ops.mul(mu, c), ops.mul(ops.rho, p, p)), 0, add=True)
             if not grad:
                 continue
-            rows.append((k, c, grad, is_eq))
+            rows.append((k, grad))
             # a zero weight adds nothing, so an overflowing partial cannot
             # turn the sum into nan
             w = ops.put(f"w{i}", None, ops.plus(mu, ops.mul(ops.lit(2.0), ops.rho, p)), 1)
@@ -692,18 +713,10 @@ class _Kernel:
             ops.put("cv", slice(ks[0], ks[-1] + 1), ops.items(values), 0)
             ops.end(0)
         if rows and ops.when(ops.given("jac"), 1):
-            for k, _, grad, _ in rows:
+            for k, grad in rows:
                 for s in sorted(grad):
                     ops.put("jac", (k, s), grad[s], 1)
             ops.end(1)
-        if order == 2:
-            # after the row stores, which the evaluator runs as written: an
-            # inequality counts where mu + 2 rho c > 0 (see ``hessian``)
-            for k, c, _, is_eq in rows:
-                if not is_eq and ops.when(ops.inactive(
-                        ops.plus(ops.var("mu", k), ops.mul(ops.lit(2.0), ops.rho, c))), 2):
-                    ops.put("jac", k, ops.lit(0.0), 2)
-                    ops.end(2)
 
     @staticmethod
     def _curvature(ops, hess, weight):

@@ -104,6 +104,11 @@ class TestSolveAlpf:
             if rec.u.size:
                 assert rec.u.min() >= 0.0
 
+    def test_solver_takes_no_seed(self):
+        # the stop test's sample is fixed, so a solve depends on its inputs alone
+        with pytest.raises(TypeError, match="seed"):
+            AlpfConfig(seed=0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AlpfConfig(rho0=0.0)
@@ -364,7 +369,7 @@ class TestTraceSerialization:
     def test_deterministic_rerun(self):
         entry = build("ex9", n=4, lam=1.0)
         cfg = AlpfConfig(eps=1e-6, rho0=10.0, growth=10.0, max_outer=8,
-                         start=entry.start, inner=NEWTON, seed=42)
+                         start=entry.start, inner=NEWTON)
         a = trace_to_jsonl(solve_alpf(entry.problem, cfg))
         b = trace_to_jsonl(solve_alpf(entry.problem, cfg))
         assert a == b

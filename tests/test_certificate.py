@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import cnfopt.certificate as certificate
-import cnfopt.expr as expr
 import cnfopt.lp as lp_module
 import cnfopt.model as model
 from cnfopt.certificate import (
@@ -276,7 +275,7 @@ class TestOneLinearizationPerCertificate:
     the kernel over no constraints, and every constraint's value and gradient
     from one order-1 rows call of the problem kernel, which runs only inside
     the matched set.  Orders 0 and 1 of a code run on the float evaluator for
-    their first ``expr.COLD_CALLS[k]`` calls, and certify calls each once
+    their first ``model.COLD_CALLS[k]`` calls, and certify calls each once
     (the objective's and the reference's order 0 too), so a one-shot certify
     compiles nothing."""
 
@@ -308,7 +307,7 @@ class TestOneLinearizationPerCertificate:
         # objective's among them, once, at order 1
         kernel, vec = model._kernel(prob), prob.lift(x).flat()
         jac = np.zeros((prob.s + prob.r, prob.n + prob.m))
-        for _ in range(expr.COLD_CALLS[1] - 1):
+        for _ in range(model.COLD_CALLS[1] - 1):
             kernel.rows(vec, jac)
         assert builds["_aug"] == 0
         pieces = 1 - (-(prob.s + prob.r) // model._PIECE)

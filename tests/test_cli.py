@@ -65,7 +65,7 @@ class TestSolve:
     def test_deterministic_output(self, capsys):
         argv = (
             "solve", "--catalog", "ex9", "--n", "4", "--growth", "10",
-            "--inner", "newton", "--seed", "7", "--output", "jsonl",
+            "--inner", "newton", "--output", "jsonl",
         )
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
@@ -251,22 +251,26 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # the solve reaches the seeded convexity sampling of its stop test
-            (["solve", "--catalog", "ex7", "--seed", "-10", "--max-outer", "5"],
-             "seed must be an integer >= 0, got -10"),
             # checked before the problem loads, as --samples is
             (["validate", "--catalog", "ex9", "--n", "4", "--seed", "-1"],
              "--seed must be an integer >= 0"),
             (["validate", "--catalog", "nope", "--seed", "-1"],
              "--seed must be an integer >= 0"),
         ],
-        ids=["solve", "validate", "validate-before-load"],
+        ids=["validate", "validate-before-load"],
     )
     def test_negative_seed_exit_three(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_solve_takes_no_seed(self, capsys):
+        # the solver samples with fixed seeds, so its trace depends on its inputs alone
+        code, out, err = run_cli(capsys, "solve", "--catalog", "ex7", "--seed", "1")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "error: unrecognized arguments: --seed 1\n"
 
     def test_certify_takes_no_seed(self, capsys):
         # certify samples nothing, so a seed would be accepted and ignored

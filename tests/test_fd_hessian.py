@@ -291,6 +291,21 @@ def test_overflowing_partial_at_a_zero_weight():
         assert (value, grad.tolist(), H.tolist()) == (1e-320, [-2e-160], [[2.0]])
 
 
+@in_both_tiers
+def test_nan_constraint_value_is_inactive():
+    # x[1]^2 - y[1]^2 at x[1] = y[1] = 1e200 is inf - inf = nan: its hinge and,
+    # at u = 0, its weight are 0, and mu + 2 rho c > 0 fails on nan, so its
+    # finite row of partials adds nothing, as in the problem without it
+    g = (x_(1) - 1.0) ** 2 + x_(1) * y_(1) + y_(1) ** 2
+    vec = np.array([1e200, 1e200])
+    for rho in (0.0, 10.0):
+        bare = _kernel(CnfProblem(name="bare", n=1, m=1, g=g)).hessian(vec, [], rho)[2]
+        prob = CnfProblem(name="nan", n=1, m=1, g=g, ineqs=(x_(1) ** 2 - y_(1) ** 2,))
+        kernel = _kernel(prob)
+        assert np.isnan(kernel.rows(vec)[0])
+        assert same_bits(kernel.hessian(vec, [0.0], rho)[2], bare)
+
+
 @pytest.mark.parametrize("objective,ineqs,x1", [
     (1 / x_(1), (), 0.0),
     (sqrt_(x_(1)), (), 0.0),

@@ -4,7 +4,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import cnfopt.expr as expr
 import cnfopt.model as model
 from cnfopt.alpf import AlpfConfig, BlockPartition, solve_alpf, solve_decomposed
 from cnfopt.expr import DomainError
@@ -332,7 +331,7 @@ def test_decomposed_newton_compiles_no_gradient_form(monkeypatch):
 
     monkeypatch.setattr(model._Kernel, "_compile", counting)
     # every code compiles on its first call, so each that runs compiles
-    monkeypatch.setattr(expr, "COLD_CALLS", (0, 0, 0))
+    monkeypatch.setattr(model, "COLD_CALLS", (0, 0, 0))
     prob = build("ex9", n=30, lam=1.0).problem
     cfg = AlpfConfig(eps=1e-6, rho0=10.0, growth=10.0, max_outer=10, sigma0=5.0,
                      inner=InnerConfig(method=NEWTON_FD, max_iters=400))
@@ -372,6 +371,6 @@ def test_a_solve_compiles_its_kernel_once_at_its_inner_order(monkeypatch, method
                      inner=InnerConfig(method=method, max_iters=30000))
     trace = solve_alpf(prob, cfg)
     assert trace.status in ("kkt_stop", "approx_stop")
-    assert len(trace.records) > expr.COLD_CALLS[0]
+    assert len(trace.records) > model.COLD_CALLS[0]
     assert compiled == [(model._kernel(prob), order),
                         (model._kernel(prob, ineq_idx=(), eq_idx=()), 0)]

@@ -238,6 +238,15 @@ class TestDualValue:
         assert res.value == pytest.approx(3.0, abs=1e-8)
         assert not res.local
 
+    @pytest.mark.parametrize("dx, dy", [(1, -1), (1, 0), (0, -1)],
+                             ids=["shifted", "longer", "shorter"])
+    def test_start_of_the_wrong_size(self, ex7, dx, dy):
+        # a shifted start would move x's extra entry into y and solve from there
+        prob = ex7.problem
+        start = Point(np.ones(prob.n + dx), np.ones(prob.m + dy))
+        with pytest.raises(ValueError, match="point dims"):
+            dual_value(prob, Multipliers.zeros(prob), start=start)
+
     def test_failed_status_on_iteration_cap(self, ex7):
         mult = Multipliers.zeros(ex7.problem)
         res = dual_value(ex7.problem, mult, inner_cfg=InnerConfig(max_iters=1, grad_tol=1e-14))

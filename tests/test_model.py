@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import cnfopt.expr as expr
 from cnfopt import certificate
 from cnfopt.expr import (
     DialectError,
@@ -115,6 +114,12 @@ class TestValidateExactness:
         prob = CnfProblem(name="bare", n=1, m=0, g=x_(1) ** 2)
         with pytest.raises(ValueError):
             validate_exactness(prob, samples=10, seed=0)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_an_empty_sample(self, ex5, samples):
+        # a worst gap of 0.0 over no sample would read as exact
+        with pytest.raises(ValueError, match="samples must be positive"):
+            validate_exactness(ex5.problem, samples=samples)
 
 
 class TestSampleConvexity:
@@ -424,7 +429,7 @@ _DOMAIN_POINTS = [Point(x, [0.5]) for x in (
 
 
 class TestTiers:
-    """A form's first ``expr.COLD_CALLS[k]`` calls of order k run on the float
+    """A form's first ``model.COLD_CALLS[k]`` calls of order k run on the float
     evaluator, and the next compiles it.  Both tiers give the same bits, and raise the
     same errors with the same text."""
 
@@ -483,7 +488,7 @@ class TestTiers:
     def test_call_after_the_cold_calls_compiles_each_form_once(self, monkeypatch):
         # the shipped counts: values and gradients run on the evaluator
         # first, and a Hessian call compiles at once
-        assert expr.COLD_CALLS[0] >= 1 and expr.COLD_CALLS[1] >= 1 and expr.COLD_CALLS[2] == 0
+        assert model.COLD_CALLS[0] >= 1 and model.COLD_CALLS[1] >= 1 and model.COLD_CALLS[2] == 0
         builds, _ = _record_pieces(monkeypatch)  # the texts compiled
 
         def fresh():
@@ -517,7 +522,7 @@ class TestTiers:
         for name, (run, order) in calls.items():
             kernel = fresh()
             builds.clear()
-            first = [run(kernel) for _ in range(expr.COLD_CALLS[order])]
+            first = [run(kernel) for _ in range(model.COLD_CALLS[order])]
             assert not builds, name
             # the Hessian's first call is the one that compiles
             assert (first == []) == (order == 2), name
@@ -537,9 +542,9 @@ class TestTiers:
         # at the highest order called so far, and serves both
         kernel = fresh()
         builds.clear()
-        for _ in range(expr.COLD_CALLS[1]):
+        for _ in range(model.COLD_CALLS[1]):
             assert calls["gradient"][0](kernel) == want["gradient"]
-        for _ in range(expr.COLD_CALLS[0]):
+        for _ in range(model.COLD_CALLS[0]):
             assert calls["value"][0](kernel) == want["value"]
         assert not builds
         for _ in range(3):
@@ -561,7 +566,7 @@ class TestTiers:
         for name, (run, order) in forms.items():
             served = build("ex8", n=10).problem
             builds.clear()
-            first = [run(served) for _ in range(expr.COLD_CALLS[order])]
+            first = [run(served) for _ in range(model.COLD_CALLS[order])]
             assert not builds, name
             last = [run(served)]
             assert len(builds) == 1, name
@@ -590,12 +595,12 @@ class TestTiers:
         kernel = model._kernel(prob)
         vec, mu = prob.lift(np.linspace(-1.0, 1.0, 10)).flat(), [0.5] * 40
         call = (kernel.value, kernel.value_and_grad, kernel.hessian)[order]
-        for _ in range(expr.COLD_CALLS[order]):
+        for _ in range(model.COLD_CALLS[order]):
             call(vec, mu, 37.0)
-        assert len(runs) == expr.COLD_CALLS[order] and compiled == []
+        assert len(runs) == model.COLD_CALLS[order] and compiled == []
         for _ in range(3):
             call(vec, mu, 37.0)
-        assert len(runs) == expr.COLD_CALLS[order] and compiled == [order]
+        assert len(runs) == model.COLD_CALLS[order] and compiled == [order]
         assert (runs == []) == (order == 2)
 
     @pytest.mark.parametrize("make", CONSTRAINT_CASES)
@@ -781,9 +786,9 @@ def _record_pieces(monkeypatch):
             compiled.append(source)
         return compile(source, filename, *args, **kwargs)
 
-    def recording_build(em, head, result_expr, codes):
-        fn = piece_build(em, head, result_expr, codes)
-        made.append(em.source(head, result_expr))
+    def recording_build(em, codes):
+        fn = piece_build(em, codes)
+        made.append(em.source())
         return fn
 
     monkeypatch.setattr(model, "compile", counting_compile, raising=False)

@@ -1,7 +1,7 @@
 """Run tests in each tier of the compiled forms.
 
 A problem kernel, the one compiled form, runs on the float evaluator for
-its first ``expr.COLD_CALLS[k]`` calls of order k and compiles on the next;
+its first ``model.COLD_CALLS[k]`` calls of order k and compiles on the next;
 a bare tree's forms of ``cnfopt.expr`` always run on the evaluator.  A test
 decorated with ``in_both_tiers`` runs twice: once with every kernel on the
 evaluator, and once with every kernel compiled on its first call.  Kernels
@@ -12,27 +12,27 @@ them in its body.
 import contextlib
 import functools
 
-import cnfopt.expr as expr
+import cnfopt.model as model
 
-# expr.COLD_CALLS in each tier: the evaluator's runs every order on floats,
+# model.COLD_CALLS in each tier: the evaluator's runs every order on floats,
 # so its Hessians are the oracle of compiled ones
 TIERS = {"evaluator": (10**9,) * 3, "compiled": (0,) * 3}
 
 
 @contextlib.contextmanager
 def cold_calls(calls):
-    """Set ``expr.COLD_CALLS``, one count per order, for the block."""
-    saved = expr.COLD_CALLS
-    expr.COLD_CALLS = calls
+    """Set ``model.COLD_CALLS``, one count per order, for the block."""
+    saved = model.COLD_CALLS
+    model.COLD_CALLS = calls
     try:
         yield
     finally:
-        expr.COLD_CALLS = saved
+        model.COLD_CALLS = saved
 
 
 def compiled_tier():
     """True in the tier where every form compiles on its first call."""
-    return expr.COLD_CALLS == TIERS["compiled"]
+    return model.COLD_CALLS == TIERS["compiled"]
 
 
 def in_both_tiers(test):

@@ -11,8 +11,9 @@ wrapped to count the kernel pieces it makes and to record the source of
 each text it compiles, and ``model._Kernel._warm`` to count the kernel calls
 that run on the float evaluator.  The problem kernels are the only compiled
 form: a problem's augmented Lagrangian, its objective alone and its
-reference objective each have one.  A kernel runs on the evaluator for its
-first ``expr.COLD_CALLS[k]`` calls of order k (1 for values and gradients,
+reference objective each have one, and every piece has the one head
+``model._HEAD``.  A kernel runs on the evaluator for its
+first ``model.COLD_CALLS[k]`` calls of order k (1 for values and gradients,
 0 for Hessians) and compiles on the next, so the census counts only the
 kernels called more often; a copy of the tree with
 ``COLD_CALLS = (0, 0, 0)`` compiles every kernel that runs, and its census
@@ -67,22 +68,26 @@ def _kind(head):
     return KINDS[name]
 
 
+# every kernel piece is compiled under the one head
+KIND = _kind(model._HEAD)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("seed", type=int, nargs="?", default=jobs.DEFAULT_SEED)
     seed = ap.parse_args(argv).seed
-    sources = {kind: [] for kind in KINDS.values()}
-    instances = dict.fromkeys(KINDS.values(), 0)
+    sources = []
+    instances = 0
     evaluator_runs = [0, 0, 0]
     piece_build, warm = model._PieceEmitter.build, model._Kernel._warm
 
-    def recording_build(self, head, result_expr, codes):
-        kind = _kind(head)
-        instances[kind] += 1
+    def recording_build(self, codes):
+        nonlocal instances
+        instances += 1
         known = len(codes)
-        piece = piece_build(self, head, result_expr, codes)
+        piece = piece_build(self, codes)
         if len(codes) > known:  # the piece's text compiled
-            sources[kind].append(self.source(head, result_expr))
+            sources.append(self.source())
         return piece
 
     def counting_warm(self, order):
@@ -94,20 +99,18 @@ def main(argv=None):
     model._PieceEmitter.build = recording_build
     model._Kernel._warm = counting_warm
     for workload in jobs.WORKLOADS:
-        for kind in sources:
-            sources[kind].clear()
-            instances[kind] = 0
+        sources.clear()
+        instances = 0
         evaluator_runs[:] = [0, 0, 0]
         for job in jobs.make_workload(workload, seed):
             try:
                 job.run()
             except Exception:  # a failing job is reported; the others still run
                 traceback.print_exc()
-        for kind in sources:
-            text = "\n".join(sources[kind])
-            lines = sum(src.count("\n") + 1 for src in sources[kind])
-            digest = hashlib.sha256(text.encode()).hexdigest()
-            print(workload, kind, len(sources[kind]), instances[kind], lines, digest, flush=True)
+        text = "\n".join(sources)
+        lines = sum(src.count("\n") + 1 for src in sources)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        print(workload, KIND, len(sources), instances, lines, digest, flush=True)
         print(workload, "kernel-evaluator", *evaluator_runs, flush=True)
 
 
