@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .expr import Point, evaluate, norm0_thresholded, walk
+from .expr import Point, evaluate, json_safe, norm0_thresholded, walk
 from .inner import InnerConfig, minimize
 from .lagrangian import (
     Multipliers,
@@ -86,17 +86,20 @@ class AlpfRecord:
         return Point(self.x, self.y)
 
     def to_dict(self):
-        """Every field in declaration order, arrays as lists."""
+        """Every field in declaration order, arrays as lists, and each
+        non-finite number as None (``json_safe``)."""
         doc = {}
         for f in fields(self):
             value = getattr(self, f.name)
             doc[f.name] = value.tolist() if f.type == "np.ndarray" else value
-        return doc
+        return json_safe(doc)
 
     @classmethod
     def from_dict(cls, doc):
+        """The record of ``to_dict``'s doc, with each None as nan."""
         return cls(**{f.name: np.array(doc[f.name], dtype=float) if f.type == "np.ndarray"
-                      else doc[f.name] for f in fields(cls)})
+                      else math.nan if doc[f.name] is None else doc[f.name]
+                      for f in fields(cls)})
 
 
 @dataclass
@@ -369,13 +372,15 @@ def normalized_kkt_residual(prob, trace):
     at an (approximately) stationary multiplier configuration."""
     rec = trace.final
     gv, hv = prob.constraint_values(rec.point)
-    u_bar = rec.u + 2.0 * rec.rho * np.maximum(gv, 0.0)
-    v_next = rec.v + 2.0 * rec.rho * hv
-    gamma = 1.0 + u_bar.sum() + np.abs(v_next).sum()
     # the augmented gradient at the record's (u, v, rho) is exactly
     # grad g + sum u_bar_i grad g_i + sum v_next_j grad h_j
     grad = augmented_gradient(prob, rec.point, Multipliers(rec.u, rec.v), rec.rho)
-    return float(np.linalg.norm(grad)) / gamma
+    # an overflowing iterate gives inf or nan, as on floats, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_bar = rec.u + 2.0 * rec.rho * np.maximum(gv, 0.0)
+        v_next = rec.v + 2.0 * rec.rho * hv
+        gamma = 1.0 + u_bar.sum() + np.abs(v_next).sum()
+        return float(np.linalg.norm(grad)) / gamma
 
 
 def dormant_multiplier_violations(prob, trace, margin=1e-3, u_tol=1e-6):

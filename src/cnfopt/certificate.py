@@ -9,10 +9,12 @@ only under a feasible-direction hypothesis that is not machine-checkable
 (the verdict says so).  A nonnegative LP optimum means no first-order
 descent direction; the LP duals are exactly the KKT multipliers.
 
-Every test reads one linearization at the point: the objective gradient,
-from one order-1 call of the problem's kernel over no constraints, and one
-order-1 rows call of its whole kernel (constraint values and gradients).
-``certify`` builds it once, and only inside the matched set.
+Every test reads the problem's kernel.  One order-0 rows call gives the
+feasibility report its g and constraint values, and the linearization at
+the point comes from one order-1 rows call: the objective's piece gives
+the gradient of g, and the other pieces the constraint values and
+gradients.  ``certify`` builds the linearization once, and only inside the
+matched set; outside it, the objective's piece alone gives the gradient.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .expr import Point
+from .expr import DomainError, Point, json_safe
 from .lagrangian import V_NONNEG, Multipliers, lagrangian
 from .lp import LpProblem, solve_lp
-from .model import _kernel, check_feasible
+from .model import _feasibility, _kernel
 
 CNP_INEQ = "cnp_ineq"
 CNP0_EQ = "cnp0_eq"
@@ -78,19 +80,22 @@ class _Linearization:
     jac: np.ndarray
 
 
-def _objective_gradient(prob, p):
-    """(g, grad g) at p, from one order-1 call of the problem's kernel over
-    no constraints."""
-    value, acc = _kernel(prob, ineq_idx=(), eq_idx=()).value_and_grad(p.flat(), [], 0.0)
-    return value, np.array(acc)
-
-
-def _linearize(prob, p, grad_g):
-    """The linearization at p, given the objective gradient there; one rows
-    call of the kernel gives every constraint's value and gradient."""
+def _linearize(prob, p):
+    """The linearization at p, from one order-1 rows call of the kernel;
+    where that raises, an error of g's gradient comes first."""
     jac = np.zeros((prob.s + prob.r, prob.n + prob.m))
-    cv = _kernel(prob).rows(p.flat(), jac)
-    return _Linearization(grad_g, cv[:prob.s], cv[prob.s:], jac)
+    try:
+        _, grad_g, cv = _kernel(prob).rows(p.flat(), jac)
+    except DomainError:
+        _kernel(prob).objective(p.flat(), 1)
+        raise
+    return _Linearization(np.array(grad_g), cv[:prob.s], cv[prob.s:], jac)
+
+
+def _norm(v):
+    """The 2-norm of v, inf where its squares overflow, with no warning."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
 
 
 def _outside_matched_set(rep, g_value, feas_tol):
@@ -147,12 +152,11 @@ def _lp_test(lin, variant, cert_tol):
 
 def _matched_lp_test(prob, p, variant, feas_tol, cert_tol):
     """The direction test at p, which must lie in the matched set."""
-    rep = check_feasible(prob, p, tol=feas_tol)
-    g_value, grad_g = _objective_gradient(prob, p)
+    rep, g_value = _feasibility(prob, p, feas_tol)
     reason = _outside_matched_set(rep, g_value, feas_tol)
     if reason is not None:
         raise CertificateError(reason)
-    return _lp_test(_linearize(prob, p, grad_g), variant, cert_tol)
+    return _lp_test(_linearize(prob, p), variant, cert_tol)
 
 
 def lp_test_ineq(prob, p, feas_tol=1e-6, cert_tol=CERT_TOL):
@@ -168,15 +172,17 @@ def lp_test_eq(prob, p, feas_tol=1e-6, cert_tol=CERT_TOL):
 
 def _kkt_residual(lin, u, v, variant):
     stat = lin.grad_g
-    # row by row, in constraint order, so the sum does not depend on BLAS
-    for w, row in zip(np.concatenate([u, v]), lin.jac):
-        stat = stat + w * row
-    comp = float(np.max(np.abs(u * lin.gv))) if u.size else 0.0
+    # an overflowing point gives inf or nan, as on floats, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        # row by row, in constraint order, so the sum does not depend on BLAS
+        for w, row in zip(np.concatenate([u, v]), lin.jac):
+            stat = stat + w * row
+        comp = float(np.max(np.abs(u * lin.gv))) if u.size else 0.0
     sign = float(max(0.0, -u.min())) if u.size else 0.0
     if variant == CNP_INEQ and v.size:
         sign = max(sign, float(max(0.0, -v.min())))
     return KktResidual(
-        stationarity=float(np.linalg.norm(stat)),
+        stationarity=_norm(stat),
         complementarity=comp,
         sign_violation=sign,
     )
@@ -190,13 +196,13 @@ def kkt_residual(prob, p, u, v, variant=CNP_INEQ):
     if u.shape != (prob.s,) or v.shape != (prob.r,):
         raise ValueError("multiplier lengths must match the constraint counts")
     prob.check_point(p)
-    return _kkt_residual(_linearize(prob, p, _objective_gradient(prob, p)[1]), u, v, variant)
+    return _kkt_residual(_linearize(prob, p), u, v, variant)
 
 
 def grad_zero_test(prob, p, tol=CERT_TOL):
     """Zero objective gradient at a feasible point certifies optimality."""
     prob.check_point(p)
-    return float(np.linalg.norm(_objective_gradient(prob, p)[1])) <= tol
+    return _norm(_kernel(prob).objective(p.flat(), 1)[1]) <= tol
 
 
 def saddle_check(prob, p, mult, samples=500, seed=0, tol=1e-8):
@@ -235,6 +241,7 @@ class Certificate:
     verdict: str
 
     def to_dict(self):
+        """The certificate as JSON types, each non-finite number as None."""
         lp_part = None
         if self.lp_test is not None:
             lp_part = {
@@ -249,14 +256,14 @@ class Certificate:
                 "v": list(map(float, self.lp_test.v)),
                 **self.kkt.to_dict(),
             }
-        return {
+        return json_safe({
             "point": {"x": self.point.x.tolist(), "y": self.point.y.tolist()},
             "feasibility": self.feasibility.to_dict(),
             "grad_norm": self.grad_norm_of_g,
             "lp_test": lp_part,
             "kkt": kkt_part,
             "verdict": self.verdict,
-        }
+        })
 
     def to_json(self, indent=None):
         return json.dumps(self.to_dict(), indent=indent)
@@ -270,18 +277,23 @@ def certify(prob, p, feas_tol=1e-6, cert_tol=CERT_TOL):
     a nonnegative optimum of the equality variant alone is reported as
     kkt_point because its global claim rests on an unchecked hypothesis.
     """
-    prob.check_point(p)
-    rep = check_feasible(prob, p, tol=feas_tol)
-    # the kernel's order-1 value is its order-0 value in the report's
-    # exactness gap, bit for bit
-    g_value, grad_g = _objective_gradient(prob, p)
-    grad_norm = float(np.linalg.norm(grad_g))
+    rep, g_value = _feasibility(prob, p, feas_tol)
     if _outside_matched_set(rep, g_value, feas_tol) is not None:
+        # no Jacobian outside the matched set: g's piece alone gives its gradient
+        grad_norm = _norm(_kernel(prob).objective(p.flat(), 1)[1])
         return Certificate(p, rep, grad_norm, None, None, VERDICT_INCONCLUSIVE)
+    try:
+        lin = _linearize(prob, p)
+    except DomainError:
+        # where only a constraint's partial is undefined, a zero gradient
+        # of g still certifies
+        grad_norm = _norm(_kernel(prob).objective(p.flat(), 1)[1])
+        if grad_norm > cert_tol:
+            raise
+        return Certificate(p, rep, grad_norm, None, None, VERDICT_GLOBAL)
+    grad_norm = _norm(lin.grad_g)
     if grad_norm <= cert_tol:
         return Certificate(p, rep, grad_norm, None, None, VERDICT_GLOBAL)
-
-    lin = _linearize(prob, p, grad_g)
     for variant, verdict in ((CNP_INEQ, VERDICT_GLOBAL), (CNP0_EQ, VERDICT_KKT)):
         test = _lp_test(lin, variant, cert_tol)
         if test.certified:

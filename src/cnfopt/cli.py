@@ -27,7 +27,7 @@ from .alpf import (
     trace_to_jsonl,
 )
 from .certificate import certify
-from .expr import DomainError, Point, norm0_thresholded
+from .expr import DomainError, Point, json_safe, norm0_thresholded
 from .inner import InnerConfig
 from .model import (
     ProblemFormatError,
@@ -183,16 +183,6 @@ def _summary(entry, trace):
     }
 
 
-def _json_summary(summary):
-    """The summary with each non-finite number as None, which JSON writes as
-    null: NaN and Infinity are not JSON."""
-    def number(v):
-        return v if math.isfinite(v) else None
-
-    return {**summary, "x": [number(v) for v in summary["x"]], "f": number(summary["f"]),
-            "e": number(summary["e"])}
-
-
 def _cmd_solve(args):
     entry = _load_entry(args)
     prob = entry.problem
@@ -234,14 +224,14 @@ def _cmd_solve(args):
         )
     elif mode == "jsonl":
         sys.stdout.write(trace_to_jsonl(trace))
-        print(json.dumps({"summary": _json_summary(summary)}))
+        print(json.dumps({"summary": json_safe(summary)}))
     else:
         doc = {
             "problem": trace.problem,
             "solver": trace.solver,
             "status": trace.status,
             "records": [rec.to_dict() for rec in trace.records],
-            "summary": _json_summary(summary),
+            "summary": json_safe(summary),
         }
         print(json.dumps(doc, indent=2))
     return EXIT_OK if trace.status in (STATUS_KKT, STATUS_APPROX) else EXIT_SOLVER

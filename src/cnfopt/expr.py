@@ -232,6 +232,19 @@ class Point:
         return cls(vec[:n].copy(), vec[n:].copy())
 
 
+def json_safe(value):
+    """``value``, a number or nested lists and dicts, with each non-finite
+    float as None, which JSON writes as null: NaN and Infinity are not
+    JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: json_safe(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [json_safe(item) for item in value]
+    return value
+
+
 def _where(e):
     if e.pos is not None:
         return f"at line {e.pos[0]}, column {e.pos[1]}"

@@ -16,16 +16,17 @@ cached on the problem, with the multipliers and rho as arguments, so
 L (rho = 0), F (zero multipliers) and every outer iteration share it.
 Each kernel has one code, compiled once in straight-line pieces, the
 objective and then at most 16 constraints each, which bounds compile-time
-memory.  Each piece is written in three sections: order 0 adds its terms
-to the running value (and stores the constraint values for
-``CnfProblem.constraint_values``), order 1 adds their weighted partials
-to one gradient list in constraint order, skipping a weight of exactly 0
-(and stores the constraints' Jacobian rows, which the certificates read),
-and order 2 adds their second derivatives; the Hessian call keeps the
-rows of the active constraints for the 2 rho grad c grad c' term.  A call
-of order k runs sections 0 to k, so the value, the gradient and the Hessian
-share one compile; each sums in constraint order, so it equals a
-term-by-term sum bit for bit.
+memory.  The objective's piece also serves g and its gradient alone
+(``CnfProblem.objective``, the certificates).  Each piece is written in
+three sections: order 0 adds its terms to the running value (and stores
+the constraint values for ``CnfProblem.constraint_values``), order 1 adds
+their weighted partials to one gradient list in constraint order,
+skipping a weight of exactly 0 (and stores the constraints' Jacobian
+rows, which the certificates read), and order 2 adds their second
+derivatives; the Hessian call keeps the rows of the active constraints
+for the 2 rho grad c grad c' term.  A call of order k runs sections 0 to
+k, so the value, the gradient and the Hessian share one compile; each
+sums in constraint order, so it equals a term-by-term sum bit for bit.
 Calls count per order: the first ``model.COLD_CALLS[k]`` calls of order k
 that no compiled code serves run on the float evaluator of ``cnfopt.expr``,
 with the same bits and the same errors, and the next compiles the code at

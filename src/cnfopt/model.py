@@ -9,9 +9,11 @@ Each problem has a kernel (``_kernel``) with one code, whose sections give
 the augmented Lagrangian and the constraint values (order 0), its gradient
 and the constraints' Jacobian rows (order 1) and its Hessian (order 2).
 The kernels are the only compiled form of a problem: its objective g and
-its gradient come from the kernel over no constraints (``objective``, the
-certificates), and its reference objective from a kernel over
-``reference_f`` that only runs at order 0 (``reference``).
+its gradient come from the first piece of the problem's kernel, the
+objective's, alone (``objective``) or in a rows call with the constraint
+values and rows (the feasibility report, the certificates), and its
+reference objective from a kernel over ``reference_f`` that only runs at
+order 0 (``reference``).
 Their statements are written once (``_Kernel._assemble``) against the
 operand interface of ``cnfopt.expr``: the float evaluator runs them for the
 first ``COLD_CALLS[k]`` calls of order k, and the next call compiles
@@ -123,9 +125,9 @@ class CnfProblem:
             )
 
     def objective(self, p):
-        """g at the point p, from the kernel over no constraints."""
+        """g at the point p, from the objective's piece of the kernel."""
         self.check_point(p)
-        return _kernel(self, ineq_idx=(), eq_idx=()).value(p.flat(), [], 0.0)
+        return _kernel(self).objective(p.flat())[0]
 
     def reference(self, x):
         """The reference objective at x, of shape (n,), from its kernel."""
@@ -149,7 +151,7 @@ class CnfProblem:
     def constraint_values(self, p):
         """(inequality values, equality values) at a point, from the kernel."""
         self.check_point(p)
-        cv = _kernel(self).rows(p.flat())
+        cv = _kernel(self).rows(p.flat(), objective=False)[2]
         return cv[:self.s], cv[self.s:]
 
     def default_start(self):
@@ -174,20 +176,28 @@ class FeasibilityReport:
 def check_feasible(prob, p, tol=1e-8):
     """Report the worst positive inequality value and the worst |equality|
     at p, and whether both are within tol."""
-    if tol <= 0:
+    return _feasibility(prob, p, tol, prob.reference_f is not None)[0]
+
+
+def _feasibility(prob, p, tol, objective=True):
+    """(``check_feasible``'s report, g) at p, from one order-0 rows call of
+    the problem's kernel; g is None without ``objective``, which the
+    exactness gap of a problem with a reference needs."""
+    if not tol > 0:  # nan too
         raise ValueError("tol must be positive")
-    gv, hv = prob.constraint_values(p)
+    prob.check_point(p)
+    g, _, cv = _kernel(prob).rows(p.flat(), objective=objective)
+    gv, hv = cv[:prob.s], cv[prob.s:]
     worst_g = float(np.max(np.maximum(gv, 0.0))) if gv.size else 0.0
     worst_h = float(np.max(np.abs(hv))) if hv.size else 0.0
-    gap = None
-    if prob.reference_f is not None:
-        gap = abs(prob.objective(p) - prob.reference(p.x))
-    return FeasibilityReport(
+    gap = None if prob.reference_f is None else abs(g - prob.reference(p.x))
+    report = FeasibilityReport(
         max_ineq_violation=worst_g,
         max_eq_residual=worst_h,
         in_feasible_set=(worst_g <= tol and worst_h <= tol),
         exactness_gap=gap,
     )
+    return report, g
 
 
 def validate_exactness(prob, samples=1000, seed=0):
@@ -248,10 +258,10 @@ def sample_convexity(prob, samples=500, seed=0, box=None):
     objective and each constraint); returns the number of violating pairs."""
     if samples <= 0:
         raise ValueError("samples must be positive")
-    kernel, objective = _kernel(prob), _kernel(prob, ineq_idx=(), eq_idx=())
+    kernel = _kernel(prob)
 
     def values(vec):
-        return np.array([objective.value(vec, [], 0.0), *kernel.rows(vec)])
+        return np.array([kernel.objective(vec)[0], *kernel.rows(vec, objective=False)[2]])
 
     return midpoint_convexity_violations(
         values, prob.n + prob.m, box if box is not None else prob.box, samples, seed
@@ -495,7 +505,8 @@ class _Kernel:
     partials; order 2 adds their second derivatives.  A call of order k
     runs sections 0 to k: ``value`` and ``rows`` are of order 0,
     ``value_and_grad`` and ``rows`` with ``jac`` of order 1, and
-    ``hessian`` of order 2.  A call at or below the compiled order runs the
+    ``hessian`` of order 2; ``objective`` runs the objective's piece alone,
+    at the order it is given.  A call at or below the compiled order runs the
     compiled code.  Above it, the first ``COLD_CALLS[k]`` calls of order k
     run on the float evaluator, and the next compiles the code at the
     highest order called so far.  So gradient descent compiles it once, at
@@ -585,10 +596,24 @@ class _Kernel:
         np.copyto(H, H.T, where=self._lower)
         return float(a), acc, H
 
-    def rows(self, vec, jac=None):
-        """The selected constraints' values at ``vec``, from the code at
-        order 0; given ``jac``, of shape (constraints, kernel columns), also
-        their partials, row by row, at order 1."""
+    def objective(self, vec, order=0):
+        """(g, its partials as a list over the kernel's columns) at ``vec``,
+        from the objective's piece alone, the code's first, at ``order``;
+        the partials are None at order 0."""
+        pieces = self._pieces[order]
+        if pieces is None:
+            pieces = self._warm(order)
+        x, y = self._blocks(vec)
+        grad = [0.0] * self._width if order else None
+        return float(pieces[0](x, y, self._no_mu, 0.0, 0.0, order, None, grad)), grad
+
+    def rows(self, vec, jac=None, objective=True):
+        """(g, its partials, the selected constraints' values) at ``vec``,
+        from the code at order 0, where the partials are None; given
+        ``jac``, of shape (constraints, kernel columns), at order 1, which
+        also stores each constraint's partials in its row.  The objective's
+        piece runs after the constraints', and not at all without
+        ``objective``, where g and its partials are None."""
         order = 0 if jac is None else 1
         pieces = self._pieces[order]
         if pieces is None:
@@ -596,12 +621,15 @@ class _Kernel:
         x, y = self._blocks(vec)
         cv = [0.0] * len(self._cons)
         # at zero multipliers an overflowing hinge still gives a nan weight,
-        # whose partials go to a list that is dropped
+        # whose partials go to a list that is dropped, not to g's
         acc = [0.0] * self._width if order else None
-        # the first piece is the objective's, which a rows call skips
         for piece in pieces[1:]:
             piece(x, y, self._no_mu, 0.0, 0.0, order, cv, acc, None, None, jac)
-        return np.array(cv)
+        g = grad = None
+        if objective:
+            grad = [0.0] * self._width if order else None
+            g = float(pieces[0](x, y, self._no_mu, 0.0, 0.0, order, None, grad))
+        return g, grad, np.array(cv)
 
     def _blocks(self, vec):
         # plain lists keep the compiled straight-line code on the float

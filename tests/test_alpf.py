@@ -1,5 +1,7 @@
+import json
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -331,6 +333,16 @@ class TestDiagnostics:
         for k in rises:
             assert es[k - 1] > es[k - 2] + 1e-6
 
+    def test_overflowing_iterate_warns_nothing(self):
+        # the diverged ex7 record's multipliers and constraint values reach
+        # 1e200 and inf: the residual is nan, as on floats
+        entry = build("ex7")
+        cfg = AlpfConfig(start=Point([1e200, 1e200], [0.0, 0.0, 0.0]), max_outer=3)
+        trace = solve_alpf(entry.problem, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(normalized_kkt_residual(entry.problem, trace))
+
     def test_infeasibility_norm(self):
         gv = np.array([0.3, -2.0])
         hv = np.array([0.4])
@@ -365,6 +377,23 @@ class TestTraceSerialization:
         again = trace_from_jsonl(text)
         assert traces_equal(trace, again)
         assert trace_to_jsonl(again) == text
+
+    def test_non_finite_fields_round_trip_as_null(self):
+        # ex7 diverges at once from x = (1e200, 1e200): A and gap are nan,
+        # g and e infinite, and each is written as null and read back as nan
+        cfg = AlpfConfig(start=Point([1e200, 1e200], [0.0, 0.0, 0.0]), max_outer=3)
+        trace = solve_alpf(build("ex7").problem, cfg)
+        text = trace_to_jsonl(trace)
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        docs = [json.loads(line, parse_constant=reject) for line in text.splitlines()]
+        assert [docs[1][name] for name in ("A", "g", "e", "gap")] == [None] * 4
+        again = trace_from_jsonl(text)
+        assert traces_equal(trace, again)
+        assert trace_to_jsonl(again) == text
+        assert all(math.isnan(getattr(again.final, name)) for name in ("A", "g", "e", "gap"))
 
     def test_deterministic_rerun(self):
         entry = build("ex9", n=4, lam=1.0)

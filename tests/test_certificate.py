@@ -1,4 +1,7 @@
 import json
+import math
+import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -21,11 +24,12 @@ from cnfopt.certificate import (
     lp_test_ineq,
     saddle_check,
 )
-from cnfopt.expr import Point, gradient, x_, y_
+from cnfopt.expr import DomainError, Point, gradient, sqrt_, x_, y_
 from cnfopt.lagrangian import V_NONNEG, Multipliers
 from cnfopt.model import CnfProblem
 from cnfopt.problems import build
 from lp_oracle import scalar_simplex
+from tiers import in_both_tiers
 
 ORIGIN6 = Point([0, 0], [0, 0, 0, 0])
 
@@ -256,6 +260,75 @@ class TestCertify:
         assert doc["kkt"]["u"] == pytest.approx([1.0], abs=1e-6)
         assert doc["point"]["x"] == [0.0, 0.0]
 
+    def test_nan_tolerance_is_rejected(self, ex5):
+        # nan passes no test: the lifted origin is feasible at every tolerance
+        for test in (certify, lp_test_ineq, lp_test_eq):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                test(ex5.problem, ORIGIN6, feas_tol=math.nan)
+
+
+class TestUndefinedPartials:
+    """Where a partial is undefined at a point, the tests read the gradient
+    of g before the constraint rows: g's error comes first, and a zero
+    gradient of g at a feasible point certifies whatever the constraints'
+    partials are there."""
+
+    @in_both_tiers
+    def test_zero_gradient_certifies(self):
+        # sqrt(x) - 1 <= 0 holds at x = 0, where its partial is undefined
+        prob = CnfProblem(name="edge", n=1, m=0, g=x_(1) ** 2, ineqs=(sqrt_(x_(1)) - 1.0,))
+        cert = certify(prob, Point([0.0], []))
+        assert cert.verdict == VERDICT_GLOBAL
+        assert cert.grad_norm_of_g == 0.0
+
+    @in_both_tiers
+    def test_nonzero_gradient_raises_the_constraints_error(self):
+        prob = CnfProblem(name="edge", n=1, m=0, g=(x_(1) - 1.0) ** 2,
+                          ineqs=(sqrt_(x_(1)) - 1.0,))
+        with pytest.raises(DomainError, match=re.escape("sqrt gradient needs a positive argument")):
+            certify(prob, Point([0.0], []))
+
+    @in_both_tiers
+    def test_an_error_of_gs_gradient_comes_first(self):
+        prob = CnfProblem(name="edge", n=2, m=0, g=sqrt_(x_(1)), ineqs=(sqrt_(x_(2)) - 1.0,))
+        p = Point([0.0, 0.0], [])
+        for run in (lambda: certify(prob, p), lambda: lp_test_ineq(prob, p),
+                    lambda: lp_test_eq(prob, p),
+                    lambda: kkt_residual(prob, p, np.zeros(1), np.zeros(0))):
+            with pytest.raises(DomainError, match=re.escape("in 'sqrt(x[1])'")):
+                run()
+
+
+class TestOverflowingPoint:
+    """At ex7's x = (1e200, 1e200), y = 0, the squares overflow: the tests
+    give inf and nan, as floats do, and warn nothing."""
+
+    P = Point([1e200, 1e200], [0.0, 0.0, 0.0])
+
+    def test_no_runtime_warning(self, ex7):
+        prob = ex7.problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = certify(prob, self.P)
+            zero = grad_zero_test(prob, self.P)
+            res = kkt_residual(prob, self.P, np.zeros(prob.s), np.zeros(prob.r))
+            res_eq = kkt_residual(prob, self.P, np.ones(prob.s), np.ones(prob.r), CNP0_EQ)
+        assert cert.verdict == VERDICT_INCONCLUSIVE and cert.grad_norm_of_g == math.inf
+        assert cert.feasibility.max_eq_residual == math.inf
+        assert math.isnan(cert.feasibility.exactness_gap)
+        assert not zero
+        assert math.isnan(res.stationarity) and res.complementarity == 0.0
+        assert res_eq.stationarity == math.inf and res_eq.complementarity == 1e200
+
+    def test_json_has_null_for_non_finite_numbers(self, ex7):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        doc = json.loads(certify(ex7.problem, self.P).to_json(), parse_constant=reject)
+        assert doc["grad_norm"] is None
+        assert doc["feasibility"] == {"max_ineq_violation": 1e200, "max_eq_residual": None,
+                                      "in_feasible_set": False, "exactness_gap": None}
+
 
 def _sparse_ex9_point(n):
     """x with one nonzero x_i = 2n/i, which zeroes the ex9 misfit."""
@@ -270,14 +343,14 @@ def _alternating(n):
 
 
 class TestOneLinearizationPerCertificate:
-    """certify builds one feasibility report and one linearization, however
-    many of its tests run: the objective's gradient from one order-1 call of
-    the kernel over no constraints, and every constraint's value and gradient
-    from one order-1 rows call of the problem kernel, which runs only inside
-    the matched set.  Orders 0 and 1 of a code run on the float evaluator for
-    their first ``model.COLD_CALLS[k]`` calls, and certify calls each once
-    (the objective's and the reference's order 0 too), so a one-shot certify
-    compiles nothing."""
+    """certify reads g and every constraint value from one order-0 rows call
+    of the problem kernel, and the reference from one order-0 call of its
+    kernel, for one feasibility report.  Inside the matched set one order-1
+    rows call with a Jacobian gives the linearization, the gradient of g
+    among it; outside, the objective's piece alone gives that gradient at
+    order 1, and no Jacobian rows call runs.  Orders 0 and 1 of a code run
+    on the float evaluator for their first ``model.COLD_CALLS[k]`` calls,
+    and certify calls each once, so a one-shot certify compiles nothing."""
 
     @pytest.mark.parametrize(
         "entry_id, params, x, verdict",
@@ -292,20 +365,18 @@ class TestOneLinearizationPerCertificate:
     )
     def test_each_gradient_and_the_report_once(self, monkeypatch, entry_id, params, x, verdict):
         prob = build(entry_id, **params).problem
-        calls, jacobians, builds, reports = self._count(monkeypatch)
+        calls, builds, reports = self._count(monkeypatch)
         cert = certify(prob, prob.lift(x))
         assert cert.verdict == verdict
-        assert calls == Counter({model._kernel(prob, ineq_idx=(), eq_idx=()): 1})
-        assert jacobians == [model._kernel(prob)]
-        # a fresh problem: the kernel's rows calls of order 0 and 1, the
-        # objective kernel's calls of order 0 and 1 and the reference
-        # kernel's of order 0 ran once each, on the evaluator, and nothing
-        # compiled
+        kernel, reference = self._kernels(prob)
+        assert calls == Counter({(kernel, "rows", 0): 1, (reference, "value", 0): 1,
+                                 (kernel, "rows", 1): 1})
+        # a fresh problem: each call ran on the evaluator, and nothing compiled
         assert not builds
         assert len(reports) == 1
         # the call after order 1's cold calls builds the kernel's pieces, the
         # objective's among them, once, at order 1
-        kernel, vec = model._kernel(prob), prob.lift(x).flat()
+        vec = prob.lift(x).flat()
         jac = np.zeros((prob.s + prob.r, prob.n + prob.m))
         for _ in range(model.COLD_CALLS[1] - 1):
             kernel.rows(vec, jac)
@@ -317,49 +388,62 @@ class TestOneLinearizationPerCertificate:
             assert kernel._pieces[0] is kernel._pieces[1] is not None
             assert kernel._pieces[2] is None
 
-    def test_no_constraint_gradient_outside_the_matched_set(self, monkeypatch, ex5):
-        calls, jacobians, builds, reports = self._count(monkeypatch)
-        cert = certify(ex5.problem, Point([1, 1], [0, 0, 0, 0]))
+    def test_no_constraint_gradient_outside_the_matched_set(self, monkeypatch):
+        prob = build("ex5").problem
+        p = Point([1, 1], [0, 0, 0, 0])  # infeasible
+        calls, builds, reports = self._count(monkeypatch)
+        cert = certify(prob, p)
         assert cert.verdict == VERDICT_INCONCLUSIVE
-        assert calls == Counter({model._kernel(ex5.problem, ineq_idx=(), eq_idx=()): 1})
-        assert jacobians == []
+        kernel, reference = self._kernels(prob)
+        assert calls == Counter({(kernel, "rows", 0): 1, (reference, "value", 0): 1,
+                                 (kernel, "objective", 1): 1})
         assert not builds
         assert len(reports) == 1
+        # the direction tests raise after the report, with no order-1 call
+        calls.clear()
+        for test in (lp_test_ineq, lp_test_eq):
+            with pytest.raises(CertificateError, match="not feasible"):
+                test(prob, p)
+        assert calls == Counter({(kernel, "rows", 0): 2, (reference, "value", 0): 2})
+
+    @staticmethod
+    def _kernels(prob):
+        """The problem's kernel and its reference's."""
+        return model._kernel(prob), model._kernel(prob, ineq_idx=(), eq_idx=(),
+                                                  objective="reference_f")
 
     @staticmethod
     def _count(monkeypatch):
-        """Count the gradient calls per kernel, list the kernels whose rows
-        call takes a Jacobian, and count the texts compiled by function name
-        and the feasibility reports built by certify."""
+        """Count the kernel calls by (kernel, call, order), the texts compiled
+        by function name, and the feasibility reports built by certify."""
         calls = Counter()
-        jacobians = []
         builds = Counter()
         reports = []
-        gradient, check = model._Kernel.value_and_grad, certificate.check_feasible
-        rows = model._Kernel.rows
+        feasibility = certificate._feasibility
+        orders = {"value": lambda *args: 0, "value_and_grad": lambda *args: 1,
+                  "hessian": lambda *args: 2, "objective": lambda vec, order=0: order,
+                  "rows": lambda vec, jac=None, objective=True: int(jac is not None)}
 
-        def counting_gradient(kernel, *args):
-            calls[kernel] += 1
-            return gradient(kernel, *args)
+        def counting(name, method):
+            def call(kernel, *args, **kwargs):
+                calls[kernel, name, orders[name](*args, **kwargs)] += 1
+                return method(kernel, *args, **kwargs)
 
-        def counting_rows(kernel, vec, jac=None):
-            if jac is not None:  # the rows call of order 1 runs
-                jacobians.append(kernel)
-            return rows(kernel, vec, jac)
+            return call
 
         def counting_compile(source, filename, *args, **kwargs):
             builds[filename.removeprefix("<cnfopt:").removesuffix(">")] += 1
             return compile(source, filename, *args, **kwargs)
 
-        def counting_check(*args, **kwargs):
-            reports.append(check(*args, **kwargs))
+        def counting_feasibility(*args, **kwargs):
+            reports.append(feasibility(*args, **kwargs))
             return reports[-1]
 
-        monkeypatch.setattr(model._Kernel, "value_and_grad", counting_gradient)
-        monkeypatch.setattr(model._Kernel, "rows", counting_rows)
+        for name in orders:
+            monkeypatch.setattr(model._Kernel, name, counting(name, getattr(model._Kernel, name)))
         monkeypatch.setattr(model, "compile", counting_compile, raising=False)
-        monkeypatch.setattr(certificate, "check_feasible", counting_check)
-        return calls, jacobians, builds, reports
+        monkeypatch.setattr(certificate, "_feasibility", counting_feasibility)
+        return calls, builds, reports
 
 
 class TestDirectionLpPivots:
@@ -370,7 +454,7 @@ class TestDirectionLpPivots:
         n = 60
         prob = build("ex8", n=n).problem
         p = prob.lift(1.1 * _alternating(n))
-        lin = certificate._linearize(prob, p, gradient(prob.g, p))
+        lin = certificate._linearize(prob, p)
         pivots = []
         pivot = lp_module._pivot
         monkeypatch.setattr(lp_module, "_pivot", lambda *args: pivots.append(pivot(*args)))
@@ -401,7 +485,7 @@ class TestDirectionLpOracle:
         optimize = pytest.importorskip("scipy.optimize")
         prob = build(entry_id, **params).problem
         p = prob.lift(x)
-        lin = certificate._linearize(prob, p, gradient(prob.g, p))
+        lin = certificate._linearize(prob, p)
         for variant in (CNP_INEQ, CNP0_EQ):
             lp = certificate._direction_lp(lin, variant)
             ours = certificate.solve_lp(lp)
@@ -433,7 +517,7 @@ class TestDirectionLpOracle:
         optimize = pytest.importorskip("scipy.optimize")
         prob = build(entry_id, **params).problem
         p = prob.lift(x)
-        lp = certificate._direction_lp(certificate._linearize(prob, p, gradient(prob.g, p)), CNP0_EQ)
+        lp = certificate._direction_lp(certificate._linearize(prob, p), CNP0_EQ)
         assert lp.b_eq.size and not lp.b_eq.any()
         calls = []
         iterate = lp_module._bland_iterate

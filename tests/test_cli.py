@@ -159,9 +159,32 @@ class TestSummaryVerdict:
         code, out, _ = run_cli(capsys, *self.DIVERGED, "--output", "json")
         assert code == EXIT_SOLVER
         assert json.loads(out)["summary"] == self.SUMMARY
-        # the summary is the document's last field; the records keep their tokens
+        # the summary is the document's last field
         tail = out[out.index('"summary"'):]
         assert "NaN" not in tail and "Infinity" not in tail
+
+    @pytest.mark.parametrize("argv, lines", [
+        ((*DIVERGED, "--output", "jsonl"), True),
+        ((*DIVERGED, "--output", "json"), False),
+        (("certify", "--catalog", "ex7", "--point=1e200,1e200,0,0,0"), False),
+    ], ids=["jsonl", "json", "certify"])
+    def test_every_output_is_json(self, capsys, argv, lines):
+        # the trace records and the certificate write non-finite numbers as
+        # null too, and nothing warns
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, out, err = run_cli(capsys, *argv)
+        assert err == ""
+        docs = [json.loads(text, parse_constant=reject)
+                for text in (out.splitlines() if lines else [out])]
+        if argv[0] == "certify":
+            assert docs[0]["grad_norm"] is None
+        else:
+            record = docs[-1]["records"][0] if not lines else docs[1]
+            assert [record[name] for name in ("A", "g", "e", "gap")] == [None] * 4
 
     def test_table_summary(self, capsys):
         code, out, _ = run_cli(capsys, *self.DIVERGED, "--output", "table")

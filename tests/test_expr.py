@@ -8,7 +8,7 @@ import pytest
 import cnfopt.expr as expr_module
 import expr_oracle
 from tiers import TIERS, cold_calls, compiled_tier, in_both_tiers
-from cnfopt import certificate, model
+from cnfopt import model
 from cnfopt.expr import (
     DialectError,
     DomainError,
@@ -46,9 +46,10 @@ def served(e, p):
 
 
 def served_gradient(e, p):
-    """(value, gradient) of the smooth tree from a fresh problem's objective
-    kernel, as the certificates read it."""
-    return certificate._objective_gradient(CnfProblem(name="served", n=p.n, m=p.m, g=e), p)
+    """(value, gradient) of the smooth tree from the objective's piece of a
+    fresh problem's kernel at order 1, as the certificates read it."""
+    value, grad = model._kernel(CnfProblem(name="served", n=p.n, m=p.m, g=e)).objective(p.flat(), 1)
+    return value, np.array(grad)
 
 
 def fd_gradient(e, p, h=1e-6):
@@ -549,7 +550,7 @@ class TestConcurrentReads:
                 for _ in range(200):
                     assert evaluate(e, p) == prob.objective(p) == want
                     assert np.array_equal(gradient(e, p), want_g)
-                    assert np.array_equal(certificate._objective_gradient(prob, p)[1], want_g)
+                    assert np.array_equal(model._kernel(prob).objective(p.flat(), 1)[1], want_g)
             except Exception as err:  # surfaced in the main thread
                 failures.append(err)
 
@@ -635,11 +636,11 @@ class TestIntegerPower:
     @staticmethod
     def compiled_names(e):
         """The names that the compiled code of the smooth tree loads, read
-        off the piece of a problem's objective kernel, compiled on its first
-        call."""
+        off the objective's piece of a problem's kernel, compiled on its
+        first call."""
         prob = CnfProblem(name="power", n=1, m=0, g=e)
         prob.objective(Point([1.0], []))
-        return model._kernel(prob, ineq_idx=(), eq_idx=())._pieces[0][0].__code__.co_names
+        return model._kernel(prob)._pieces[0][0].__code__.co_names
 
     @pytest.mark.parametrize("k", [4, 5, 6, 7])
     @in_both_tiers
@@ -733,7 +734,7 @@ class TestLazyErrorLocations:
         lambda: (x_(1) - x_(2)) ** -2,
     ], ids=["div", "sqrt", "negative-power"])
     def test_compiled_tree_is_freed_without_the_collector(self, build):
-        # a problem whose augmented, objective and reference kernels have all
+        # a problem whose augmented and reference kernels have both
         # compiled goes, with its trees, as soon as it is dropped: its kernels
         # bind the trees' error locations, and nothing refers back to it
         p = Point([1.0, 2.0], [0.5])
@@ -745,10 +746,10 @@ class TestLazyErrorLocations:
                 prob.objective(p)
                 prob.reference(p.x)
                 model._kernel(prob).value_and_grad(p.flat(), [0.5], 1.0)
-            kernels = [model._kernel(prob), model._kernel(prob, ineq_idx=(), eq_idx=()),
+            kernels = [model._kernel(prob),
                        model._kernel(prob, ineq_idx=(), eq_idx=(), objective="reference_f")]
             assert all(kernel._pieces[0] for kernel in kernels)
-            assert len(set(kernels)) == 3
+            assert len(set(kernels)) == 2
             nodes = walk(prob.g) + walk(prob.ineqs[0]) + walk(prob.reference_f)
             dropped = [weakref.ref(prob)] + [weakref.ref(node) for node in nodes]
             del prob, kernels, nodes

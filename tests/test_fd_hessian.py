@@ -89,7 +89,7 @@ def check(prob, u, v, rho, p, wrt=None, ineq_idx=None, eq_idx=None):
     assert same_bits(value, want_value) and same_bits(grad, want_grad)
     want = fd_hessian(fun, z)
     jac = np.zeros((len(mu), z.size))
-    cv = kernel.rows(p.flat(), jac)
+    cv = kernel.rows(p.flat(), jac)[2]
     seen = Counter()
     for k in range(len(u)):
         c, row = cv[k], jac[k]
@@ -302,7 +302,7 @@ def test_nan_constraint_value_is_inactive():
         bare = _kernel(CnfProblem(name="bare", n=1, m=1, g=g)).hessian(vec, [], rho)[2]
         prob = CnfProblem(name="nan", n=1, m=1, g=g, ineqs=(x_(1) ** 2 - y_(1) ** 2,))
         kernel = _kernel(prob)
-        assert np.isnan(kernel.rows(vec)[0])
+        assert np.isnan(kernel.rows(vec)[2][0])
         assert same_bits(kernel.hessian(vec, [0.0], rho)[2], bare)
 
 

@@ -342,22 +342,18 @@ def test_decomposed_newton_compiles_no_gradient_form(monkeypatch):
     orders = Counter(order for _, order in compiled)
     # each block kernel compiles its code once, at order 2, whose leading
     # sections serve its backtracked trials; the whole problem's compiles
-    # once, at order 0, for the records' constraint values and A, and so
-    # does the kernel over the objective alone, for the records' g.  No code
+    # once, at order 0, for the records' constraint values, g and A.  No code
     # compiles at order 1, and none for values alone beside a Hessian code
-    assert orders == {2: 6, 0: 2}
-    whole, objective = model._kernel(prob), model._kernel(prob, ineq_idx=(), eq_idx=())
-    assert [order for kernel, order in compiled if kernel is whole] == [0]
-    assert [order for kernel, order in compiled if kernel is objective] == [0]
+    assert orders == {2: 6, 0: 1}
+    assert [order for kernel, order in compiled if kernel is model._kernel(prob)] == [0]
 
 
 @pytest.mark.parametrize("method, order", [(GRADIENT_DESCENT, 1), (NEWTON_FD, 2)])
 def test_a_solve_compiles_its_kernel_once_at_its_inner_order(monkeypatch, method, order):
     # gradient descent calls orders 1 and 0 (line-search trials), Newton
-    # orders 2 and 0, and the outer loop order 0 (constraint values and
-    # A): the problem's kernel compiles once, at the inner method's order.
-    # The outer loop's g comes from the kernel over the objective alone,
-    # which compiles once, at order 0, on its call after its cold ones
+    # orders 2 and 0, and the outer loop order 0 (constraint values, g and
+    # A): the problem's kernel compiles once, at the inner method's order,
+    # and no other kernel compiles
     compiled = []
     compile_form = model._Kernel._compile
 
@@ -372,5 +368,4 @@ def test_a_solve_compiles_its_kernel_once_at_its_inner_order(monkeypatch, method
     trace = solve_alpf(prob, cfg)
     assert trace.status in ("kkt_stop", "approx_stop")
     assert len(trace.records) > model.COLD_CALLS[0]
-    assert compiled == [(model._kernel(prob), order),
-                        (model._kernel(prob, ineq_idx=(), eq_idx=()), 0)]
+    assert compiled == [(model._kernel(prob), order)]

@@ -33,7 +33,7 @@ from cnfopt.model import (
     sample_convexity,
     validate_exactness,
 )
-from cnfopt.alpf import BlockPartition
+from cnfopt.alpf import AlpfConfig, BlockPartition, solve_alpf
 from cnfopt.problems import build, catalog_ids, default_entries
 
 import convexity_oracle
@@ -78,6 +78,10 @@ class TestCheckFeasible:
         with pytest.raises(ValueError):
             check_feasible(ex5.problem, Point([0, 0], [0, 0, 0, 0]), tol=0.0)
 
+    def test_nan_tolerance_is_rejected(self, ex5):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            check_feasible(ex5.problem, Point([0, 0], [0, 0, 0, 0]), tol=math.nan)
+
     def test_dimension_mismatch(self, ex5):
         with pytest.raises(ValueError):
             check_feasible(ex5.problem, Point([0, 0], [0, 0]), tol=1e-8)
@@ -88,6 +92,28 @@ class TestCheckFeasible:
         prob = CnfProblem(name="frac", n=1, m=1, g=x_(1), eqs=(x_(1) / y_(1),))
         with pytest.raises(DomainError):
             check_feasible(prob, Point([1.0], [0.0]), tol=1e-8)
+
+    @in_both_tiers
+    def test_objective_runs_only_for_the_gap(self):
+        # at x1 = -1, g = sqrt(x1) is undefined and the constraint is not: with
+        # no reference, the report and the constraint values read no g
+        prob = CnfProblem(name="g-undefined", n=1, m=0, g=sqrt_(x_(1)), ineqs=(x_(1) - 1.0,))
+        p = Point([-1.0], [])
+        assert check_feasible(prob, p).in_feasible_set
+        assert prob.constraint_values(p)[0].tolist() == [-2.0]
+        with pytest.raises(DomainError, match="sqrt of negative"):
+            prob.objective(p)
+
+    @in_both_tiers
+    def test_constraint_errors_come_first(self):
+        # g and the constraint are both undefined at x1 = -1: the report reads
+        # the constraints before g, and the convexity sample g before them
+        prob = CnfProblem(name="both-undefined", n=1, m=0, g=sqrt_(x_(1)),
+                          ineqs=(1.0 / (x_(1) + 1.0),), reference_f=x_(1))
+        with pytest.raises(DomainError, match="division by zero"):
+            check_feasible(prob, Point([-1.0], []))
+        with pytest.raises(DomainError, match="sqrt of negative"):
+            sample_convexity(prob, samples=2, box=(-1.0, -1.0))
 
 
 class TestValidateExactness:
@@ -273,7 +299,8 @@ def _seeded_points(prob, seed=13, per_scale=4):
 class TestKernelConstraintForms:
     """The problem kernel's rows and Jacobian calls against one expression
     at a time: ``evaluate`` and ``value_and_gradient`` on array points, with
-    every form on the float evaluator and with every form compiled."""
+    every form on the float evaluator and with every form compiled.  A rows
+    call also gives g, and its Jacobian call the gradient of g."""
 
     @pytest.mark.parametrize("make", CONSTRAINT_CASES)
     @in_both_tiers
@@ -283,9 +310,12 @@ class TestKernelConstraintForms:
         for p in _seeded_points(prob):
             with np.errstate(all="ignore"):  # overflow gives inf, as on floats
                 want = np.array([evaluate(c, p) for c in cons])
+                want_g = evaluate(prob.g, p)
             gv, hv = prob.constraint_values(p)
             assert np.concatenate([gv, hv]).tobytes() == want.tobytes()
-            assert model._kernel(prob).rows(p.flat()).tobytes() == want.tobytes()
+            g, grad, cv = model._kernel(prob).rows(p.flat())
+            assert cv.tobytes() == want.tobytes()
+            assert type(g) is float and g.hex() == float(want_g).hex() and grad is None
 
     @pytest.mark.parametrize("make", CONSTRAINT_CASES)
     @in_both_tiers
@@ -294,18 +324,22 @@ class TestKernelConstraintForms:
         cons = (*prob.ineqs, *prob.eqs)
         for p in _seeded_points(prob):
             jac = np.zeros((len(cons), prob.n + prob.m))
-            cv = model._kernel(prob).rows(p.flat(), jac)
+            g, grad, cv = model._kernel(prob).rows(p.flat(), jac)
             for k, c in enumerate(cons):
                 with np.errstate(all="ignore"):
-                    value, grad = value_and_gradient(c, p)
+                    value, want = value_and_gradient(c, p)
                 assert float(cv[k]).hex() == float(value).hex()
-                assert jac[k].tobytes() == grad.tobytes()
+                assert jac[k].tobytes() == want.tobytes()
+            with np.errstate(all="ignore"):
+                value, want = value_and_gradient(prob.g, p)
+            assert g.hex() == float(value).hex() and np.array(grad).tobytes() == want.tobytes()
 
     @in_both_tiers
     def test_all_finite_and_overflowing_values_occur(self):
         # the scales above reach both finite and overflowed values
         prob = build("ex8", n=10).problem
-        cvs = np.concatenate([model._kernel(prob).rows(p.flat()) for p in _seeded_points(prob)])
+        cvs = np.concatenate([model._kernel(prob).rows(p.flat())[2]
+                              for p in _seeded_points(prob)])
         assert np.isfinite(cvs).any() and not np.isfinite(cvs).all()
 
     @in_both_tiers
@@ -365,9 +399,20 @@ def _kernel_forms(kernel, vec, mu, rho):
     """Each call of ``kernel`` at the flat point ``vec``: its bits, or its
     error."""
 
+    def rows():
+        # bytes, not a tuple, as an error is
+        g, grad, cv = kernel.rows(vec)
+        assert grad is None
+        return np.array([g, *cv]).tobytes()
+
     def jacobian():
         jac = np.zeros((len(kernel._cons), kernel._width))
-        return kernel.rows(vec, jac).tobytes(), jac.tobytes()
+        g, grad, cv = kernel.rows(vec, jac)
+        return float(g).hex(), np.array(grad).tobytes(), cv.tobytes(), jac.tobytes()
+
+    def objective_gradient():
+        g, grad = kernel.objective(vec, 1)
+        return float(g).hex(), np.array(grad).tobytes()
 
     def gradient():
         a, acc = kernel.value_and_grad(vec, mu, rho)
@@ -377,7 +422,9 @@ def _kernel_forms(kernel, vec, mu, rho):
         a, acc, H = kernel.hessian(vec, mu, rho)
         return float(a).hex(), np.array(acc).tobytes(), H.tobytes()
 
-    forms = {"rows": lambda: kernel.rows(vec).tobytes(), "jacobian": jacobian,
+    forms = {"rows": rows, "jacobian": jacobian,
+             "objective": lambda: kernel.objective(vec)[0].hex(),
+             "objective-gradient": objective_gradient,
              "value": lambda: float(kernel.value(vec, mu, rho)).hex(),
              "gradient": gradient, "hessian": hessian}
     with np.errstate(all="ignore"):  # overflow gives inf, as on floats
@@ -499,9 +546,14 @@ class TestTiers:
         p = prob.lift(np.linspace(-1.0, 1.0, 10))
         vec, mu, rho = p.flat(), [0.5] * 40, 37.0
 
+        def rows(kernel):
+            g, grad, cv = kernel.rows(vec)
+            return g, grad, cv.tobytes()
+
         def jacobian(kernel):
             jac = np.zeros((40, prob.n + prob.m))
-            return kernel.rows(vec, jac).tobytes(), jac.tobytes()
+            g, grad, cv = kernel.rows(vec, jac)
+            return g, grad, cv.tobytes(), jac.tobytes()
 
         def hessian(kernel):
             a, acc, H = kernel.hessian(vec, mu, rho)
@@ -509,8 +561,10 @@ class TestTiers:
 
         # each call of the kernel's code, with its order
         calls = {
-            "rows": (lambda kernel: kernel.rows(vec).tobytes(), 0),
+            "rows": (rows, 0),
+            "objective": (lambda kernel: kernel.objective(vec), 0),
             "value": (lambda kernel: kernel.value(vec, mu, rho), 0),
+            "objective-gradient": (lambda kernel: kernel.objective(vec, 1), 1),
             "gradient": (lambda kernel: kernel.value_and_grad(vec, mu, rho), 1),
             "jacobian": (jacobian, 1),
             "hessian": (hessian, 2),
@@ -553,26 +607,17 @@ class TestTiers:
             assert len(builds) == 4
         assert kernel._pieces[0] is kernel._pieces[1] and kernel._pieces[2] is None
 
-        # the kernels over the objective alone and over the reference: one
-        # piece each, whose one text compiles once, after the cold calls
-        def gradient(served):
-            return model._kernel(served, ineq_idx=(), eq_idx=()).value_and_grad(vec, [], 0.0)
-
-        forms = {
-            "objective": (lambda served: served.objective(p), 0),
-            "gradient": (gradient, 1),
-            "reference": (lambda served: served.reference(p.x), 0),
-        }
-        for name, (run, order) in forms.items():
-            served = build("ex8", n=10).problem
-            builds.clear()
-            first = [run(served) for _ in range(model.COLD_CALLS[order])]
-            assert not builds, name
-            last = [run(served)]
-            assert len(builds) == 1, name
-            last += [run(served) for _ in range(3)]
-            assert len(builds) == 1, name
-            assert first + last == [first[0]] * len(first + last), name
+        # the kernel over the reference: one piece, whose one text compiles
+        # once, after the cold calls
+        served = build("ex8", n=10).problem
+        builds.clear()
+        first = [served.reference(p.x) for _ in range(model.COLD_CALLS[0])]
+        assert not builds
+        last = [served.reference(p.x)]
+        assert len(builds) == 1
+        last += [served.reference(p.x) for _ in range(3)]
+        assert len(builds) == 1
+        assert first + last == [first[0]] * len(first + last)
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_each_order_runs_its_cold_calls_on_the_evaluator(self, monkeypatch, order):
@@ -691,7 +736,8 @@ OBJECTIVE_CASES += [
 
 def _objective_forms(prob, p):
     """(the objective, its certificate gradient and the reference at p as
-    the problem's kernels serve them, the same from the bare-tree evaluator
+    the objective's piece of the problem's kernel and the reference's kernel
+    serve them, the same from the bare-tree evaluator
     forms): each form's bits, or its error.  A kernel piece runs its values
     before any partial, so a value error comes before a derivative error, as
     ``evaluate`` before ``value_and_gradient``."""
@@ -704,7 +750,7 @@ def _objective_forms(prob, p):
         return (float(value).hex(), *gradient(*value_and_gradient(prob.g, p))[1:])
 
     served = {"objective": lambda: float(prob.objective(p)).hex(),
-              "gradient": lambda: gradient(*certificate._objective_gradient(prob, p))}
+              "gradient": lambda: gradient(*model._kernel(prob).objective(p.flat(), 1))}
     tree = {"objective": lambda: float(evaluate(prob.g, p)).hex(), "gradient": tree_gradient}
     if prob.reference_f is not None:
         served["reference"] = lambda: float(prob.reference(p.x)).hex()
@@ -716,8 +762,8 @@ def _objective_forms(prob, p):
 
 class TestObjectiveKernels:
     """The objective, its gradient as the certificates read it and the
-    reference, from the problem's kernels over no constraints, against the
-    bare-tree evaluator forms of ``cnfopt.expr``: the same bits, and the same
+    reference, from the objective's piece of the problem's kernel and from
+    the reference's kernel, against the bare-tree evaluator forms of ``cnfopt.expr``: the same bits, and the same
     error text, with every kernel on the float evaluator and with every
     kernel compiled."""
 
@@ -734,7 +780,7 @@ class TestObjectiveKernels:
             assert raised
         if compiled_tier():
             # compiled on their first calls: a nonsmooth reference at order 0
-            assert model._kernel(prob, ineq_idx=(), eq_idx=())._pieces[1]
+            assert model._kernel(prob)._pieces[1]
             if prob.reference_f is not None:
                 reference = model._kernel(prob, ineq_idx=(), eq_idx=(), objective="reference_f")
                 assert reference._pieces[0]
@@ -752,6 +798,18 @@ class TestObjectiveKernels:
                         "sqrt gradient needs a positive argument",
                         "fractional power 1.5 of negative base -1.0"):
             assert any(m.startswith(message) for m in raised), message
+
+    def test_no_kernel_over_the_objective_alone(self):
+        # a solve, its records' g, a certificate and the objective all read
+        # g from the one kernel over every constraint
+        prob = build("ex7").problem
+        p = solve_alpf(prob, AlpfConfig()).final.point
+        prob.objective(p)
+        certificate.certify(prob, p)
+        keys = [key for key in prob._kernels if key != "codes"]
+        assert [key for key in keys if key[0] == "g"] == [
+            ("g", None, tuple(range(prob.s)), tuple(range(prob.r)))]
+        assert keys == [key for key in keys if key[0] == "g" or key[1:] == (None, (), ())]
 
     def test_points_must_match_the_problem(self):
         prob = build("ex7").problem
@@ -904,10 +962,13 @@ class TestSharedPieceCode:
                 (first, [-9.0, 4.0], "sqrt of negative value -9.0 at line 1, column 5"),
                 (second, [4.0, -1.0], "sqrt of negative value -1.0 at line 2, column 7")):
             forms = _kernel_forms(kernel, np.array(vec), [0.5], 37.0)
+            # the objective's piece alone reads no constraint
+            assert forms.pop("objective") == float(sum(v * v for v in vec)).hex()
+            assert forms.pop("objective-gradient")[0] is not DomainError
             assert forms == dict.fromkeys(forms, (DomainError, message))
         # and each reads its own coordinate where both are defined
         vec = np.array([4.0, 9.0])
-        assert first.rows(vec).tolist() == [-1.0] and second.rows(vec).tolist() == [-2.0]
+        assert first.rows(vec)[2].tolist() == [-1.0] and second.rows(vec)[2].tolist() == [-2.0]
         if compiled_tier():
             assert first._codes is second._codes
             piece, other = first._pieces[2][1], second._pieces[2][1]

@@ -10,12 +10,12 @@ four workloads runs once, in order, with ``model._PieceEmitter.build``
 wrapped to count the kernel pieces it makes and to record the source of
 each text it compiles, and ``model._Kernel._warm`` to count the kernel calls
 that run on the float evaluator.  The problem kernels are the only compiled
-form: a problem's augmented Lagrangian, its objective alone and its
-reference objective each have one, and every piece has the one head
-``model._HEAD``.  A kernel runs on the evaluator for its
-first ``model.COLD_CALLS[k]`` calls of order k (1 for values and gradients,
-0 for Hessians) and compiles on the next, so the census counts only the
-kernels called more often; a copy of the tree with
+form, of two kinds: a problem's augmented Lagrangian has one, whose first
+piece, the objective's, also serves g and its gradient, and its reference
+objective has one; every piece has the one head ``model._HEAD``.  A
+kernel runs on the evaluator for its first ``model.COLD_CALLS[k]`` calls of
+order k (1 for values and gradients, 0 for Hessians) and compiles on the
+next, so the census counts only the kernels called more often; a copy of the tree with
 ``COLD_CALLS = (0, 0, 0)`` compiles every kernel that runs, and its census
 shows the code the emitter writes for all of them.  For each workload the
 script prints one line of the compiled kernel pieces:
