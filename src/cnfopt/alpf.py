@@ -13,7 +13,10 @@ both the value gap |A - g| and the infeasibility e = ||g+|| + ||h|| drop
 below eps.  ``solve_penalty`` keeps the multipliers at zero, and
 ``solve_decomposed`` splits each minimization Gauss-Seidel style over
 variable blocks, with the penalty weight sigma entering as rho = sigma/2;
-both stop on e < eps.
+both stop on e < eps.  Each iteration records A, g and e at its iterate
+from one order-0 rows call of each block's kernel, the one its inner solve
+ran: every constraint lives in exactly one block, and A is summed from g
+and the constraint values as the kernel sums it (``augmented_from_values``).
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ from .expr import Point, evaluate, json_safe, norm0_thresholded, walk
 from .inner import InnerConfig, minimize
 from .lagrangian import (
     Multipliers,
-    augmented,
+    augmented_from_values,
     augmented_gradient,
     augmented_hessian,
     augmented_objective,
+    block_kernel,
     lagrangian_sampled_convex,
 )
 
@@ -159,11 +163,15 @@ def _outer_loop(prob, cfg, solver, partition=None):
     decomposed).  Each block's inner solve starts at the current iterate
     with the other blocks frozen.  The blocks are ``partition.blocks(prob)``;
     without a partition the one block is every column and every
-    constraint.  The variants differ only in the starting u, the stop test
-    and whether the multipliers move."""
+    constraint.  A record reads each constraint's value from its block's
+    kernel and g from the first block's, so each takes one kernel call per
+    block, and the decomposed loop builds no whole-problem kernel.  The
+    variants differ only in the starting u, the stop test and whether the
+    multipliers move."""
     cfg = cfg if cfg is not None else AlpfConfig()
+    whole = [(np.arange(prob.n + prob.m), list(range(prob.s)), list(range(prob.r)))]
     if partition is None:
-        blocks = [(np.arange(prob.n + prob.m), list(range(prob.s)), list(range(prob.r)))]
+        blocks = whole
         rho = cfg.rho0
     else:
         blocks = partition.blocks(prob)
@@ -191,10 +199,14 @@ def _outer_loop(prob, cfg, solver, partition=None):
             if inner_status == "diverged":
                 break
 
-        gv, hv = prob.constraint_values(p)
-        g_val = prob.objective(p)
+        # a problem with no variable has no block: the whole problem's kernel reads it
+        gv, hv = np.empty(prob.s), np.empty(prob.r)
+        for j, (wrt, ineq_idx, eq_idx) in enumerate(blocks or whole):
+            g_j, _, cv = block_kernel(prob, wrt, ineq_idx, eq_idx).rows(p.flat(), objective=not j)
+            g_val = g_j if not j else g_val
+            gv[ineq_idx], hv[eq_idx] = cv[:len(ineq_idx)], cv[len(ineq_idx):]
         e = infeasibility(gv, hv)
-        a_val = augmented(prob, p, Multipliers(u, v), rho)
+        a_val = augmented_from_values(g_val, gv, hv, Multipliers(u, v), rho)
         gap = abs(a_val - g_val)
         records.append(
             AlpfRecord(k, rho, p.x.copy(), p.y.copy(), u.copy(), v.copy(),
@@ -281,7 +293,8 @@ class BlockPartition:
         """The subproblem ``(flat columns, inequality indices, equality
         indices)`` of each block that holds a variable, in block order.  A
         constraint goes to the unique block holding its variables (a
-        variable-free one to block 0); one spanning two blocks is a
+        variable-free one to the first block that holds a variable), so
+        each lives in exactly one of them; one spanning two blocks is a
         partition violation."""
         for blks, size in ((self.x_blocks, prob.n), (self.y_blocks, prob.m)):
             if sorted(i for blk in blks for i in blk) != list(range(size)):
@@ -290,6 +303,9 @@ class BlockPartition:
         for j, (xs, ys) in enumerate(zip(self.x_blocks, self.y_blocks)):
             owner.update({("x", i): j for i in xs})
             owner.update({("y", i): j for i in ys})
+        cols = [np.array(xs + tuple(prob.n + i for i in ys), dtype=int)
+                for xs, ys in zip(self.x_blocks, self.y_blocks)]
+        first = next((j for j, c in enumerate(cols) if c.size), 0)
         ineq_of = [[] for _ in self.x_blocks]
         eq_of = [[] for _ in self.x_blocks]
         for kind, exprs, buckets in (
@@ -302,9 +318,7 @@ class BlockPartition:
                     raise ValueError(
                         f"{kind} constraint {idx + 1} spans blocks {sorted(owners)}"
                     )
-                buckets[owners.pop() if owners else 0].append(idx)
-        cols = [np.array(xs + tuple(prob.n + i for i in ys), dtype=int)
-                for xs, ys in zip(self.x_blocks, self.y_blocks)]
+                buckets[owners.pop() if owners else first].append(idx)
         return [blk for blk in zip(cols, ineq_of, eq_of) if blk[0].size]
 
     @classmethod

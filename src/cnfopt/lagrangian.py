@@ -12,8 +12,12 @@ anywhere.
 
 All of these evaluate the problem kernel of ``cnfopt.model``: A and its
 derivatives, one kernel per (problem, column subset, constraint subset),
-cached on the problem, with the multipliers and rho as arguments, so
-L (rho = 0), F (zero multipliers) and every outer iteration share it.
+cached on the problem (``block_kernel`` looks up an inner subproblem's),
+with the multipliers and rho as arguments, so L (rho = 0), F (zero
+multipliers) and every inner solve of the outer loops share it.  Every
+outer iteration's record reads g and the constraint values from the
+kernels its inner solves ran, and ``augmented_from_values`` sums A from
+them as the kernel does, bit for bit.
 Each kernel has one code, compiled once in straight-line pieces, the
 objective and then at most 16 constraints each, which bounds compile-time
 memory.  The objective's piece also serves g and its gradient alone
@@ -111,6 +115,19 @@ def augmented(prob, p, mult, rho):
     return _kernel(prob).value(p.flat(), _mu(mult.u, mult.v), rho)
 
 
+def augmented_from_values(g, gv, hv, mult, rho):
+    """``augmented`` from g and the inequality and equality values at the
+    point, bit for bit: a term-by-term sum in the kernel's order and with
+    its expression, a = g, then a += mu c + rho p p over the inequalities
+    (p the hinge max(c, 0)) and then the equalities (p = c)."""
+    a = g
+    for hinged, mu, cs in ((True, mult.u, gv), (False, mult.v, hv)):
+        for m, c in zip(mu.tolist(), np.asarray(cs, dtype=float).tolist()):
+            p = (c if c > 0.0 else 0.0) if hinged else c
+            a += m * c + rho * p * p
+    return a
+
+
 def penalty(prob, p, rho):
     """Pure penalty value; equals the augmented form at zero multipliers."""
     return augmented(prob, p, Multipliers.zeros(prob), rho)
@@ -140,11 +157,17 @@ def lagrangian_sampled_convex(prob, u, v, pairs, seed):
     )
 
 
+def block_kernel(prob, wrt=None, ineq_idx=None, eq_idx=None):
+    """The kernel of the inner subproblem over the flat columns ``wrt`` and
+    the given constraints, as ``augmented_objective`` documents them: the
+    one its closures run, from the problem's cache."""
+    return _kernel(prob, None if wrt is None else tuple(int(f) for f in wrt), ineq_idx, eq_idx)
+
+
 def _subproblem(prob, u, v, base, wrt, ineq_idx, eq_idx):
     """(kernel, z -> flat point, multipliers) of one inner subproblem, as
     ``augmented_objective`` documents its arguments."""
-    cols = None if wrt is None else tuple(int(f) for f in wrt)
-    kernel = _kernel(prob, cols, ineq_idx, eq_idx)
+    kernel = block_kernel(prob, wrt, ineq_idx, eq_idx)
     if kernel._pos is None:
         # over every column in order, z is the whole flat point: it goes to
         # the kernel as it is, with no copy, since the kernel only reads it
@@ -152,7 +175,7 @@ def _subproblem(prob, u, v, base, wrt, ineq_idx, eq_idx):
             return z
     else:
         base_vec = (base.flat() if base is not None else np.zeros(prob.n + prob.m)).copy()
-        wrt_idx = np.array(cols, dtype=int)
+        wrt_idx = np.array(wrt, dtype=int)
 
         def flat(z):
             vec = base_vec.copy()

@@ -30,11 +30,14 @@ from cnfopt.alpf import (
 )
 from cnfopt.expr import Point, const, x_
 from cnfopt.inner import InnerConfig
-from cnfopt.model import CnfProblem
+from cnfopt.lagrangian import Multipliers, augmented
+from cnfopt.model import CnfProblem, load_problem
 from cnfopt.problems import build
 
 GD = InnerConfig(method="gradient_descent", max_iters=30000)
 NEWTON = InnerConfig(method="newton_fd", max_iters=400)
+# enough for a few outer iterations, whatever their inner statuses
+GD_SHORT = InnerConfig(method="gradient_descent", max_iters=3000)
 
 
 def _plane():
@@ -229,7 +232,75 @@ class TestBlockPartition:
             part.blocks(prob)
 
 
+def _constant_ineq(ineq):
+    # a variable-free inequality beside a block that holds no variable
+    return load_problem(
+        'problem "constant-ineq"\nvar x 2\naux y 1\n'
+        "objective: (x[1] - 1)^2 + (x[2] + 2)^2 + y[1]^2\n"
+        f"ineq: {ineq}\neq: y[1] - x[2]^2\n"
+    )
+
+
+def _assert_records_match_oracle(prob, trace):
+    """Each record's A, g and e equal, bit for bit, ``augmented``,
+    ``objective`` and the infeasibility of ``constraint_values`` recomputed
+    at the record's point, multipliers and rho."""
+    for rec in trace.records:
+        p = rec.point
+        want = (augmented(prob, p, Multipliers(rec.u, rec.v), rec.rho), prob.objective(p),
+                infeasibility(*prob.constraint_values(p)))
+        got = (rec.A, rec.g, rec.e)
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), rec.k
+
+
 class TestSolveDecomposed:
+    @pytest.mark.parametrize("ineq", ["0 - 1", "1"])
+    @pytest.mark.parametrize("inner", [GD, NEWTON], ids=["gd", "newton"])
+    def test_variable_free_constraint_goes_to_the_first_kept_block(self, inner, ineq):
+        # block 0 holds no variable, so it is dropped, and the inequality,
+        # which reads none, goes to the first block that holds one: every
+        # constraint lives in exactly one kept block, whose kernel the
+        # records read it from
+        prob = _constant_ineq(ineq)
+        part = BlockPartition(x_blocks=((), (0,), (1,)), y_blocks=((), (), (0,)))
+        blocks = [(cols.tolist(), ineq_idx, eq_idx) for cols, ineq_idx, eq_idx in part.blocks(prob)]
+        assert blocks == [([0], [0], []), ([1, 2], [], [0])]
+        cfg = AlpfConfig(eps=1e-6, rho0=10.0, growth=10.0, max_outer=4, inner=inner)
+        trace = solve_decomposed(prob, part, cfg)
+        # the constant 1 is always violated, so that run never stops
+        assert trace.status == (STATUS_APPROX if ineq == "0 - 1" else STATUS_MAX_OUTER)
+        assert trace.final.e == pytest.approx(0.0 if ineq == "0 - 1" else 1.0, abs=1e-6)
+        _assert_records_match_oracle(prob, trace)
+
+    def test_problem_with_no_variable_keeps_its_record(self):
+        # no block holds a variable, so there is no block, and the record
+        # reads the whole problem
+        prob = load_problem('problem "constant"\nvar x 0\naux y 0\nobjective: 3\nineq: 0 - 1\n')
+        part = BlockPartition.contiguous(prob, 1)
+        assert part.blocks(prob) == []
+        trace = solve_decomposed(prob, part, AlpfConfig(inner=NEWTON))
+        assert trace.status == STATUS_APPROX
+        assert [(rec.A, rec.g, rec.e) for rec in trace.records] == [(3.0, 3.0, 0.0)]
+
+    @pytest.mark.parametrize("inner", [GD_SHORT, NEWTON], ids=["gd", "newton"])
+    @pytest.mark.parametrize("eid, params, nblocks", [
+        ("ex4", {"n": 6}, 3), ("ex9", {"n": 10, "lam": 1.0}, 2),
+    ])
+    def test_records_match_the_whole_problem_forms(self, eid, params, nblocks, inner):
+        entry = build(eid, **params)
+        prob = entry.problem
+        part = BlockPartition.contiguous(prob, nblocks)
+        if eid == "ex4":
+            # the blocks read the inequalities in an order unlike the whole
+            # kernel's, and each block's after its equalities in the cycle
+            order = [i for _, ineq_idx, _ in part.blocks(prob) for i in ineq_idx]
+            assert order != sorted(order)
+        cfg = AlpfConfig(eps=1e-6, rho0=10.0, growth=10.0, sigma0=5.0, max_outer=4,
+                         start=entry.start, inner=inner)
+        trace = solve_decomposed(prob, part, cfg)
+        assert len(trace.records) >= 2
+        _assert_records_match_oracle(prob, trace)
+
     def test_single_block_matches_alpf(self):
         # sigma/2 = rho makes the one-block cycle the plain multiplier loop
         entry = build("ex9", n=4, lam=2.0)

@@ -341,19 +341,23 @@ def test_decomposed_newton_compiles_no_gradient_form(monkeypatch):
     assert len(set(kernels)) == len(kernels)  # no kernel compiles twice
     orders = Counter(order for _, order in compiled)
     # each block kernel compiles its code once, at order 2, whose leading
-    # sections serve its backtracked trials; the whole problem's compiles
-    # once, at order 0, for the records' constraint values, g and A.  No code
-    # compiles at order 1, and none for values alone beside a Hessian code
-    assert orders == {2: 6, 0: 1}
-    assert [order for kernel, order in compiled if kernel is model._kernel(prob)] == [0]
+    # sections serve its backtracked trials and the records' rows calls.  No
+    # code compiles at order 1, and none for values alone beside a Hessian code
+    assert orders == {2: 6}
+    # the records read g and the constraint values from the block kernels,
+    # so no kernel over every column and every constraint exists (calling
+    # model._kernel(prob) here would build one)
+    whole = ("g", None, tuple(range(prob.s)), tuple(range(prob.r)))
+    assert whole not in prob._kernels
+    assert len(prob._kernels) == 6 + 1  # the block kernels and the dict of codes
 
 
 @pytest.mark.parametrize("method, order", [(GRADIENT_DESCENT, 1), (NEWTON_FD, 2)])
 def test_a_solve_compiles_its_kernel_once_at_its_inner_order(monkeypatch, method, order):
     # gradient descent calls orders 1 and 0 (line-search trials), Newton
-    # orders 2 and 0, and the outer loop order 0 (constraint values, g and
-    # A): the problem's kernel compiles once, at the inner method's order,
-    # and no other kernel compiles
+    # orders 2 and 0, and the outer loop order 0 (one rows call per record,
+    # for g and the constraint values): the problem's kernel compiles once,
+    # at the inner method's order, and no other kernel compiles
     compiled = []
     compile_form = model._Kernel._compile
 

@@ -1,3 +1,4 @@
+import math
 import types
 
 import numpy as np
@@ -13,6 +14,7 @@ from cnfopt.lagrangian import (
     DualValue,
     Multipliers,
     augmented,
+    augmented_from_values,
     augmented_gradient,
     augmented_hessian,
     augmented_objective,
@@ -134,6 +136,32 @@ class TestAugmented:
         prob = CnfProblem(name="one", n=1, m=0, g=x_(1), ineqs=(x_(1) - 0.5,))
         with pytest.raises(ValueError):
             augmented(prob, Point([1.0], []), Multipliers.zeros(prob), 0.0)
+
+    @pytest.mark.parametrize("eid", catalog_ids())
+    def test_from_values_equals_augmented(self, eid):
+        # the outer loop's records take A from g and the constraint values
+        prob = build(eid).problem
+        rng = np.random.default_rng(5)
+        lo, hi = prob.box
+        for rho in (1e-3, 37.0, 1e5):
+            for _ in range(5):
+                p = Point(rng.uniform(lo, hi, prob.n), rng.uniform(lo, hi, prob.m))
+                mult = Multipliers(with_zeros(rng.uniform(0.0, 2.0, prob.s)),
+                                   with_zeros(rng.normal(size=prob.r)))
+                got = augmented_from_values(prob.objective(p), *prob.constraint_values(p),
+                                            mult, rho)
+                assert float.hex(got) == float.hex(augmented(prob, p, mult, rho))
+
+    @pytest.mark.parametrize("y1, want", [(1e153, math.inf), (math.nan, math.nan)])
+    def test_from_values_at_an_overflowing_or_nan_point(self, y1, want):
+        # at y1 = 1e153 the hinge of y1 - 1 squared times rho overflows
+        prob = build("ex4").problem
+        p = Point(np.zeros(prob.n), np.r_[y1, np.zeros(prob.m - 1)])
+        mult = Multipliers(np.ones(prob.s), -np.ones(prob.r))
+        a = augmented(prob, p, mult, 1e5)
+        assert float.hex(a) == float.hex(want)
+        got = augmented_from_values(prob.objective(p), *prob.constraint_values(p), mult, 1e5)
+        assert float.hex(got) == float.hex(a)
 
 
 class TestAugmentedGradient:
@@ -400,8 +428,7 @@ class TestKernelOracle:
                     value, grad = fun(z)
                     out += [value, grad.tobytes(), value_fn(z)]
                 assert got == want
-                kernel = lagrangian_module._kernel(
-                    served, None if wrt is None else tuple(int(f) for f in wrt), ineq_idx, eq_idx)
+                kernel = lagrangian_module.block_kernel(served, wrt, ineq_idx, eq_idx)
                 assert kernel._pieces == [kernel._pieces[2]] * 3
                 want_val, want_grad = term_by_term(served, p, u[ineq_idx], v[eq_idx], 37.0,
                                                    ineq_idx, eq_idx)
