@@ -387,6 +387,11 @@ def value_and_gradient(e, p):
 # the first k + 1 sections of one compiled code (Griewank & Walther, ch. 3:
 # a derivative code computes the function's values first).
 #
+# The lines a rule writes, and their order, follow the tree's structure and
+# the order of its slots' values, never a set's hash order (a union of slots
+# is iterated sorted), so two trees of one shape whose slots rank alike write
+# one text with other indices: cnfopt.model replays a piece on that key.
+#
 # A bare tree's ``evaluate``, ``gradient`` and ``value_and_gradient`` run on
 # the evaluator alone; they are the reference forms that tests hold the
 # problem kernels of cnfopt.model to.
@@ -687,7 +692,7 @@ def _node_rule(e, parts, ops, n, pos, second):
         (va, da, ha), (vb, db, hb) = parts
         val = ops.let(ops.mul(va, vb), 0)
         grad = {}
-        for slot in da.keys() | db.keys() if da or db else ():
+        for slot in sorted(da.keys() | db.keys()) if da or db else ():
             left, right = da.get(slot), db.get(slot)
             terms = []
             if left is not None:
@@ -705,7 +710,7 @@ def _node_rule(e, parts, ops, n, pos, second):
         hess = _NO_HESS
         if da or db:
             inv = ops.let(ops.recip(vb), 1)
-            for slot in da.keys() | db.keys():
+            for slot in sorted(da.keys() | db.keys()):
                 left, right = da.get(slot), db.get(slot)
                 if right is None:
                     grad[slot] = ops.let(ops.mul(ops.group(left), inv), 1)

@@ -27,7 +27,11 @@ of its own, which all its kernels share, and each piece is a function made
 from that code with its own indices swapped in for the placeholders.  So a
 text compiles once per problem, and every piece runs the instructions of
 the code that its own indices would compile to, with the same arithmetic in
-the same order.  Nothing is shared between problems.
+the same order.  A constraint piece is emitted only the first time its
+shape (``_shape_key``) appears in the problem: its text is kept with a
+recipe that says where each placeholder's index comes from, and a later
+piece of that shape takes its own indices by the recipe and its error
+locations from its own nodes.  Nothing is shared between problems.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from types import FunctionType
 
 import numpy as np
 
-from .expr import _RUNTIME, _Emitter, _Evaluator, _sweep
+from .expr import _RUNTIME, _Emitter, _Evaluator, _sweep, _Where
 from .expr import (
     DialectError,
     DomainError,
@@ -314,7 +318,12 @@ _NO_SLOTS = np.zeros(0, dtype=int)
 
 # a kernel piece holds at most this many constraints, and the objective
 # has a piece of its own: one straight-line function over everything would
-# make compile-time memory grow with the problem size
+# make compile-time memory grow with the problem size.  A kernel of more
+# constraints cuts them in runs of the largest multiple of their list's
+# period up to this (``_groups``), so that a pattern repeated over the
+# coordinates gives pieces of one shape.  Both tiers run the same groups:
+# a piece runs its values before its derivatives, so which DomainError a
+# call raises depends on where the groups end
 _PIECE = 16
 
 # the head of each piece of the kernel's code, whose call of order k runs
@@ -342,17 +351,35 @@ def _swapped(consts, values):
                  else c for c in consts)
 
 
+def _piece(codes, text, values, consts):
+    """A kernel piece's function, called as ``_HEAD`` says: the code that
+    ``codes`` keeps for ``text``, compiled on a miss, with ``values`` in its
+    constants for its placeholders and the error locations ``consts`` in its
+    globals."""
+    shared = codes.get(text)
+    if shared is None:
+        namespace = {}
+        exec(compile(text, "<cnfopt:_aug>", "exec"), namespace)
+        # popped: a function left in its own globals would form a cycle
+        # that only a full garbage collection frees
+        fn = namespace.pop("_aug")
+        shared = codes[text] = (fn.__code__, fn.__defaults__)
+    code, defaults = shared
+    code = code.replace(co_consts=_swapped(code.co_consts, values))
+    return FunctionType(code, {**_KERNEL_RUNTIME, **consts}, code.co_name, defaults)
+
+
 class _PieceEmitter(_Emitter):
     """The kernel's statements on symbolic operands: the lines of one piece
     of the code, over the parameters its head (``_HEAD``) names.  ``pairs``
     maps each Hessian entry (s, t) to its slot of ``h``.  Each order's lines
-    and statements go to a section of their own, and ``build`` writes the
+    and statements go to a section of their own, and ``source`` writes the
     sections in order.
 
     The text holds no index: each ``x[i]``, ``y[j]`` and ``mu[k]``
     subscript, each key of ``acc``, ``cv``, ``jac`` and ``h`` and each
     column of an outer product is a placeholder (``index``), so the pieces
-    of one shape have one text.  ``build`` makes each from the one code
+    of one shape have one text.  ``_piece`` makes each from the one code
     compiled for its text, with its own indices swapped in as constants."""
 
     rho = "rho"
@@ -425,25 +452,6 @@ class _PieceEmitter(_Emitter):
             lines += self.sections[k]
         return "\n".join([*lines, "    return a"])
 
-    def build(self, codes):
-        """The piece's function, called as ``_HEAD`` says.  Its code is the
-        one ``codes`` keeps for its text, compiled on a miss, with the
-        piece's own indices in its constants and its own error locations in
-        its globals."""
-        text = self.source()
-        shared = codes.get(text)
-        if shared is None:
-            namespace = {}
-            exec(compile(text, "<cnfopt:_aug>", "exec"), namespace)
-            # popped: a function left in its own globals would form a cycle
-            # that only a full garbage collection frees
-            fn = namespace.pop("_aug")
-            shared = codes[text] = (fn.__code__, fn.__defaults__)
-        code, defaults = shared
-        values = [i for _, i in self.indices]
-        code = code.replace(co_consts=_swapped(code.co_consts, values))
-        return FunctionType(code, {**_KERNEL_RUNTIME, **self.consts}, code.co_name, defaults)
-
 
 class _PieceEvaluator(_Evaluator):
     """The kernel's statements on floats, over the arguments a compiled
@@ -512,21 +520,25 @@ class _Kernel:
     highest order called so far.  So gradient descent compiles it once, at
     order 1, and Newton once, at order 2, on its first Hessian call.
 
-    Compiling emits every piece and compiles only the texts that the
-    problem's dict ``codes`` (text -> code) lacks; see
-    ``_PieceEmitter.build``."""
+    Compiling emits the objective's piece and each constraint piece of a
+    shape new to the problem, replays the others from the problem's dict
+    ``recipes`` (shape key -> text, recipe and error-location ordinals), and
+    compiles only the texts that its dict ``codes`` (text -> code) lacks;
+    see ``_compile``."""
 
-    def __init__(self, g, prob, cols, ineq_idx, eq_idx, codes):
+    def __init__(self, g, prob, cols, ineq_idx, eq_idx, codes, recipes):
         # no reference to prob itself, or to the cache that holds the
         # kernel: the kernel is cached on the problem, and a cycle would keep
         # both alive until a full garbage collection
         self._n, self._g = prob.n, g
         self._codes = codes  # piece text -> its code, shared by the problem's kernels
+        self._recipes = recipes  # shape key -> (text, recipe, bindings), likewise
         self._pos = None if cols is None else {f: i for i, f in enumerate(cols)}
         self._width = prob.n + prob.m if cols is None else len(cols)
         self._cons = [(prob.ineqs[i], False) for i in ineq_idx]
         self._cons += [(prob.eqs[j], True) for j in eq_idx]
         self._ineqs = len(ineq_idx)  # the first rows of cv and jac
+        self._groups = _groups(self._cons)
         self._no_mu = [0.0] * len(self._cons)  # a rows call's multipliers
         # the compiled pieces that serve each order, once compiled at or above it
         self._pieces = [None, None, None]
@@ -637,12 +649,6 @@ class _Kernel:
         flat = vec.tolist()
         return flat[:self._n], flat[self._n:]
 
-    def _groups(self):
-        """The objective (None), then the constraints in runs of _PIECE: the
-        pieces of the code."""
-        return [None] + [range(lo, min(lo + _PIECE, len(self._cons)))
-                         for lo in range(0, len(self._cons), _PIECE)]
-
     def _warm(self, order):
         """The pieces that run one call of ``order`` that no compiled code
         serves: the evaluator's for the order's first
@@ -663,7 +669,7 @@ class _Kernel:
         raises a DomainError, its group runs again at order 0 and raises that
         order's error if it has one."""
         sums = {}  # the Hessian entries, summed over the groups as ``h`` sums them
-        groups = self._groups()
+        groups = self._groups
 
         def piece_of(ks):
             def piece(x, y, mu, rho, a, order=0, cv=None, acc=None, h=None, H=None, jac=None):
@@ -686,12 +692,39 @@ class _Kernel:
 
     def _compile(self, order):
         """The compiled pieces of the code up to ``order``, one per group of
-        ``_groups``."""
+        ``_groups``.  A constraint group whose key (``_shape_key``) is new is
+        emitted, and its text stored with its recipe: for each placeholder
+        in order, its axis and where its index comes from (the rank of a
+        flat index or a slot, the place in the group of a constraint, or the
+        slot ranks of a Hessian pair), and for each error location the
+        ordinal of its node in the group's preorder.  A group whose key is
+        known takes its own indices by the recipe, adds its Hessian pairs to
+        ``_pairs`` in the order its emission would, and binds its own nodes:
+        no statement is assembled.  The objective's piece is always
+        emitted."""
         pieces = []
-        for ks in self._groups():
-            em = _PieceEmitter(self._pairs)
-            self._assemble(em, order, ks)
-            pieces.append(em.build(self._codes))
+        for ks in self._groups:
+            key, nodes, axes = (None, None, None) if ks is None else _shape_key(self, order, ks)
+            template = None if key is None else self._recipes.get(key)
+            if template is None:
+                em = _PieceEmitter(self._pairs)
+                self._assemble(em, order, ks)
+                text, values, consts = em.source(), [i for _, i in em.indices], em.consts
+                if key is not None:
+                    pairs, at = list(self._pairs), {}
+                    for o, node in enumerate(nodes):
+                        at.setdefault(id(node), []).append(o)
+                    self._recipes[key] = (text, [
+                        (axis, tuple(map(axes["s"].index, pairs[i])) if axis == "h"
+                         else axes[axis].index(i)) for axis, i in em.indices],
+                        [at[id(where.node)].pop(0) for where in consts.values()])
+            else:
+                text, recipe, bindings = template
+                values = [self._pairs.setdefault((axes["s"][i[0]], axes["s"][i[1]]),
+                                                 len(self._pairs)) if axis == "h"
+                          else axes[axis][i] for axis, i in recipe]
+                consts = {f"c{j}": _Where(nodes[o]) for j, o in enumerate(bindings)}
+            pieces.append(_piece(self._codes, text, values, consts))
         if order == 2:
             self._slots = np.array([s * self._width + t for s, t in self._pairs], dtype=int)
         return pieces
@@ -757,6 +790,48 @@ class _Kernel:
             ops.outer(c if weight is None else ops.mul(weight, c), u, v)
 
 
+def _groups(cons):
+    """The objective (None), then the constraints ``cons`` in runs of
+    ``_PIECE``, or of the largest multiple of their period up to it: the
+    pieces of the code."""
+    size = _PIECE
+    if len(cons) > _PIECE:
+        sig = [(is_eq, e.kind, *[c.kind for c in e.children]) for e, is_eq in cons]
+        period = next((p for p in range(1, _PIECE)
+                       if sig[p] == sig[0] and sig[p:] == sig[:-p]), _PIECE)
+        size -= _PIECE % period
+    return [None] + [range(lo, min(lo + size, len(cons))) for lo in range(0, len(cons), size)]
+
+
+def _shape_key(kernel, order, ks):
+    """(key, nodes, axes) of the piece of ``kernel``'s constraints ``ks`` at
+    ``order``: a key that fixes the piece's text, the constraints' nodes in
+    preorder, and the indices of each placeholder axis in rank order.  The
+    text depends on the indices only through their ranks, so the key holds,
+    beside each node's kind, value and child count, the ranks of each
+    variable's flat index and of its slot (None outside the columns)."""
+    pos = kernel._pos if order else {}
+    n = kernel._n
+    trees = [(is_eq, walk(e)) for e, is_eq in (kernel._cons[k] for k in ks)]
+    nodes = [node for _, tree in trees for node in tree]
+    flats = sorted({node.index + (n if node.block == "y" else 0)
+                    for node in nodes if node.kind == "var"})
+    slots = sorted(flats if pos is None else [pos[f] for f in flats if f in pos])
+    flat_rank, slot_rank = ({v: r for r, v in enumerate(vs)} for vs in (flats, slots))
+    key = [order, pos is None]
+    for is_eq, tree in trees:
+        key.append(is_eq)
+        for node in tree:
+            if node.kind == "var":
+                f = node.index + (n if node.block == "y" else 0)
+                slot = f if pos is None else pos.get(f)
+                key.append((node.block, flat_rank[f], slot_rank.get(slot)))
+            else:  # -0.0 == 0.0, yet their literals differ
+                key.append((node.kind, node.value or str(node.value), len(node.children)))
+    axes = {"x": flats, "y": [f - n for f in flats], "k": range(ks[0], ks[-1] + 2), "s": slots}
+    return tuple(key), nodes, axes
+
+
 def _kernel(prob, cols=None, ineq_idx=None, eq_idx=None, objective="g"):
     """The kernel of ``prob`` over the flat columns ``cols`` (all when None)
     and the given constraint subsets (all when None), with the objective
@@ -771,7 +846,8 @@ def _kernel(prob, cols=None, ineq_idx=None, eq_idx=None, objective="g"):
     kernel = cache.get(key)
     if kernel is None:
         kernel = cache[key] = _Kernel(getattr(prob, objective), prob, cols, ineq_idx, eq_idx,
-                                      cache.setdefault("codes", {}))
+                                      cache.setdefault("codes", {}),
+                                      cache.setdefault("recipes", {}))
     return kernel
 
 

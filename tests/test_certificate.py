@@ -381,10 +381,16 @@ class TestOneLinearizationPerCertificate:
         for _ in range(model.COLD_CALLS[1] - 1):
             kernel.rows(vec, jac)
         assert builds["_aug"] == 0
-        pieces = 1 - (-(prob.s + prob.r) // model._PIECE)
+        made = []  # the text of each piece made, emitted or replayed
+        piece = model._piece
+        monkeypatch.setattr(model, "_piece", lambda codes, text, *args: (
+            made.append(text), piece(codes, text, *args))[1])
         for _ in range(3):
             kernel.rows(vec, jac)
-            assert builds["_aug"] == pieces > 1
+            # a piece per group of the period rule (ex9's 30 constraints, three
+            # a coordinate, make two of 15 with one text), and a compile per text
+            assert len(made) == len(model._groups(kernel._cons)) > 1
+            assert builds["_aug"] == len(set(made))
             assert kernel._pieces[0] is kernel._pieces[1] is not None
             assert kernel._pieces[2] is None
 

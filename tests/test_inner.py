@@ -349,7 +349,8 @@ def test_decomposed_newton_compiles_no_gradient_form(monkeypatch):
     # model._kernel(prob) here would build one)
     whole = ("g", None, tuple(range(prob.s)), tuple(range(prob.r)))
     assert whole not in prob._kernels
-    assert len(prob._kernels) == 6 + 1  # the block kernels and the dict of codes
+    # the block kernels, the dict of codes and the dict of recipes
+    assert len(prob._kernels) == 6 + 2
 
 
 @pytest.mark.parametrize("method, order", [(GRADIENT_DESCENT, 1), (NEWTON_FD, 2)])

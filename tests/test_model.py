@@ -18,6 +18,7 @@ from cnfopt.expr import (
     norm0_,
     parse,
     sqrt_,
+    sum_,
     value_and_gradient,
     x_,
     y_,
@@ -806,7 +807,7 @@ class TestObjectiveKernels:
         p = solve_alpf(prob, AlpfConfig()).final.point
         prob.objective(p)
         certificate.certify(prob, p)
-        keys = [key for key in prob._kernels if key != "codes"]
+        keys = [key for key in prob._kernels if key not in ("codes", "recipes")]
         assert [key for key in keys if key[0] == "g"] == [
             ("g", None, tuple(range(prob.s)), tuple(range(prob.r)))]
         assert keys == [key for key in keys if key[0] == "g" or key[1:] == (None, (), ())]
@@ -835,22 +836,22 @@ def _kernels(prob, blocks):
 
 
 def _record_pieces(monkeypatch):
-    """(the piece texts compiled, the texts of the pieces made), from here on."""
+    """(the piece texts compiled, the texts of the pieces made), from here on:
+    every piece is made by ``model._piece``, emitted or replayed."""
     compiled, made = [], []
-    piece_build = model._PieceEmitter.build
+    piece = model._piece
 
     def counting_compile(source, filename, *args, **kwargs):
         if filename == "<cnfopt:_aug>":
             compiled.append(source)
         return compile(source, filename, *args, **kwargs)
 
-    def recording_build(em, codes):
-        fn = piece_build(em, codes)
-        made.append(em.source())
-        return fn
+    def recording_piece(codes, text, values, consts):
+        made.append(text)
+        return piece(codes, text, values, consts)
 
     monkeypatch.setattr(model, "compile", counting_compile, raising=False)
-    monkeypatch.setattr(model._PieceEmitter, "build", recording_build)
+    monkeypatch.setattr(model, "_piece", recording_piece)
     return compiled, made
 
 
@@ -1026,6 +1027,176 @@ class TestSharedPieceCode:
                 locations = scope.keys() - model._KERNEL_RUNTIME.keys()
                 assert all(re.fullmatch(r"c\d+", name) for name in locations)
                 assert max(_int_constants(code.co_consts)) < model._PLACEHOLDER
+
+
+    @in_both_tiers
+    def test_emission_order_follows_the_ranks_of_the_slots(self):
+        # the two products rank their variables alike, but a set iterates
+        # {7, 9} as 9, 7 and {1, 3} as 1, 3: the slots' sorted order makes
+        # their pieces one text
+        def problem():
+            return CnfProblem(name="ranks", n=10, m=0, g=sum_([x_(i) ** 2 for i in range(1, 11)]),
+                              ineqs=(parse("x[8]^2 * x[10]^2 - 1", n=10),
+                                     parse("x[2]^2 * x[4]^2 - 1", n=10)))
+
+        reference, served = problem(), problem()
+        kernels = [model._kernel(served, None, (i,), ()) for i in range(2)]
+        points = [np.linspace(-1.5, 2.0, 10), np.linspace(3.0, -0.5, 10), np.full(10, 1e200)]
+        for i, kernel in enumerate(kernels):
+            want_kernel = model._kernel(reference, None, (i,), ())
+            # compiled, in that tier, at order 2, whose sections serve every call
+            kernel.hessian(points[0], [0.5], 37.0)
+            for vec in points:
+                with cold_calls(TIERS["evaluator"]):
+                    want = _kernel_forms(want_kernel, vec, [0.5], 37.0)
+                assert _kernel_forms(kernel, vec, [0.5], 37.0) == want
+        if compiled_tier():
+            # the objective's text, which both kernels share, and one
+            # constraint text
+            assert len(kernels[0]._codes) == 2
+            assert kernels[0]._pieces[2][1].__code__.co_code == \
+                kernels[1]._pieces[2][1].__code__.co_code
+
+
+class TestPieceBoundaries:
+    """A kernel's constraints come in pieces of the largest multiple of the
+    constraint list's period up to ``_PIECE``, so that repeated constraint
+    patterns give pieces of one text; the objective has a piece of its own."""
+
+    @pytest.mark.parametrize("n, sizes", [(10, [15, 15]), (30, [15] * 6)])
+    def test_ex9_pieces_hold_whole_periods_of_one_text(self, monkeypatch, n, sizes):
+        # three equalities a coordinate
+        compiled, made = _record_pieces(monkeypatch)
+        kernel = model._kernel(build("ex9", n=n, lam=1.0).problem)
+        assert [len(ks) for ks in kernel._groups[1:]] == sizes
+        with cold_calls(TIERS["compiled"]):
+            kernel.hessian(np.ones(3 * n), [0.5] * 3 * n, 37.0)
+        assert len(made) == 1 + len(sizes) and len(set(made[1:])) == 1
+        assert len(compiled) == 2
+
+    def test_a_list_without_a_period_keeps_runs_of_the_cap(self):
+        # ex8's four families of ten constraints repeat with no period up to
+        # the cap
+        kernel = model._kernel(build("ex8", n=10).problem)
+        assert kernel._groups[0] is None
+        assert [(ks.start, ks.stop) for ks in kernel._groups[1:]] == [(0, 16), (16, 32), (32, 40)]
+
+    def test_a_kernel_within_the_cap_is_one_piece(self):
+        # 16 constraints with a period of 3, whose multiple 15 would cut one
+        # piece into two
+        eqs = build("ex9", n=6, lam=1.0).problem.eqs[:model._PIECE]
+        prob = CnfProblem(name="cap", n=6, m=12, g=x_(1) ** 2, eqs=eqs)
+        assert model._kernel(prob)._groups == [None, range(model._PIECE)]
+        assert model._groups([]) == [None]
+
+
+def _ranked():
+    """Products whose variables rank alike (the first two) or the other way
+    round (the third)."""
+    return CnfProblem(name="ranked", n=10, m=0, g=sum_([x_(i) ** 2 for i in range(1, 11)]),
+                      ineqs=tuple(parse(text, n=10) for text in (
+                          "x[8]^2 * x[10]^2 - 1", "x[2]^2 * x[4]^2 - 1", "x[4]^2 * x[2]^2 - 1")))
+
+
+def _located():
+    """Two constraints a coordinate that bind error locations, from text, so
+    that each node carries its own position."""
+    lines = ['problem "located"', "var x 4", "aux y 4",
+             "objective: x[1]^2 + x[2]^2 + x[3]^2 + x[4]^2 + y[1]"]
+    for i in range(1, 5):
+        lines += [f"ineq: sqrt(x[{i}]^2 + y[{i}]^2 + 1) - 2",
+                  f"eq: x[{i}] / (y[{i}]^2 + 1) - y[{i}]"]
+    return load_problem("\n".join(lines))
+
+
+def _single(cols, count):
+    """One kernel over ``cols`` for each of ``count`` inequalities."""
+    return [[(cols, (i,), ()) for i in range(count)]]
+
+
+# each case's own kernel sets, beside the whole problem's and the contiguous
+# partitions': for ``_ranked``, a kernel per constraint over every column,
+# over columns that leave x[4] out, and over columns in an order that ranks
+# x[8] and x[10] the other way round from their flat indices
+_ORACLE_CASES = [pytest.param(lambda eid=eid: build(eid).problem, lambda prob: [], id=eid)
+                 for eid in catalog_ids()]
+_ORACLE_CASES += [
+    pytest.param(lambda: build("ex9", n=6, lam=1.0).problem, lambda prob: [
+        [(tuple(int(f) for f in cols), ineq_idx, eq_idx) for cols, ineq_idx, eq_idx
+         in BlockPartition(((4, 0, 2), (5, 1, 3)),
+                           ((4, 0, 2, 10, 6, 8), (5, 1, 3, 11, 7, 9))).blocks(prob)]],
+        id="ex9-unsorted-blocks"),
+    pytest.param(_ranked, lambda prob: _single(None, 3) + _single((1, 7, 9), 3)
+                 + _single((9, 7, 1, 3), 3), id="ranked"),
+    pytest.param(_located, lambda prob: [], id="located"),
+    # 0.0 == -0.0, but x + -0.0 keeps the sign of a zero x where x + 0.0 does not
+    pytest.param(lambda: CnfProblem(name="zeros", n=2, m=0, g=x_(1) ** 2,
+                                    ineqs=(x_(1) + const(0.0), x_(2) + const(-0.0))),
+                 lambda prob: _single(None, 2), id="signed-zeros"),
+]
+
+
+class TestPieceTemplates:
+    """A constraint piece whose shape the problem has emitted before is made
+    from the recorded text and recipe, without emission: its text, indices,
+    Hessian slots and error locations are those its own emission gives."""
+
+    @pytest.mark.parametrize("make, extra", _ORACLE_CASES)
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_replayed_pieces_equal_emitted_ones(self, monkeypatch, make, extra, order):
+        prob = make()
+        layouts = [[(None, None, None)]]
+        for blocks in (2, 3):
+            try:
+                layouts.append([(tuple(int(f) for f in cols), ineq_idx, eq_idx) for cols, ineq_idx,
+                                eq_idx in BlockPartition.contiguous(prob, blocks).blocks(prob)])
+            except ValueError:  # too few coordinates, or a constraint spans the blocks
+                pass
+        layouts += extra(prob)
+        templated = self._build(monkeypatch, prob, layouts, order)
+        shape_key = model._shape_key
+        with monkeypatch.context() as patch:
+            # every key unique: every piece is emitted
+            patch.setattr(model, "_shape_key", lambda kernel, order, ks: (
+                object(), *shape_key(kernel, order, ks)[1:]))
+            emitted = self._build(patch, prob, layouts, order)
+        assert [piece[:-1] for piece in templated] == [piece[:-1] for piece in emitted]
+        assert not any(replayed for *_, replayed in emitted)
+        replayed = [piece for piece in templated if piece[-1]]
+        if prob.name.startswith("ex9") or prob.name == "located":
+            assert replayed
+        if prob.name == "located":
+            # replays that bind locations, each to a node of its own group
+            assert any(locations for _, _, locations, _, _ in replayed)
+
+    @staticmethod
+    def _build(monkeypatch, prob, layouts, order):
+        """(text, constants, {location: id of its node}, the kernel's Hessian
+        pairs, replayed) of each piece the kernels of ``layouts`` make at
+        ``order``, fresh in one problem."""
+        prob.__dict__.pop("_kernels", None)
+        made, emitted = [], set()
+        piece, source = model._piece, model._PieceEmitter.source
+
+        def recording_piece(codes, text, values, consts):
+            made.append((text, {name: id(where.node) for name, where in consts.items()}))
+            return piece(codes, text, values, consts)
+
+        def counting_source(em):
+            emitted.add(len(made))  # the piece that this emission makes
+            return source(em)
+
+        monkeypatch.setattr(model, "_piece", recording_piece)
+        monkeypatch.setattr(model._PieceEmitter, "source", counting_source)
+        out = []
+        for layout in layouts:
+            for cols, ineq_idx, eq_idx in layout:
+                kernel = model._kernel(prob, cols, ineq_idx, eq_idx)
+                for fn in kernel._compile(order):
+                    text, locations = made[len(out)]
+                    out.append((text, fn.__code__.co_consts, locations,
+                                list(kernel._pairs.items()), len(out) not in emitted))
+        return out
 
 
 def _int_constants(consts):

@@ -6,13 +6,15 @@ The seed defaults to ``jobs.DEFAULT_SEED`` (1).
 
 Run from anywhere; cnfopt is imported from this checkout's ``src/`` and the
 job lists from ``perfbench/jobs.py``, which is only read.  Every job of the
-four workloads runs once, in order, with ``model._PieceEmitter.build``
-wrapped to count the kernel pieces it makes and to record the source of
-each text it compiles, and ``model._Kernel._warm`` to count the kernel calls
-that run on the float evaluator.  The problem kernels are the only compiled
-form, of two kinds: a problem's augmented Lagrangian has one, whose first
-piece, the objective's, also serves g and its gradient, and its reference
-objective has one; every piece has the one head ``model._HEAD``.  A
+four workloads runs once, in order, with ``model._piece``, the one
+constructor of every kernel piece, wrapped to count the pieces it makes and
+to record the source of each text it compiles, ``model._PieceEmitter.source``
+to count the pieces whose statements were emitted, and
+``model._Kernel._warm`` to count the kernel calls that run on the float
+evaluator.  The problem kernels are the only compiled form, of two kinds:
+a problem's augmented Lagrangian has one, whose first piece, the
+objective's, also serves g and its gradient, and its reference objective
+has one; every piece has the one head ``model._HEAD``.  A
 kernel runs on the evaluator for its first ``model.COLD_CALLS[k]`` calls of
 order k (1 for values and gradients, 0 for Hessians) and compiles on the
 next, so the census counts only the kernels called more often; a copy of the tree with
@@ -20,11 +22,14 @@ next, so the census counts only the kernels called more often; a copy of the tre
 shows the code the emitter writes for all of them.  For each workload the
 script prints one line of the compiled kernel pieces:
 
-    <workload> kernel-augmented <texts> <instances> <lines> <sha256>
+    <workload> kernel-augmented <texts> <instances> <emitted> <lines> <sha256>
 
 ``texts`` counts the texts compiled and ``instances`` the pieces made from
 them, for the pieces of one shape in one problem share one compiled text
-(their indices are constants swapped into its code).  Each kernel's code
+(their indices are constants swapped into its code).  ``emitted`` counts
+the pieces whose statements were assembled and written: a constraint piece
+whose shape the problem has emitted before is replayed from the recorded
+text and recipe instead, and counts as an instance only.  Each kernel's code
 has sections that give its value and the constraint values, its gradient
 and the Jacobian rows, and its Hessian, and compiles once, up to the
 highest order called.  ``lines`` counts every source line of the compiled
@@ -77,18 +82,21 @@ def main(argv=None):
     ap.add_argument("seed", type=int, nargs="?", default=jobs.DEFAULT_SEED)
     seed = ap.parse_args(argv).seed
     sources = []
-    instances = 0
+    instances = emitted = 0
     evaluator_runs = [0, 0, 0]
-    piece_build, warm = model._PieceEmitter.build, model._Kernel._warm
+    piece, source, warm = model._piece, model._PieceEmitter.source, model._Kernel._warm
 
-    def recording_build(self, codes):
+    def recording_piece(codes, text, values, consts):
         nonlocal instances
         instances += 1
-        known = len(codes)
-        piece = piece_build(self, codes)
-        if len(codes) > known:  # the piece's text compiled
-            sources.append(self.source())
-        return piece
+        if text not in codes:  # the piece's text compiles
+            sources.append(text)
+        return piece(codes, text, values, consts)
+
+    def counting_source(self):
+        nonlocal emitted
+        emitted += 1
+        return source(self)
 
     def counting_warm(self, order):
         pieces = warm(self, order)
@@ -96,11 +104,12 @@ def main(argv=None):
             evaluator_runs[order] += 1
         return pieces
 
-    model._PieceEmitter.build = recording_build
+    model._piece = recording_piece
+    model._PieceEmitter.source = counting_source
     model._Kernel._warm = counting_warm
     for workload in jobs.WORKLOADS:
         sources.clear()
-        instances = 0
+        instances = emitted = 0
         evaluator_runs[:] = [0, 0, 0]
         for job in jobs.make_workload(workload, seed):
             try:
@@ -110,7 +119,7 @@ def main(argv=None):
         text = "\n".join(sources)
         lines = sum(src.count("\n") + 1 for src in sources)
         digest = hashlib.sha256(text.encode()).hexdigest()
-        print(workload, KIND, len(sources), instances, lines, digest, flush=True)
+        print(workload, KIND, len(sources), instances, emitted, lines, digest, flush=True)
         print(workload, "kernel-evaluator", *evaluator_runs, flush=True)
 
 
