@@ -103,16 +103,17 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, hess_fun=None):
 
     ``value_fn`` optionally provides a cheaper value-only evaluation for
     line-search trials (without it a trial takes the method's full
-    evaluation).  Gradient descent calls ``fun`` per iterate and
-    ``value_fn`` per trial, and ignores ``hess_fun``.  The Newton method
-    requires ``hess_fun(z) -> (value, gradient, Hessian)``, whose value and
-    gradient must be ``fun``'s, and never calls ``fun``: it calls
-    ``hess_fun`` at the start and at each unit trial step, and when that
-    step is accepted its triple serves the next iterate.  Backtracked
-    trials (t < 1) take ``value_fn``, and a backtracked step, once
-    accepted, one ``hess_fun`` call at its point.  A ``DomainError`` from
-    ``hess_fun`` at a unit trial falls back to ``value_fn`` there, and is
-    raised again if that step is accepted.
+    evaluation).  Each method takes its full call (``fun``, or Newton's
+    ``hess_fun``) at the start and at the trial it expects to pass, whose
+    result serves the next iterate when that step is accepted; its other
+    trials take ``value_fn``, and a step accepted at one of them, one full
+    call at its point.  A ``DomainError`` from the full call at a trial
+    falls back to ``value_fn`` there, and is raised again if that step is
+    accepted.  Gradient descent, which ignores ``hess_fun``, expects its
+    backtracked trials to pass, not the first, the doubled previous step.
+    The Newton method requires ``hess_fun(z) -> (value, gradient,
+    Hessian)``, whose value and gradient must be ``fun``'s, never calls
+    ``fun``, and expects its unit trial step to pass.
     Convergence means the gradient norm dropped below
     grad_tol scaled by max(1, |f(start)|), which keeps the test meaningful
     when penalty weights inflate the objective.  Divergence means an
@@ -181,11 +182,14 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, hess_fun=None):
             accepted = False
             while t >= _MIN_STEP:
                 zt = z + t * d if newton else z - t * g
-                # at: Newton's triple at the unit trial point, or the DomainError
-                # it raised there, which only an accepted step raises again
-                if newton and t == INIT_STEP:
+                # the trial expected to pass takes the method's full call:
+                # Newton's unit step, and gradient descent's backtracked ones
+                # (its doubled first trial mostly fails).  at: that call's
+                # result, or the DomainError it raised, which only an
+                # accepted step raises again
+                if (t == INIT_STEP) if newton else (t < trial):
                     try:
-                        at = hess_fun(zt)
+                        at = full(zt)
                         ft = at[0]
                     except DomainError as err:
                         at, ft = err, value_of(zt)
@@ -201,12 +205,13 @@ def minimize(fun, start, cfg=None, value_fn=None, callback=None, hess_fun=None):
                 return InnerResult(z, f, gnorm, "stalled", it)
 
             z = zt
-            if not newton:
-                f, g = fun(z)
-                trial = min(t * 2.0, 1e16)
-            elif isinstance(at, DomainError):
+            if isinstance(at, DomainError):
                 raise at
+            at = at if at is not None else full(z)
+            if newton:
+                f, g, H = at
             else:
-                f, g, H = at if at is not None else hess_fun(z)
+                f, g = at
+                trial = min(t * 2.0, 1e16)
             if callback is not None:
                 callback(z, f, t, slope)

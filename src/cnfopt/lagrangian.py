@@ -34,11 +34,12 @@ sums in constraint order, so it equals a term-by-term sum bit for bit.
 Calls count per order: the first ``model.COLD_CALLS[k]`` calls of order k
 that no compiled code serves run on the float evaluator of ``cnfopt.expr``,
 with the same bits and the same errors, and the next compiles the code at
-the highest order called so far.  Gradient descent calls orders 1
-(iterates) and 0 (line-search trials), so its code compiles once, at order
-1; the Newton method takes value, gradient and Hessian from one order-2
-call per iterate, whose count is 0, so its first call compiles the code,
-and runs its backtracked trials at order 0 on the same code.
+the highest order called so far.  Gradient descent calls order 0 at the
+first trial of each line search and order 1 at its backtracked trials,
+whose gradient serves the next iterate, so its code compiles once, at
+order 1; the Newton method takes value, gradient and Hessian from one
+order-2 call per iterate, whose count is 0, so its first call compiles the
+code, and runs its backtracked trials at order 0 on the same code.
 """
 
 from __future__ import annotations

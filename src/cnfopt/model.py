@@ -836,18 +836,20 @@ def _kernel(prob, cols=None, ineq_idx=None, eq_idx=None, objective="g"):
     """The kernel of ``prob`` over the flat columns ``cols`` (all when None)
     and the given constraint subsets (all when None), with the objective
     tree the problem holds in its field ``objective``, cached on the
-    problem."""
+    problem in ``_kernels``, by key alone; the dicts ``_codes`` and
+    ``_recipes`` that its kernels share are the problem's own entries."""
     if cols is not None and cols == tuple(range(prob.n + prob.m)):
         cols = None  # every column in order is the whole-problem kernel
     ineq_idx = tuple(range(prob.s) if ineq_idx is None else ineq_idx)
     eq_idx = tuple(range(prob.r) if eq_idx is None else eq_idx)
     key = (objective, cols, ineq_idx, eq_idx)
-    cache = prob.__dict__.setdefault("_kernels", {})  # past the frozen dataclass's guard
+    state = prob.__dict__  # past the frozen dataclass's guard
+    cache = state.setdefault("_kernels", {})
     kernel = cache.get(key)
     if kernel is None:
         kernel = cache[key] = _Kernel(getattr(prob, objective), prob, cols, ineq_idx, eq_idx,
-                                      cache.setdefault("codes", {}),
-                                      cache.setdefault("recipes", {}))
+                                      state.setdefault("_codes", {}),
+                                      state.setdefault("_recipes", {}))
     return kernel
 
 

@@ -7,7 +7,7 @@ import pytest
 import cnfopt.model as model
 from cnfopt.alpf import AlpfConfig, BlockPartition, solve_alpf, solve_decomposed
 from cnfopt.expr import DomainError
-from cnfopt.inner import ARMIJO_C, GRADIENT_DESCENT, NEWTON_FD, InnerConfig, minimize
+from cnfopt.inner import ARMIJO_C, GRADIENT_DESCENT, INIT_STEP, NEWTON_FD, InnerConfig, minimize
 from cnfopt.problems import build
 from fd_oracle import fd_hessian
 
@@ -206,19 +206,23 @@ def test_gradient_descent_slope_is_the_negated_squared_norm():
     def value(z):
         return float(np.sum(scale * z**4) + z @ z)
 
-    gradients = []
+    gradients = {}  # the gradient fun returned at each point, by its bytes
 
     def fun(z):
         g = 4.0 * scale * z**3 + 2.0 * z
-        gradients.append(g)
+        gradients[z.tobytes()] = g
         return value(z), g
 
-    slopes = []
-    res = minimize(fun, np.random.default_rng(3).uniform(-2, 2, 37), InnerConfig(max_iters=60),
-                   value_fn=value, callback=lambda z, f, t, slope: slopes.append(slope))
-    assert res.iterations == len(slopes) > 5
-    # fun runs once at the start and once per accepted step
-    for g, slope in zip(gradients, slopes):
+    start = np.random.default_rng(3).uniform(-2, 2, 37)
+    steps = []
+    res = minimize(fun, start, InnerConfig(max_iters=60), value_fn=value,
+                   callback=lambda z, f, t, slope: steps.append((z.copy(), slope)))
+    assert res.iterations == len(steps) > 5
+    # each step's slope is taken at the iterate it leaves: the start, then
+    # the point the step before accepted
+    left = [start] + [z for z, _ in steps[:-1]]
+    for z, (_, slope) in zip(left, steps):
+        g = gradients[z.tobytes()]
         assert type(slope) is float
         assert slope.hex() == float(g @ -g).hex()
 
@@ -231,12 +235,16 @@ def no_fun(z):
 
 
 class Counted:
-    """Stubs that record the point of each ``hess_fun`` and ``value_fn``
-    call, over ``fun`` and its exact Hessian."""
+    """Stubs that record the point of each ``fun``, ``hess_fun`` and
+    ``value_fn`` call, over ``fun`` and its exact Hessian."""
 
     def __init__(self, fun):
         self.inner, self.hessian = fun, EXACT_HESSIAN[fun]
-        self.hess_at, self.value_at = [], []
+        self.fun_at, self.hess_at, self.value_at = [], [], []
+
+    def fun(self, z):
+        self.fun_at.append(z.copy())
+        return self.inner(z)
 
     def hess_fun(self, z):
         self.hess_at.append(z.copy())
@@ -321,6 +329,89 @@ def test_domain_error_at_an_accepted_unit_step_propagates():
     assert value_at == hess_at[1:] == [pytest.approx(-1.0 / 3.0)]
 
 
+# -- gradient descent's evaluations: value_fn at each first trial, fun at
+# each backtracked trial, whose gradient serves the next iterate
+
+
+@pytest.mark.parametrize("fun,start", [
+    (quadratic, [3.0, -4.0, 0.5]),
+    (banana, [0.0, 0.0]),
+    (banana, [-0.7, 1.4]),
+])
+def test_gradient_descent_takes_one_call_per_trial(fun, start):
+    stubs = Counted(fun)
+    steps = []
+    res = minimize(stubs.fun, np.array(start), InnerConfig(max_iters=20000),
+                   value_fn=stubs.value_fn,
+                   callback=lambda z, f, t, slope: steps.append((z.copy(), t)))
+    assert res.status == "converged" and res.iterations == len(steps)
+    # each iteration's first trial is the doubled step before it (1 at first)
+    firsts = [INIT_STEP] + [min(2.0 * t, 1e16) for _, t in steps[:-1]]
+    backtracked = [(z, first, t) for (z, t), first in zip(steps, firsts) if t < first]
+    assert bool(backtracked) and (len(backtracked) < len(steps)) == (fun is banana)
+    # value_fn runs at each first trial alone, so once per iteration, and
+    # takes the step it accepts
+    assert len(stubs.value_at) == len(steps)
+    for (z, t), first, at in zip(steps, firsts, stubs.value_at):
+        assert np.array_equal(z, at) == (t == first)
+    # fun runs at the start, at each halving below the first trial (whose
+    # result serves the next iterate once accepted), and at each step
+    # accepted at its first trial; never twice at one point
+    halvings = sum(round(math.log2(first / t)) for _, first, t in backtracked)
+    assert len(stubs.fun_at) == 1 + halvings + len(steps) - len(backtracked)
+    assert stubs.fun_at[0].tolist() == start
+    fun_points = {z.tobytes() for z in stubs.fun_at}
+    assert len(fun_points) == len(stubs.fun_at)
+    assert all(z.tobytes() in fun_points for z, _ in steps)
+
+
+def descent_domain_stubs(value, grad, undefined_below):
+    """``fun`` whose gradient is undefined below ``undefined_below``, where
+    ``value`` is defined; both stubs record their points."""
+    fun_at, value_at = [], []
+
+    def fun(z):
+        fun_at.append(z[0])
+        if z[0] < undefined_below:
+            raise DomainError("partial undefined")
+        return value(z), grad(z)
+
+    def value_fn(z):
+        value_at.append(z[0])
+        return value(z)
+
+    return fun, value_fn, fun_at, value_at
+
+
+def test_domain_error_at_a_rejected_backtracked_trial_falls_back_to_the_value():
+    # on 4 z^2 from 1 the first trial lands at -7; the halvings to -3 and -1
+    # raise in fun, and value_fn rejects them (36 > 4, 4 = 4), so the search
+    # backtracks on to 0, as a value-only search does
+    fun, value_fn, fun_at, value_at = descent_domain_stubs(
+        lambda z: float(4.0 * z[0] ** 2), lambda z: 8.0 * z, -0.5)
+    res = minimize(fun, np.array([1.0]), InnerConfig(), value_fn=value_fn)
+    assert (res.status, res.iterations) == ("converged", 1)
+    # the first trial, then the two raising backtracked trials
+    assert value_at == [-7.0, -3.0, -1.0]
+    # the start, the two raising trials, and 0, whose call serves the iterate
+    assert fun_at == [1.0, -3.0, -1.0, 0.0]
+
+
+def test_domain_error_at_an_accepted_backtracked_trial_propagates():
+    # on z^2 from 1 the first trial at -1 fails (1 = 1), and value_fn accepts
+    # the halving to 0, where fun raised, so the error is raised as the call
+    # of fun at the accepted point would raise it
+    fun, value_fn, fun_at, value_at = descent_domain_stubs(
+        lambda z: float(z[0] ** 2), lambda z: 2.0 * z, 0.1)
+    steps = []
+    with pytest.raises(DomainError, match="partial undefined"):
+        minimize(fun, np.array([1.0]), InnerConfig(), value_fn=value_fn,
+                 callback=lambda *args: steps.append(args))
+    assert steps == []
+    assert value_at == [-1.0, 0.0]
+    assert fun_at == [1.0, 0.0]
+
+
 def test_decomposed_newton_compiles_no_gradient_form(monkeypatch):
     compiled = []  # (kernel, order) of each compile of an augmented code
     compile_form = model._Kernel._compile
@@ -349,8 +440,8 @@ def test_decomposed_newton_compiles_no_gradient_form(monkeypatch):
     # model._kernel(prob) here would build one)
     whole = ("g", None, tuple(range(prob.s)), tuple(range(prob.r)))
     assert whole not in prob._kernels
-    # the block kernels, the dict of codes and the dict of recipes
-    assert len(prob._kernels) == 6 + 2
+    # the block kernels alone: the dicts of codes and recipes are kept apart
+    assert len(prob._kernels) == 6
 
 
 @pytest.mark.parametrize("method, order", [(GRADIENT_DESCENT, 1), (NEWTON_FD, 2)])

@@ -42,7 +42,15 @@ Then it prints one line of the kernel calls that ran on the evaluator:
     <workload> kernel-evaluator <order 0> <order 1> <order 2>
 
 counting each call by its order: values and constraint values, gradients
-and Jacobian rows, Hessians.  Like the first line, it repeats exactly.
+and Jacobian rows, Hessians.  Last it prints one line of every kernel call,
+compiled or not:
+
+    <workload> kernel-calls <order 0> <order 1> <order 2>
+
+counting each call of ``_Kernel.value`` (order 0), ``value_and_grad`` (1),
+``hessian`` (2), ``objective`` (the order it is given) and ``rows`` (1 with
+a ``jac``, else 0) by its order, so a change to how often the solvers
+evaluate shows here.  Like the first line, both repeat exactly.
 """
 
 from __future__ import annotations
@@ -84,6 +92,7 @@ def main(argv=None):
     sources = []
     instances = emitted = 0
     evaluator_runs = [0, 0, 0]
+    kernel_calls = [0, 0, 0]
     piece, source, warm = model._piece, model._PieceEmitter.source, model._Kernel._warm
 
     def recording_piece(codes, text, values, consts):
@@ -104,13 +113,29 @@ def main(argv=None):
             evaluator_runs[order] += 1
         return pieces
 
+    def counting_call(method, order_of):
+        def call(self, *args, **kwargs):
+            kernel_calls[order_of(*args, **kwargs)] += 1
+            return method(self, *args, **kwargs)
+
+        return call
+
+    orders = {
+        "value": lambda *args: 0,
+        "value_and_grad": lambda *args: 1,
+        "hessian": lambda *args: 2,
+        "objective": lambda vec, order=0: order,
+        "rows": lambda vec, jac=None, objective=True: 0 if jac is None else 1,
+    }
+    for name, order_of in orders.items():
+        setattr(model._Kernel, name, counting_call(getattr(model._Kernel, name), order_of))
     model._piece = recording_piece
     model._PieceEmitter.source = counting_source
     model._Kernel._warm = counting_warm
     for workload in jobs.WORKLOADS:
         sources.clear()
         instances = emitted = 0
-        evaluator_runs[:] = [0, 0, 0]
+        evaluator_runs[:] = kernel_calls[:] = [0, 0, 0]
         for job in jobs.make_workload(workload, seed):
             try:
                 job.run()
@@ -121,6 +146,7 @@ def main(argv=None):
         digest = hashlib.sha256(text.encode()).hexdigest()
         print(workload, KIND, len(sources), instances, emitted, lines, digest, flush=True)
         print(workload, "kernel-evaluator", *evaluator_runs, flush=True)
+        print(workload, "kernel-calls", *kernel_calls, flush=True)
 
 
 if __name__ == "__main__":
